@@ -6,12 +6,12 @@ network, so reports are reproducible byte for byte.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 from .detect import DetectionResult
 from .netgen import FollowingNetwork
+from .sim import write_json
 from .stats import rank_correlation
 
 MICROS_PER_SECOND = 1_000_000
@@ -195,16 +195,14 @@ def emit_report(report: AnalyticsReport, out_dir: str | Path) -> list[Path]:
     written = []
 
     totals_path = out / "totals.json"
-    with open(totals_path, "w", encoding="utf-8") as fh:
-        json.dump({
-            "analyzed_responses": report.analyzed_count,
-            "conflicting_responses": report.conflicting_count,
-            "conflict_records": report.record_count,
-            "inconsistency_rate": report.rate,
-            "gap_summary": report.gaps.to_dict(),
-            "studies": [study.to_dict() for study in report.studies],
-        }, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(totals_path, {
+        "analyzed_responses": report.analyzed_count,
+        "conflicting_responses": report.conflicting_count,
+        "conflict_records": report.record_count,
+        "inconsistency_rate": report.rate,
+        "gap_summary": report.gaps.to_dict(),
+        "studies": [study.to_dict() for study in report.studies],
+    }, sort_keys=True)
     written.append(totals_path)
 
     histogram_path = out / "gap_histogram.csv"

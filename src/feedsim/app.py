@@ -9,7 +9,6 @@ holds at that instant.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -27,7 +26,9 @@ from .sim import (
     SimEvent,
     from_iso,
     make_sampler,
+    read_jsonl,
     to_iso,
+    write_jsonl,
 )
 from .store import ReplicatedStore, StoreConfig
 
@@ -393,51 +394,26 @@ def run_experiment(network: FollowingNetwork, profile: WorkloadProfile,
 
 
 def save_tweet_log(path: str | Path, tweets: list[TweetEvent]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for tw in tweets:
-            fh.write(json.dumps({"producer_id": str(tw.producer_id), "t": to_iso(tw.t),
-                                 "seq": tw.seq}) + "\n")
+    write_jsonl(path, ({"producer_id": str(tw.producer_id), "t": to_iso(tw.t), "seq": tw.seq}
+                       for tw in tweets))
 
 
 def load_tweet_log(path: str | Path) -> list[TweetEvent]:
-    tweets = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                tweets.append(TweetEvent(producer_id=int(record["producer_id"]),
-                                         t=from_iso(record["t"]), seq=int(record["seq"])))
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
-                raise ValueError(f"{path}:{line_no}: corrupt tweet record: {exc}") from exc
-    return tweets
+    return read_jsonl(path, lambda record: TweetEvent(
+        producer_id=int(record["producer_id"]), t=from_iso(record["t"]),
+        seq=int(record["seq"])))
 
 
 def save_response_log(path: str | Path, responses: list[TimelineResponse]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for resp in responses:
-            entries = [{"producer_id": str(pid), "t": to_iso(t)} for pid, t in resp.entries]
-            fh.write(json.dumps({"response_id": resp.response_id,
-                                 "consumer_id": str(resp.consumer_id),
-                                 "T": to_iso(resp.T), "entries": entries}) + "\n")
+    write_jsonl(path, ({"response_id": resp.response_id, "consumer_id": str(resp.consumer_id),
+                        "T": to_iso(resp.T),
+                        "entries": [{"producer_id": str(pid), "t": to_iso(t)}
+                                    for pid, t in resp.entries]}
+                       for resp in responses))
 
 
 def load_response_log(path: str | Path) -> list[TimelineResponse]:
-    responses = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                entries = tuple((int(e["producer_id"]), from_iso(e["t"]))
-                                for e in record["entries"])
-                responses.append(TimelineResponse(response_id=int(record["response_id"]),
-                                                  consumer_id=int(record["consumer_id"]),
-                                                  T=from_iso(record["T"]), entries=entries))
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
-                raise ValueError(f"{path}:{line_no}: corrupt response record: {exc}") from exc
-    return responses
+    return read_jsonl(path, lambda record: TimelineResponse(
+        response_id=int(record["response_id"]), consumer_id=int(record["consumer_id"]),
+        T=from_iso(record["T"]),
+        entries=tuple((int(e["producer_id"]), from_iso(e["t"])) for e in record["entries"])))

@@ -1,21 +1,24 @@
 """Batch pipeline: generate, simulate, detect, report, reproduce.
 
-Stages communicate through files inside the output directory, so each
-subcommand can also be run on its own. Outputs are deterministic for a
-fixed (config, seed) pair.
+Each stage writes its files into the output directory and returns what it
+produced. `repro` hands each stage the products of the ones before it, so
+it writes every file once and runs detection once; each subcommand reads
+its inputs from the files. Outputs are deterministic for a fixed (config,
+seed) pair.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
+from typing import Any, Callable
 
 from . import analytics, app, checks, detect, netgen
 from .config import ExperimentConfig, anomaly_config, is_zero_delay
-from .sim import RngStreams, from_iso
+from .netgen import FollowingNetwork, ValidationReport, WorkloadProfile
+from .sim import IntegrityError, RngStreams, write_json
 
 NETWORK_FILE = "network_profile.jsonl"
 VALIDATION_FILE = "validation_report.json"
@@ -28,13 +31,32 @@ CONFIG_ECHO_FILE = "config_used.json"
 REPRO_SUMMARY_FILE = "repro_summary.txt"
 
 
+class StageError(Exception):
+    """A stage could not produce its outputs; the message starts with the stage."""
+
+    def __init__(self, stage: str, message: str):
+        super().__init__(f"{stage}: {message}")
+        self.stage = stage
+
+
 def _out_dir(cfg: ExperimentConfig) -> Path:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def cmd_gen(cfg: ExperimentConfig) -> int:
+def _read(stage: str, load: Callable[..., Any], *paths: Path) -> Any:
+    """Call a file loader; unreadable or corrupt input becomes a StageError."""
+    try:
+        return load(*paths)
+    except OSError as exc:
+        raise StageError(stage, f"cannot read {exc.filename}: {exc.strerror}") from exc
+    except IntegrityError as exc:
+        raise StageError(stage, str(exc)) from exc
+
+
+def cmd_gen(cfg: ExperimentConfig) -> tuple[FollowingNetwork, WorkloadProfile, ValidationReport]:
+    """Generate and validate the network and workload rates."""
     out = _out_dir(cfg)
     rng = RngStreams(cfg.seed)
     try:
@@ -42,124 +64,96 @@ def cmd_gen(cfg: ExperimentConfig) -> int:
                                        rng.stream("netgen.graph"))
         profile = netgen.build_profile(network, cfg.zipf, cfg.scale,
                                        rng.stream("netgen.rates"))
-    except (netgen.InfeasibleParametersError, ValueError) as exc:
-        print(f"gen: {exc}", file=sys.stderr)
-        return 1
+    except ValueError as exc:
+        raise StageError("gen", str(exc)) from exc
     report = netgen.validate_profile(network, profile, cfg.zipf)
     netgen.save_network_profile(out / NETWORK_FILE, network, profile)
-    with open(out / VALIDATION_FILE, "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=2)
-        fh.write("\n")
+    write_json(out / VALIDATION_FILE, report.to_dict())
     print(f"gen: {network.n_producers} producers, {network.n_consumers} consumers, "
           f"{network.edge_count} edges -> {out / NETWORK_FILE}")
     for check in report.checks:
         print(f"gen: {check.name}: mean {check.realized_mean:.3f} "
               f"(target {check.target_mean:.3f}) {'ok' if check.mean_ok else 'OFF'}")
     if not report.passed:
-        print("gen: validation FAILED", file=sys.stderr)
-        return 1
+        raise StageError("gen", "validation FAILED")
     print("gen: validation passed")
-    return 0
+    return network, profile, report
 
 
-def cmd_run(cfg: ExperimentConfig) -> int:
+def cmd_run(cfg: ExperimentConfig, network: FollowingNetwork | None = None,
+            profile: WorkloadProfile | None = None) -> app.RunArtifacts:
+    """Run the experiment; without a network, the network and rates are read from file."""
     out = _out_dir(cfg)
-    network_path = out / NETWORK_FILE
-    if not network_path.exists():
-        print(f"run: missing {network_path}; run `gen` first", file=sys.stderr)
-        return 1
-    network, profile = netgen.load_network_profile(network_path)
+    if network is None:
+        network, profile = _read("run", netgen.load_network_profile, out / NETWORK_FILE)
     artifacts = app.run_experiment(network, profile, cfg.store, cfg.duration_hours,
                                    cfg.seed, fanout=cfg.fanout, n_timeline=cfg.n_timeline)
     app.save_tweet_log(out / TWEETS_FILE, artifacts.tweet_log)
     app.save_response_log(out / RESPONSES_FILE, artifacts.responses)
-    with open(out / TRACE_FILE, "w", encoding="utf-8") as fh:
-        json.dump(artifacts.trace.to_dict(), fh, indent=2)
-        fh.write("\n")
+    write_json(out / TRACE_FILE, artifacts.trace.to_dict())
     hours = cfg.duration_hours or 1e-9
     print(f"run: {artifacts.trace.tweets} tweets ({artifacts.trace.tweets / hours:.1f}/h), "
           f"{artifacts.trace.responses} responses ({artifacts.trace.responses / hours:.1f}/h)")
     print(f"run: {artifacts.trace.updates_committed} timeline writes, "
           f"{artifacts.trace.retries} retries, "
           f"{artifacts.trace.events_processed} events processed")
-    return 0
+    return artifacts
 
 
-def cmd_detect(cfg: ExperimentConfig) -> int:
+def cmd_detect(cfg: ExperimentConfig, network: FollowingNetwork | None = None,
+               tweets: list[app.TweetEvent] | None = None,
+               responses: list[app.TimelineResponse] | None = None) -> detect.DetectionResult:
+    """Find observable conflicts; without a network, all inputs are read from file."""
     out = _out_dir(cfg)
+    if network is None:
+        network, _ = _read("detect", netgen.load_network_profile, out / NETWORK_FILE)
+        tweets = _read("detect", app.load_tweet_log, out / TWEETS_FILE)
+        responses = _read("detect", app.load_response_log, out / RESPONSES_FILE)
     try:
-        network, _ = netgen.load_network_profile(out / NETWORK_FILE)
-        tweets = app.load_tweet_log(out / TWEETS_FILE)
-        responses = app.load_response_log(out / RESPONSES_FILE)
         result = detect.detect_all(
             responses, tweets, network, n_timeline=cfg.n_timeline,
             analysis_window_fraction=cfg.analysis_window_fraction)
-    except FileNotFoundError as exc:
-        print(f"detect: missing input: {exc}", file=sys.stderr)
-        return 1
-    except (detect.IntegrityError, ValueError) as exc:
-        print(f"detect: {exc}", file=sys.stderr)
-        return 1
+    except ValueError as exc:
+        raise StageError("detect", str(exc)) from exc
     detect.save_conflict_records(out / CONFLICTS_FILE, result)
     detect.save_detection_totals(out / DETECTION_TOTALS_FILE, result)
     print(f"detect: {result.conflicting_count} conflicting of {result.analyzed_count} "
           f"analyzed responses ({len(result.records)} records)")
-    return 0
+    return result
 
 
-def cmd_report(cfg: ExperimentConfig) -> int:
+def cmd_report(cfg: ExperimentConfig, network: FollowingNetwork | None = None,
+               result: detect.DetectionResult | None = None) -> analytics.AnalyticsReport:
+    """Write the report files; without a network, all inputs are read from file."""
     out = _out_dir(cfg)
+    if network is None:
+        network, _ = _read("report", netgen.load_network_profile, out / NETWORK_FILE)
+        result = _read("report", detect.load_detection, out / CONFLICTS_FILE,
+                       out / DETECTION_TOTALS_FILE)
     try:
-        network, _ = netgen.load_network_profile(out / NETWORK_FILE)
-        result = detect.load_detection(out / CONFLICTS_FILE, out / DETECTION_TOTALS_FILE)
-    except FileNotFoundError as exc:
-        print(f"report: missing input: {exc}", file=sys.stderr)
-        return 1
-    except detect.IntegrityError as exc:
-        print(f"report: {exc}", file=sys.stderr)
-        return 1
-    report = analytics.build_report(result, network)
+        report = analytics.build_report(result, network)
+    except (KeyError, ValueError) as exc:
+        raise StageError("report", f"{out / NETWORK_FILE}: does not hold every id the "
+                                   f"conflicts name: {type(exc).__name__}: {exc}") from exc
     for path in analytics.emit_report(report, out):
         print(f"report: wrote {path}")
-    return 0
+    return report
 
 
 def cmd_repro(cfg: ExperimentConfig) -> int:
-    """Chain gen -> run -> detect -> report, then evaluate acceptance checks."""
+    """Chain gen -> run -> detect -> report in memory, then evaluate acceptance checks."""
     out = _out_dir(cfg)
     cfg.save(out / CONFIG_ECHO_FILE)
-    for stage_name, stage in (("gen", cmd_gen), ("run", cmd_run), ("detect", cmd_detect),
-                              ("report", cmd_report)):
-        code = stage(cfg)
-        if code != 0:
-            print(f"repro: stage {stage_name} failed", file=sys.stderr)
-            return code
-
-    network, _ = netgen.load_network_profile(out / NETWORK_FILE)
-    with open(out / VALIDATION_FILE, encoding="utf-8") as fh:
-        validation_dict = json.load(fh)
-    validation = netgen.ValidationReport(
-        checks=[netgen.DistributionCheck(**c) for c in validation_dict["checks"]],
-        degree_rate_spearman=validation_dict["degree_rate_spearman"],
-        independence_ok=validation_dict["independence_ok"],
-        passed=validation_dict["passed"],
-    )
-    tweets = app.load_tweet_log(out / TWEETS_FILE)
-    responses = app.load_response_log(out / RESPONSES_FILE)
-    result = detect.detect_all(responses, tweets, network, n_timeline=cfg.n_timeline,
-                               analysis_window_fraction=cfg.analysis_window_fraction)
-    with open(out / TRACE_FILE, encoding="utf-8") as fh:
-        trace_dict = json.load(fh)
-    trace = app.TraceStats(
-        duration_us=trace_dict["duration_us"],
-        max_propagation_lag_us=trace_dict["max_propagation_lag_us"],
-        fanout_completion_us={
-            (int(c["producer_id"]), from_iso(c["t"])): c["completion_us"]
-            for c in trace_dict["fanout_completions"]
-        },
-    )
-    report = analytics.build_report(result, network)
-    outcomes = checks.evaluate_run(result, trace, report, validation,
+    try:
+        network, profile, validation = cmd_gen(cfg)
+        artifacts = cmd_run(cfg, network, profile)
+        result = cmd_detect(cfg, network, artifacts.tweet_log, artifacts.responses)
+        report = cmd_report(cfg, network, result)
+    except StageError as exc:
+        print(exc, file=sys.stderr)
+        print(f"repro: stage {exc.stage} failed", file=sys.stderr)
+        return 1
+    outcomes = checks.evaluate_run(result, artifacts.trace, report, validation,
                                    zero_delay=is_zero_delay(cfg))
     lines = [outcome.line() for outcome in outcomes]
     with open(out / REPRO_SUMMARY_FILE, "w", encoding="utf-8") as fh:
@@ -204,23 +198,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_COMMANDS = {
+_STAGES = {
     "gen": cmd_gen,
     "run": cmd_run,
     "detect": cmd_detect,
     "report": cmd_report,
-    "repro": cmd_repro,
 }
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Exit code: 0 on success, 1 on a stage failure or a failed check, 2 on a bad config."""
     args = build_parser().parse_args(argv)
     try:
         cfg = _resolve_config(args)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"{args.command}: bad config: {exc}", file=sys.stderr)
         return 2
-    return _COMMANDS[args.command](cfg)
+    if args.command == "repro":
+        return cmd_repro(cfg)
+    try:
+        _STAGES[args.command](cfg)
+    except StageError as exc:
+        print(exc, file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

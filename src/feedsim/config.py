@@ -8,7 +8,7 @@ from pathlib import Path
 
 from .app import FanoutSettings
 from .netgen import ZipfParams
-from .sim import DistributionSpec
+from .sim import DistributionSpec, write_json
 from .store import StoreConfig
 
 DESK_N_PRODUCERS = 679
@@ -60,6 +60,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        if not isinstance(data, dict):
+            raise ValueError(f"config must be a JSON object, not {type(data).__name__}")
         known = {
             "seed", "scale", "n_producers", "n_consumers", "zipf", "store",
             "fanout", "n_timeline", "duration_hours", "analysis_window_fraction",
@@ -78,9 +80,7 @@ class ExperimentConfig:
         return cls(**kwargs)
 
     def save(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
+        write_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path: str | Path) -> "ExperimentConfig":

@@ -21,11 +21,8 @@ from typing import Iterable, Sequence
 
 from .app import TimelineResponse, TweetEvent
 from .netgen import FollowingNetwork
-from .sim import from_iso, to_iso
-
-
-class IntegrityError(ValueError):
-    """The logs violate an invariant the simulator guarantees."""
+from .sim import (RECORD_ERRORS, IntegrityError, from_iso, read_jsonl, to_iso, write_json,
+                  write_jsonl)
 
 
 class ConflictType(Enum):
@@ -322,40 +319,26 @@ def detect_all(responses: Sequence[TimelineResponse], tweet_log: Sequence[TweetE
 
 
 def save_conflict_records(path: str | Path, result: DetectionResult) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in result.records:
-            fh.write(json.dumps({
-                "response_id": record.response_id,
-                "consumer_id": str(record.consumer_id),
-                "producer_id": str(record.producer_id),
-                "t": to_iso(record.t),
-                "type": record.type.value,
-                "witness_response_id": record.witness_response_id,
-                "G_seconds": record.gap_us / 1_000_000,
-            }) + "\n")
+    write_jsonl(path, ({"response_id": record.response_id,
+                        "consumer_id": str(record.consumer_id),
+                        "producer_id": str(record.producer_id),
+                        "t": to_iso(record.t),
+                        "type": record.type.value,
+                        "witness_response_id": record.witness_response_id,
+                        "G_seconds": record.gap_us / 1_000_000}
+                       for record in result.records))
 
 
 def load_conflict_records(path: str | Path) -> list[ConflictRecord]:
-    records = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                data = json.loads(line)
-                records.append(ConflictRecord(
-                    response_id=int(data["response_id"]),
-                    consumer_id=int(data["consumer_id"]),
-                    producer_id=int(data["producer_id"]),
-                    t=from_iso(data["t"]),
-                    type=ConflictType(data["type"]),
-                    witness_response_id=int(data["witness_response_id"]),
-                    gap_us=round(data["G_seconds"] * 1_000_000),
-                ))
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
-                raise IntegrityError(f"{path}:{line_no}: corrupt conflict record: {exc}") from exc
-    return records
+    return read_jsonl(path, lambda data: ConflictRecord(
+        response_id=int(data["response_id"]),
+        consumer_id=int(data["consumer_id"]),
+        producer_id=int(data["producer_id"]),
+        t=from_iso(data["t"]),
+        type=ConflictType(data["type"]),
+        witness_response_id=int(data["witness_response_id"]),
+        gap_us=round(data["G_seconds"] * 1_000_000),
+    ))
 
 
 def save_detection_totals(path: str | Path, result: DetectionResult) -> None:
@@ -372,9 +355,7 @@ def save_detection_totals(path: str | Path, result: DetectionResult) -> None:
         "tweet_counts": {str(k): v for k, v in sorted(result.tweet_counts.items())},
         "query_counts": {str(k): v for k, v in sorted(result.query_counts.items())},
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(totals, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, totals, sort_keys=True)
 
 
 def load_detection(records_path: str | Path, totals_path: str | Path) -> DetectionResult:
@@ -393,5 +374,6 @@ def load_detection(records_path: str | Path, totals_path: str | Path) -> Detecti
             tweet_counts={int(k): int(v) for k, v in totals["tweet_counts"].items()},
             query_counts={int(k): int(v) for k, v in totals["query_counts"].items()},
         )
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
-        raise IntegrityError(f"{totals_path}: corrupt totals: {exc}") from exc
+    except RECORD_ERRORS as exc:
+        raise IntegrityError(
+            f"{totals_path}: corrupt totals: {type(exc).__name__}: {exc}") from exc

@@ -9,12 +9,13 @@ network bit for bit.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
+from .sim import IntegrityError, read_jsonl, write_jsonl
 from .stats import rank_correlation, rank_size_slope, zipf_rank_mle
 
 # Degree means may drift from their target by rounding and the min-degree
@@ -356,57 +357,52 @@ def validate_profile(network: FollowingNetwork, profile: WorkloadProfile,
 def save_network_profile(path: str | Path, network: FollowingNetwork,
                          profile: WorkloadProfile) -> None:
     """Write the follow lists and rates as line-delimited JSON."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for consumer in range(network.n_consumers):
-            line = {"c": consumer, "p": list(network.follows[consumer])}
-            fh.write(json.dumps(line) + "\n")
-        for producer in range(network.n_producers):
-            line = {"producer": producer, "rate_per_hour": float(profile.producer_rate[producer])}
-            fh.write(json.dumps(line) + "\n")
-        for consumer in range(network.n_consumers):
-            line = {"consumer": consumer, "rate_per_hour": float(profile.consumer_rate[consumer])}
-            fh.write(json.dumps(line) + "\n")
+    write_jsonl(path, chain(
+        ({"c": consumer, "p": list(network.follows[consumer])}
+         for consumer in range(network.n_consumers)),
+        ({"producer": producer, "rate_per_hour": float(profile.producer_rate[producer])}
+         for producer in range(network.n_producers)),
+        ({"consumer": consumer, "rate_per_hour": float(profile.consumer_rate[consumer])}
+         for consumer in range(network.n_consumers)),
+    ))
+
+
+def _network_record(record: dict) -> tuple[str, int, tuple[int, ...] | float]:
+    """(table, id, value) of one record; records self-identify by field name."""
+    if "c" in record:
+        return "follows", int(record["c"]), tuple(sorted(int(p) for p in record["p"]))
+    for table in ("producer", "consumer"):
+        if table in record:
+            return table, int(record[table]), float(record["rate_per_hour"])
+    raise ValueError(f"unrecognized record {record!r}")
 
 
 def load_network_profile(path: str | Path) -> tuple[FollowingNetwork, WorkloadProfile]:
-    """Read a network/profile file; records self-identify by field name."""
-    follows: dict[int, tuple[int, ...]] = {}
-    producer_rates: dict[int, float] = {}
-    consumer_rates: dict[int, float] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{line_no}: bad JSON: {exc}") from exc
-            if "c" in record:
-                follows[int(record["c"])] = tuple(sorted(int(p) for p in record["p"]))
-            elif "producer" in record:
-                producer_rates[int(record["producer"])] = float(record["rate_per_hour"])
-            elif "consumer" in record:
-                consumer_rates[int(record["consumer"])] = float(record["rate_per_hour"])
-            else:
-                raise ValueError(f"{path}:{line_no}: unrecognized record {record!r}")
+    """Read a file written by save_network_profile; IntegrityError names the file."""
+    tables: dict[str, dict] = {"follows": {}, "producer": {}, "consumer": {}}
+    for table, key, value in read_jsonl(path, _network_record):
+        tables[table][key] = value
+    follows, producer_rates, consumer_rates = tables.values()
 
     n_consumers = len(follows)
     n_producers = len(producer_rates)
     if set(follows) != set(range(n_consumers)):
-        raise ValueError("consumer ids are not a dense 0..N-1 range")
+        raise IntegrityError(f"{path}: consumer ids are not a dense 0..N-1 range")
     if set(producer_rates) != set(range(n_producers)):
-        raise ValueError("producer ids are not a dense 0..N-1 range")
+        raise IntegrityError(f"{path}: producer ids are not a dense 0..N-1 range")
     if set(consumer_rates) != set(range(n_consumers)):
-        raise ValueError("consumer rate records do not match follow records")
+        raise IntegrityError(f"{path}: consumer rate records do not match follow records")
 
     follower_lists: dict[int, list[int]] = {p: [] for p in range(n_producers)}
     for consumer in range(n_consumers):
         for p in follows[consumer]:
-            follower_lists[p].append(consumer)
+            follower_lists.setdefault(p, []).append(consumer)
     followers = {p: tuple(sorted(follower_lists[p])) for p in range(n_producers)}
     network = FollowingNetwork(n_producers, n_consumers, follows, followers)
-    network.validate()
+    try:
+        network.validate()
+    except ValueError as exc:
+        raise IntegrityError(f"{path}: {exc}") from exc
     profile = WorkloadProfile(
         producer_rate=np.array([producer_rates[p] for p in range(n_producers)]),
         consumer_rate=np.array([consumer_rates[c] for c in range(n_consumers)]),

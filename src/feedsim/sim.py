@@ -1,4 +1,5 @@
-"""Deterministic virtual-time event loop and labelled random streams.
+"""Deterministic virtual-time event loop, labelled random streams, and the
+line codec every log file goes through.
 
 All simulation time is integer microseconds since a fixed epoch. Every
 source of randomness is a named substream derived from one master seed,
@@ -8,11 +9,13 @@ so a (seed, config) pair pins down an entire run byte for byte.
 from __future__ import annotations
 
 import hashlib
+import json
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from enum import Enum
 from heapq import heappop, heappush
-from typing import Any, Callable
+from pathlib import Path
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
@@ -33,6 +36,47 @@ def from_iso(text: str) -> int:
     """Parse an ISO-8601 timestamp back to integer microseconds."""
     delta = datetime.fromisoformat(text) - EPOCH
     return (delta.days * 86_400 + delta.seconds) * MICROS_PER_SECOND + delta.microseconds
+
+
+class IntegrityError(ValueError):
+    """A file or log violates the format or an invariant the simulator guarantees."""
+
+
+# What mapping a decoded record of the wrong shape to an object can raise:
+# a bad or infinite value, a missing key, or a value of the wrong type.
+RECORD_ERRORS = (ValueError, OverflowError, KeyError, TypeError, AttributeError)
+
+
+def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
+    """Write one JSON object per line."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(json.dumps(record) + "\n" for record in records)
+
+
+def write_json(path: str | Path, document: Any, sort_keys: bool = False) -> None:
+    """Write one indented JSON document and a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(document, fh, indent=2, sort_keys=sort_keys)
+        fh.write("\n")
+
+
+def read_jsonl(path: str | Path, parse: Callable[[Any], Any]) -> list:
+    """Decode each non-blank line and map it through parse.
+
+    Any failure on one line, from undecodable bytes to a record parse
+    rejects, raises IntegrityError naming path:line.
+    """
+    parsed = []
+    with open(path, "rb") as fh:
+        for line_no, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                parsed.append(parse(json.loads(line)))
+            except RECORD_ERRORS as exc:
+                raise IntegrityError(
+                    f"{path}:{line_no}: corrupt record: {type(exc).__name__}: {exc}") from exc
+    return parsed
 
 
 class EventKind(Enum):

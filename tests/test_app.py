@@ -4,6 +4,7 @@ import pytest
 from feedsim.app import (
     FanoutSettings,
     FeedApp,
+    TimelineResponse,
     TweetEvent,
     insert_entry,
     load_response_log,
@@ -12,8 +13,14 @@ from feedsim.app import (
     save_response_log,
     save_tweet_log,
 )
-from feedsim.detect import consistent_timeline
-from feedsim.netgen import WorkloadProfile
+from feedsim.detect import (
+    ConflictRecord,
+    ConflictType,
+    DetectionResult,
+    consistent_timeline,
+    save_conflict_records,
+)
+from feedsim.netgen import WorkloadProfile, save_network_profile
 from feedsim.sim import MICROS_PER_HOUR, DistributionSpec, EventLoop, RngStreams
 from feedsim.store import ReplicatedStore, StoreConfig
 from oracles import make_network
@@ -261,18 +268,35 @@ def test_log_files_roundtrip(tmp_path):
 
 
 def test_log_wire_format_is_pinned(tmp_path):
-    tweet_path = tmp_path / "tweets.jsonl"
-    save_tweet_log(tweet_path, [TweetEvent(producer_id=1353955, t=32_256_647, seq=2)])
-    assert tweet_path.read_text() == (
-        '{"producer_id": "1353955", "t": "2020-01-01T00:00:32.256647", "seq": 2}\n')
-    resp_path = tmp_path / "responses.jsonl"
-    from feedsim.app import TimelineResponse
-
-    save_response_log(resp_path, [TimelineResponse(
-        response_id=7, consumer_id=9, T=40_000_000, entries=((1353955, 32_256_647),))])
-    assert resp_path.read_text() == (
-        '{"response_id": 7, "consumer_id": "9", "T": "2020-01-01T00:00:40.000000", '
-        '"entries": [{"producer_id": "1353955", "t": "2020-01-01T00:00:32.256647"}]}\n')
+    record = ConflictRecord(response_id=7, consumer_id=9, producer_id=1353955, t=32_256_647,
+                            type=ConflictType.GAP, witness_response_id=3, gap_us=7_743_353)
+    detection = DetectionResult(records=[record], per_response_G={7: 7_743_353},
+                                analyzed_count=1, total_count=1, analyzed_start_id=7,
+                                n_timeline=20, analysis_window_fraction=1.0,
+                                tweet_counts={}, query_counts={})
+    cases = [
+        (save_tweet_log, ([TweetEvent(producer_id=1353955, t=32_256_647, seq=2)],),
+         '{"producer_id": "1353955", "t": "2020-01-01T00:00:32.256647", "seq": 2}\n'),
+        (save_response_log, ([TimelineResponse(response_id=7, consumer_id=9, T=40_000_000,
+                                               entries=((1353955, 32_256_647),))],),
+         '{"response_id": 7, "consumer_id": "9", "T": "2020-01-01T00:00:40.000000", '
+         '"entries": [{"producer_id": "1353955", "t": "2020-01-01T00:00:32.256647"}]}\n'),
+        (save_network_profile, (make_network({0: (0, 1)}, 2),
+                                WorkloadProfile(producer_rate=np.array([0.75, 2.0]),
+                                                consumer_rate=np.array([5.8]))),
+         '{"c": 0, "p": [0, 1]}\n'
+         '{"producer": 0, "rate_per_hour": 0.75}\n'
+         '{"producer": 1, "rate_per_hour": 2.0}\n'
+         '{"consumer": 0, "rate_per_hour": 5.8}\n'),
+        (save_conflict_records, (detection,),
+         '{"response_id": 7, "consumer_id": "9", "producer_id": "1353955", '
+         '"t": "2020-01-01T00:00:32.256647", "type": "gap", "witness_response_id": 3, '
+         '"G_seconds": 7.743353}\n'),
+    ]
+    for save, args, expected in cases:
+        path = tmp_path / f"{save.__name__}.jsonl"
+        save(path, *args)
+        assert path.read_text() == expected, save.__name__
 
 
 def test_load_tweet_log_rejects_corrupt(tmp_path):

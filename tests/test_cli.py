@@ -1,4 +1,5 @@
 import json
+import shutil
 from dataclasses import replace
 
 import pytest
@@ -45,6 +46,15 @@ def test_config_rejects_unknown_keys(tmp_path):
     with pytest.raises(ValueError):
         ExperimentConfig.load(path)
     assert main(["gen", "--config", str(path)]) == 2
+
+
+@pytest.mark.parametrize("text", ['{"seed": "x"}', '{"store": 5}', "[]"])
+def test_bad_config_value_is_usage_error(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(["gen", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "gen: bad config" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_rejects_invalid_populations(tmp_path):
@@ -166,3 +176,108 @@ def test_repro_lagged_tiny_run_evaluates_all_checks(tmp_path, capsys):
         assert name in stdout
     assert "[PASS] nonzero_anomaly_rate" in stdout
     assert "[PASS] gap_bounded_by_pipeline" in stdout
+
+
+@pytest.mark.parametrize("lagged", [True, False], ids=["lagged", "zero_delay"])
+def test_repro_in_memory_writes_the_same_files_as_the_stages(tmp_path, lagged):
+    cfg = tiny_config(tmp_path / "unused")
+    if not lagged:
+        cfg = replace(zero_delay_config(seed=3, duration_hours=0.5, out_dir=cfg.out_dir),
+                      n_producers=68, n_consumers=197)
+    cfg_path = write_config(tmp_path, cfg)
+    chained, staged = tmp_path / "chained", tmp_path / "staged"
+    main(["repro", "--config", str(cfg_path), "--out", str(chained)])  # tiny runs fail checks
+    for command in ("gen", "run", "detect", "report"):
+        assert main([command, "--config", str(cfg_path), "--out", str(staged)]) == 0, command
+    names = {path.name for path in chained.iterdir()} - {"config_used.json",
+                                                          "repro_summary.txt"}
+    assert names == {path.name for path in staged.iterdir()}
+    for name in sorted(names):
+        assert (chained / name).read_bytes() == (staged / name).read_bytes(), name
+
+
+# (file, key a malformed record breaks, a value of the wrong type for it)
+CORRUPTIBLE_INPUTS = {
+    "network_profile.jsonl": ("p", 5),
+    "tweets.jsonl": ("seq", [2]),
+    "responses.jsonl": ("entries", 5),
+    "conflicts.jsonl": ("t", 5),
+    "detection_totals.json": ("per_response_G_us", 5),
+}
+
+
+def corrupt(text, name, fault):
+    """Break one record of a stage input; returns the new text and its line number."""
+    key, wrong = CORRUPTIBLE_INPUTS[name]
+    lines = [text] if name.endswith(".json") else text.splitlines(keepends=True)
+    if fault == "truncated":
+        line_no = len(lines)
+        lines[-1] = lines[-1][:len(lines[-1]) // 2]
+    else:
+        line_no = max(i for i, line in enumerate(lines, 1) if key in json.loads(line))
+        record = json.loads(lines[line_no - 1])
+        if fault == "missing_key":
+            del record[key]
+        else:
+            record[key] = wrong
+        lines[line_no - 1] = json.dumps(record) + "\n"
+    return "".join(lines), line_no
+
+
+STAGE_INPUTS = [
+    ("run", "network_profile.jsonl"),
+    ("detect", "network_profile.jsonl"),
+    ("detect", "tweets.jsonl"),
+    ("detect", "responses.jsonl"),
+    ("report", "network_profile.jsonl"),
+    ("report", "conflicts.jsonl"),
+    ("report", "detection_totals.json"),
+]
+
+
+@pytest.fixture(scope="module")
+def staged_outputs(tmp_path_factory):
+    """gen, run and detect outputs of the lagged tiny config, made once."""
+    root = tmp_path_factory.mktemp("staged")
+    cfg_path = write_config(root, tiny_config(root / "out"))
+    for command in ("gen", "run", "detect"):
+        assert main([command, "--config", str(cfg_path)]) == 0, command
+    return root / "out"
+
+
+@pytest.mark.parametrize("fault", ["truncated", "missing_key", "wrong_type"])
+@pytest.mark.parametrize("stage,name", STAGE_INPUTS)
+def test_corrupt_stage_input_exits_1_naming_the_file(tmp_path, capsys, staged_outputs,
+                                                      stage, name, fault):
+    out = tmp_path / "out"
+    shutil.copytree(staged_outputs, out)
+    cfg_path = write_config(tmp_path, tiny_config(out))
+    path = out / name
+    text, line_no = corrupt(path.read_text(), name, fault)
+    where = f"{path}:" if name.endswith(".json") else f"{path}:{line_no}:"
+    path.write_text(text)
+    capsys.readouterr()
+    assert main([stage, "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"{stage}: {where}"), err
+
+
+@pytest.mark.parametrize("stage,name,key,unknown", [
+    ("run", "network_profile.jsonl", "p", [0, 999_999]),
+    ("report", "conflicts.jsonl", "producer_id", "999999"),
+    ("report", "conflicts.jsonl", "consumer_id", "999999"),
+])
+def test_ids_unknown_to_the_network_exit_1(tmp_path, capsys, staged_outputs,
+                                           stage, name, key, unknown):
+    out = tmp_path / "out"
+    shutil.copytree(staged_outputs, out)
+    cfg_path = write_config(tmp_path, tiny_config(out))
+    lines = (out / name).read_text().splitlines()
+    record = json.loads(lines[0])
+    record[key] = unknown
+    lines[0] = json.dumps(record)
+    (out / name).write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main([stage, "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"{stage}: {out / 'network_profile.jsonl'}: "), err

@@ -58,7 +58,6 @@ from .netgen import (
     load_network_profile,
     save_network_profile,
     validate_profile,
-    zipf_sample,
 )
 from .sim import (
     EPOCH,

@@ -343,8 +343,7 @@ def _strictly_increasing(times: np.ndarray) -> np.ndarray:
 
 def run_experiment(network: FollowingNetwork, profile: WorkloadProfile,
                    store_config: StoreConfig, duration_hours: float, seed: int, *,
-                   fanout: FanoutSettings | None = None, n_timeline: int = 20,
-                   record_trace: bool = False) -> RunArtifacts:
+                   fanout: FanoutSettings | None = None, n_timeline: int = 20) -> RunArtifacts:
     """Run per-producer Poisson posts and per-consumer Poisson queries.
 
     Returns the immutable tweet log, the full response log, and trace
@@ -354,7 +353,7 @@ def run_experiment(network: FollowingNetwork, profile: WorkloadProfile,
         raise ValueError("duration_hours must be >= 0")
     duration_us = round(duration_hours * MICROS_PER_HOUR)
     rng = RngStreams(seed)
-    loop = EventLoop(record_trace=record_trace)
+    loop = EventLoop()
     store = ReplicatedStore(store_config, loop, rng)
     app = FeedApp(network, loop, store, rng, n_timeline=n_timeline, fanout=fanout)
 

@@ -110,11 +110,15 @@ def cmd_detect(cfg: ExperimentConfig, network: FollowingNetwork | None = None,
         tweets = _read("detect", app.load_tweet_log, out / TWEETS_FILE)
         responses = _read("detect", app.load_response_log, out / RESPONSES_FILE)
     try:
+        index = detect.TweetIndex(tweets)
+    except IntegrityError as exc:
+        raise StageError("detect", f"{out / TWEETS_FILE}: {exc}") from exc
+    try:
         result = detect.detect_all(
-            responses, tweets, network, n_timeline=cfg.n_timeline,
+            responses, index, network, n_timeline=cfg.n_timeline,
             analysis_window_fraction=cfg.analysis_window_fraction)
     except ValueError as exc:
-        raise StageError("detect", str(exc)) from exc
+        raise StageError("detect", f"{out / RESPONSES_FILE}: {exc}") from exc
     detect.save_conflict_records(out / CONFLICTS_FILE, result)
     detect.save_detection_totals(out / DETECTION_TOTALS_FILE, result)
     print(f"detect: {result.conflicting_count} conflicting of {result.analyzed_count} "

@@ -15,6 +15,17 @@ DESK_N_PRODUCERS = 679
 DESK_N_CONSUMERS = 1963
 
 
+def _unknown_keys(data: dict, known: dict, prefix: str = "") -> list[str]:
+    """Dotted paths of the keys in data, at any depth, that known lacks."""
+    unknown = []
+    for key, value in data.items():
+        if key not in known:
+            unknown.append(f"{prefix}{key}")
+        elif isinstance(value, dict) and isinstance(known[key], dict):
+            unknown += _unknown_keys(value, known[key], f"{prefix}{key}.")
+    return unknown
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     seed: int = 1
@@ -62,12 +73,7 @@ class ExperimentConfig:
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         if not isinstance(data, dict):
             raise ValueError(f"config must be a JSON object, not {type(data).__name__}")
-        known = {
-            "seed", "scale", "n_producers", "n_consumers", "zipf", "store",
-            "fanout", "n_timeline", "duration_hours", "analysis_window_fraction",
-            "out_dir",
-        }
-        unknown = set(data) - known
+        unknown = _unknown_keys(data, cls().to_dict())
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         kwargs = dict(data)
@@ -139,6 +145,4 @@ def lag_probe_config(seed: int, lag_mean_ms: float, out_dir: str = "out") -> Exp
 
 def is_zero_delay(config: ExperimentConfig) -> bool:
     """True when the configuration cannot produce any inconsistency."""
-    lag = config.store.lag
-    zero_lag = lag.mean_ms == 0 or (lag.kind == "constant" and lag.mean_ms == 0)
-    return zero_lag and config.fanout.mode == "synchronous"
+    return config.store.lag.mean_ms == 0 and config.fanout.mode == "synchronous"

@@ -78,18 +78,10 @@ class TweetIndex:
             last = triple
             key = (tweet.producer_id, tweet.t)
             if key in self.triple_by_key:
-                raise IntegrityError(f"duplicate tweet identity {key}")
+                raise IntegrityError(f"tweet seq {tweet.seq} repeats the identity {key}")
             self.triple_by_key[key] = triple
             self.times_by_producer.setdefault(tweet.producer_id, []).append(tweet.t)
             self.triples_by_producer.setdefault(tweet.producer_id, []).append(triple)
-
-    def triple_for(self, producer_id: int, t: int) -> Triple:
-        triple = self.triple_by_key.get((producer_id, t))
-        if triple is None:
-            raise IntegrityError(
-                f"phantom tweet ({producer_id}, {t}) not in the global log"
-            )
-        return triple
 
 
 def _coerce_index(tweets: Sequence[TweetEvent] | TweetIndex) -> TweetIndex:
@@ -121,7 +113,10 @@ def _response_triples(response: TimelineResponse, index: TweetIndex) -> list[Tri
     triples = []
     prev: Triple | None = None
     for pid, t in response.entries:
-        triple = index.triple_for(pid, t)
+        triple = index.triple_by_key.get((pid, t))
+        if triple is None:
+            raise IntegrityError(f"response {response.response_id} contains a phantom tweet "
+                                 f"({pid}, {t}) that is not in the tweet log")
         if t > response.T:
             raise IntegrityError(
                 f"response {response.response_id} contains a future tweet ({pid}, {t})"
@@ -254,14 +249,17 @@ class DetectionResult:
         return counts
 
 
-def detect_all(responses: Sequence[TimelineResponse], tweet_log: Sequence[TweetEvent],
+def detect_all(responses: Sequence[TimelineResponse],
+               tweet_log: Sequence[TweetEvent] | TweetIndex,
                network: FollowingNetwork, *, n_timeline: int = 20,
                analysis_window_fraction: float = 0.5) -> DetectionResult:
     """Run the full pipeline over the configured analysis window.
 
     The warm-up prefix is dropped: only the latter analysis_window_fraction
     of responses (by count) is analyzed, and witnesses are drawn from that
-    same window.
+    same window. Errors in the tweet log are raised while tweet_log is
+    indexed, so a caller that passes a TweetIndex sees only errors in the
+    responses.
     """
     if not 0 < analysis_window_fraction <= 1:
         raise ValueError("analysis_window_fraction must be in (0, 1]")
@@ -273,8 +271,12 @@ def detect_all(responses: Sequence[TimelineResponse], tweet_log: Sequence[TweetE
             raise IntegrityError(f"duplicate response id {resp.response_id}")
         seen_ids.add(resp.response_id)
         if prev_T is not None and resp.T < prev_T:
-            raise IntegrityError("response log not ordered by timestamp")
+            raise IntegrityError(f"response {resp.response_id} is timestamped before "
+                                 f"the response before it")
         prev_T = resp.T
+        if resp.consumer_id not in network.follows:
+            raise IntegrityError(
+                f"response {resp.response_id} names unknown consumer {resp.consumer_id}")
 
     start = len(responses) - int(round(len(responses) * analysis_window_fraction))
     analyzed = responses[start:]
@@ -298,10 +300,6 @@ def detect_all(responses: Sequence[TimelineResponse], tweet_log: Sequence[TweetE
             records.extend(own_records)
             per_response_G[resp.response_id] = inconsistency_time_gap(resp, own_records)
 
-    tweet_counts: dict[int, int] = {}
-    for tweet in tweet_log:
-        tweet_counts[tweet.producer_id] = tweet_counts.get(tweet.producer_id, 0) + 1
-
     return DetectionResult(
         records=records,
         per_response_G=per_response_G,
@@ -310,7 +308,7 @@ def detect_all(responses: Sequence[TimelineResponse], tweet_log: Sequence[TweetE
         analyzed_start_id=analyzed[0].response_id if analyzed else -1,
         n_timeline=n_timeline,
         analysis_window_fraction=analysis_window_fraction,
-        tweet_counts=tweet_counts,
+        tweet_counts={pid: len(times) for pid, times in index.times_by_producer.items()},
         query_counts=query_counts,
     )
 

@@ -77,20 +77,12 @@ class ZipfSampler:
         self._cdf = np.cumsum(self.pmf)
         self._cdf[-1] = 1.0
 
-    def sample(self, stream: np.random.Generator) -> int:
-        return int(np.searchsorted(self._cdf, stream.random(), side="right")) + 1
-
     def sample_many(self, n: int, stream: np.random.Generator) -> np.ndarray:
         return np.searchsorted(self._cdf, stream.random(n), side="right").astype(np.int64) + 1
 
     @property
     def mean(self) -> float:
         return float(np.arange(1, self.rank_count + 1) @ self.pmf)
-
-
-def zipf_sample(rank_count: int, s: float, stream: np.random.Generator) -> int:
-    """Draw one rank in [1, rank_count] with probability proportional to r**-s."""
-    return ZipfSampler(rank_count, s).sample(stream)
 
 
 @dataclass

@@ -99,22 +99,18 @@ class SimEvent:
     kind: EventKind
     payload: Any = None
     seq: int = -1
-    cancelled: bool = False
-    fired: bool = False
 
 
 class EventLoop:
     """Single-threaded virtual-time event queue."""
 
-    def __init__(self, record_trace: bool = False):
+    def __init__(self):
         self._heap: list[tuple[int, int, SimEvent]] = []
         self._now = 0
         self._next_seq = 0
         self._handlers: dict[EventKind, Callable[[SimEvent], None]] = {}
         self.scheduled_count = 0
         self.processed_count = 0
-        self.cancelled_count = 0
-        self.trace: list[tuple[int, int, str]] | None = [] if record_trace else None
 
     def now(self) -> int:
         return self._now
@@ -123,7 +119,7 @@ class EventLoop:
         self._handlers[kind] = handler
 
     def schedule(self, event: SimEvent) -> SimEvent:
-        """Queue an event; returns it as a cancellation handle."""
+        """Queue an event; returns it with its seq assigned."""
         if event.fire_at < self._now:
             raise ValueError(
                 f"cannot schedule event at t={event.fire_at} before now={self._now}"
@@ -137,17 +133,9 @@ class EventLoop:
     def schedule_at(self, fire_at: int, kind: EventKind, payload: Any = None) -> SimEvent:
         return self.schedule(SimEvent(fire_at=fire_at, kind=kind, payload=payload))
 
-    def cancel(self, event: SimEvent) -> None:
-        if event.fired:
-            raise ValueError("cannot cancel an event that already fired")
-        if event.cancelled:
-            raise ValueError("event already cancelled")
-        event.cancelled = True
-        self.cancelled_count += 1
-
     @property
     def pending_count(self) -> int:
-        return self.scheduled_count - self.processed_count - self.cancelled_count
+        return self.scheduled_count - self.processed_count
 
     def run_until(self, t_end: int) -> int:
         """Process every event with fire_at <= t_end; leaves now() == t_end."""
@@ -156,13 +144,8 @@ class EventLoop:
         heap = self._heap
         processed = 0
         while heap and heap[0][0] <= t_end:
-            fire_at, seq, event = heappop(heap)
-            if event.cancelled:
-                continue
+            fire_at, _, event = heappop(heap)
             self._now = fire_at
-            event.fired = True
-            if self.trace is not None:
-                self.trace.append((fire_at, seq, event.kind.value))
             self._handlers[event.kind](event)
             self.processed_count += 1
             processed += 1

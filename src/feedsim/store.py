@@ -19,23 +19,15 @@ from .sim import DistributionSpec, EventKind, EventLoop, RngStreams, SimEvent, m
 class StoreConfig:
     n_replicas: int = 3
     lag: DistributionSpec = field(default_factory=lambda: DistributionSpec("exponential", 500.0))
-    read_policy: str = "uniform_random_replica"
-    write_home_policy: str = "uniform_random_replica"
 
     def __post_init__(self):
         if self.n_replicas < 1:
             raise ValueError("n_replicas must be >= 1")
-        if self.read_policy != "uniform_random_replica":
-            raise ValueError(f"unsupported read policy: {self.read_policy!r}")
-        if self.write_home_policy != "uniform_random_replica":
-            raise ValueError(f"unsupported write-home policy: {self.write_home_policy!r}")
 
     def to_dict(self) -> dict:
         return {
             "n_replicas": self.n_replicas,
             "lag": self.lag.to_dict(),
-            "read_policy": self.read_policy,
-            "write_home_policy": self.write_home_policy,
         }
 
     @classmethod
@@ -43,8 +35,6 @@ class StoreConfig:
         return cls(
             n_replicas=int(data["n_replicas"]),
             lag=DistributionSpec.from_dict(data["lag"]),
-            read_policy=data.get("read_policy", "uniform_random_replica"),
-            write_home_policy=data.get("write_home_policy", "uniform_random_replica"),
         )
 
 
@@ -64,8 +54,7 @@ class CasResult(NamedTuple):
 class ReplicatedStore:
     """All mutation happens inside the owning event loop; never share across threads."""
 
-    def __init__(self, config: StoreConfig, loop: EventLoop, rng: RngStreams,
-                 record_applies: bool = False, record_lags: bool = False):
+    def __init__(self, config: StoreConfig, loop: EventLoop, rng: RngStreams):
         self.config = config
         self._loop = loop
         self._replicas: list[dict[Any, tuple[int, Any]]] = [
@@ -78,8 +67,6 @@ class ReplicatedStore:
         self.max_lag_sample_us = 0
         self.write_count = 0
         self.cas_failure_count = 0
-        self.applied_log: list[tuple[int, Any, int]] | None = [] if record_applies else None
-        self.lag_samples: list[int] | None = [] if record_lags else None
         loop.set_handler(EventKind.PROPAGATION_ARRIVAL, self._on_propagation)
 
     def _commit(self, key: Any, value: Any) -> WriteAck:
@@ -94,8 +81,6 @@ class ReplicatedStore:
             lag = self._lag_sample()
             if lag > self.max_lag_sample_us:
                 self.max_lag_sample_us = lag
-            if self.lag_samples is not None:
-                self.lag_samples.append(lag)
             self._loop.schedule_at(now + lag, EventKind.PROPAGATION_ARRIVAL,
                                    (replica, key, version, value))
         self.write_count += 1
@@ -106,8 +91,6 @@ class ReplicatedStore:
         current = self._replicas[replica].get(key)
         if current is None or version > current[0]:
             self._replicas[replica][key] = (version, value)
-            if self.applied_log is not None:
-                self.applied_log.append((replica, key, version))
 
     def _on_propagation(self, event: SimEvent) -> None:
         replica, key, version, value = event.payload
@@ -154,16 +137,3 @@ class ReplicatedStore:
             for key, auth in self._authoritative.items()
             for r in range(self.config.n_replicas)
         )
-
-    def dump_state(self) -> dict:
-        """JSON-friendly snapshot for debugging."""
-        def encode(table: dict) -> dict:
-            return {
-                repr(key): {"version": version, "value": value}
-                for key, (version, value) in sorted(table.items(), key=lambda kv: repr(kv[0]))
-            }
-
-        return {
-            "authoritative": encode(self._authoritative),
-            "replicas": [encode(replica) for replica in self._replicas],
-        }

@@ -6,7 +6,7 @@ import pytest
 
 from feedsim.app import FanoutSettings
 from feedsim.cli import main
-from feedsim.config import ExperimentConfig, anomaly_config, zero_delay_config
+from feedsim.config import ExperimentConfig, anomaly_config, is_zero_delay, zero_delay_config
 from feedsim.netgen import ZipfPair, ZipfParams
 from feedsim.sim import DistributionSpec
 from feedsim.store import StoreConfig
@@ -40,12 +40,35 @@ def test_config_roundtrips_unchanged(tmp_path):
     assert ExperimentConfig.load(path) == cfg
 
 
-def test_config_rejects_unknown_keys(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"seed": 1, "mystery": 2}))
-    with pytest.raises(ValueError):
-        ExperimentConfig.load(path)
-    assert main(["gen", "--config", str(path)]) == 2
+def test_config_rejects_unknown_keys(tmp_path, capsys):
+    # Misspelt keys at every depth, and keys of removed fields.
+    for dotted in ("mystery", "fanout.retry_backof_ms", "store.lag_mean", "store.lag.sigma",
+                   "zipf.consumers_per_producer.sd", "store.read_policy",
+                   "store.write_home_policy"):
+        data = ExperimentConfig().to_dict()
+        *parents, leaf = dotted.split(".")
+        node = data
+        for key in parents:
+            node = node[key]
+        node[leaf] = 99999
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError):
+            ExperimentConfig.load(path)
+        assert main(["gen", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert f"gen: bad config: unknown config keys: ['{dotted}']" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("lag,mode,expected", [
+    (DistributionSpec("constant", 0.0), "synchronous", True),
+    (DistributionSpec("exponential", 0.0), "synchronous", True),
+    (DistributionSpec("constant", 0.0), "scheduled", False),
+    (DistributionSpec("exponential", 500.0), "synchronous", False),
+])
+def test_is_zero_delay(lag, mode, expected):
+    cfg = ExperimentConfig(store=StoreConfig(lag=lag), fanout=FanoutSettings(mode=mode))
+    assert is_zero_delay(cfg) is expected
 
 
 @pytest.mark.parametrize("text", ['{"seed": "x"}', '{"store": 5}', "[]"])
@@ -281,3 +304,36 @@ def test_ids_unknown_to_the_network_exit_1(tmp_path, capsys, staged_outputs,
     assert main([stage, "--config", str(cfg_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"{stage}: {out / 'network_profile.jsonl'}: "), err
+
+
+def _swap_tweets_2_and_3(records):
+    records.insert(3, records.pop(2))
+
+
+@pytest.mark.parametrize("name,edit,message", [
+    ("responses.jsonl", lambda records: records[-1].update(consumer_id="99999"),
+     "response {last} names unknown consumer 99999"),
+    ("responses.jsonl",
+     lambda records: records[-1].update(entries=[{"producer_id": "99999",
+                                                  "t": records[-1]["T"]}]),
+     "response {last} contains a phantom tweet (99999, "),
+    ("responses.jsonl", lambda records: records[-1].update(response_id=0),
+     "duplicate response id 0"),
+    ("responses.jsonl", lambda records: records[-1].update(T=records[0]["T"]),
+     "response {last} is timestamped before the response before it"),
+    ("tweets.jsonl", _swap_tweets_2_and_3, "tweet log not strictly ordered at seq 2"),
+], ids=["unknown_consumer", "phantom_entry", "duplicate_response_id", "disordered_T",
+        "swapped_tweets"])
+def test_detect_integrity_errors_name_the_log(tmp_path, capsys, staged_outputs,
+                                              name, edit, message):
+    out = tmp_path / "out"
+    shutil.copytree(staged_outputs, out)
+    cfg_path = write_config(tmp_path, tiny_config(out))
+    records = [json.loads(line) for line in (out / name).read_text().splitlines()]
+    last = records[-1].get("response_id")
+    edit(records)
+    (out / name).write_text("".join(json.dumps(record) + "\n" for record in records))
+    capsys.readouterr()
+    assert main(["detect", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"detect: {out / name}: {message.format(last=last)}"), err

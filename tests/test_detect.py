@@ -205,7 +205,7 @@ def test_classify_rejects_non_positive_gap():
     tweets = [TweetEvent(tw.producer_id, tw.t, i) for i, tw in enumerate(tweets)]
     index = TweetIndex(tweets)
     network = make_network({0: (0, 1), 1: (0, 1)}, 2)
-    missing = index.triple_for(0, 10)
+    missing = index.triple_by_key[(0, 10)]
     flagged = TimelineResponse(response_id=1, consumer_id=0, T=10,
                                entries=((1, 10), (0, 5)))
     witness = TimelineResponse(response_id=0, consumer_id=1, T=10, entries=((0, 10),))

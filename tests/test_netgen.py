@@ -13,7 +13,6 @@ from feedsim.netgen import (
     load_network_profile,
     save_network_profile,
     validate_profile,
-    zipf_sample,
 )
 from feedsim.sim import RngStreams
 from feedsim.stats import rank_correlation
@@ -43,9 +42,8 @@ def test_zipf_s0_is_uniform_chi_square():
 
 
 def test_zipf_single_rank_always_one():
-    sampler = ZipfSampler(1, 2.0)
-    assert all(sampler.sample(stream()) == 1 for _ in range(10))
-    assert zipf_sample(1, 0.5, stream()) == 1
+    for s in (2.0, 0.5):
+        assert ZipfSampler(1, s).sample_many(10, stream()).tolist() == [1] * 10
 
 
 def test_zipf_rejects_bad_parameters():

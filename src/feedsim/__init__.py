@@ -32,7 +32,6 @@ from .config import (
 from .detect import (
     ConflictRecord,
     ConflictType,
-    ConsistentTimeline,
     DetectionResult,
     IntegrityError,
     Position,

@@ -15,6 +15,7 @@ from .sim import write_json
 from .stats import rank_correlation
 
 MICROS_PER_SECOND = 1_000_000
+GAP_BUCKET_WIDTH_S = 100
 
 
 def inconsistency_rate(result: DetectionResult) -> float:
@@ -26,7 +27,6 @@ def inconsistency_rate(result: DetectionResult) -> float:
 
 @dataclass
 class GapHistogram:
-    bucket_width_s: int
     counts: dict[int, int]
 
     @property
@@ -37,16 +37,14 @@ class GapHistogram:
         return sorted(self.counts.items())
 
 
-def gap_histogram(result: DetectionResult, bucket_width_s: int = 100) -> GapHistogram:
-    """Bucket per-response G values into [k*w, (k+1)*w) second ranges."""
-    if bucket_width_s <= 0:
-        raise ValueError("bucket_width_s must be positive")
-    width_us = bucket_width_s * MICROS_PER_SECOND
+def gap_histogram(result: DetectionResult) -> GapHistogram:
+    """Bucket per-response G values into [k*w, (k+1)*w) second ranges, w = GAP_BUCKET_WIDTH_S."""
+    width_us = GAP_BUCKET_WIDTH_S * MICROS_PER_SECOND
     counts: dict[int, int] = {}
     for g_us in result.per_response_G.values():
         bucket = g_us // width_us
         counts[bucket] = counts.get(bucket, 0) + 1
-    return GapHistogram(bucket_width_s=bucket_width_s, counts=counts)
+    return GapHistogram(counts=counts)
 
 
 @dataclass
@@ -165,12 +163,11 @@ class AnalyticsReport:
     record_count: int
 
 
-def build_report(result: DetectionResult, network: FollowingNetwork,
-                 bucket_width_s: int = 100) -> AnalyticsReport:
+def build_report(result: DetectionResult, network: FollowingNetwork) -> AnalyticsReport:
     rate = inconsistency_rate(result) if result.analyzed_count else None
     return AnalyticsReport(
         rate=rate,
-        histogram=gap_histogram(result, bucket_width_s),
+        histogram=gap_histogram(result),
         gaps=summarize_gaps(result),
         attribution=attribute_to_producers(result, network),
         studies=correlation_studies(result, network),
@@ -209,7 +206,7 @@ def emit_report(report: AnalyticsReport, out_dir: str | Path) -> list[Path]:
     with open(histogram_path, "w", encoding="utf-8", newline="") as fh:
         fh.write("bucket_start_s,count\n")
         for bucket, count in report.histogram.nonempty_buckets():
-            fh.write(f"{bucket * report.histogram.bucket_width_s},{count}\n")
+            fh.write(f"{bucket * GAP_BUCKET_WIDTH_S},{count}\n")
     written.append(histogram_path)
 
     for study in report.studies:
@@ -246,7 +243,7 @@ def _render_summary(report: AnalyticsReport) -> str:
     lines.append("")
     lines.append("G histogram (bucket start s -> count):")
     for bucket, count in report.histogram.nonempty_buckets():
-        lines.append(f"  {bucket * report.histogram.bucket_width_s:>8} {count}")
+        lines.append(f"  {bucket * GAP_BUCKET_WIDTH_S:>8} {count}")
     lines.append("")
     lines.append("correlation studies (spearman):")
     for study in report.studies:

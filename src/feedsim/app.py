@@ -90,7 +90,7 @@ class FanoutSettings:
             mode=data["mode"],
             service=DistributionSpec.from_dict(data["service"]),
             concurrency_cap=data["concurrency_cap"],
-            retry_backoff_ms=float(data.get("retry_backoff_ms", 10.0)),
+            retry_backoff_ms=float(data["retry_backoff_ms"]),
         )
 
 

@@ -58,12 +58,11 @@ def check_gap_bound(result: DetectionResult, trace: TraceStats) -> CheckOutcome:
                         f"violations: {violations} of {len(result.records)} records")
 
 
-def check_histogram_shape(histogram: GapHistogram,
-                          min_buckets: int = HISTOGRAM_MIN_BUCKETS) -> CheckOutcome:
+def check_histogram_shape(histogram: GapHistogram) -> CheckOutcome:
     buckets = histogram.nonempty_buckets()
-    if len(buckets) < min_buckets:
-        return CheckOutcome("gap_histogram_shape", False,
-                            f"only {len(buckets)} nonempty buckets (need {min_buckets})")
+    if len(buckets) < HISTOGRAM_MIN_BUCKETS:
+        return CheckOutcome("gap_histogram_shape", False, f"only {len(buckets)} nonempty "
+                            f"buckets (need {HISTOGRAM_MIN_BUCKETS})")
     counts = [count for _, count in buckets]
     peak_first = counts[0] == max(counts)
     rho = rank_correlation([b for b, _ in buckets], counts)

@@ -15,15 +15,19 @@ DESK_N_PRODUCERS = 679
 DESK_N_CONSUMERS = 1963
 
 
-def _unknown_keys(data: dict, known: dict, prefix: str = "") -> list[str]:
-    """Dotted paths of the keys in data, at any depth, that known lacks."""
-    unknown = []
+def _merge_defaults(data: dict, defaults: dict, prefix: str = "") -> tuple[dict, list[str]]:
+    """data with every key it lacks, at any depth, taken from defaults, and
+    the dotted paths of the keys in data that defaults lacks."""
+    merged, unknown = dict(defaults), []
     for key, value in data.items():
-        if key not in known:
+        if key not in defaults:
             unknown.append(f"{prefix}{key}")
-        elif isinstance(value, dict) and isinstance(known[key], dict):
-            unknown += _unknown_keys(value, known[key], f"{prefix}{key}.")
-    return unknown
+        elif isinstance(value, dict) and isinstance(defaults[key], dict):
+            merged[key], inner = _merge_defaults(value, defaults[key], f"{prefix}{key}.")
+            unknown += inner
+        else:
+            merged[key] = value
+    return merged, unknown
 
 
 @dataclass(frozen=True)
@@ -73,17 +77,12 @@ class ExperimentConfig:
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         if not isinstance(data, dict):
             raise ValueError(f"config must be a JSON object, not {type(data).__name__}")
-        unknown = _unknown_keys(data, cls().to_dict())
+        data, unknown = _merge_defaults(data, cls().to_dict())
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = dict(data)
-        if "zipf" in kwargs:
-            kwargs["zipf"] = ZipfParams.from_dict(kwargs["zipf"])
-        if "store" in kwargs:
-            kwargs["store"] = StoreConfig.from_dict(kwargs["store"])
-        if "fanout" in kwargs:
-            kwargs["fanout"] = FanoutSettings.from_dict(kwargs["fanout"])
-        return cls(**kwargs)
+        return cls(**{**data, "zipf": ZipfParams.from_dict(data["zipf"]),
+                      "store": StoreConfig.from_dict(data["store"]),
+                      "fanout": FanoutSettings.from_dict(data["fanout"])})
 
     def save(self, path: str | Path) -> None:
         write_json(path, self.to_dict())

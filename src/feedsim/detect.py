@@ -43,13 +43,6 @@ class Position(Enum):
 Triple = tuple[int, int, int]
 
 
-@dataclass(frozen=True)
-class ConsistentTimeline:
-    consumer_id: int
-    T: int
-    entries: tuple[Triple, ...]
-
-
 @dataclass(frozen=True, slots=True)
 class ConflictRecord:
     response_id: int
@@ -83,16 +76,31 @@ class TweetIndex:
             self.times_by_producer.setdefault(tweet.producer_id, []).append(tweet.t)
             self.triples_by_producer.setdefault(tweet.producer_id, []).append(triple)
 
+    def served(self, response: TimelineResponse) -> list[Triple]:
+        """Validate a response's entries and return them as newest-first triples."""
+        triples = []
+        prev: Triple | None = None
+        for pid, t in response.entries:
+            triple = self.triple_by_key.get((pid, t))
+            if triple is None:
+                raise IntegrityError(f"response {response.response_id} contains a phantom tweet "
+                                     f"({pid}, {t}) that is not in the tweet log")
+            if t > response.T:
+                raise IntegrityError(
+                    f"response {response.response_id} contains a future tweet ({pid}, {t})"
+                )
+            if prev is not None and triple >= prev:
+                raise IntegrityError(
+                    f"response {response.response_id} entries not strictly newest-first"
+                )
+            prev = triple
+            triples.append(triple)
+        return triples
 
-def _coerce_index(tweets: Sequence[TweetEvent] | TweetIndex) -> TweetIndex:
-    return tweets if isinstance(tweets, TweetIndex) else TweetIndex(tweets)
 
-
-def consistent_timeline(consumer_id: int, T: int,
-                        tweets: Sequence[TweetEvent] | TweetIndex,
-                        network: FollowingNetwork, n_timeline: int) -> ConsistentTimeline:
-    """The n_timeline newest tweets with t <= T among followed producers."""
-    index = _coerce_index(tweets)
+def consistent_timeline(consumer_id: int, T: int, index: TweetIndex,
+                        network: FollowingNetwork, n_timeline: int) -> list[Triple]:
+    """The n_timeline newest tweets with t <= T among followed producers, newest first."""
     producers = network.follows.get(consumer_id)
     if producers is None:
         raise ValueError(f"unknown consumer {consumer_id}")
@@ -104,47 +112,23 @@ def consistent_timeline(consumer_id: int, T: int,
         hi = bisect_right(times, T)
         if hi:
             slices.append(index.triples_by_producer[pid][max(0, hi - n_timeline):hi])
-    entries = nlargest(n_timeline, chain.from_iterable(slices))
-    return ConsistentTimeline(consumer_id=consumer_id, T=T, entries=tuple(entries))
+    return nlargest(n_timeline, chain.from_iterable(slices))
 
 
-def _response_triples(response: TimelineResponse, index: TweetIndex) -> list[Triple]:
-    """Validate a response's entries and return them as ordered triples."""
-    triples = []
-    prev: Triple | None = None
-    for pid, t in response.entries:
-        triple = index.triple_by_key.get((pid, t))
-        if triple is None:
-            raise IntegrityError(f"response {response.response_id} contains a phantom tweet "
-                                 f"({pid}, {t}) that is not in the tweet log")
-        if t > response.T:
-            raise IntegrityError(
-                f"response {response.response_id} contains a future tweet ({pid}, {t})"
-            )
-        if prev is not None and triple >= prev:
-            raise IntegrityError(
-                f"response {response.response_id} entries not strictly newest-first"
-            )
-        prev = triple
-        triples.append(triple)
-    return triples
+def find_missing(served: Sequence[Triple],
+                 oracle: Sequence[Triple]) -> list[tuple[Triple, Position]]:
+    """Oracle entries absent from the served triples, tagged by position.
 
-
-def find_missing(response: TimelineResponse, oracle: ConsistentTimeline,
-                 tweets: Sequence[TweetEvent] | TweetIndex) -> list[tuple[Triple, Position]]:
-    """Oracle entries absent from the response, tagged by position.
-
-    A missing tweet is INTERIOR when the response holds both newer and
-    older entries, HEAD when nothing served is newer, TAIL when nothing
-    served is older.
+    served must come from TweetIndex.served, newest first. A missing
+    tweet is INTERIOR when the response holds both newer and older
+    entries, HEAD when nothing served is newer, TAIL when nothing served
+    is older.
     """
-    index = _coerce_index(tweets)
-    served = _response_triples(response, index)
     served_set = set(served)
     newest = served[0] if served else None
     oldest = served[-1] if served else None
     missing = []
-    for triple in oracle.entries:
+    for triple in oracle:
         if triple in served_set:
             continue
         newer_exists = newest is not None and newest > triple
@@ -161,26 +145,16 @@ def find_missing(response: TimelineResponse, oracle: ConsistentTimeline,
 
 @dataclass
 class WitnessIndex:
-    """For each tweet, every response that contained it, ordered by T."""
+    """For each tweet, the earliest (T, response_id) of a response that contained it."""
 
-    containments: dict[tuple[int, int], list[tuple[int, int]]] = field(default_factory=dict)
-
-    def witnesses(self, producer_id: int, t: int) -> list[tuple[int, int]]:
-        return self.containments.get((producer_id, t), [])
-
-    def earliest(self, producer_id: int, t: int) -> tuple[int, int] | None:
-        entries = self.containments.get((producer_id, t))
-        return entries[0] if entries else None
+    containments: dict[tuple[int, int], tuple[int, int]] = field(default_factory=dict)
 
 
 def build_witness_index(responses: Iterable[TimelineResponse]) -> WitnessIndex:
     index = WitnessIndex()
-    containments = index.containments
-    for resp in responses:
-        for pair in resp.entries:
-            containments.setdefault(pair, []).append((resp.T, resp.response_id))
-    for entries in containments.values():
-        entries.sort()
+    # Latest response first, so the earliest witness of each tweet is written last.
+    for resp in sorted(responses, key=lambda r: (r.T, r.response_id), reverse=True):
+        index.containments.update(dict.fromkeys(resp.entries, (resp.T, resp.response_id)))
     return index
 
 
@@ -193,7 +167,7 @@ def classify(response: TimelineResponse, missing: Triple, position: Position,
     the flagged response. Tail holes are never observable.
     """
     t, _, producer_id = missing
-    earliest = witness_index.earliest(producer_id, t)
+    earliest = witness_index.containments.get((producer_id, t))
     if earliest is None:
         return None
     if position is Position.INTERIOR:
@@ -257,16 +231,18 @@ def detect_all(responses: Sequence[TimelineResponse],
 
     The warm-up prefix is dropped: only the latter analysis_window_fraction
     of responses (by count) is analyzed, and witnesses are drawn from that
-    same window. Errors in the tweet log are raised while tweet_log is
-    indexed, so a caller that passes a TweetIndex sees only errors in the
-    responses.
+    same window. Every response, warm-up included, is validated first.
+    Errors in the tweet log are raised while tweet_log is indexed, so a
+    caller that passes a TweetIndex sees only errors in the responses.
     """
     if not 0 < analysis_window_fraction <= 1:
         raise ValueError("analysis_window_fraction must be in (0, 1]")
-    index = _coerce_index(tweet_log)
+    index = tweet_log if isinstance(tweet_log, TweetIndex) else TweetIndex(tweet_log)
+    start = len(responses) - int(round(len(responses) * analysis_window_fraction))
+    analyzed_served: list[list[Triple]] = []
     prev_T = None
     seen_ids: set[int] = set()
-    for resp in responses:
+    for i, resp in enumerate(responses):
         if resp.response_id in seen_ids:
             raise IntegrityError(f"duplicate response id {resp.response_id}")
         seen_ids.add(resp.response_id)
@@ -277,18 +253,20 @@ def detect_all(responses: Sequence[TimelineResponse],
         if resp.consumer_id not in network.follows:
             raise IntegrityError(
                 f"response {resp.response_id} names unknown consumer {resp.consumer_id}")
+        served = index.served(resp)
+        if i >= start:
+            analyzed_served.append(served)
 
-    start = len(responses) - int(round(len(responses) * analysis_window_fraction))
     analyzed = responses[start:]
     witness_index = build_witness_index(analyzed)
 
     records: list[ConflictRecord] = []
     per_response_G: dict[int, int] = {}
     query_counts: dict[int, int] = {}
-    for resp in analyzed:
+    for resp, served in zip(analyzed, analyzed_served):
         query_counts[resp.consumer_id] = query_counts.get(resp.consumer_id, 0) + 1
         oracle = consistent_timeline(resp.consumer_id, resp.T, index, network, n_timeline)
-        missing = find_missing(resp, oracle, index)
+        missing = find_missing(served, oracle)
         if not missing:
             continue
         own_records = []

@@ -18,6 +18,9 @@ import numpy as np
 from .sim import IntegrityError, read_jsonl, write_jsonl
 from .stats import rank_correlation, rank_size_slope, zipf_rank_mle
 
+MEAN_TOLERANCE = 0.10
+EXPONENT_TOLERANCE = 0.25
+INDEPENDENCE_THRESHOLD = 0.10
 # Degree means may drift from their target by rounding and the min-degree
 # floor; feasibility of the two degree means is checked to this slack.
 FEASIBILITY_SLACK = 0.01
@@ -294,10 +297,7 @@ class ValidationReport:
 
 
 def validate_profile(network: FollowingNetwork, profile: WorkloadProfile,
-                     targets: ZipfParams | None = None, *,
-                     mean_tolerance: float = 0.10,
-                     exponent_tolerance: float = 0.25,
-                     independence_threshold: float = 0.10) -> ValidationReport:
+                     targets: ZipfParams | None = None) -> ValidationReport:
     """Compare realized means and Zipf exponents against their targets.
 
     Exponent fits use the raw rank draws when the network/profile still
@@ -311,13 +311,13 @@ def validate_profile(network: FollowingNetwork, profile: WorkloadProfile,
               ranks: np.ndarray | None, rank_count: int,
               rank_size: bool = False) -> DistributionCheck:
         realized = float(np.mean(values))
-        mean_ok = abs(realized - target_mean) <= mean_tolerance * target_mean
+        mean_ok = abs(realized - target_mean) <= MEAN_TOLERANCE * target_mean
         fitted: float | None = None
         if rank_size:
             fitted = rank_size_slope(values)
         elif ranks is not None and rank_count >= 2:
             fitted = zipf_rank_mle(ranks, rank_count)
-        s_ok = None if fitted is None else abs(fitted - pair.s) <= exponent_tolerance
+        s_ok = None if fitted is None else abs(fitted - pair.s) <= EXPONENT_TOLERANCE
         return DistributionCheck(name, target_mean, realized, mean_ok, pair.s, fitted, s_ok)
 
     in_degrees = network.in_degrees()
@@ -337,7 +337,7 @@ def validate_profile(network: FollowingNetwork, profile: WorkloadProfile,
     ]
 
     rho = rank_correlation(in_degrees, profile.producer_rate)
-    independence_ok = rho is None or abs(rho) < independence_threshold
+    independence_ok = rho is None or abs(rho) < INDEPENDENCE_THRESHOLD
     passed = (
         all(c.mean_ok for c in checks)
         and independence_ok

@@ -5,6 +5,9 @@ from __future__ import annotations
 import numpy as np
 from scipy import optimize, stats
 
+RANK_FIT_FRACTION = 0.2
+RANK_FIT_MIN = 10
+
 
 def rank_correlation(x, y) -> float | None:
     """Spearman rank correlation with average ranks for ties.
@@ -43,10 +46,10 @@ def zipf_rank_mle(ranks, rank_count: int) -> float:
     return float(result.x)
 
 
-def rank_size_slope(values, fit_fraction: float = 0.2, min_ranks: int = 10) -> float | None:
+def rank_size_slope(values) -> float | None:
     """Log-log slope of sorted values against their rank (a power-law fit).
 
-    Fits over the top fit_fraction of ranks (at least min_ranks) where
+    Fits over the top RANK_FIT_FRACTION of ranks (at least RANK_FIT_MIN) where
     the expected values are large enough to be stable. Returns the slope
     magnitude, or None if there is too little data.
     """
@@ -54,7 +57,7 @@ def rank_size_slope(values, fit_fraction: float = 0.2, min_ranks: int = 10) -> f
     values = values[values > 0]
     if values.size < 3:
         return None
-    cutoff = max(min_ranks, int(values.size * fit_fraction))
+    cutoff = max(RANK_FIT_MIN, int(values.size * RANK_FIT_FRACTION))
     cutoff = min(cutoff, values.size)
     ranks = np.arange(1, cutoff + 1, dtype=float)
     top = values[:cutoff]

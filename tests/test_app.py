@@ -17,6 +17,7 @@ from feedsim.detect import (
     ConflictRecord,
     ConflictType,
     DetectionResult,
+    TweetIndex,
     consistent_timeline,
     save_conflict_records,
 )
@@ -180,10 +181,10 @@ def tiny_run(fanout, lag, seed=1, hours=1.0, n_replicas=3):
 
 def test_zero_delay_synchronous_responses_equal_oracle():
     network, artifacts = tiny_run(FanoutSettings(mode="synchronous"), ("constant", 0.0))
+    index = TweetIndex(artifacts.tweet_log)
     for response in artifacts.responses:
-        oracle = consistent_timeline(response.consumer_id, response.T,
-                                     artifacts.tweet_log, network, 5)
-        assert response.entries == tuple((pid, t) for t, _, pid in oracle.entries)
+        oracle = consistent_timeline(response.consumer_id, response.T, index, network, 5)
+        assert list(response.entries) == [(pid, t) for t, _, pid in oracle]
 
 
 def test_lagged_run_responses_never_contain_future_or_phantom_tweets():

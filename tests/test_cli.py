@@ -60,6 +60,21 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
         assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("partial,expected", [
+    ({"store": {"n_replicas": 5}},
+     lambda cfg: replace(cfg, store=replace(cfg.store, n_replicas=5))),
+    ({"fanout": {"mode": "synchronous"}},
+     lambda cfg: replace(cfg, fanout=replace(cfg.fanout, mode="synchronous"))),
+    ({"store": {"lag": {"mean_ms": 0}}},
+     lambda cfg: replace(cfg, store=replace(cfg.store, lag=replace(cfg.store.lag, mean_ms=0.0)))),
+], ids=["store.n_replicas", "fanout.mode", "store.lag.mean_ms"])
+def test_config_fills_missing_keys_from_defaults(tmp_path, partial, expected):
+    path = tmp_path / "partial.json"
+    path.write_text(json.dumps(partial))
+    assert ExperimentConfig.load(path) == expected(ExperimentConfig())
+    assert main(["gen", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+
+
 @pytest.mark.parametrize("lag,mode,expected", [
     (DistributionSpec("constant", 0.0), "synchronous", True),
     (DistributionSpec("exponential", 0.0), "synchronous", True),
@@ -310,6 +325,22 @@ def _swap_tweets_2_and_3(records):
     records.insert(3, records.pop(2))
 
 
+def _warm_up(records):
+    """The first response with two entries, which lies in the unanalyzed first half."""
+    index = next(i for i, record in enumerate(records) if len(record["entries"]) >= 2)
+    assert index < len(records) // 2
+    return records[index]
+
+
+def _phantom_entry_in_warm_up(records):
+    response = _warm_up(records)
+    response["entries"] = [{"producer_id": "99999", "t": response["T"]}]
+
+
+def _future_entry_in_warm_up(records):
+    _warm_up(records)["entries"] = records[-1]["entries"][:1]
+
+
 @pytest.mark.parametrize("name,edit,message", [
     ("responses.jsonl", lambda records: records[-1].update(consumer_id="99999"),
      "response {last} names unknown consumer 99999"),
@@ -322,8 +353,14 @@ def _swap_tweets_2_and_3(records):
     ("responses.jsonl", lambda records: records[-1].update(T=records[0]["T"]),
      "response {last} is timestamped before the response before it"),
     ("tweets.jsonl", _swap_tweets_2_and_3, "tweet log not strictly ordered at seq 2"),
+    ("responses.jsonl", _phantom_entry_in_warm_up,
+     "response {warm} contains a phantom tweet (99999, "),
+    ("responses.jsonl", _future_entry_in_warm_up, "response {warm} contains a future tweet ("),
+    ("responses.jsonl", lambda records: _warm_up(records)["entries"].reverse(),
+     "response {warm} entries not strictly newest-first"),
 ], ids=["unknown_consumer", "phantom_entry", "duplicate_response_id", "disordered_T",
-        "swapped_tweets"])
+        "swapped_tweets", "warm_up_phantom_entry", "warm_up_future_entry",
+        "warm_up_reversed_entries"])
 def test_detect_integrity_errors_name_the_log(tmp_path, capsys, staged_outputs,
                                               name, edit, message):
     out = tmp_path / "out"
@@ -331,9 +368,10 @@ def test_detect_integrity_errors_name_the_log(tmp_path, capsys, staged_outputs,
     cfg_path = write_config(tmp_path, tiny_config(out))
     records = [json.loads(line) for line in (out / name).read_text().splitlines()]
     last = records[-1].get("response_id")
+    warm = _warm_up(records)["response_id"] if name == "responses.jsonl" else None
     edit(records)
     (out / name).write_text("".join(json.dumps(record) + "\n" for record in records))
     capsys.readouterr()
     assert main(["detect", "--config", str(cfg_path)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"detect: {out / name}: {message.format(last=last)}"), err
+    assert err.startswith(f"detect: {out / name}: {message.format(last=last, warm=warm)}"), err

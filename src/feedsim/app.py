@@ -404,9 +404,11 @@ def load_tweet_log(path: str | Path) -> list[TweetEvent]:
 
 
 def save_response_log(path: str | Path, responses: list[TimelineResponse]) -> None:
+    # A tweet shows up in many responses: render each tweet time once.
+    tweet_iso = {t: to_iso(t) for t in {t for resp in responses for _, t in resp.entries}}
     write_jsonl(path, ({"response_id": resp.response_id, "consumer_id": str(resp.consumer_id),
                         "T": to_iso(resp.T),
-                        "entries": [{"producer_id": str(pid), "t": to_iso(t)}
+                        "entries": [{"producer_id": str(pid), "t": tweet_iso[t]}
                                     for pid, t in resp.entries]}
                        for resp in responses))
 

@@ -15,15 +15,42 @@ DESK_N_PRODUCERS = 679
 DESK_N_CONSUMERS = 1963
 
 
+# The kind of value a key takes where its default is null; null stays allowed.
+NULLABLE_KINDS = {"fanout.concurrency_cap": "an integer"}
+
+
+def _json_kind(value) -> str:
+    """The JSON kind of a decoded value, as an error message names it."""
+    for types, kind in ((bool, "a boolean"), (int, "an integer"), (float, "a number"),
+                        (str, "a string"), (dict, "an object"), (list, "an array"),
+                        (type(None), "null")):
+        if isinstance(value, types):
+            return kind
+    return type(value).__name__
+
+
 def _merge_defaults(data: dict, defaults: dict, prefix: str = "") -> tuple[dict, list[str]]:
     """data with every key it lacks, at any depth, taken from defaults, and
-    the dotted paths of the keys in data that defaults lacks."""
+    the dotted paths of the keys in data that defaults lacks.
+
+    Raises ValueError, naming the key, for a value of another JSON kind
+    than its default; an integer is also a number.
+    """
     merged, unknown = dict(defaults), []
     for key, value in data.items():
+        path = f"{prefix}{key}"
         if key not in defaults:
-            unknown.append(f"{prefix}{key}")
-        elif isinstance(value, dict) and isinstance(defaults[key], dict):
-            merged[key], inner = _merge_defaults(value, defaults[key], f"{prefix}{key}.")
+            unknown.append(path)
+            continue
+        kind = _json_kind(value)
+        expected = NULLABLE_KINDS.get(path) or _json_kind(defaults[key])
+        nullable = path in NULLABLE_KINDS
+        if not (kind == expected or (kind, expected) == ("an integer", "a number")
+                or (kind == "null" and nullable)):
+            raise ValueError(f"config key '{path}' must be {expected}"
+                             f"{' or null' if nullable else ''}, not {kind}")
+        if kind == "an object":
+            merged[key], inner = _merge_defaults(value, defaults[key], f"{path}.")
             unknown += inner
         else:
             merged[key] = value

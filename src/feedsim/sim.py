@@ -27,9 +27,20 @@ MICROS_PER_HOUR = 3_600_000_000
 EPOCH = datetime(2020, 1, 1)
 
 
+# "YYYY-MM-DD" of each day since EPOCH that to_iso has rendered.
+_ISO_DATES: dict[int, str] = {}
+
+
 def to_iso(micros: int) -> str:
     """Render a virtual timestamp as ISO-8601 with microsecond precision."""
-    return (EPOCH + timedelta(microseconds=int(micros))).isoformat(timespec="microseconds")
+    seconds, micro = divmod(int(micros), MICROS_PER_SECOND)
+    days, seconds = divmod(seconds, 86_400)
+    date = _ISO_DATES.get(days)
+    if date is None:
+        date = _ISO_DATES[days] = (EPOCH + timedelta(days=days)).date().isoformat()
+    hour, seconds = divmod(seconds, 3_600)
+    minute, second = divmod(seconds, 60)
+    return "%sT%02d:%02d:%02d.%06d" % (date, hour, minute, second, micro)
 
 
 def from_iso(text: str) -> int:

@@ -86,12 +86,30 @@ def test_is_zero_delay(lag, mode, expected):
     assert is_zero_delay(cfg) is expected
 
 
-@pytest.mark.parametrize("text", ['{"seed": "x"}', '{"store": 5}', "[]"])
-def test_bad_config_value_is_usage_error(tmp_path, capsys, text):
+BAD_CONFIG_VALUES = [
+    ('{"seed": "x"}', "config key 'seed' must be an integer, not a string"),
+    ('{"seed": 1.5}', "config key 'seed' must be an integer, not a number"),
+    ('{"n_producers": 679.5}', "config key 'n_producers' must be an integer, not a number"),
+    ('{"store": 5}', "config key 'store' must be an object, not an integer"),
+    ("[]", "config must be a JSON object, not list"),
+    ('{"fanout": {"concurrency_cap": "3"}}',
+     "config key 'fanout.concurrency_cap' must be an integer or null, not a string"),
+    ('{"store": {"n_replicas": true}}',
+     "config key 'store.n_replicas' must be an integer, not a boolean"),
+    ('{"store": {"lag": {"mean_ms": "5"}}}',
+     "config key 'store.lag.mean_ms' must be a number, not a string"),
+    ('{"store": {"lag": null}}', "config key 'store.lag' must be an object, not null"),
+    ('{"out_dir": ["x"]}', "config key 'out_dir' must be a string, not an array"),
+]
+
+
+@pytest.mark.parametrize("text,message", BAD_CONFIG_VALUES,
+                         ids=[text for text, _ in BAD_CONFIG_VALUES])
+def test_bad_config_value_is_usage_error(tmp_path, capsys, text, message):
     path = tmp_path / "bad.json"
     path.write_text(text)
     assert main(["gen", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
-    assert "gen: bad config" in capsys.readouterr().err
+    assert f"gen: bad config: {message}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

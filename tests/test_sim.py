@@ -1,7 +1,10 @@
+from datetime import datetime, timedelta
+
 import numpy as np
 import pytest
 
 from feedsim.sim import (
+    EPOCH,
     DistributionSpec,
     EventKind,
     EventLoop,
@@ -165,6 +168,27 @@ def test_iso_roundtrip_microsecond_precision():
         assert from_iso(text) == micros
         # microseconds are always rendered, six digits wide
         assert len(text.rsplit(".", 1)[1]) == 6
+
+
+def datetime_iso(micros: int) -> str:
+    """The reference rendering to_iso must reproduce."""
+    return (EPOCH + timedelta(microseconds=micros)).isoformat(timespec="microseconds")
+
+
+def micros_at(*when) -> int:
+    return (datetime(*when) - EPOCH) // timedelta(microseconds=1)
+
+
+def test_to_iso_matches_datetime():
+    day = 86_400_000_000
+    rng = np.random.default_rng(5)
+    boundaries = [micros_at(2020, 1, 2), micros_at(2020, 2, 29), micros_at(2020, 3, 1),
+                  micros_at(2021, 1, 1), 0, day, -day]
+    cases = ([int(v) for v in rng.integers(-5 * day, 400 * day, size=20_000)]
+             + [b + d for b in boundaries for d in (-1_000_001, -1, 0, 1, 999_999, 1_000_000)])
+    assert [c for c in cases if to_iso(c) != datetime_iso(c)] == []
+    assert to_iso(micros_at(2020, 2, 29, 23, 59, 59, 999_999)) == "2020-02-29T23:59:59.999999"
+    assert to_iso(-1) == "2019-12-31T23:59:59.999999"
 
 
 def test_constant_sampler_and_zero_exponential():

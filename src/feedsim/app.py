@@ -190,8 +190,8 @@ class FeedApp:
         self._order_rng = rng.stream("app.fanout_order")
         self._backoff_us = round(self.fanout.retry_backoff_ms * MICROS_PER_MS)
         self._active_fanouts: dict[tuple[int, int], _Fanout] = {}
-        loop.set_handler(EventKind.TWEET_ARRIVAL, self._on_tweet_arrival)
-        loop.set_handler(EventKind.TIMELINE_QUERY, self._on_timeline_query)
+        loop.set_handler(EventKind.TWEET_ARRIVAL, self.post_tweet)
+        loop.set_handler(EventKind.TIMELINE_QUERY, self.query_timeline)
         loop.set_handler(EventKind.FANOUT_STEP, self._on_fanout_step)
         loop.set_handler(EventKind.RETRY_WRITE, self._on_retry_write)
 
@@ -241,8 +241,8 @@ class FeedApp:
         # conditional write lands when service completes.
         expected = self.store.authoritative_read(consumer_id)
         delay = self._service_sample()
-        self.loop.schedule_at(self.loop.now() + delay, EventKind.FANOUT_STEP,
-                              _Update(fanout.tweet, consumer_id, expected))
+        self.loop.schedule(SimEvent(self.loop.now() + delay, EventKind.FANOUT_STEP,
+                                    _Update(fanout.tweet, consumer_id, expected)))
 
     def _attempt_write(self, consumer_id: int, tweet: TweetEvent,
                        expected: tuple | None) -> bool:
@@ -253,8 +253,8 @@ class FeedApp:
             self._record_commit(tweet)
             return True
         self.retry_count += 1
-        self.loop.schedule_at(self.loop.now() + self._backoff_us, EventKind.RETRY_WRITE,
-                              _Update(tweet, consumer_id, result.current))
+        self.loop.schedule(SimEvent(self.loop.now() + self._backoff_us, EventKind.RETRY_WRITE,
+                                    _Update(tweet, consumer_id, result.current)))
         return False
 
     def _record_commit(self, tweet: TweetEvent) -> None:
@@ -268,11 +268,7 @@ class FeedApp:
             if fanout.pending == 0:
                 del self._active_fanouts[key]
 
-    def _on_tweet_arrival(self, event: SimEvent) -> None:
-        self.post_tweet(event.payload)
-
-    def _on_fanout_step(self, event: SimEvent) -> None:
-        update: _Update = event.payload
+    def _on_fanout_step(self, update: _Update) -> None:
         key = (update.tweet.producer_id, update.tweet.t)
         fanout = self._active_fanouts.get(key)
         self._attempt_write(update.consumer_id, update.tweet, update.expected)
@@ -284,8 +280,7 @@ class FeedApp:
             while fanout.queue and (cap is None or fanout.lanes < cap):
                 self._start_update(fanout)
 
-    def _on_retry_write(self, event: SimEvent) -> None:
-        update: _Update = event.payload
+    def _on_retry_write(self, update: _Update) -> None:
         self._attempt_write(update.consumer_id, update.tweet, update.expected)
 
     # -- querying --------------------------------------------------------
@@ -305,9 +300,6 @@ class FeedApp:
         )
         self.responses.append(response)
         return response
-
-    def _on_timeline_query(self, event: SimEvent) -> None:
-        self.query_timeline(event.payload)
 
     def unfinished_fanouts(self) -> list[tuple[int, int]]:
         return sorted(self._active_fanouts, key=lambda key: (key[1], key[0]))
@@ -333,7 +325,7 @@ def _poisson_times_us(rate_per_hour: float, duration_us: int,
     return all_times[all_times < duration_us].astype(np.int64)
 
 
-def _strictly_increasing(times: np.ndarray) -> np.ndarray:
+def _strictly_increasing(times: list[int]) -> list[int]:
     # Same-microsecond collisions are nudged so (producer_id, t) stays unique.
     for i in range(1, len(times)):
         if times[i] <= times[i - 1]:
@@ -358,19 +350,18 @@ def run_experiment(network: FollowingNetwork, profile: WorkloadProfile,
     app = FeedApp(network, loop, store, rng, n_timeline=n_timeline, fanout=fanout)
 
     tweet_stream = rng.stream("workload.tweet_times")
-    for producer in range(network.n_producers):
-        times = _poisson_times_us(float(profile.producer_rate[producer]), duration_us,
-                                  tweet_stream)
-        for t in _strictly_increasing(times):
-            loop.schedule_at(int(t), EventKind.TWEET_ARRIVAL, producer)
+    loop.add_arrivals(EventKind.TWEET_ARRIVAL, (
+        (producer, _strictly_increasing(_poisson_times_us(
+            float(profile.producer_rate[producer]), duration_us, tweet_stream).tolist()))
+        for producer in range(network.n_producers)))
     query_stream = rng.stream("workload.query_times")
-    for consumer in range(network.n_consumers):
-        times = _poisson_times_us(float(profile.consumer_rate[consumer]), duration_us,
-                                  query_stream)
-        for t in times:
-            loop.schedule_at(int(t), EventKind.TIMELINE_QUERY, consumer)
+    loop.add_arrivals(EventKind.TIMELINE_QUERY, (
+        (consumer, _poisson_times_us(
+            float(profile.consumer_rate[consumer]), duration_us, query_stream).tolist())
+        for consumer in range(network.n_consumers)))
 
     loop.run_until(duration_us)
+    loop.close()
 
     completions = dict(app.fanout_completion_us)
     for key in app.unfinished_fanouts():
@@ -404,13 +395,19 @@ def load_tweet_log(path: str | Path) -> list[TweetEvent]:
 
 
 def save_response_log(path: str | Path, responses: list[TimelineResponse]) -> None:
-    # A tweet shows up in many responses: render each tweet time once.
-    tweet_iso = {t: to_iso(t) for t in {t for resp in responses for _, t in resp.entries}}
-    write_jsonl(path, ({"response_id": resp.response_id, "consumer_id": str(resp.consumer_id),
-                        "T": to_iso(resp.T),
-                        "entries": [{"producer_id": str(pid), "t": tweet_iso[t]}
-                                    for pid, t in resp.entries]}
-                       for resp in responses))
+    """Write what json.dumps would write for each response's record, byte for byte.
+
+    Every value is an integer or an ISO timestamp, so nothing needs escaping,
+    and a tweet shows up in many responses, so each entry is rendered once.
+    """
+    entry_json = {pair: '{"producer_id": "%d", "t": "%s"}' % (pair[0], to_iso(pair[1]))
+                  for pair in {pair for resp in responses for pair in resp.entries}}
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(
+            '{"response_id": %d, "consumer_id": "%d", "T": "%s", "entries": [%s]}\n'
+            % (resp.response_id, resp.consumer_id, to_iso(resp.T),
+               ", ".join([entry_json[pair] for pair in resp.entries]))
+            for resp in responses)
 
 
 def load_response_log(path: str | Path) -> list[TimelineResponse]:

@@ -13,9 +13,11 @@ import json
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from enum import Enum
+from functools import partial
 from heapq import heappop, heappush
+from itertools import chain
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -98,51 +100,81 @@ class EventKind(Enum):
     RETRY_WRITE = "retry_write"
 
 
-@dataclass(slots=True)
-class SimEvent:
-    """A queued callback: events fire in ascending (fire_at, seq) order.
-
-    seq is assigned by the loop at schedule time, so simultaneous events
-    process in the order they were scheduled.
-    """
+class SimEvent(NamedTuple):
+    """A callback to queue: its handler receives the payload at fire_at."""
 
     fire_at: int
     kind: EventKind
     payload: Any = None
-    seq: int = -1
 
 
 class EventLoop:
-    """Single-threaded virtual-time event queue."""
+    """Single-threaded virtual-time event queue.
+
+    Events fire in ascending (fire_at, seq) order, and seq is assigned when
+    an event is queued, so simultaneous events fire in the order they were
+    queued. Pre-drawn arrivals, which make up most events, are kept apart
+    from the heap of in-flight events as one sorted list and merged with it
+    as the loop runs.
+    """
 
     def __init__(self):
-        self._heap: list[tuple[int, int, SimEvent]] = []
+        # Both hold (fire_at, seq, kind, payload); _arrivals latest-first.
+        self._heap: list[tuple[int, int, EventKind, Any]] = []
+        self._arrivals: list[tuple[int, int, EventKind, Any]] = []
         self._now = 0
         self._next_seq = 0
-        self._handlers: dict[EventKind, Callable[[SimEvent], None]] = {}
+        self._handlers: dict[EventKind, Callable[[Any], None]] = {}
         self.scheduled_count = 0
         self.processed_count = 0
 
     def now(self) -> int:
         return self._now
 
-    def set_handler(self, kind: EventKind, handler: Callable[[SimEvent], None]) -> None:
+    def set_handler(self, kind: EventKind, handler: Callable[[Any], None]) -> None:
         self._handlers[kind] = handler
 
-    def schedule(self, event: SimEvent) -> SimEvent:
-        """Queue an event; returns it with its seq assigned."""
-        if event.fire_at < self._now:
-            raise ValueError(
-                f"cannot schedule event at t={event.fire_at} before now={self._now}"
-            )
-        event.seq = self._next_seq
-        self._next_seq += 1
-        heappush(self._heap, (event.fire_at, event.seq, event))
-        self.scheduled_count += 1
-        return event
+    def add_arrivals(self, kind: EventKind,
+                     times_per_payload: Iterable[tuple[Any, Iterable[int]]]) -> None:
+        """Queue an event of kind at each time of each (payload, times) pair.
 
-    def schedule_at(self, fire_at: int, kind: EventKind, payload: Any = None) -> SimEvent:
-        return self.schedule(SimEvent(fire_at=fire_at, kind=kind, payload=payload))
+        Seqs follow the order given, exactly as if each were scheduled in
+        turn. Arrivals are accepted only before any other event is queued.
+        """
+        if self.scheduled_count != len(self._arrivals):
+            raise ValueError("arrivals must be added before any other event is queued")
+        added = []
+        seq = self._next_seq
+        for payload, times in times_per_payload:
+            for fire_at in times:
+                if fire_at < self._now:
+                    raise ValueError(
+                        f"cannot schedule event at t={fire_at} before now={self._now}")
+                added.append((fire_at, seq, kind, payload))
+                seq += 1
+        self._arrivals += added
+        self._arrivals.sort(reverse=True)
+        self.scheduled_count += len(added)
+        self._next_seq = seq
+
+    def schedule(self, event: SimEvent) -> int:
+        """Queue an event; returns its seq."""
+        fire_at, kind, payload = event
+        if fire_at < self._now:
+            raise ValueError(f"cannot schedule event at t={fire_at} before now={self._now}")
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        heappush(self._heap, (fire_at, seq, kind, payload))
+        self.scheduled_count += 1
+        return seq
+
+    def close(self) -> None:
+        """Drop every handler; the loop runs no event after this.
+
+        Handlers are bound to objects that hold the loop, and that cycle
+        would keep them all alive until the next full garbage collection.
+        """
+        self._handlers.clear()
 
     @property
     def pending_count(self) -> int:
@@ -152,12 +184,22 @@ class EventLoop:
         """Process every event with fire_at <= t_end; leaves now() == t_end."""
         if t_end < self._now:
             raise ValueError(f"cannot run to t={t_end} before now={self._now}")
-        heap = self._heap
+        heap, arrivals, handlers = self._heap, self._arrivals, self._handlers
         processed = 0
-        while heap and heap[0][0] <= t_end:
-            fire_at, _, event = heappop(heap)
+        while True:
+            # Every arrival was queued before any heap event, so its seq is
+            # smaller and it fires first on a tie.
+            if heap and (not arrivals or heap[0][0] < arrivals[-1][0]):
+                if heap[0][0] > t_end:
+                    break
+                fire_at, _, kind, payload = heappop(heap)
+            elif arrivals and arrivals[-1][0] <= t_end:
+                # Popping frees each arrival as it fires.
+                fire_at, _, kind, payload = arrivals.pop()
+            else:
+                break
             self._now = fire_at
-            self._handlers[event.kind](event)
+            handlers[kind](payload)
             self.processed_count += 1
             processed += 1
         self._now = t_end
@@ -208,6 +250,17 @@ class DistributionSpec:
         return cls(kind=data["distribution"], mean_ms=float(data["mean_ms"]))
 
 
+# Samplers draw this many values per numpy call. numpy's block draws equal
+# the same number of scalar draws value for value, and each stream feeds one
+# sampler, so the buffering changes no output.
+SAMPLE_BLOCK = 1024
+
+
+def _block_sampler(draw_block: Callable[[], list[int]]) -> Callable[[], int]:
+    """A () -> int that hands out draw_block()'s values in order, refilling as needed."""
+    return partial(next, chain.from_iterable(iter(draw_block, None)))
+
+
 def make_sampler(spec: DistributionSpec, stream: np.random.Generator) -> Callable[[], int]:
     """Build a () -> microseconds sampler for a delay distribution."""
     if spec.kind == "constant":
@@ -216,4 +269,11 @@ def make_sampler(spec: DistributionSpec, stream: np.random.Generator) -> Callabl
     scale = spec.mean_ms * MICROS_PER_MS
     if scale == 0:
         return lambda: 0
-    return lambda: int(stream.exponential(scale))
+    # int() of each scalar draw truncates toward zero, as astype does.
+    return _block_sampler(
+        lambda: stream.exponential(scale, SAMPLE_BLOCK).astype(np.int64).tolist())
+
+
+def choice_sampler(n: int, stream: np.random.Generator) -> Callable[[], int]:
+    """Build a () -> int sampler uniform on range(n), equal to int(stream.integers(n))."""
+    return _block_sampler(lambda: stream.integers(n, size=SAMPLE_BLOCK).tolist())

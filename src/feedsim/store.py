@@ -12,7 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, NamedTuple
 
-from .sim import DistributionSpec, EventKind, EventLoop, RngStreams, SimEvent, make_sampler
+from .sim import (
+    DistributionSpec,
+    EventKind,
+    EventLoop,
+    RngStreams,
+    SimEvent,
+    choice_sampler,
+    make_sampler,
+)
 
 
 @dataclass(frozen=True)
@@ -38,8 +46,7 @@ class StoreConfig:
         )
 
 
-@dataclass(frozen=True)
-class WriteAck:
+class WriteAck(NamedTuple):
     home_replica: int
     version: int
     commit_time: int
@@ -62,8 +69,8 @@ class ReplicatedStore:
         ]
         self._authoritative: dict[Any, tuple[int, Any]] = {}
         self._lag_sample = make_sampler(config.lag, rng.stream("store.lag"))
-        self._read_rng = rng.stream("store.read")
-        self._home_rng = rng.stream("store.home")
+        self._read_replica = choice_sampler(config.n_replicas, rng.stream("store.read"))
+        self._home_replica = choice_sampler(config.n_replicas, rng.stream("store.home"))
         self.max_lag_sample_us = 0
         self.write_count = 0
         self.cas_failure_count = 0
@@ -72,7 +79,7 @@ class ReplicatedStore:
     def _commit(self, key: Any, value: Any) -> WriteAck:
         version = self._authoritative.get(key, (0, None))[0] + 1
         now = self._loop.now()
-        home = int(self._home_rng.integers(self.config.n_replicas))
+        home = self._home_replica()
         self._authoritative[key] = (version, value)
         self._apply(home, key, version, value)
         for replica in range(self.config.n_replicas):
@@ -81,10 +88,10 @@ class ReplicatedStore:
             lag = self._lag_sample()
             if lag > self.max_lag_sample_us:
                 self.max_lag_sample_us = lag
-            self._loop.schedule_at(now + lag, EventKind.PROPAGATION_ARRIVAL,
-                                   (replica, key, version, value))
+            self._loop.schedule(SimEvent(now + lag, EventKind.PROPAGATION_ARRIVAL,
+                                         (replica, key, version, value)))
         self.write_count += 1
-        return WriteAck(home_replica=home, version=version, commit_time=now)
+        return WriteAck(home, version, now)
 
     def _apply(self, replica: int, key: Any, version: int, value: Any) -> None:
         # Last writer by version wins; late lower-version arrivals are dropped.
@@ -92,9 +99,8 @@ class ReplicatedStore:
         if current is None or version > current[0]:
             self._replicas[replica][key] = (version, value)
 
-    def _on_propagation(self, event: SimEvent) -> None:
-        replica, key, version, value = event.payload
-        self._apply(replica, key, version, value)
+    def _on_propagation(self, payload: tuple[int, Any, int, Any]) -> None:
+        self._apply(*payload)
 
     def write(self, key: Any, value: Any) -> WriteAck:
         """Unconditional write; always succeeds."""
@@ -117,7 +123,7 @@ class ReplicatedStore:
         return self.read_with_source(key)[1]
 
     def read_with_source(self, key: Any) -> tuple[int, Any]:
-        replica = int(self._read_rng.integers(self.config.n_replicas))
+        replica = self._read_replica()
         entry = self._replicas[replica].get(key)
         return replica, None if entry is None else entry[1]
 

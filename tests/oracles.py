@@ -1,4 +1,5 @@
-"""Independent reference implementations used to cross-check the detector.
+"""Independent reference implementations used to cross-check the detector
+and the event loop.
 
 Everything here is deliberately written from the definitions (filter,
 sort, truncate, all-pairs scans) without reusing feedsim.detect internals.
@@ -6,10 +7,59 @@ sort, truncate, all-pairs scans) without reusing feedsim.detect internals.
 
 from __future__ import annotations
 
+import heapq
+
 import numpy as np
 
 from feedsim.app import TimelineResponse, TweetEvent
 from feedsim.netgen import FollowingNetwork
+from feedsim.sim import SimEvent
+
+
+class ReferenceLoop:
+    """The event loop as one heap: arrivals are pushed up front like any event.
+
+    Same interface as feedsim.sim.EventLoop; events fire in (fire_at, seq)
+    order with seq counting every event queued.
+    """
+
+    def __init__(self):
+        self.heap = []
+        self.handlers = {}
+        self.t = 0
+        self.scheduled_count = 0
+
+    def now(self):
+        return self.t
+
+    def set_handler(self, kind, handler):
+        self.handlers[kind] = handler
+
+    def schedule(self, event):
+        assert event.fire_at >= self.t
+        seq = self.scheduled_count
+        heapq.heappush(self.heap, (event.fire_at, seq, event))
+        self.scheduled_count = seq + 1
+        return seq
+
+    def add_arrivals(self, kind, times_per_payload):
+        for payload, times in times_per_payload:
+            for t in times:
+                self.schedule(SimEvent(t, kind, payload))
+
+    @property
+    def pending_count(self):
+        return len(self.heap)
+
+    def run_until(self, t_end):
+        processed = 0
+        while self.heap and self.heap[0][0] <= t_end:
+            fire_at, _, event = heapq.heappop(self.heap)
+            self.t = fire_at
+            self.handlers[event.kind](event.payload)
+            processed += 1
+        self.t = t_end
+        return processed
 
 
 def brute_timeline(consumer_id, T, tweets, network, n_timeline):

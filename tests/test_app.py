@@ -1,3 +1,6 @@
+import gc
+import json
+
 import numpy as np
 import pytest
 
@@ -22,7 +25,7 @@ from feedsim.detect import (
     save_conflict_records,
 )
 from feedsim.netgen import WorkloadProfile, save_network_profile
-from feedsim.sim import MICROS_PER_HOUR, DistributionSpec, EventLoop, RngStreams
+from feedsim.sim import MICROS_PER_HOUR, DistributionSpec, EventLoop, RngStreams, to_iso
 from feedsim.store import ReplicatedStore, StoreConfig
 from oracles import make_network
 
@@ -238,6 +241,19 @@ def test_run_is_seed_deterministic():
     assert a.trace.to_dict() == b.trace.to_dict()
 
 
+def test_run_leaves_no_loop_for_the_garbage_collector():
+    gc.collect()
+    gc.disable()
+    try:
+        _, artifacts = tiny_run(FanoutSettings(service=DistributionSpec("exponential", 30.0)),
+                                ("exponential", 500.0))
+        alive = [obj for obj in gc.get_objects()
+                 if isinstance(obj, (EventLoop, ReplicatedStore, FeedApp))]
+    finally:
+        gc.enable()
+    assert artifacts.responses and alive == []
+
+
 def test_incomplete_fanouts_reported_as_horizon_delay():
     follows = {0: (0,)}
     network = make_network(follows, 1)
@@ -298,6 +314,35 @@ def test_log_wire_format_is_pinned(tmp_path):
         path = tmp_path / f"{save.__name__}.jsonl"
         save(path, *args)
         assert path.read_text() == expected, save.__name__
+
+
+def test_response_log_equals_json_dumps_of_each_record(tmp_path):
+    def record(resp):
+        return {"response_id": resp.response_id, "consumer_id": str(resp.consumer_id),
+                "T": to_iso(resp.T),
+                "entries": [{"producer_id": str(pid), "t": to_iso(t)} for pid, t in resp.entries]}
+
+    rng = np.random.default_rng(11)
+    for seed in range(3):
+        _, artifacts = tiny_run(
+            FanoutSettings(service=DistributionSpec("exponential", float(rng.integers(1, 90_000)))),
+            ("exponential", float(rng.integers(0, 5000))), seed=seed, hours=0.5)
+        # Ids and times far from the run's: wide integers, days into the year.
+        extra = [TimelineResponse(response_id=int(rng.integers(0, 2**40)),
+                                  consumer_id=int(rng.integers(0, 2**40)),
+                                  T=int(rng.integers(0, 400 * 86_400_000_000)),
+                                  entries=tuple((int(rng.integers(0, 2**40)),
+                                                 int(rng.integers(0, 400 * 86_400_000_000)))
+                                                for _ in range(int(rng.integers(0, 4)))))
+                 for _ in range(50)]
+        responses = artifacts.responses + extra
+        assert any(not r.entries for r in responses) and any(r.entries for r in responses)
+        path = tmp_path / f"responses{seed}.jsonl"
+        save_response_log(path, responses)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        expected = [json.dumps(record(resp)) + "\n" for resp in responses]
+        assert len(lines) == len(expected)
+        assert [i for i, (got, want) in enumerate(zip(lines, expected)) if got != want] == []
 
 
 def test_load_tweet_log_rejects_corrupt(tmp_path):

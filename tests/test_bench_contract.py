@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from feedsim.cli import main
 from test_cli import tiny_config, write_config
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -70,3 +71,17 @@ def test_tracer_sees_every_layer_and_its_counts_match_the_program(tmp_path, repr
     assert metrics["cli.detect_calls"][0] == 1
     assert metrics["app.log_reads"][0] == 0
     assert metrics["cli.network_loads"][0] == 0
+
+
+@pytest.mark.parametrize("name", ["desk_anomaly", "zero_delay_2h"])
+def test_repro_matches_the_benchmark_reference(tmp_path, name):
+    """Exit code, verdicts and every artifact's digest equal perfbench/reference.json."""
+    run = _bench_run_module()
+    workload = run.WORKLOADS[name]
+    bench = run.Bench(workload, workload.seed, tmp_path)
+    assert bench.canned
+    out = tmp_path / "out"
+    code = main([str(arg) for arg in bench.feedsim_args(out)])
+    sample = run.Sample(wall_s=0.0, cpu_s=0.0, peak_rss_mb=0.0, exit_code=code,
+                        verdicts=run.read_verdicts(out), digests=run.digest_dir(out))
+    assert bench.problems(sample) == []

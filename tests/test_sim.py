@@ -5,54 +5,62 @@ import pytest
 
 from feedsim.sim import (
     EPOCH,
+    MICROS_PER_MS,
+    SAMPLE_BLOCK,
     DistributionSpec,
     EventKind,
     EventLoop,
     RngStreams,
     SimEvent,
+    choice_sampler,
     from_iso,
     make_sampler,
     to_iso,
 )
+from oracles import ReferenceLoop
 
 
 def collecting_loop():
     loop = EventLoop()
     fired = []
     for kind in EventKind:
-        loop.set_handler(kind, lambda ev: fired.append((loop.now(), ev.seq, ev.payload)))
+        loop.set_handler(kind, lambda payload: fired.append((loop.now(), payload)))
     return loop, fired
+
+
+def at(loop, fire_at, kind=EventKind.TWEET_ARRIVAL, payload=None):
+    return loop.schedule(SimEvent(fire_at, kind, payload))
 
 
 def test_schedule_in_past_raises():
     loop, _ = collecting_loop()
-    loop.schedule_at(5, EventKind.TWEET_ARRIVAL)
+    at(loop, 5)
     loop.run_until(5)
     with pytest.raises(ValueError):
-        loop.schedule_at(4, EventKind.TWEET_ARRIVAL)
+        at(loop, 4)
 
 
 def test_zero_delay_event_fires_before_later_events():
     loop, fired = collecting_loop()
-    loop.schedule_at(10, EventKind.TWEET_ARRIVAL, "late")
-    loop.schedule_at(0, EventKind.TWEET_ARRIVAL, "now")
+    at(loop, 10, payload="late")
+    at(loop, 0, payload="now")
     loop.run_until(10)
-    assert [payload for _, _, payload in fired] == ["now", "late"]
+    assert [payload for _, payload in fired] == ["now", "late"]
 
 
 def test_equal_fire_at_processed_in_seq_order():
     loop, fired = collecting_loop()
-    a = loop.schedule_at(7, EventKind.FANOUT_STEP, "first")
-    b = loop.schedule_at(7, EventKind.FANOUT_STEP, "second")
-    assert a.seq < b.seq
+    a = at(loop, 7, EventKind.FANOUT_STEP, "first")
+    b = at(loop, 7, EventKind.FANOUT_STEP, "second")
+    assert a < b
     loop.run_until(7)
-    assert [payload for _, _, payload in fired] == ["first", "second"]
+    assert [payload for _, payload in fired] == ["first", "second"]
 
 
 def test_run_until_processes_due_events_and_advances_clock():
     loop, fired = collecting_loop()
     for t in (1, 2, 3):
-        loop.schedule_at(t, EventKind.TIMELINE_QUERY, t)
+        at(loop, t, EventKind.TIMELINE_QUERY, t)
     assert loop.run_until(2) == 2
     assert loop.now() == 2
     assert len(fired) == 2
@@ -72,24 +80,24 @@ def test_events_scheduled_during_run_fire_in_same_run():
     loop = EventLoop()
     fired = []
 
-    def chain(ev):
-        fired.append((loop.now(), ev.payload))
-        if ev.payload < 3:
-            loop.schedule_at(loop.now(), EventKind.RETRY_WRITE, ev.payload + 1)
+    def chain(payload):
+        fired.append((loop.now(), payload))
+        if payload < 3:
+            at(loop, loop.now(), EventKind.RETRY_WRITE, payload + 1)
 
     loop.set_handler(EventKind.RETRY_WRITE, chain)
-    loop.schedule_at(5, EventKind.RETRY_WRITE, 1)
+    at(loop, 5, EventKind.RETRY_WRITE, 1)
     loop.run_until(5)
     assert fired == [(5, 1), (5, 2), (5, 3)]
 
 
 def test_scheduled_events_are_processed_or_pending():
     loop, fired = collecting_loop()
-    loop.schedule_at(1, EventKind.TWEET_ARRIVAL, "first")
-    loop.schedule_at(2, EventKind.TWEET_ARRIVAL, "second")
-    loop.schedule_at(9, EventKind.TWEET_ARRIVAL, "pending")
+    at(loop, 1, payload="first")
+    at(loop, 2, payload="second")
+    at(loop, 9, payload="pending")
     loop.run_until(5)
-    assert [payload for _, _, payload in fired] == ["first", "second"]
+    assert [payload for _, payload in fired] == ["first", "second"]
     assert loop.scheduled_count == loop.processed_count + loop.pending_count
     assert loop.pending_count == 1
     loop.run_until(9)
@@ -100,10 +108,10 @@ def test_scheduled_events_are_processed_or_pending():
 def test_clock_is_monotonic_across_callbacks():
     loop = EventLoop()
     seen = []
-    loop.set_handler(EventKind.TWEET_ARRIVAL, lambda ev: seen.append(loop.now()))
+    loop.set_handler(EventKind.TWEET_ARRIVAL, lambda _: seen.append(loop.now()))
     rng = np.random.default_rng(0)
     for t in rng.integers(0, 1000, size=200):
-        loop.schedule_at(int(t), EventKind.TWEET_ARRIVAL)
+        at(loop, int(t))
     loop.run_until(1000)
     assert seen == sorted(seen)
 
@@ -114,24 +122,103 @@ def test_trace_identical_across_reruns():
         rng = RngStreams(42)
         stream = rng.stream("trace-test")
         trace = []
+        seqs = []
 
-        def handle(ev):
-            trace.append((loop.now(), ev.seq, ev.kind.value))
-            if ev.kind is EventKind.TWEET_ARRIVAL:
-                for _ in range(int(stream.integers(0, 3))):
-                    loop.schedule_at(loop.now() + int(stream.integers(1, 50)),
-                                     EventKind.FANOUT_STEP)
+        def handler(kind):
+            def handle(payload):
+                trace.append((loop.now(), payload, kind.value))
+                if kind is EventKind.TWEET_ARRIVAL:
+                    for _ in range(int(stream.integers(0, 3))):
+                        seqs.append(at(loop, loop.now() + int(stream.integers(1, 50)),
+                                       EventKind.FANOUT_STEP, len(seqs)))
+            return handle
 
-        loop.set_handler(EventKind.FANOUT_STEP, handle)
-        loop.set_handler(EventKind.TWEET_ARRIVAL, handle)
-        for t in range(0, 200, 7):
-            loop.schedule_at(t, EventKind.TWEET_ARRIVAL)
+        loop.set_handler(EventKind.FANOUT_STEP, handler(EventKind.FANOUT_STEP))
+        loop.set_handler(EventKind.TWEET_ARRIVAL, handler(EventKind.TWEET_ARRIVAL))
+        loop.add_arrivals(EventKind.TWEET_ARRIVAL, [("arrival", range(0, 200, 7))])
         loop.run_until(500)
-        return trace
+        return trace, seqs
 
     first = run()
-    assert len(first) > 29  # every arrival plus at least one fan-out step
+    assert len(first[0]) > 29  # every arrival plus at least one fan-out step
+    assert first[1] == list(range(29, 29 + len(first[1])))  # arrivals hold seqs 0..28
     assert first == run()
+
+
+def test_add_arrivals_fire_in_time_then_seq_order():
+    loop, fired = collecting_loop()
+    loop.add_arrivals(EventKind.TWEET_ARRIVAL, [("a", [5, 1]), ("b", [1, 3])])
+    loop.add_arrivals(EventKind.TIMELINE_QUERY, [("q", [3, 0])])
+    assert loop.scheduled_count == loop.pending_count == 6
+    assert at(loop, 3, EventKind.FANOUT_STEP, "step") == 6
+    assert loop.run_until(3) == 6
+    assert fired == [(0, "q"), (1, "a"), (1, "b"), (3, "b"), (3, "q"), (3, "step")]
+    assert loop.pending_count == 1
+    assert loop.run_until(5) == 1
+    assert fired[-1] == (5, "a")
+
+
+def test_add_arrivals_after_another_event_raises():
+    loop, _ = collecting_loop()
+    loop.add_arrivals(EventKind.TWEET_ARRIVAL, [("a", [4])])
+    at(loop, 2)
+    with pytest.raises(ValueError):
+        loop.add_arrivals(EventKind.TIMELINE_QUERY, [("q", [6])])
+    loop.run_until(10)
+    with pytest.raises(ValueError):
+        loop.add_arrivals(EventKind.TIMELINE_QUERY, [("q", [12])])
+    assert loop.scheduled_count == loop.processed_count == 2
+
+
+def test_add_arrivals_in_the_past_raises_and_queues_nothing():
+    loop, _ = collecting_loop()
+    loop.run_until(10)
+    with pytest.raises(ValueError):
+        loop.add_arrivals(EventKind.TWEET_ARRIVAL, [("a", [12, 9])])
+    assert loop.scheduled_count == loop.pending_count == 0
+    loop.add_arrivals(EventKind.TWEET_ARRIVAL, [("a", [12])])
+    assert loop.run_until(12) == 1
+
+
+def drive(loop, seed):
+    """Random arrivals whose handlers schedule follow-ups with random delays.
+
+    Times and delays come from narrow ranges and include zero delays, so
+    arrivals and in-flight events often tie on fire_at. Returns every
+    (now, kind, payload) fired, each step's run_until count and pending
+    count, and the seqs schedule returned.
+    """
+    rng = np.random.default_rng(seed)
+    fired, seqs, steps = [], [], []
+    follow_ups = (EventKind.FANOUT_STEP, EventKind.PROPAGATION_ARRIVAL, EventKind.RETRY_WRITE)
+
+    def handler(kind):
+        def handle(payload):
+            fired.append((loop.now(), kind, payload))
+            for _ in range(int(rng.choice(3, p=[0.5, 0.3, 0.2]))):
+                delay = int(rng.choice([0, 0, 1, 2, int(rng.integers(0, 40))]))
+                follow_up = follow_ups[int(rng.integers(3))]
+                seqs.append(loop.schedule(SimEvent(loop.now() + delay, follow_up,
+                                                   (payload, len(seqs)))))
+        return handle
+
+    for kind in EventKind:
+        loop.set_handler(kind, handler(kind))
+    for kind in (EventKind.TWEET_ARRIVAL, EventKind.TIMELINE_QUERY):
+        loop.add_arrivals(kind, [
+            ((kind.value, payload), rng.integers(0, 60, size=int(rng.integers(0, 8))).tolist())
+            for payload in range(int(rng.integers(0, 12)))])
+    for t_end in sorted(rng.integers(0, 120, size=4).tolist()) + [10_000]:
+        steps.append((loop.run_until(t_end), loop.pending_count))
+    return fired, steps, seqs
+
+
+def test_event_loop_matches_single_heap_reference():
+    mismatched = [seed for seed in range(60)
+                  if drive(EventLoop(), seed) != drive(ReferenceLoop(), seed)]
+    assert mismatched == []
+    fired, _, seqs = drive(EventLoop(), 3)
+    assert len(seqs) > 20 and len({t for t, _, _ in fired}) < len(fired)  # ties happen
 
 
 def test_rng_same_label_restarts_stream():
@@ -170,6 +257,40 @@ def test_iso_roundtrip_microsecond_precision():
         assert len(text.rsplit(".", 1)[1]) == 6
 
 
+def datetime_from_iso(text):
+    """The reference parse from_iso must reproduce, error for error."""
+    try:
+        delta = datetime.fromisoformat(text) - EPOCH
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+    return (delta.days * 86_400 + delta.seconds) * 1_000_000 + delta.microseconds
+
+
+def parse_or_error(text):
+    try:
+        return from_iso(text)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+def test_from_iso_matches_datetime():
+    day = 86_400_000_000
+    rng = np.random.default_rng(8)
+    texts = [to_iso(int(v)) for v in rng.integers(-5 * day, 400 * day, size=5_000)]
+    texts += ["2020-02-30T00:00:00.000000", "2021-02-29T12:00:00.000000",
+              "2020-13-01T00:00:00.000000", "2020-00-10T00:00:00.000000",
+              "2020-01-01T24:00:00.000000", "2020-01-01T23:60:00.000000",
+              "2020-01-01T23:59:60.000000", "2020-01-01T00:00:00",
+              "2020-01-01T00:00:00.00000", "2020-01-01T00:00:00.0000000",
+              "2020-01-01T0a:00:00.000000", "2020-01-01T00:00:00.00000x",
+              "2020-01-01T+1:00:00.000000", "2020-01-01T 1:00:00.000000",
+              "2020-01-01T00:00:00,000000", "2020-01-01 00:00:00.000000",
+              "2020-01-01T00:00:00.000000+00:00", "2020-01-01T\u0661\u0662:00:00.000000",
+              "2020-W01-3T00:00:00.000000", "20200101T000000", "", "garbage", None, 5]
+    mismatched = [text for text in texts if parse_or_error(text) != datetime_from_iso(text)]
+    assert mismatched == []
+
+
 def datetime_iso(micros: int) -> str:
     """The reference rendering to_iso must reproduce."""
     return (EPOCH + timedelta(microseconds=micros)).isoformat(timespec="microseconds")
@@ -189,6 +310,28 @@ def test_to_iso_matches_datetime():
     assert [c for c in cases if to_iso(c) != datetime_iso(c)] == []
     assert to_iso(micros_at(2020, 2, 29, 23, 59, 59, 999_999)) == "2020-02-29T23:59:59.999999"
     assert to_iso(-1) == "2019-12-31T23:59:59.999999"
+
+
+def test_block_samplers_equal_scalar_draws():
+    draws = 3 * SAMPLE_BLOCK + 17
+    mismatched = []
+    for seed in range(6):
+        for mean_ms in (0.0004, 20.0, 500.0, 7500.0):
+            sample = make_sampler(DistributionSpec("exponential", mean_ms),
+                                  RngStreams(seed).stream("lag"))
+            scalar = RngStreams(seed).stream("lag")
+            got = [sample() for _ in range(draws)]
+            want = [int(scalar.exponential(mean_ms * MICROS_PER_MS)) for _ in range(draws)]
+            mismatched += [("exponential", seed, mean_ms)] * (got != want)
+        for n in (1, 2, 3, 5, 1_000_003):
+            sample = choice_sampler(n, RngStreams(seed).stream("replica"))
+            scalar = RngStreams(seed).stream("replica")
+            got = [sample() for _ in range(draws)]
+            want = [int(scalar.integers(n)) for _ in range(draws)]
+            mismatched += [("choice", seed, n)] * (got != want)
+    assert mismatched == []
+    assert type(make_sampler(DistributionSpec("exponential", 1.0),
+                             RngStreams(0).stream("lag"))()) is int
 
 
 def test_constant_sampler_and_zero_exponential():

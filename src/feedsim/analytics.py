@@ -6,7 +6,7 @@ network, so reports are reproducible byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .detect import DetectionResult
@@ -52,10 +52,6 @@ class GapSummary:
     mean_s: float | None
     count_above_1s: int
     max_s: float | None
-
-    def to_dict(self) -> dict:
-        return {"mean_s": self.mean_s, "count_above_1s": self.count_above_1s,
-                "max_s": self.max_s}
 
 
 def summarize_gaps(result: DetectionResult) -> GapSummary:
@@ -197,7 +193,7 @@ def emit_report(report: AnalyticsReport, out_dir: str | Path) -> list[Path]:
         "conflicting_responses": report.conflicting_count,
         "conflict_records": report.record_count,
         "inconsistency_rate": report.rate,
-        "gap_summary": report.gaps.to_dict(),
+        "gap_summary": asdict(report.gaps),
         "studies": [study.to_dict() for study in report.studies],
     }, sort_keys=True)
     written.append(totals_path)

@@ -76,23 +76,6 @@ class FanoutSettings:
         if self.retry_backoff_ms <= 0:
             raise ValueError("retry_backoff_ms must be positive")
 
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "service": self.service.to_dict(),
-            "concurrency_cap": self.concurrency_cap,
-            "retry_backoff_ms": self.retry_backoff_ms,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FanoutSettings":
-        return cls(
-            mode=data["mode"],
-            service=DistributionSpec.from_dict(data["service"]),
-            concurrency_cap=data["concurrency_cap"],
-            retry_backoff_ms=float(data["retry_backoff_ms"]),
-        )
-
 
 # Store timeline entries are (t, seq, producer_id, wire_pair) quadruples kept
 # newest-first; wire_pair is the shared (producer_id, t) tuple responses expose.
@@ -206,33 +189,23 @@ class FeedApp:
         if key in self.fanout_completion_us:
             raise ValueError(f"producer {producer_id} already posted at t={tweet.t}")
         self.tweet_log.append(tweet)
+        self.fanout_completion_us[key] = 0
         followers = self.network.followers[producer_id]
         if not followers:
-            self.fanout_completion_us[key] = 0
             return tweet
         if self.fanout.mode == "synchronous":
+            # Nothing runs between the read and the write, so each write lands.
             for consumer_id in followers:
-                self.apply_timeline_update(consumer_id, tweet)
-            self.fanout_completion_us[key] = 0
+                self._attempt_write(consumer_id, tweet, self.store.authoritative_read(consumer_id))
             return tweet
         order = self._order_rng.permutation(len(followers))
         fanout = _Fanout(tweet=tweet, queue=deque(followers[i] for i in order),
                          pending=len(followers))
         self._active_fanouts[key] = fanout
-        self.fanout_completion_us[key] = 0
         cap = self.fanout.concurrency_cap
         while fanout.queue and (cap is None or fanout.lanes < cap):
             self._start_update(fanout)
         return tweet
-
-    def apply_timeline_update(self, consumer_id: int, tweet: TweetEvent) -> None:
-        """Read-modify-write one follower timeline until the write lands."""
-        pair = (tweet.producer_id, tweet.t)
-        while True:
-            expected = self.store.authoritative_read(consumer_id)
-            new_value = insert_entry(expected, tweet, pair, self.n_timeline)
-            if self.store.conditional_write(consumer_id, expected, new_value).ok:
-                return
 
     def _start_update(self, fanout: _Fanout) -> None:
         consumer_id = fanout.queue.popleft()

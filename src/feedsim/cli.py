@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Any, Callable
 
@@ -68,7 +69,7 @@ def cmd_gen(cfg: ExperimentConfig) -> tuple[FollowingNetwork, WorkloadProfile, V
         raise StageError("gen", str(exc)) from exc
     report = netgen.validate_profile(network, profile, cfg.zipf)
     netgen.save_network_profile(out / NETWORK_FILE, network, profile)
-    write_json(out / VALIDATION_FILE, report.to_dict())
+    write_json(out / VALIDATION_FILE, asdict(report))
     print(f"gen: {network.n_producers} producers, {network.n_consumers} consumers, "
           f"{network.edge_count} edges -> {out / NETWORK_FILE}")
     for check in report.checks:
@@ -174,9 +175,12 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         cfg = anomaly_config()
     else:
         cfg = ExperimentConfig()
+    if args.seed is not None:
+        cfg = replace(cfg, seed=args.seed)
     out_override = args.out or os.environ.get("FEEDSIM_OUT")
-    return cfg.with_overrides(seed=args.seed,
-                              out_dir=str(out_override) if out_override else None)
+    if out_override:
+        cfg = replace(cfg, out_dir=str(out_override))
+    return cfg
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,10 +1,17 @@
-"""Experiment configuration: one JSON-serializable record drives a run."""
+"""Experiment configuration: one JSON-serializable record drives a run.
+
+This module alone knows the config's JSON format: `to_dict` writes the
+record's dataclass fields as nested objects, and `from_dict` reads them
+back over the defaults.
+"""
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
+from typing import Any
 
 from .app import FanoutSettings
 from .netgen import ZipfParams
@@ -20,7 +27,9 @@ NULLABLE_KINDS = {"fanout.concurrency_cap": "an integer"}
 
 
 def _json_kind(value) -> str:
-    """The JSON kind of a decoded value, as an error message names it."""
+    """The JSON kind of a decoded value or a config default, as an error message names it."""
+    if is_dataclass(value):
+        return "an object"
     for types, kind in ((bool, "a boolean"), (int, "an integer"), (float, "a number"),
                         (str, "a string"), (dict, "an object"), (list, "an array"),
                         (type(None), "null")):
@@ -29,32 +38,44 @@ def _json_kind(value) -> str:
     return type(value).__name__
 
 
-def _merge_defaults(data: dict, defaults: dict, prefix: str = "") -> tuple[dict, list[str]]:
-    """data with every key it lacks, at any depth, taken from defaults, and
-    the dotted paths of the keys in data that defaults lacks.
+def _merge_defaults(data: dict, default, prefix: str = "") -> tuple[Any, list[str]]:
+    """default, a config dataclass, with the values in data put in at any
+    depth, and the dotted paths of the keys in data that default lacks
+    (with any of those, default comes back unchanged).
 
-    Raises ValueError, naming the key, for a value of another JSON kind
-    than its default; an integer is also a number.
+    A number goes in as a float wherever its default is a float, so equal
+    numbers give equal configs. Raises ValueError, naming the key, for a
+    value of another JSON kind than its default (an integer is also a
+    number) and for a number that is not finite.
     """
-    merged, unknown = dict(defaults), []
+    names = {f.name for f in fields(default)}
+    changes, unknown = {}, []
     for key, value in data.items():
         path = f"{prefix}{key}"
-        if key not in defaults:
+        if key not in names:
             unknown.append(path)
             continue
+        current = getattr(default, key)
         kind = _json_kind(value)
-        expected = NULLABLE_KINDS.get(path) or _json_kind(defaults[key])
+        expected = NULLABLE_KINDS.get(path) or _json_kind(current)
         nullable = path in NULLABLE_KINDS
         if not (kind == expected or (kind, expected) == ("an integer", "a number")
                 or (kind == "null" and nullable)):
             raise ValueError(f"config key '{path}' must be {expected}"
                              f"{' or null' if nullable else ''}, not {kind}")
         if kind == "an object":
-            merged[key], inner = _merge_defaults(value, defaults[key], f"{path}.")
+            value, inner = _merge_defaults(value, current, f"{path}.")
             unknown += inner
-        else:
-            merged[key] = value
-    return merged, unknown
+        elif isinstance(current, float):
+            try:
+                value = float(value)
+            except OverflowError:  # an integer beyond the float range
+                value = math.inf
+            if not math.isfinite(value):
+                raise ValueError(f"config key '{path}' must be finite, not {value}")
+        changes[key] = value
+    # Unknown keys are reported before any range check of the sections.
+    return (default if unknown else replace(default, **changes)), unknown
 
 
 @dataclass(frozen=True)
@@ -86,30 +107,16 @@ class ExperimentConfig:
             raise ValueError("analysis_window_fraction must be in (0, 1]")
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "scale": self.scale,
-            "n_producers": self.n_producers,
-            "n_consumers": self.n_consumers,
-            "zipf": self.zipf.to_dict(),
-            "store": self.store.to_dict(),
-            "fanout": self.fanout.to_dict(),
-            "n_timeline": self.n_timeline,
-            "duration_hours": self.duration_hours,
-            "analysis_window_fraction": self.analysis_window_fraction,
-            "out_dir": self.out_dir,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         if not isinstance(data, dict):
             raise ValueError(f"config must be a JSON object, not {type(data).__name__}")
-        data, unknown = _merge_defaults(data, cls().to_dict())
+        cfg, unknown = _merge_defaults(data, cls())
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**{**data, "zipf": ZipfParams.from_dict(data["zipf"]),
-                      "store": StoreConfig.from_dict(data["store"]),
-                      "fanout": FanoutSettings.from_dict(data["fanout"])})
+        return cfg
 
     def save(self, path: str | Path) -> None:
         write_json(path, self.to_dict())
@@ -118,15 +125,6 @@ class ExperimentConfig:
     def load(cls, path: str | Path) -> "ExperimentConfig":
         with open(path, encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
-
-    def with_overrides(self, seed: int | None = None,
-                       out_dir: str | None = None) -> "ExperimentConfig":
-        cfg = self
-        if seed is not None:
-            cfg = replace(cfg, seed=seed)
-        if out_dir is not None:
-            cfg = replace(cfg, out_dir=out_dir)
-        return cfg
 
 
 def zero_delay_config(seed: int = 1, duration_hours: float = 9.0,

@@ -35,13 +35,6 @@ class ZipfPair:
     mean: float
     s: float
 
-    def to_dict(self) -> dict:
-        return {"mean": self.mean, "s": self.s}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ZipfPair":
-        return cls(mean=float(data["mean"]), s=float(data["s"]))
-
 
 @dataclass(frozen=True)
 class ZipfParams:
@@ -51,18 +44,6 @@ class ZipfParams:
     producers_per_consumer: ZipfPair = ZipfPair(4.63, 0.62)
     producer_rate_per_hour: ZipfPair = ZipfPair(1.0, 0.57)
     consumer_rate_per_hour: ZipfPair = ZipfPair(5.8, 0.62)
-
-    def to_dict(self) -> dict:
-        return {
-            "consumers_per_producer": self.consumers_per_producer.to_dict(),
-            "producers_per_consumer": self.producers_per_consumer.to_dict(),
-            "producer_rate_per_hour": self.producer_rate_per_hour.to_dict(),
-            "consumer_rate_per_hour": self.consumer_rate_per_hour.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ZipfParams":
-        return cls(**{key: ZipfPair.from_dict(data[key]) for key in data})
 
 
 class ZipfSampler:
@@ -276,9 +257,6 @@ class DistributionCheck:
     fitted_s: float | None
     s_ok: bool | None
 
-    def to_dict(self) -> dict:
-        return self.__dict__.copy()
-
 
 @dataclass
 class ValidationReport:
@@ -286,14 +264,6 @@ class ValidationReport:
     degree_rate_spearman: float | None
     independence_ok: bool
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "checks": [c.to_dict() for c in self.checks],
-            "degree_rate_spearman": self.degree_rate_spearman,
-            "independence_ok": self.independence_ok,
-            "passed": self.passed,
-        }
 
 
 def validate_profile(network: FollowingNetwork, profile: WorkloadProfile,

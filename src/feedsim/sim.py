@@ -229,25 +229,18 @@ class RngStreams:
 class DistributionSpec:
     """A named non-negative delay distribution.
 
-    kind is "constant" or "exponential"; mean_ms doubles as the fixed
-    value for "constant".
+    distribution is "constant" or "exponential"; mean_ms doubles as the
+    fixed value for "constant".
     """
 
-    kind: str = "exponential"
+    distribution: str = "exponential"
     mean_ms: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("constant", "exponential"):
-            raise ValueError(f"unknown distribution kind: {self.kind!r}")
+        if self.distribution not in ("constant", "exponential"):
+            raise ValueError(f"unknown distribution kind: {self.distribution!r}")
         if self.mean_ms < 0:
             raise ValueError("mean_ms must be non-negative")
-
-    def to_dict(self) -> dict:
-        return {"distribution": self.kind, "mean_ms": self.mean_ms}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DistributionSpec":
-        return cls(kind=data["distribution"], mean_ms=float(data["mean_ms"]))
 
 
 # Samplers draw this many values per numpy call. numpy's block draws equal
@@ -263,7 +256,7 @@ def _block_sampler(draw_block: Callable[[], list[int]]) -> Callable[[], int]:
 
 def make_sampler(spec: DistributionSpec, stream: np.random.Generator) -> Callable[[], int]:
     """Build a () -> microseconds sampler for a delay distribution."""
-    if spec.kind == "constant":
+    if spec.distribution == "constant":
         value = round(spec.mean_ms * MICROS_PER_MS)
         return lambda: value
     scale = spec.mean_ms * MICROS_PER_MS

@@ -32,19 +32,6 @@ class StoreConfig:
         if self.n_replicas < 1:
             raise ValueError("n_replicas must be >= 1")
 
-    def to_dict(self) -> dict:
-        return {
-            "n_replicas": self.n_replicas,
-            "lag": self.lag.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "StoreConfig":
-        return cls(
-            n_replicas=int(data["n_replicas"]),
-            lag=DistributionSpec.from_dict(data["lag"]),
-        )
-
 
 class WriteAck(NamedTuple):
     home_replica: int

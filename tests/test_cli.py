@@ -6,7 +6,13 @@ import pytest
 
 from feedsim.app import FanoutSettings
 from feedsim.cli import main
-from feedsim.config import ExperimentConfig, anomaly_config, is_zero_delay, zero_delay_config
+from feedsim.config import (
+    ExperimentConfig,
+    anomaly_config,
+    is_zero_delay,
+    lag_probe_config,
+    zero_delay_config,
+)
 from feedsim.netgen import ZipfPair, ZipfParams
 from feedsim.sim import DistributionSpec
 from feedsim.store import StoreConfig
@@ -38,6 +44,50 @@ def test_config_roundtrips_unchanged(tmp_path):
     cfg = anomaly_config(out_dir=str(tmp_path))
     path = write_config(tmp_path, cfg)
     assert ExperimentConfig.load(path) == cfg
+
+
+# The benchmark leaves config_used.json out of its digests, so the wire
+# format is pinned here: keys, nesting, order and number spellings.
+DEFAULT_CONFIG_JSON = (
+    '{"seed": 1, "scale": 1.0, "n_producers": 679, "n_consumers": 1963, '
+    '"zipf": {"consumers_per_producer": {"mean": 13.38, "s": 0.39}, '
+    '"producers_per_consumer": {"mean": 4.63, "s": 0.62}, '
+    '"producer_rate_per_hour": {"mean": 1.0, "s": 0.57}, '
+    '"consumer_rate_per_hour": {"mean": 5.8, "s": 0.62}}, '
+    '"store": {"n_replicas": 3, "lag": {"distribution": "exponential", "mean_ms": 500.0}}, '
+    '"fanout": {"mode": "scheduled", "service": {"distribution": "exponential", '
+    '"mean_ms": 20.0}, "concurrency_cap": null, "retry_backoff_ms": 10.0}, '
+    '"n_timeline": 20, "duration_hours": 2.0, "analysis_window_fraction": 0.5, '
+    '"out_dir": "out"}'
+)
+
+
+def test_config_wire_format_is_pinned():
+    assert json.dumps(ExperimentConfig().to_dict()) == DEFAULT_CONFIG_JSON
+
+
+def test_canned_configs_roundtrip_through_json():
+    for cfg in (ExperimentConfig(), anomaly_config(), zero_delay_config(),
+                lag_probe_config(3, 250.0)):
+        assert ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+
+def test_integer_and_float_spellings_write_the_same_bytes(tmp_path, monkeypatch):
+    # Equal numbers make equal configs, so every output byte matches,
+    # the echoed config included.
+    data = tiny_config("out").to_dict()
+    outputs = {}
+    for spelling, number in (("int", 1), ("float", 1.0)):
+        run_dir = tmp_path / spelling
+        run_dir.mkdir()
+        data.update(analysis_window_fraction=number, duration_hours=number, scale=number)
+        (run_dir / "config.json").write_text(json.dumps(data))
+        monkeypatch.chdir(run_dir)
+        code = main(["repro", "--config", "config.json"])
+        outputs[spelling] = code, {path.name: path.read_bytes()
+                                   for path in sorted((run_dir / "out").iterdir())}
+    assert "config_used.json" in outputs["int"][1]
+    assert outputs["int"] == outputs["float"]
 
 
 def test_config_rejects_unknown_keys(tmp_path, capsys):
@@ -100,6 +150,22 @@ BAD_CONFIG_VALUES = [
      "config key 'store.lag.mean_ms' must be a number, not a string"),
     ('{"store": {"lag": null}}', "config key 'store.lag' must be an object, not null"),
     ('{"out_dir": ["x"]}', "config key 'out_dir' must be a string, not an array"),
+    ('{"duration_hours": NaN}', "config key 'duration_hours' must be finite, not nan"),
+    ('{"duration_hours": Infinity}', "config key 'duration_hours' must be finite, not inf"),
+    ('{"scale": 1e400}', "config key 'scale' must be finite, not inf"),
+    ('{"fanout": {"retry_backoff_ms": NaN}}',
+     "config key 'fanout.retry_backoff_ms' must be finite, not nan"),
+    ('{"store": {"lag": {"mean_ms": Infinity}}}',
+     "config key 'store.lag.mean_ms' must be finite, not inf"),
+    ('{"store": {"lag": {"mean_ms": NaN}}}',
+     "config key 'store.lag.mean_ms' must be finite, not nan"),
+    ('{"fanout": {"service": {"mean_ms": NaN}}}',
+     "config key 'fanout.service.mean_ms' must be finite, not nan"),
+    ('{"zipf": {"consumers_per_producer": {"s": NaN}}}',
+     "config key 'zipf.consumers_per_producer.s' must be finite, not nan"),
+    ('{"duration_hours": -Infinity}', "config key 'duration_hours' must be finite, not -inf"),
+    ('{"duration_hours": 1' + "0" * 309 + '}',
+     "config key 'duration_hours' must be finite, not inf"),
 ]
 
 

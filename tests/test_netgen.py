@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -193,11 +191,6 @@ def test_load_rejects_unknown_records(tmp_path):
     path.write_text('{"mystery": 1}\n')
     with pytest.raises(ValueError):
         load_network_profile(path)
-
-
-def test_zipf_params_roundtrip():
-    params = ZipfParams()
-    assert ZipfParams.from_dict(json.loads(json.dumps(params.to_dict()))) == params
 
 
 def test_full_scale_shape_targets():

@@ -41,6 +41,7 @@ from .detect import (
     classify,
     consistent_timeline,
     detect_all,
+    feed_index,
     find_missing,
     inconsistency_time_gap,
 )

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from enum import Enum
-from heapq import nlargest
-from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -41,6 +41,7 @@ class Position(Enum):
 # Tweets are handled as (t, seq, producer_id) triples so lexicographic
 # comparison is exactly the global order.
 Triple = tuple[int, int, int]
+_time = itemgetter(0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -55,26 +56,20 @@ class ConflictRecord:
 
 
 class TweetIndex:
-    """Per-producer view of the global tweet log, validated on build."""
+    """The global tweet log keyed by (producer_id, t), in global order, validated on build."""
 
     def __init__(self, tweet_log: Sequence[TweetEvent]):
-        self.times_by_producer: dict[int, list[int]] = {}
-        self.triples_by_producer: dict[int, list[Triple]] = {}
         self.triple_by_key: dict[tuple[int, int], Triple] = {}
         last: Triple | None = None
         for tweet in tweet_log:
             triple = (tweet.t, tweet.seq, tweet.producer_id)
             if last is not None and triple <= last:
-                raise IntegrityError(
-                    f"tweet log not strictly ordered at seq {tweet.seq}"
-                )
+                raise IntegrityError(f"tweet log not strictly ordered at seq {tweet.seq}")
             last = triple
             key = (tweet.producer_id, tweet.t)
             if key in self.triple_by_key:
                 raise IntegrityError(f"tweet seq {tweet.seq} repeats the identity {key}")
             self.triple_by_key[key] = triple
-            self.times_by_producer.setdefault(tweet.producer_id, []).append(tweet.t)
-            self.triples_by_producer.setdefault(tweet.producer_id, []).append(triple)
 
     def served(self, response: TimelineResponse) -> list[Triple]:
         """Validate a response's entries and return them as newest-first triples."""
@@ -98,21 +93,23 @@ class TweetIndex:
         return triples
 
 
-def consistent_timeline(consumer_id: int, T: int, index: TweetIndex,
-                        network: FollowingNetwork, n_timeline: int) -> list[Triple]:
-    """The n_timeline newest tweets with t <= T among followed producers, newest first."""
-    producers = network.follows.get(consumer_id)
-    if producers is None:
+def feed_index(index: TweetIndex, network: FollowingNetwork) -> dict[int, list[Triple]]:
+    """Per consumer, the triples of its followed producers' tweets, in global order."""
+    feeds: dict[int, list[Triple]] = {consumer: [] for consumer in network.follows}
+    for triple in index.triple_by_key.values():
+        for consumer in network.followers.get(triple[2], ()):
+            feeds[consumer].append(triple)
+    return feeds
+
+
+def consistent_timeline(feeds: dict[int, list[Triple]], consumer_id: int, T: int,
+                        n_timeline: int) -> list[Triple]:
+    """The n_timeline newest tweets with t <= T in the consumer's feed, newest first."""
+    feed = feeds.get(consumer_id)
+    if feed is None:
         raise ValueError(f"unknown consumer {consumer_id}")
-    slices = []
-    for pid in producers:
-        times = index.times_by_producer.get(pid)
-        if not times:
-            continue
-        hi = bisect_right(times, T)
-        if hi:
-            slices.append(index.triples_by_producer[pid][max(0, hi - n_timeline):hi])
-    return nlargest(n_timeline, chain.from_iterable(slices))
+    hi = bisect_right(feed, T, key=_time)
+    return feed[max(0, hi - n_timeline):hi][::-1]
 
 
 def find_missing(served: Sequence[Triple],
@@ -147,15 +144,19 @@ def find_missing(served: Sequence[Triple],
 class WitnessIndex:
     """For each tweet, the earliest (T, response_id) of a response that contained it."""
 
-    containments: dict[tuple[int, int], tuple[int, int]] = field(default_factory=dict)
+    containments: dict[tuple[int, int], tuple[int, int]]
 
 
-def build_witness_index(responses: Iterable[TimelineResponse]) -> WitnessIndex:
-    index = WitnessIndex()
-    # Latest response first, so the earliest witness of each tweet is written last.
-    for resp in sorted(responses, key=lambda r: (r.T, r.response_id), reverse=True):
-        index.containments.update(dict.fromkeys(resp.entries, (resp.T, resp.response_id)))
-    return index
+def build_witness_index(responses: Iterable[TimelineResponse],
+                        wanted: set[tuple[int, int]]) -> WitnessIndex:
+    """Index the served (producer_id, t) keys that are in wanted."""
+    containments: dict[tuple[int, int], tuple[int, int]] = {}
+    for resp in responses:
+        pair = (resp.T, resp.response_id)
+        for key in wanted.intersection(resp.entries):
+            if pair <= containments.get(key, pair):
+                containments[key] = pair
+    return WitnessIndex(containments)
 
 
 def classify(response: TimelineResponse, missing: Triple, position: Position,
@@ -231,15 +232,17 @@ def detect_all(responses: Sequence[TimelineResponse],
 
     The warm-up prefix is dropped: only the latter analysis_window_fraction
     of responses (by count) is analyzed, and witnesses are drawn from that
-    same window. Every response, warm-up included, is validated first.
+    same window, indexed only for the tweets some analyzed response misses.
+    Every response, warm-up included, is validated.
     Errors in the tweet log are raised while tweet_log is indexed, so a
     caller that passes a TweetIndex sees only errors in the responses.
     """
     if not 0 < analysis_window_fraction <= 1:
         raise ValueError("analysis_window_fraction must be in (0, 1]")
     index = tweet_log if isinstance(tweet_log, TweetIndex) else TweetIndex(tweet_log)
+    feeds = feed_index(index, network)
     start = len(responses) - int(round(len(responses) * analysis_window_fraction))
-    analyzed_served: list[list[Triple]] = []
+    incomplete = []  # (response, what it misses) for analyzed responses unlike their oracle
     prev_T = None
     seen_ids: set[int] = set()
     for i, resp in enumerate(responses):
@@ -250,30 +253,25 @@ def detect_all(responses: Sequence[TimelineResponse],
             raise IntegrityError(f"response {resp.response_id} is timestamped before "
                                  f"the response before it")
         prev_T = resp.T
-        if resp.consumer_id not in network.follows:
+        if resp.consumer_id not in feeds:
             raise IntegrityError(
                 f"response {resp.response_id} names unknown consumer {resp.consumer_id}")
-        served = index.served(resp)
-        if i >= start:
-            analyzed_served.append(served)
+        if i < start:
+            index.served(resp)
+            continue
+        oracle = consistent_timeline(feeds, resp.consumer_id, resp.T, n_timeline)
+        # Serving exactly the oracle proves the entries valid and complete.
+        if list(resp.entries) != [(pid, t) for t, _, pid in oracle]:
+            incomplete.append((resp, find_missing(index.served(resp), oracle)))
 
     analyzed = responses[start:]
-    witness_index = build_witness_index(analyzed)
-
+    wanted = {(pid, t) for _, missing in incomplete for (t, _, pid), _ in missing}
+    witness_index = build_witness_index(analyzed if wanted else [], wanted)
     records: list[ConflictRecord] = []
     per_response_G: dict[int, int] = {}
-    query_counts: dict[int, int] = {}
-    for resp, served in zip(analyzed, analyzed_served):
-        query_counts[resp.consumer_id] = query_counts.get(resp.consumer_id, 0) + 1
-        oracle = consistent_timeline(resp.consumer_id, resp.T, index, network, n_timeline)
-        missing = find_missing(served, oracle)
-        if not missing:
-            continue
-        own_records = []
-        for triple, position in missing:
-            record = classify(resp, triple, position, witness_index)
-            if record is not None:
-                own_records.append(record)
+    for resp, missing in incomplete:
+        own_records = [record for triple, position in missing
+                       if (record := classify(resp, triple, position, witness_index)) is not None]
         if own_records:
             records.extend(own_records)
             per_response_G[resp.response_id] = inconsistency_time_gap(resp, own_records)
@@ -286,8 +284,8 @@ def detect_all(responses: Sequence[TimelineResponse],
         analyzed_start_id=analyzed[0].response_id if analyzed else -1,
         n_timeline=n_timeline,
         analysis_window_fraction=analysis_window_fraction,
-        tweet_counts={pid: len(times) for pid, times in index.times_by_producer.items()},
-        query_counts=query_counts,
+        tweet_counts=dict(Counter(pid for _, _, pid in index.triple_by_key.values())),
+        query_counts=dict(Counter(resp.consumer_id for resp in analyzed)),
     )
 
 

@@ -92,7 +92,7 @@ def read_jsonl(path: str | Path, parse: Callable[[Any], Any]) -> list:
     return parsed
 
 
-class EventKind(Enum):
+class EventKind(str, Enum):
     TWEET_ARRIVAL = "tweet_arrival"
     FANOUT_STEP = "fanout_step"
     PROPAGATION_ARRIVAL = "propagation_arrival"

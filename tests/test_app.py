@@ -22,6 +22,7 @@ from feedsim.detect import (
     DetectionResult,
     TweetIndex,
     consistent_timeline,
+    feed_index,
     save_conflict_records,
 )
 from feedsim.netgen import WorkloadProfile, save_network_profile
@@ -184,9 +185,9 @@ def tiny_run(fanout, lag, seed=1, hours=1.0, n_replicas=3):
 
 def test_zero_delay_synchronous_responses_equal_oracle():
     network, artifacts = tiny_run(FanoutSettings(mode="synchronous"), ("constant", 0.0))
-    index = TweetIndex(artifacts.tweet_log)
+    feeds = feed_index(TweetIndex(artifacts.tweet_log), network)
     for response in artifacts.responses:
-        oracle = consistent_timeline(response.consumer_id, response.T, index, network, 5)
+        oracle = consistent_timeline(feeds, response.consumer_id, response.T, 5)
         assert list(response.entries) == [(pid, t) for t, _, pid in oracle]
 
 

@@ -11,6 +11,7 @@ from feedsim.detect import (
     classify,
     consistent_timeline,
     detect_all,
+    feed_index,
     find_missing,
     inconsistency_time_gap,
     load_conflict_records,
@@ -46,29 +47,29 @@ def two_user_scenario():
 
 def test_consistent_timeline_five_tweet_window():
     tweets, network, _, (A, B, C, D, E) = two_user_scenario()
-    oracle = consistent_timeline(0, 45 * SEC, TweetIndex(tweets), network, 4)
+    oracle = consistent_timeline(feed_index(TweetIndex(tweets), network), 0, 45 * SEC, 4)
     assert [(pid, t) for t, _, pid in oracle] == [D, C, B, A]
 
 
 def test_consistent_timeline_before_any_tweet_is_empty():
     tweets, network, _, _ = two_user_scenario()
-    assert consistent_timeline(0, 5 * SEC, TweetIndex(tweets), network, 4) == []
+    assert consistent_timeline(feed_index(TweetIndex(tweets), network), 0, 5 * SEC, 4) == []
 
 
 def test_consistent_timeline_unknown_consumer():
     tweets, network, _, _ = two_user_scenario()
     with pytest.raises(ValueError):
-        consistent_timeline(7, 45 * SEC, TweetIndex(tweets), network, 4)
+        consistent_timeline(feed_index(TweetIndex(tweets), network), 7, 45 * SEC, 4)
 
 
 def test_consistent_timeline_matches_bruteforce_merge():
     rng = np.random.default_rng(0)
     for _ in range(50):
         responses, tweets, network, n = random_instance(rng)
-        index = TweetIndex(tweets)
+        feeds = feed_index(TweetIndex(tweets), network)
         for consumer in network.follows:
             T = int(rng.integers(0, 100))
-            ours = consistent_timeline(consumer, T, index, network, n)
+            ours = consistent_timeline(feeds, consumer, T, n)
             brute = brute_timeline(consumer, T, tweets, network, n)
             assert ours == [(tw.t, tw.seq, tw.producer_id) for tw in brute]
 
@@ -76,11 +77,11 @@ def test_consistent_timeline_matches_bruteforce_merge():
 def test_find_missing_positions():
     tweets, network, (r_gap, r_head), (A, B, C, D, E) = two_user_scenario()
     index = TweetIndex(tweets)
-    oracle_gap = consistent_timeline(0, r_gap.T, index, network, 4)
+    oracle_gap = consistent_timeline(feed_index(index, network), 0, r_gap.T, 4)
     missing = find_missing(index.served(r_gap), oracle_gap)
     assert [(pid, t, pos) for (t, _, pid), pos in missing] == \
            [(B[0], B[1], Position.INTERIOR)]
-    oracle_head = consistent_timeline(1, r_head.T, index, network, 4)
+    oracle_head = consistent_timeline(feed_index(index, network), 1, r_head.T, 4)
     missing = find_missing(index.served(r_head), oracle_head)
     assert [(pid, t, pos) for (t, _, pid), pos in missing] == \
            [(D[0], D[1], Position.HEAD)]
@@ -91,7 +92,7 @@ def test_find_missing_exact_match_is_empty():
     index = TweetIndex(tweets)
     response = TimelineResponse(response_id=9, consumer_id=0, T=45 * SEC,
                                 entries=(D, C, B, A))
-    oracle = consistent_timeline(0, 45 * SEC, index, network, 4)
+    oracle = consistent_timeline(feed_index(index, network), 0, 45 * SEC, 4)
     assert find_missing(index.served(response), oracle) == []
 
 
@@ -121,17 +122,19 @@ def test_tweet_index_rejects_duplicate_identity_and_disorder():
 
 def test_witness_index_shapes():
     tweets, network, responses, (A, B, C, D, E) = two_user_scenario()
-    assert build_witness_index([]).containments == {}
-    index = build_witness_index(responses[:1])
+    every = {A, B, C, D, E}
+    assert build_witness_index([], every).containments == {}
+    index = build_witness_index(responses[:1], every)
     assert len(index.containments) == 3
     assert index.containments[D] == (responses[0].T, 0)
     assert B not in index.containments
+    assert build_witness_index(responses, {B, E}).containments == {B: (responses[1].T, 1)}
 
 
 def test_witness_index_matches_linear_scan():
     rng = np.random.default_rng(1)
     responses, tweets, network, n = random_instance(rng)
-    index = build_witness_index(responses)
+    index = build_witness_index(responses, set(TweetIndex(tweets).triple_by_key))
     sample = tweets if len(tweets) <= 100 else \
         [tweets[i] for i in rng.choice(len(tweets), 100, replace=False)]
     for tw in sample:
@@ -169,8 +172,8 @@ def test_head_missing_needs_strictly_earlier_witness():
                                entries=(C, B, A))
     same_time_witness = TimelineResponse(response_id=0, consumer_id=0, T=45 * SEC,
                                          entries=(D, C, B, A))
-    witness_index = build_witness_index([flagged, same_time_witness])
-    oracle = consistent_timeline(1, flagged.T, index, network, 4)
+    witness_index = build_witness_index([flagged, same_time_witness], {A, B, C, D, E})
+    oracle = consistent_timeline(feed_index(index, network), 1, flagged.T, 4)
     [(triple, position)] = find_missing(index.served(flagged), oracle)
     assert position is Position.HEAD
     assert classify(flagged, triple, position, witness_index) is None
@@ -183,10 +186,10 @@ def test_tail_missing_is_never_observable():
                                entries=(D, C, B))
     witness = TimelineResponse(response_id=0, consumer_id=0, T=41 * SEC,
                                entries=(D, C, B, A))
-    oracle = consistent_timeline(1, flagged.T, index, network, 4)
+    oracle = consistent_timeline(feed_index(index, network), 1, flagged.T, 4)
     [(triple, position)] = find_missing(index.served(flagged), oracle)
     assert position is Position.TAIL
-    witness_index = build_witness_index([witness, flagged])
+    witness_index = build_witness_index([witness, flagged], {A, B, C, D, E})
     assert classify(flagged, triple, position, witness_index) is None
 
 
@@ -195,9 +198,9 @@ def test_unwitnessed_interior_gap_is_not_observable():
     index = TweetIndex(tweets)
     flagged = TimelineResponse(response_id=0, consumer_id=0, T=45 * SEC,
                                entries=(D, C, A))
-    oracle = consistent_timeline(0, flagged.T, index, network, 4)
+    oracle = consistent_timeline(feed_index(index, network), 0, flagged.T, 4)
     [(triple, position)] = find_missing(index.served(flagged), oracle)
-    witness_index = build_witness_index([flagged])
+    witness_index = build_witness_index([flagged], {A, B, C, D, E})
     assert classify(flagged, triple, position, witness_index) is None
 
 
@@ -211,7 +214,7 @@ def test_classify_rejects_non_positive_gap():
     flagged = TimelineResponse(response_id=1, consumer_id=0, T=10,
                                entries=((1, 10), (0, 5)))
     witness = TimelineResponse(response_id=0, consumer_id=1, T=10, entries=((0, 10),))
-    witness_index = build_witness_index([witness, flagged])
+    witness_index = build_witness_index([witness, flagged], set(index.triple_by_key))
     with pytest.raises(IntegrityError):
         classify(flagged, missing, Position.INTERIOR, witness_index)
 
@@ -253,6 +256,23 @@ def test_detect_all_window_selects_latter_fraction():
     assert result.records == []
 
 
+def test_detect_all_empty_window_still_validates_warm_up():
+    tweets, network, responses, (A, B, C, D, E) = two_user_scenario()
+    result = detect_all(responses, tweets, network, n_timeline=4,
+                        analysis_window_fraction=0.1)
+    assert result.total_count == 2
+    assert result.analyzed_count == 0
+    assert result.analyzed_start_id == -1
+    assert result.records == []
+    assert result.per_response_G == {}
+    assert result.query_counts == {}
+    phantom = TimelineResponse(response_id=0, consumer_id=0, T=45 * SEC,
+                               entries=(D, (0, 35 * SEC), A))
+    with pytest.raises(IntegrityError, match="phantom"):
+        detect_all([phantom, responses[1]], tweets, network, n_timeline=4,
+                   analysis_window_fraction=0.1)
+
+
 def test_detect_all_rejects_disordered_or_duplicate_responses():
     tweets, network, responses, _ = two_user_scenario()
     swapped = [responses[1], responses[0]]
@@ -280,6 +300,72 @@ def test_detect_zero_lag_synchronous_run_finds_nothing():
     result = detect_all(artifacts.responses, artifacts.tweet_log, network,
                         n_timeline=5, analysis_window_fraction=1.0)
     assert result.records == []
+
+
+def oracle_heavy_instance(rng: np.random.Generator):
+    """A corpus whose responses mostly serve exactly their oracle.
+
+    Tweets fall on a few even instants, so same-t tweets of different
+    producers are common; their seqs are drawn in random order, so the
+    global order at a tie is not the producer order. Responses sit on odd
+    instants and are one of: the oracle; the oracle with one entry dropped
+    and the next older tweet moved up, as a store view missing one write
+    shows it; or a stale view, the oracle at an earlier instant.
+    """
+    n_producers = int(rng.integers(1, 7))
+    n_consumers = int(rng.integers(1, 9))
+    n_timeline = int(rng.integers(2, 6))
+    follows = {c: tuple(rng.choice(n_producers, size=int(rng.integers(1, n_producers + 1)),
+                                   replace=False).tolist())
+               for c in range(n_consumers)}
+    network = make_network(follows, n_producers)
+    raw = sorted((2 * int(t), rng.random(), p) for p in range(n_producers)
+                 for t in rng.choice(10, size=int(rng.integers(0, 8)), replace=False))
+    tweets = [TweetEvent(producer_id=p, t=t, seq=i) for i, (t, _, p) in enumerate(raw)]
+
+    def view(consumer, T, n):
+        return [(tw.producer_id, tw.t) for tw in brute_timeline(consumer, T, tweets, network, n)]
+
+    responses = []
+    for rid, T in enumerate(sorted(2 * rng.integers(0, 11, size=int(rng.integers(0, 40))) + 1)):
+        consumer, style = int(rng.integers(0, n_consumers)), rng.random()
+        if style < 0.6:
+            entries = view(consumer, T, n_timeline)
+        elif style < 0.85:
+            entries = view(consumer, T, n_timeline + 1)
+            if entries:
+                del entries[int(rng.integers(0, len(entries)))]
+            entries = entries[:n_timeline]
+        else:
+            entries = view(consumer, int(rng.integers(0, T + 1)), n_timeline)
+        responses.append(TimelineResponse(response_id=rid, consumer_id=consumer, T=int(T),
+                                          entries=tuple(entries)))
+    return responses, tweets, network, n_timeline
+
+
+def test_detector_fast_paths_equal_bruteforce():
+    """Exact-match skips, the feed index and lazy witnesses against the references."""
+    rng = np.random.default_rng(11)
+    exact = 0
+    seen_types = set()
+    for _ in range(150):
+        responses, tweets, network, n = oracle_heavy_instance(rng)
+        fraction = float(rng.choice([1.0, 0.6, 0.3]))
+        result = detect_all(responses, tweets, network, n_timeline=n,
+                            analysis_window_fraction=fraction)
+        assert detector_conflict_set(result) == \
+            brute_force_conflicts(responses, tweets, network, n, fraction)
+        analyzed = responses[result.total_count - result.analyzed_count:]
+        for record in result.records:
+            pair = (record.producer_id, record.t)
+            earliest = min((r.T, r.response_id) for r in analyzed if pair in r.entries)
+            assert record.witness_response_id == earliest[1]
+            seen_types.add(record.type)
+        for r in analyzed:
+            oracle = brute_timeline(r.consumer_id, r.T, tweets, network, n)
+            exact += list(r.entries) == [(tw.producer_id, tw.t) for tw in oracle]
+    assert exact > 1000
+    assert seen_types == set(ConflictType)
 
 
 def test_detector_equals_bruteforce_on_random_instances():
@@ -323,13 +409,13 @@ def test_observable_subset_of_missing():
         result = detect_all(responses, tweets, network, n_timeline=n,
                             analysis_window_fraction=1.0)
         index = TweetIndex(tweets)
+        feeds = feed_index(index, network)
         per_response_records = {}
         for record in result.records:
             per_response_records[record.response_id] = \
                 per_response_records.get(record.response_id, 0) + 1
         for response in responses:
-            oracle = consistent_timeline(response.consumer_id, response.T, index,
-                                         network, n)
+            oracle = consistent_timeline(feeds, response.consumer_id, response.T, n)
             missing = find_missing(index.served(response), oracle)
             assert per_response_records.get(response.response_id, 0) <= len(missing)
 
@@ -341,14 +427,15 @@ def test_enlarging_witness_corpus_never_removes_conflicts():
         if len(responses) < 4:
             continue
         index = TweetIndex(tweets)
-        half = build_witness_index(responses[len(responses) // 2:])
-        full = build_witness_index(responses)
+        feeds = feed_index(index, network)
+        every = set(index.triple_by_key)
+        half = build_witness_index(responses[len(responses) // 2:], every)
+        full = build_witness_index(responses, every)
 
         def records_with(witness_index):
             found = set()
             for response in responses[len(responses) // 2:]:
-                oracle = consistent_timeline(response.consumer_id, response.T, index,
-                                             network, n)
+                oracle = consistent_timeline(feeds, response.consumer_id, response.T, n)
                 for triple, position in find_missing(index.served(response), oracle):
                     record = classify(response, triple, position, witness_index)
                     if record is not None:

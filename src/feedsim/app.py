@@ -77,38 +77,33 @@ class FanoutSettings:
             raise ValueError("retry_backoff_ms must be positive")
 
 
-# Store timeline entries are (t, seq, producer_id, wire_pair) quadruples kept
-# newest-first; wire_pair is the shared (producer_id, t) tuple responses expose.
-def insert_entry(value: tuple | None, tweet: TweetEvent, pair: tuple[int, int],
+# A timeline value is the tuple of (producer_id, t) pairs a response serves,
+# newest-first: the store holds it and a query hands it out as it is.
+def insert_entry(value: tuple | None, pair: tuple[int, int], seqs: dict[tuple[int, int], int],
                  n_timeline: int) -> tuple:
-    """Insert a tweet into a timeline value, newest-first, truncated to n_timeline."""
-    entry = (tweet.t, tweet.seq, tweet.producer_id, pair)
-    if value is None or not value:
-        return (entry,)
-    if entry > value[0]:
-        merged = (entry,) + value
-    else:
-        items = list(value)
-        pos = len(items)
-        while pos > 0 and items[pos - 1] < entry:
-            pos -= 1
-        items.insert(pos, entry)
-        merged = tuple(items)
-    return merged[:n_timeline]
+    """Insert a tweet's pair into a timeline value, newest-first, truncated to n_timeline.
 
-
-@dataclass(slots=True)
-class _Update:
-    tweet: TweetEvent
-    consumer_id: int
-    expected: tuple | None
+    seqs maps each pair to its tweet's seq. Inside one FeedApp a tweet's t is
+    the clock at posting, so seq order is (t, seq) order.
+    """
+    if not value:
+        return (pair,)
+    seq = seqs[pair]
+    if seq > seqs[value[0]]:
+        return (pair,) + value[:n_timeline - 1]
+    pos = len(value)
+    while seqs[value[pos - 1]] < seq:
+        pos -= 1
+    return (value[:pos] + (pair,) + value[pos:])[:n_timeline]
 
 
 @dataclass(slots=True)
 class _Fanout:
-    tweet: TweetEvent
-    queue: deque
+    """One tweet's follower updates: those not started and those not committed."""
+
+    pair: tuple[int, int]
     pending: int
+    queue: deque | None = None
     lanes: int = 0
 
 
@@ -172,11 +167,13 @@ class FeedApp:
         self._service_sample = make_sampler(self.fanout.service, rng.stream("app.fanout_delay"))
         self._order_rng = rng.stream("app.fanout_order")
         self._backoff_us = round(self.fanout.retry_backoff_ms * MICROS_PER_MS)
+        # The seq of each posted tweet's pair, which orders timeline values.
+        self._seqs: dict[tuple[int, int], int] = {}
         self._active_fanouts: dict[tuple[int, int], _Fanout] = {}
         loop.set_handler(EventKind.TWEET_ARRIVAL, self.post_tweet)
         loop.set_handler(EventKind.TIMELINE_QUERY, self.query_timeline)
         loop.set_handler(EventKind.FANOUT_STEP, self._on_fanout_step)
-        loop.set_handler(EventKind.RETRY_WRITE, self._on_retry_write)
+        loop.set_handler(EventKind.RETRY_WRITE, self._write)
 
     # -- posting ---------------------------------------------------------
 
@@ -185,76 +182,66 @@ class FeedApp:
         if producer_id not in self.network.followers:
             raise ValueError(f"unknown producer {producer_id}")
         tweet = TweetEvent(producer_id=producer_id, t=self.loop.now(), seq=len(self.tweet_log))
-        key = (tweet.producer_id, tweet.t)
-        if key in self.fanout_completion_us:
+        pair = (producer_id, tweet.t)
+        if pair in self._seqs:
             raise ValueError(f"producer {producer_id} already posted at t={tweet.t}")
         self.tweet_log.append(tweet)
-        self.fanout_completion_us[key] = 0
+        self._seqs[pair] = tweet.seq
+        self.fanout_completion_us[pair] = 0
         followers = self.network.followers[producer_id]
         if not followers:
             return tweet
+        fanout = self._active_fanouts[pair] = _Fanout(pair, len(followers))
         if self.fanout.mode == "synchronous":
             # Nothing runs between the read and the write, so each write lands.
             for consumer_id in followers:
-                self._attempt_write(consumer_id, tweet, self.store.authoritative_read(consumer_id))
+                self._write((fanout, consumer_id, self.store.authoritative_read(consumer_id)))
             return tweet
         order = self._order_rng.permutation(len(followers))
-        fanout = _Fanout(tweet=tweet, queue=deque(followers[i] for i in order),
-                         pending=len(followers))
-        self._active_fanouts[key] = fanout
-        cap = self.fanout.concurrency_cap
-        while fanout.queue and (cap is None or fanout.lanes < cap):
-            self._start_update(fanout)
+        fanout.queue = deque(followers[i] for i in order)
+        self._fill_lanes(fanout)
         return tweet
 
-    def _start_update(self, fanout: _Fanout) -> None:
-        consumer_id = fanout.queue.popleft()
-        fanout.lanes += 1
-        # The update task reads the timeline when it starts service; the
-        # conditional write lands when service completes.
-        expected = self.store.authoritative_read(consumer_id)
-        delay = self._service_sample()
-        self.loop.schedule(SimEvent(self.loop.now() + delay, EventKind.FANOUT_STEP,
-                                    _Update(fanout.tweet, consumer_id, expected)))
+    def _fill_lanes(self, fanout: _Fanout) -> None:
+        """Start queued updates while the tweet has a free service lane."""
+        cap = self.fanout.concurrency_cap
+        queue = fanout.queue
+        while queue and (cap is None or fanout.lanes < cap):
+            consumer_id = queue.popleft()
+            fanout.lanes += 1
+            # The update task reads the timeline when it starts service; the
+            # conditional write lands when service completes.
+            expected = self.store.authoritative_read(consumer_id)
+            self.loop.schedule(SimEvent(self.loop.now() + self._service_sample(),
+                                        EventKind.FANOUT_STEP, (fanout, consumer_id, expected)))
 
-    def _attempt_write(self, consumer_id: int, tweet: TweetEvent,
-                       expected: tuple | None) -> bool:
-        pair = (tweet.producer_id, tweet.t)
-        new_value = insert_entry(expected, tweet, pair, self.n_timeline)
+    def _write(self, update: tuple[_Fanout, int, tuple | None]) -> None:
+        """Try one conditional write of a tweet into a follower's timeline.
+
+        update is (fanout, consumer_id, expected): a failed write is retried
+        after the backoff against the value that beat it.
+        """
+        fanout, consumer_id, expected = update
+        new_value = insert_entry(expected, fanout.pair, self._seqs, self.n_timeline)
         result = self.store.conditional_write(consumer_id, expected, new_value)
-        if result.ok:
-            self._record_commit(tweet)
-            return True
-        self.retry_count += 1
-        self.loop.schedule(SimEvent(self.loop.now() + self._backoff_us, EventKind.RETRY_WRITE,
-                                    _Update(tweet, consumer_id, result.current)))
-        return False
+        if not result.ok:
+            self.retry_count += 1
+            self.loop.schedule(SimEvent(self.loop.now() + self._backoff_us, EventKind.RETRY_WRITE,
+                                        (fanout, consumer_id, result.current)))
+            return
+        fanout.pending -= 1
+        if fanout.pending == 0:
+            # Commits come in clock order, so the last one is the latest.
+            self.fanout_completion_us[fanout.pair] = self.loop.now() - fanout.pair[1]
+            del self._active_fanouts[fanout.pair]
 
-    def _record_commit(self, tweet: TweetEvent) -> None:
-        key = (tweet.producer_id, tweet.t)
-        delay = self.loop.now() - tweet.t
-        if delay > self.fanout_completion_us[key]:
-            self.fanout_completion_us[key] = delay
-        fanout = self._active_fanouts.get(key)
-        if fanout is not None:
-            fanout.pending -= 1
-            if fanout.pending == 0:
-                del self._active_fanouts[key]
-
-    def _on_fanout_step(self, update: _Update) -> None:
-        key = (update.tweet.producer_id, update.tweet.t)
-        fanout = self._active_fanouts.get(key)
-        self._attempt_write(update.consumer_id, update.tweet, update.expected)
+    def _on_fanout_step(self, update: tuple[_Fanout, int, tuple | None]) -> None:
+        self._write(update)
         # The service lane frees when the first attempt completes; any
         # retries run off-lane.
-        if fanout is not None:
-            fanout.lanes -= 1
-            cap = self.fanout.concurrency_cap
-            while fanout.queue and (cap is None or fanout.lanes < cap):
-                self._start_update(fanout)
-
-    def _on_retry_write(self, update: _Update) -> None:
-        self._attempt_write(update.consumer_id, update.tweet, update.expected)
+        fanout = update[0]
+        fanout.lanes -= 1
+        self._fill_lanes(fanout)
 
     # -- querying --------------------------------------------------------
 
@@ -263,12 +250,11 @@ class FeedApp:
         if consumer_id not in self.network.follows:
             raise ValueError(f"unknown consumer {consumer_id}")
         replica, value = self.store.read_with_source(consumer_id)
-        entries = () if value is None else tuple(e[3] for e in value)
         response = TimelineResponse(
             response_id=len(self.responses),
             consumer_id=consumer_id,
             T=self.loop.now(),
-            entries=entries,
+            entries=value or (),
             replica_served=replica,
         )
         self.responses.append(response)
@@ -370,16 +356,19 @@ def load_tweet_log(path: str | Path) -> list[TweetEvent]:
 def save_response_log(path: str | Path, responses: list[TimelineResponse]) -> None:
     """Write what json.dumps would write for each response's record, byte for byte.
 
-    Every value is an integer or an ISO timestamp, so nothing needs escaping,
-    and a tweet shows up in many responses, so each entry is rendered once.
+    Every value is an integer or an ISO timestamp, so nothing needs escaping.
+    Responses share timeline tuples and a tweet shows up in many timelines,
+    so each distinct entries tuple and each pair is rendered once.
     """
-    entry_json = {pair: '{"producer_id": "%d", "t": "%s"}' % (pair[0], to_iso(pair[1]))
-                  for pair in {pair for resp in responses for pair in resp.entries}}
+    entries_json = dict.fromkeys(resp.entries for resp in responses)
+    pair_json = {pair: '{"producer_id": "%d", "t": "%s"}' % (pair[0], to_iso(pair[1]))
+                 for pair in {pair for entries in entries_json for pair in entries}}
+    for entries in entries_json:
+        entries_json[entries] = ", ".join([pair_json[pair] for pair in entries])
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(
             '{"response_id": %d, "consumer_id": "%d", "T": "%s", "entries": [%s]}\n'
-            % (resp.response_id, resp.consumer_id, to_iso(resp.T),
-               ", ".join([entry_json[pair] for pair in resp.entries]))
+            % (resp.response_id, resp.consumer_id, to_iso(resp.T), entries_json[resp.entries])
             for resp in responses)
 
 

@@ -152,6 +152,8 @@ def build_witness_index(responses: Iterable[TimelineResponse],
     """Index the served (producer_id, t) keys that are in wanted."""
     containments: dict[tuple[int, int], tuple[int, int]] = {}
     for resp in responses:
+        if wanted.isdisjoint(resp.entries):
+            continue
         pair = (resp.T, resp.response_id)
         for key in wanted.intersection(resp.entries):
             if pair <= containments.get(key, pair):

@@ -185,25 +185,27 @@ class EventLoop:
         if t_end < self._now:
             raise ValueError(f"cannot run to t={t_end} before now={self._now}")
         heap, arrivals, handlers = self._heap, self._arrivals, self._handlers
-        processed = 0
+        start = self.processed_count
+        # The next arrival's time when it fires by t_end, else t_end + 1; only
+        # popping an arrival changes it, since no arrival is queued mid-run.
+        limit = t_end + 1
+        next_arrival = arrivals[-1][0] if arrivals and arrivals[-1][0] < limit else limit
         while True:
             # Every arrival was queued before any heap event, so its seq is
             # smaller and it fires first on a tie.
-            if heap and (not arrivals or heap[0][0] < arrivals[-1][0]):
-                if heap[0][0] > t_end:
-                    break
+            if heap and heap[0][0] < next_arrival:
                 fire_at, _, kind, payload = heappop(heap)
-            elif arrivals and arrivals[-1][0] <= t_end:
+            elif next_arrival < limit:
                 # Popping frees each arrival as it fires.
                 fire_at, _, kind, payload = arrivals.pop()
+                next_arrival = arrivals[-1][0] if arrivals and arrivals[-1][0] < limit else limit
             else:
                 break
             self._now = fire_at
             handlers[kind](payload)
             self.processed_count += 1
-            processed += 1
         self._now = t_end
-        return processed
+        return self.processed_count - start
 
 
 class RngStreams:

@@ -64,11 +64,13 @@ class ReplicatedStore:
         loop.set_handler(EventKind.PROPAGATION_ARRIVAL, self._on_propagation)
 
     def _commit(self, key: Any, value: Any) -> WriteAck:
-        version = self._authoritative.get(key, (0, None))[0] + 1
+        current = self._authoritative.get(key)
+        entry = (1 if current is None else current[0] + 1, value)
         now = self._loop.now()
         home = self._home_replica()
-        self._authoritative[key] = (version, value)
-        self._apply(home, key, version, value)
+        self._authoritative[key] = entry
+        # The new version is above every replica's, so the home takes it as is.
+        self._replicas[home][key] = entry
         for replica in range(self.config.n_replicas):
             if replica == home:
                 continue
@@ -76,18 +78,17 @@ class ReplicatedStore:
             if lag > self.max_lag_sample_us:
                 self.max_lag_sample_us = lag
             self._loop.schedule(SimEvent(now + lag, EventKind.PROPAGATION_ARRIVAL,
-                                         (replica, key, version, value)))
+                                         (replica, key, entry)))
         self.write_count += 1
-        return WriteAck(home, version, now)
+        return WriteAck(home, entry[0], now)
 
-    def _apply(self, replica: int, key: Any, version: int, value: Any) -> None:
+    def _on_propagation(self, payload: tuple[int, Any, tuple[int, Any]]) -> None:
         # Last writer by version wins; late lower-version arrivals are dropped.
-        current = self._replicas[replica].get(key)
-        if current is None or version > current[0]:
-            self._replicas[replica][key] = (version, value)
-
-    def _on_propagation(self, payload: tuple[int, Any, int, Any]) -> None:
-        self._apply(*payload)
+        replica, key, entry = payload
+        values = self._replicas[replica]
+        current = values.get(key)
+        if current is None or entry[0] > current[0]:
+            values[key] = entry
 
     def write(self, key: Any, value: Any) -> WriteAck:
         """Unconditional write; always succeeds."""

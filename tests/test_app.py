@@ -86,37 +86,55 @@ def test_duplicate_producer_timestamp_rejected():
 
 
 def test_insert_entry_basics():
-    tw1 = TweetEvent(0, 100, 0)
-    tw2 = TweetEvent(1, 200, 1)
-    value = insert_entry(None, tw1, (0, 100), 3)
-    assert value == ((100, 0, 0, (0, 100)),)
-    value = insert_entry(value, tw2, (1, 200), 3)
-    assert [e[0] for e in value] == [200, 100]
+    seqs = {(0, 100): 0, (1, 200): 1}
+    value = insert_entry(None, (0, 100), seqs, 3)
+    assert value == ((0, 100),)
+    value = insert_entry(value, (1, 200), seqs, 3)
+    assert value == ((1, 200), (0, 100))
 
 
 def test_insert_entry_truncates_older_than_window():
+    seqs = {(1, 10): 0, (0, 1000): 1, (0, 1001): 2, (0, 1002): 3}
     entries = None
-    for i in range(3):
-        tw = TweetEvent(0, 1000 + i, i)
-        entries = insert_entry(entries, tw, (0, tw.t), 3)
-    old = TweetEvent(1, 10, 3)
-    result = insert_entry(entries, old, (1, 10), 3)
-    assert len(result) == 3
-    assert (1, 10) not in [e[3] for e in result]
+    for t in (1000, 1001, 1002):
+        entries = insert_entry(entries, (0, t), seqs, 3)
+    result = insert_entry(entries, (1, 10), seqs, 3)
+    assert result == ((0, 1002), (0, 1001), (0, 1000))
+
+
+def test_insert_entry_equals_sorted_brute_force():
+    # Tweets posted as FeedApp posts them: t never decreases and seq counts
+    # up. Runs of same-t tweets come from producers in falling id order, so
+    # (t, producer_id) order disagrees with (t, seq) order on them.
+    rng = np.random.default_rng(5)
+    for trial in range(200):
+        tweets, t = [], 0
+        while len(tweets) < int(rng.integers(1, 40)):
+            t += int(rng.integers(1, 3))
+            for producer_id in sorted(rng.choice(30, size=int(rng.integers(1, 4)),
+                                                 replace=False).tolist(), reverse=True):
+                tweets.append(TweetEvent(producer_id, t, len(tweets)))
+        seqs = {(tw.producer_id, tw.t): tw.seq for tw in tweets}
+        n_timeline = int(rng.choice([1, 2, 3, 5, 20]))
+        value, inserted = None, []
+        for i in rng.permutation(len(tweets)).tolist():
+            tweet = tweets[i]
+            inserted.append(tweet)
+            value = insert_entry(value, (tweet.producer_id, tweet.t), seqs, n_timeline)
+            expected = sorted(inserted, key=lambda tw: (tw.t, tw.seq), reverse=True)[:n_timeline]
+            assert value == tuple((tw.producer_id, tw.t) for tw in expected), (trial, n_timeline)
 
 
 def test_apply_timeline_update_empty_then_full():
     app, loop, store, _ = make_app({0: (0, 1)}, 2, n_timeline=2)
     t1 = app.post_tweet(0)
-    value = store.authoritative_read(0)
-    assert [e[3] for e in value] == [(0, t1.t)]
+    assert store.authoritative_read(0) == ((0, t1.t),)
     loop.run_until(1)
     loop.run_until(2)
     t2 = app.post_tweet(1)
     loop.run_until(3)
     t3 = app.post_tweet(0)  # same producer later
-    value = store.authoritative_read(0)
-    assert [e[3] for e in value] == [(0, t3.t), (1, t2.t)]  # t1 truncated away
+    assert store.authoritative_read(0) == ((0, t3.t), (1, t2.t))  # t1 truncated away
 
 
 def test_concurrent_updates_end_as_sorted_truncated_window():
@@ -136,8 +154,7 @@ def test_concurrent_updates_end_as_sorted_truncated_window():
         tweets.append(app.post_tweet(p))
     loop.run_until(t + 600_000_000)
     expected = sorted(tweets, key=lambda tw: (tw.t, tw.seq), reverse=True)[:20]
-    value = store.authoritative_read(0)
-    assert [e[3] for e in value] == [(tw.producer_id, tw.t) for tw in expected]
+    assert store.authoritative_read(0) == tuple((tw.producer_id, tw.t) for tw in expected)
     assert store.is_converged()
 
 
@@ -336,7 +353,13 @@ def test_response_log_equals_json_dumps_of_each_record(tmp_path):
                                                  int(rng.integers(0, 400 * 86_400_000_000)))
                                                 for _ in range(int(rng.integers(0, 4)))))
                  for _ in range(50)]
-        responses = artifacts.responses + extra
+        # One entries tuple served twice, an equal copy of it, and empty ones.
+        shared = ((7, 86_400_000_001), (3, 5))
+        copy = tuple(list(shared))
+        assert copy == shared and copy is not shared
+        reused = [TimelineResponse(response_id=i, consumer_id=i, T=i, entries=entries)
+                  for i, entries in enumerate((shared, (), shared, copy, ()))]
+        responses = artifacts.responses + extra + reused
         assert any(not r.entries for r in responses) and any(r.entries for r in responses)
         path = tmp_path / f"responses{seed}.jsonl"
         save_response_log(path, responses)

@@ -13,7 +13,7 @@ params = ZipfParams()  # desk defaults: 13.38 followers, 4.63 follows, 1 and 5.8
 
 print("generating 679 producers x 1963 consumers ...")
 network = build_network(679, 1963, params, rng.stream("netgen.graph"))
-profile = build_profile(network, params, scale=1.0, stream=rng.stream("netgen.rates"))
+profile = build_profile(network, params, rng.stream("netgen.rates"))
 
 out_degrees = network.out_degrees()
 in_degrees = network.in_degrees()
@@ -29,7 +29,7 @@ print(f"query rate /h:  mean {profile.consumer_rate.mean():.2f}  "
 top = np.argsort(in_degrees)[::-1][:5]
 print("most followed producers:", [(int(p), int(in_degrees[p])) for p in top])
 
-report = validate_profile(network, profile)
+report = validate_profile(network, profile, params)
 print("\nvalidation:")
 for check in report.checks:
     fit = "n/a" if check.fitted_s is None else f"{check.fitted_s:.2f}"

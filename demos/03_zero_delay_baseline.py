@@ -13,7 +13,7 @@ cfg = replace(zero_delay_config(seed=1), n_producers=136, n_consumers=393,
               duration_hours=2.0)
 rng = RngStreams(cfg.seed)
 network = build_network(cfg.n_producers, cfg.n_consumers, cfg.zipf, rng.stream("netgen.graph"))
-profile = build_profile(network, cfg.zipf, cfg.scale, rng.stream("netgen.rates"))
+profile = build_profile(network, cfg.zipf, rng.stream("netgen.rates"))
 
 print(f"running {cfg.duration_hours:.0f} virtual hours, synchronous fan-out, zero lag ...")
 artifacts = run_experiment(network, profile, cfg.store, cfg.duration_hours, cfg.seed,

@@ -18,7 +18,7 @@ from feedsim.config import anomaly_config
 cfg = anomaly_config()
 rng = RngStreams(cfg.seed)
 network = build_network(cfg.n_producers, cfg.n_consumers, cfg.zipf, rng.stream("netgen.graph"))
-profile = build_profile(network, cfg.zipf, cfg.scale, rng.stream("netgen.rates"))
+profile = build_profile(network, cfg.zipf, rng.stream("netgen.rates"))
 
 print(f"running {cfg.duration_hours:.0f} virtual hours at desk scale ...")
 artifacts = run_experiment(network, profile, cfg.store, cfg.duration_hours, cfg.seed,
@@ -40,7 +40,7 @@ print(f"gap summary: mean {report.gaps.mean_s:.0f} s, max {report.gaps.max_s:.0f
       f"{report.gaps.count_above_1s} above 1 s")
 
 print("\nG histogram (100 s buckets):")
-peak = max(count for _, count in report.histogram.nonempty_buckets())
-for bucket, count in report.histogram.nonempty_buckets():
+peak = max(report.histogram.values())
+for bucket, count in report.histogram.items():
     bar = "#" * max(1, round(40 * count / peak))
     print(f"  {bucket * 100:>5}-{bucket * 100 + 99:<5} {count:>5} {bar}")

@@ -20,7 +20,7 @@ from feedsim.config import anomaly_config
 cfg = anomaly_config()
 rng = RngStreams(cfg.seed)
 network = build_network(cfg.n_producers, cfg.n_consumers, cfg.zipf, rng.stream("netgen.graph"))
-profile = build_profile(network, cfg.zipf, cfg.scale, rng.stream("netgen.rates"))
+profile = build_profile(network, cfg.zipf, rng.stream("netgen.rates"))
 artifacts = run_experiment(network, profile, cfg.store, cfg.duration_hours, cfg.seed,
                            fanout=cfg.fanout, n_timeline=cfg.n_timeline)
 result = detect_all(artifacts.responses, artifacts.tweet_log, network,

@@ -4,7 +4,6 @@ observable-inconsistency detector and analytics pipeline."""
 from .analytics import (
     AnalyticsReport,
     CorrelationStudy,
-    GapHistogram,
     GapSummary,
     attribute_to_producers,
     build_report,

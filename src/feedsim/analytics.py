@@ -25,26 +25,17 @@ def inconsistency_rate(result: DetectionResult) -> float:
     return result.conflicting_count / result.analyzed_count
 
 
-@dataclass
-class GapHistogram:
-    counts: dict[int, int]
+def gap_histogram(result: DetectionResult) -> dict[int, int]:
+    """Count per-response G values per [k*w, (k+1)*w) second range, w = GAP_BUCKET_WIDTH_S.
 
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-    def nonempty_buckets(self) -> list[tuple[int, int]]:
-        return sorted(self.counts.items())
-
-
-def gap_histogram(result: DetectionResult) -> GapHistogram:
-    """Bucket per-response G values into [k*w, (k+1)*w) second ranges, w = GAP_BUCKET_WIDTH_S."""
+    Maps each nonempty bucket k to its count, in ascending k.
+    """
     width_us = GAP_BUCKET_WIDTH_S * MICROS_PER_SECOND
     counts: dict[int, int] = {}
     for g_us in result.per_response_G.values():
         bucket = g_us // width_us
         counts[bucket] = counts.get(bucket, 0) + 1
-    return GapHistogram(counts=counts)
+    return dict(sorted(counts.items()))
 
 
 @dataclass
@@ -150,7 +141,7 @@ def correlation_studies(result: DetectionResult,
 @dataclass
 class AnalyticsReport:
     rate: float | None
-    histogram: GapHistogram
+    histogram: dict[int, int]
     gaps: GapSummary
     attribution: dict[int, int]
     studies: list[CorrelationStudy]
@@ -201,7 +192,7 @@ def emit_report(report: AnalyticsReport, out_dir: str | Path) -> list[Path]:
     histogram_path = out / "gap_histogram.csv"
     with open(histogram_path, "w", encoding="utf-8", newline="") as fh:
         fh.write("bucket_start_s,count\n")
-        for bucket, count in report.histogram.nonempty_buckets():
+        for bucket, count in report.histogram.items():
             fh.write(f"{bucket * GAP_BUCKET_WIDTH_S},{count}\n")
     written.append(histogram_path)
 
@@ -238,7 +229,7 @@ def _render_summary(report: AnalyticsReport) -> str:
         lines.append(f"G above 1 s:           {gaps.count_above_1s}")
     lines.append("")
     lines.append("G histogram (bucket start s -> count):")
-    for bucket, count in report.histogram.nonempty_buckets():
+    for bucket, count in report.histogram.items():
         lines.append(f"  {bucket * GAP_BUCKET_WIDTH_S:>8} {count}")
     lines.append("")
     lines.append("correlation studies (spearman):")

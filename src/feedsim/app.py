@@ -162,14 +162,14 @@ class FeedApp:
         self.fanout = fanout or FanoutSettings()
         self.tweet_log: list[TweetEvent] = []
         self.responses: list[TimelineResponse] = []
+        # Each finished fan-out's delay from post to last commit; 0 for a
+        # tweet with no followers. An unfinished fan-out has no entry.
         self.fanout_completion_us: dict[tuple[int, int], int] = {}
-        self.retry_count = 0
         self._service_sample = make_sampler(self.fanout.service, rng.stream("app.fanout_delay"))
         self._order_rng = rng.stream("app.fanout_order")
         self._backoff_us = round(self.fanout.retry_backoff_ms * MICROS_PER_MS)
         # The seq of each posted tweet's pair, which orders timeline values.
         self._seqs: dict[tuple[int, int], int] = {}
-        self._active_fanouts: dict[tuple[int, int], _Fanout] = {}
         loop.set_handler(EventKind.TWEET_ARRIVAL, self.post_tweet)
         loop.set_handler(EventKind.TIMELINE_QUERY, self.query_timeline)
         loop.set_handler(EventKind.FANOUT_STEP, self._on_fanout_step)
@@ -187,11 +187,11 @@ class FeedApp:
             raise ValueError(f"producer {producer_id} already posted at t={tweet.t}")
         self.tweet_log.append(tweet)
         self._seqs[pair] = tweet.seq
-        self.fanout_completion_us[pair] = 0
         followers = self.network.followers[producer_id]
         if not followers:
+            self.fanout_completion_us[pair] = 0
             return tweet
-        fanout = self._active_fanouts[pair] = _Fanout(pair, len(followers))
+        fanout = _Fanout(pair, len(followers))
         if self.fanout.mode == "synchronous":
             # Nothing runs between the read and the write, so each write lands.
             for consumer_id in followers:
@@ -225,7 +225,6 @@ class FeedApp:
         new_value = insert_entry(expected, fanout.pair, self._seqs, self.n_timeline)
         result = self.store.conditional_write(consumer_id, expected, new_value)
         if not result.ok:
-            self.retry_count += 1
             self.loop.schedule(SimEvent(self.loop.now() + self._backoff_us, EventKind.RETRY_WRITE,
                                         (fanout, consumer_id, result.current)))
             return
@@ -233,7 +232,6 @@ class FeedApp:
         if fanout.pending == 0:
             # Commits come in clock order, so the last one is the latest.
             self.fanout_completion_us[fanout.pair] = self.loop.now() - fanout.pair[1]
-            del self._active_fanouts[fanout.pair]
 
     def _on_fanout_step(self, update: tuple[_Fanout, int, tuple | None]) -> None:
         self._write(update)
@@ -259,9 +257,6 @@ class FeedApp:
         )
         self.responses.append(response)
         return response
-
-    def unfinished_fanouts(self) -> list[tuple[int, int]]:
-        return sorted(self._active_fanouts, key=lambda key: (key[1], key[0]))
 
 
 def _poisson_times_us(rate_per_hour: float, duration_us: int,
@@ -322,9 +317,9 @@ def run_experiment(network: FollowingNetwork, profile: WorkloadProfile,
     loop.run_until(duration_us)
     loop.close()
 
-    completions = dict(app.fanout_completion_us)
-    for key in app.unfinished_fanouts():
-        completions[key] = duration_us - key[1]
+    # A fan-out still running at the horizon counts as finishing there.
+    completions = {(tw.producer_id, tw.t): duration_us - tw.t for tw in app.tweet_log}
+    completions.update(app.fanout_completion_us)
     trace = TraceStats(
         duration_us=duration_us,
         max_propagation_lag_us=store.max_lag_sample_us,
@@ -333,7 +328,8 @@ def run_experiment(network: FollowingNetwork, profile: WorkloadProfile,
         responses=len(app.responses),
         updates_committed=store.write_count,
         cas_failures=store.cas_failure_count,
-        retries=app.retry_count,
+        # _write retries every failed conditional write once.
+        retries=store.cas_failure_count,
         events_processed=loop.processed_count,
     )
     return RunArtifacts(tweet_log=app.tweet_log, responses=app.responses, trace=trace)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .analytics import AnalyticsReport, CorrelationStudy, GapHistogram
+from .analytics import AnalyticsReport, CorrelationStudy
 from .app import TraceStats
 from .detect import DetectionResult
 from .netgen import ValidationReport
@@ -58,17 +58,17 @@ def check_gap_bound(result: DetectionResult, trace: TraceStats) -> CheckOutcome:
                         f"violations: {violations} of {len(result.records)} records")
 
 
-def check_histogram_shape(histogram: GapHistogram) -> CheckOutcome:
-    buckets = histogram.nonempty_buckets()
-    if len(buckets) < HISTOGRAM_MIN_BUCKETS:
-        return CheckOutcome("gap_histogram_shape", False, f"only {len(buckets)} nonempty "
+def check_histogram_shape(histogram: dict[int, int]) -> CheckOutcome:
+    """The bucket -> count histogram, in bucket order, peaks first and decays."""
+    if len(histogram) < HISTOGRAM_MIN_BUCKETS:
+        return CheckOutcome("gap_histogram_shape", False, f"only {len(histogram)} nonempty "
                             f"buckets (need {HISTOGRAM_MIN_BUCKETS})")
-    counts = [count for _, count in buckets]
+    counts = list(histogram.values())
     peak_first = counts[0] == max(counts)
-    rho = rank_correlation([b for b, _ in buckets], counts)
+    rho = rank_correlation(list(histogram), counts)
     decaying = rho is not None and rho <= HISTOGRAM_DECAY_MAX_SPEARMAN
     passed = peak_first and decaying
-    detail = (f"{len(buckets)} nonempty buckets, first-bucket peak: {peak_first}, "
+    detail = (f"{len(histogram)} nonempty buckets, first-bucket peak: {peak_first}, "
               f"bucket/count spearman: {'n/a' if rho is None else f'{rho:+.3f}'}")
     return CheckOutcome("gap_histogram_shape", passed, detail)
 

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 from . import analytics, app, checks, detect, netgen
-from .config import ExperimentConfig, anomaly_config, is_zero_delay
+from .config import ExperimentConfig, is_zero_delay
 from .netgen import FollowingNetwork, ValidationReport, WorkloadProfile
 from .sim import IntegrityError, RngStreams, write_json
 
@@ -63,8 +63,7 @@ def cmd_gen(cfg: ExperimentConfig) -> tuple[FollowingNetwork, WorkloadProfile, V
     try:
         network = netgen.build_network(cfg.n_producers, cfg.n_consumers, cfg.zipf,
                                        rng.stream("netgen.graph"))
-        profile = netgen.build_profile(network, cfg.zipf, cfg.scale,
-                                       rng.stream("netgen.rates"))
+        profile = netgen.build_profile(network, cfg.zipf, rng.stream("netgen.rates"))
     except ValueError as exc:
         raise StageError("gen", str(exc)) from exc
     report = netgen.validate_profile(network, profile, cfg.zipf)
@@ -169,12 +168,7 @@ def cmd_repro(cfg: ExperimentConfig) -> int:
 
 
 def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
-    if args.config is not None:
-        cfg = ExperimentConfig.load(args.config)
-    elif args.command == "repro":
-        cfg = anomaly_config()
-    else:
-        cfg = ExperimentConfig()
+    cfg = ExperimentConfig() if args.config is None else ExperimentConfig.load(args.config)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     out_override = args.out or os.environ.get("FEEDSIM_OUT")
@@ -199,7 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         cmd = sub.add_parser(name, help=text)
         cmd.add_argument("--config", type=Path, default=None,
-                         help="experiment config JSON (defaults per subcommand)")
+                         help="experiment config JSON (default: the desk-scale "
+                              "anomaly experiment)")
         cmd.add_argument("--seed", type=int, default=None, help="override config seed")
         cmd.add_argument("--out", type=Path, default=None,
                          help="override output directory (also via FEEDSIM_OUT)")

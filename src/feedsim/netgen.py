@@ -9,7 +9,7 @@ network bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 
@@ -90,10 +90,16 @@ class FollowingNetwork:
     def in_degrees(self) -> np.ndarray:
         return np.array([len(self.followers[p]) for p in range(self.n_producers)], dtype=np.int64)
 
-    def validate(self) -> None:
-        """Check structural invariants; raises ValueError on violation."""
-        inverse: dict[int, list[int]] = {p: [] for p in range(self.n_producers)}
-        for consumer, producers in self.follows.items():
+    @classmethod
+    def from_follows(cls, n_producers: int, follows: dict[int, tuple[int, ...]],
+                     out_degree_ranks: np.ndarray | None = None) -> FollowingNetwork:
+        """The network of these follow lists, with each producer's followers sorted.
+
+        Raises ValueError naming the first consumer, by id, whose follow list
+        is empty, repeats a producer, is unsorted or names an unknown producer.
+        """
+        follower_lists: list[list[int]] = [[] for _ in range(n_producers)]
+        for consumer, producers in sorted(follows.items()):
             if len(producers) == 0:
                 raise ValueError(f"consumer {consumer} follows nobody")
             if len(set(producers)) != len(producers):
@@ -101,12 +107,12 @@ class FollowingNetwork:
             if tuple(sorted(producers)) != tuple(producers):
                 raise ValueError(f"consumer {consumer} follow list not sorted")
             for p in producers:
-                if not 0 <= p < self.n_producers:
+                if not 0 <= p < n_producers:
                     raise ValueError(f"consumer {consumer} follows unknown producer {p}")
-                inverse[p].append(consumer)
-        for p in range(self.n_producers):
-            if tuple(sorted(inverse[p])) != self.followers.get(p, ()):
-                raise ValueError(f"followers map is not the inverse of follows at producer {p}")
+                follower_lists[p].append(consumer)
+        return cls(n_producers, len(follows), follows,
+                   {p: tuple(consumers) for p, consumers in enumerate(follower_lists)},
+                   out_degree_ranks)
 
 
 @dataclass
@@ -115,8 +121,6 @@ class WorkloadProfile:
 
     producer_rate: np.ndarray
     consumer_rate: np.ndarray
-    zipf_params: ZipfParams | None = None
-    scale: float = 1.0
     producer_rate_ranks: np.ndarray | None = None
     consumer_rate_ranks: np.ndarray | None = None
 
@@ -198,39 +202,25 @@ def build_network(n_producers: int, n_consumers: int, zipf_params: ZipfParams,
     popularity = ZipfSampler(n_producers, zipf_params.consumers_per_producer.s)
     pop_pmf, pop_cdf = popularity.pmf, popularity._cdf
 
-    follows: dict[int, tuple[int, ...]] = {}
-    follower_lists: list[list[int]] = [[] for _ in range(n_producers)]
-    for consumer in range(n_consumers):
-        picks = _choose_distinct(pop_cdf, pop_pmf, int(degrees[consumer]), stream)
-        follows[consumer] = tuple(int(p) for p in picks)
-        for p in picks:
-            follower_lists[p].append(consumer)
-    followers = {p: tuple(follower_lists[p]) for p in range(n_producers)}
-
-    return FollowingNetwork(
-        n_producers=n_producers,
-        n_consumers=n_consumers,
-        follows=follows,
-        followers=followers,
-        out_degree_ranks=ranks,
-    )
+    follows = {consumer: tuple(_choose_distinct(pop_cdf, pop_pmf, int(degrees[consumer]),
+                                                stream).tolist())
+               for consumer in range(n_consumers)}
+    return FollowingNetwork.from_follows(n_producers, follows, out_degree_ranks=ranks)
 
 
-def build_profile(network: FollowingNetwork, zipf_params: ZipfParams, scale: float,
+def build_profile(network: FollowingNetwork, zipf_params: ZipfParams,
                   stream: np.random.Generator) -> WorkloadProfile:
     """Assign Zipf-shaped tweet/query rates, rescaled to exact target means.
 
     Rates are drawn independently of the follow graph, so a producer's
     popularity says nothing about how often it posts.
     """
-    if not 0 < scale <= 1:
-        raise ValueError("scale must be in (0, 1]")
 
     def draw_rates(count: int, pair: ZipfPair) -> tuple[np.ndarray, np.ndarray]:
         sampler = ZipfSampler(count, pair.s)
         ranks = sampler.sample_many(count, stream)
         values = ranks.astype(float)
-        rates = values * (pair.mean * scale / values.mean())
+        rates = values * (pair.mean / values.mean())
         return rates, ranks
 
     producer_rate, producer_ranks = draw_rates(network.n_producers,
@@ -240,8 +230,6 @@ def build_profile(network: FollowingNetwork, zipf_params: ZipfParams, scale: flo
     return WorkloadProfile(
         producer_rate=producer_rate,
         consumer_rate=consumer_rate,
-        zipf_params=zipf_params,
-        scale=scale,
         producer_rate_ranks=producer_ranks,
         consumer_rate_ranks=consumer_ranks,
     )
@@ -267,43 +255,38 @@ class ValidationReport:
 
 
 def validate_profile(network: FollowingNetwork, profile: WorkloadProfile,
-                     targets: ZipfParams | None = None) -> ValidationReport:
+                     targets: ZipfParams = ZipfParams()) -> ValidationReport:
     """Compare realized means and Zipf exponents against their targets.
 
     Exponent fits use the raw rank draws when the network/profile still
     carry them (generation time); for data loaded from disk the fit is
     skipped and only the means are checked.
     """
-    targets = targets or profile.zipf_params or ZipfParams()
-    scale = profile.scale
 
-    def check(name: str, values: np.ndarray, pair: ZipfPair, target_mean: float,
+    def check(name: str, values: np.ndarray, pair: ZipfPair,
               ranks: np.ndarray | None, rank_count: int,
               rank_size: bool = False) -> DistributionCheck:
         realized = float(np.mean(values))
-        mean_ok = abs(realized - target_mean) <= MEAN_TOLERANCE * target_mean
+        mean_ok = abs(realized - pair.mean) <= MEAN_TOLERANCE * pair.mean
         fitted: float | None = None
         if rank_size:
             fitted = rank_size_slope(values)
         elif ranks is not None and rank_count >= 2:
             fitted = zipf_rank_mle(ranks, rank_count)
         s_ok = None if fitted is None else abs(fitted - pair.s) <= EXPONENT_TOLERANCE
-        return DistributionCheck(name, target_mean, realized, mean_ok, pair.s, fitted, s_ok)
+        return DistributionCheck(name, pair.mean, realized, mean_ok, pair.s, fitted, s_ok)
 
     in_degrees = network.in_degrees()
     out_degrees = network.out_degrees()
     checks = [
         check("consumers_per_producer", in_degrees, targets.consumers_per_producer,
-              targets.consumers_per_producer.mean, None, network.n_producers, rank_size=True),
+              None, network.n_producers, rank_size=True),
         check("producers_per_consumer", out_degrees, targets.producers_per_consumer,
-              targets.producers_per_consumer.mean, network.out_degree_ranks,
-              network.n_producers),
+              network.out_degree_ranks, network.n_producers),
         check("producer_rate_per_hour", profile.producer_rate, targets.producer_rate_per_hour,
-              targets.producer_rate_per_hour.mean * scale, profile.producer_rate_ranks,
-              network.n_producers),
+              profile.producer_rate_ranks, network.n_producers),
         check("consumer_rate_per_hour", profile.consumer_rate, targets.consumer_rate_per_hour,
-              targets.consumer_rate_per_hour.mean * scale, profile.consumer_rate_ranks,
-              network.n_consumers),
+              profile.consumer_rate_ranks, network.n_consumers),
     ]
 
     rho = rank_correlation(in_degrees, profile.producer_rate)
@@ -355,14 +338,8 @@ def load_network_profile(path: str | Path) -> tuple[FollowingNetwork, WorkloadPr
     if set(consumer_rates) != set(range(n_consumers)):
         raise IntegrityError(f"{path}: consumer rate records do not match follow records")
 
-    follower_lists: dict[int, list[int]] = {p: [] for p in range(n_producers)}
-    for consumer in range(n_consumers):
-        for p in follows[consumer]:
-            follower_lists.setdefault(p, []).append(consumer)
-    followers = {p: tuple(sorted(follower_lists[p])) for p in range(n_producers)}
-    network = FollowingNetwork(n_producers, n_consumers, follows, followers)
     try:
-        network.validate()
+        network = FollowingNetwork.from_follows(n_producers, follows)
     except ValueError as exc:
         raise IntegrityError(f"{path}: {exc}") from exc
     profile = WorkloadProfile(

@@ -123,8 +123,8 @@ class EventLoop:
         self._heap: list[tuple[int, int, EventKind, Any]] = []
         self._arrivals: list[tuple[int, int, EventKind, Any]] = []
         self._now = 0
-        self._next_seq = 0
         self._handlers: dict[EventKind, Callable[[Any], None]] = {}
+        # Also the seq of the next queued event.
         self.scheduled_count = 0
         self.processed_count = 0
 
@@ -144,7 +144,7 @@ class EventLoop:
         if self.scheduled_count != len(self._arrivals):
             raise ValueError("arrivals must be added before any other event is queued")
         added = []
-        seq = self._next_seq
+        seq = self.scheduled_count
         for payload, times in times_per_payload:
             for fire_at in times:
                 if fire_at < self._now:
@@ -154,18 +154,16 @@ class EventLoop:
                 seq += 1
         self._arrivals += added
         self._arrivals.sort(reverse=True)
-        self.scheduled_count += len(added)
-        self._next_seq = seq
+        self.scheduled_count = seq
 
     def schedule(self, event: SimEvent) -> int:
         """Queue an event; returns its seq."""
         fire_at, kind, payload = event
         if fire_at < self._now:
             raise ValueError(f"cannot schedule event at t={fire_at} before now={self._now}")
-        seq = self._next_seq
-        self._next_seq = seq + 1
+        seq = self.scheduled_count
         heappush(self._heap, (fire_at, seq, kind, payload))
-        self.scheduled_count += 1
+        self.scheduled_count = seq + 1
         return seq
 
     def close(self) -> None:

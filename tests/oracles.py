@@ -107,19 +107,8 @@ def detector_conflict_set(result):
 
 def make_network(follows: dict[int, tuple[int, ...]], n_producers: int) -> FollowingNetwork:
     """Hand-build a network from explicit follow lists."""
-    followers: dict[int, list[int]] = {p: [] for p in range(n_producers)}
-    norm = {c: tuple(sorted(set(ps))) for c, ps in follows.items()}
-    for c, ps in norm.items():
-        for p in ps:
-            followers[p].append(c)
-    net = FollowingNetwork(
-        n_producers=n_producers,
-        n_consumers=len(norm),
-        follows=norm,
-        followers={p: tuple(sorted(cs)) for p, cs in followers.items()},
-    )
-    net.validate()
-    return net
+    return FollowingNetwork.from_follows(
+        n_producers, {c: tuple(sorted(set(ps))) for c, ps in follows.items()})
 
 
 def random_instance(rng: np.random.Generator):

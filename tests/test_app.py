@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import feedsim.app as app_module
 from feedsim.app import (
     FanoutSettings,
     FeedApp,
@@ -169,7 +170,6 @@ def test_retry_after_conditional_write_conflict():
     loop.run_until(5_000)
     app.post_tweet(1)            # expectation fetched now, CAS at 15ms fails
     loop.run_until(60_000)
-    assert app.retry_count == 1
     assert store.cas_failure_count == 1
     value = store.authoritative_read(0)
     assert len(value) == 2
@@ -272,20 +272,47 @@ def test_run_leaves_no_loop_for_the_garbage_collector():
     assert artifacts.responses and alive == []
 
 
-def test_incomplete_fanouts_reported_as_horizon_delay():
-    follows = {0: (0,)}
-    network = make_network(follows, 1)
-    profile = WorkloadProfile(producer_rate=np.array([30.0]),
-                              consumer_rate=np.array([0.001]))
+def test_incomplete_fanouts_reported_as_horizon_delay(monkeypatch):
+    # Each tweet's delay is checked against the commits that inserted it:
+    # its last commit for a finished fan-out, the horizon for an unfinished
+    # one, and 0 for producer 2, which has no followers.
+    commit_times: dict[tuple[int, int], list[int]] = {}
+
+    class CommitRecordingStore(ReplicatedStore):
+        def conditional_write(self, key, expected, new_value):
+            result = super().conditional_write(key, expected, new_value)
+            if result.ok:
+                for pair in set(new_value) - set(expected or ()):
+                    commit_times.setdefault(pair, []).append(result.ack.commit_time)
+            return result
+
+    monkeypatch.setattr(app_module, "ReplicatedStore", CommitRecordingStore)
+    network = make_network({0: (0, 1), 1: (0,), 2: (0,)}, 3)
+    profile = WorkloadProfile(producer_rate=np.array([30.0, 30.0, 30.0]),
+                              consumer_rate=np.array([0.001, 0.001, 0.001]))
+    # Five-minute mean service on one lane: producer 0's three updates
+    # overlap its later tweets and producer 1's, so some writes retry.
     artifacts = run_experiment(
-        network, profile, StoreConfig(), 0.5, seed=2,
-        fanout=FanoutSettings(service=DistributionSpec("constant", 10 * 60 * 1000.0)))
+        network, profile, StoreConfig(), 0.5, seed=2, n_timeline=10_000,
+        fanout=FanoutSettings(service=DistributionSpec("exponential", 5 * 60 * 1000.0),
+                              concurrency_cap=1))
     duration = round(0.5 * MICROS_PER_HOUR)
-    unfinished = [tw for tw in artifacts.tweet_log
-                  if tw.t + 600_000_000 > duration]
-    assert unfinished, "expected at least one fan-out past the horizon"
-    for tw in unfinished:
-        assert artifacts.trace.fanout_completion_us[(tw.producer_id, tw.t)] == duration - tw.t
+    kinds = []
+    for tw in artifacts.tweet_log:
+        pair = (tw.producer_id, tw.t)
+        commits = commit_times.get(pair, [])
+        followers = network.followers[tw.producer_id]
+        if not followers:
+            kind, expected = "no followers", 0
+        elif len(commits) == len(followers):
+            kind, expected = "finished", max(commits) - tw.t
+        else:
+            kind, expected = "unfinished", duration - tw.t
+        assert artifacts.trace.fanout_completion_us[pair] == expected, (kind, tw)
+        kinds.append(kind)
+    assert {"no followers", "finished", "unfinished"} <= set(kinds)
+    assert len(artifacts.trace.fanout_completion_us) == len(artifacts.tweet_log)
+    assert artifacts.trace.retries == artifacts.trace.cas_failures > 0
 
 
 def test_log_files_roundtrip(tmp_path):

@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from feedsim.app import FanoutSettings
-from feedsim.cli import main
+from feedsim.cli import _resolve_config, build_parser, main
 from feedsim.config import (
     ExperimentConfig,
     anomaly_config,
@@ -49,14 +49,14 @@ def test_config_roundtrips_unchanged(tmp_path):
 # The benchmark leaves config_used.json out of its digests, so the wire
 # format is pinned here: keys, nesting, order and number spellings.
 DEFAULT_CONFIG_JSON = (
-    '{"seed": 1, "scale": 1.0, "n_producers": 679, "n_consumers": 1963, '
+    '{"seed": 39, "n_producers": 679, "n_consumers": 1963, '
     '"zipf": {"consumers_per_producer": {"mean": 13.38, "s": 0.39}, '
     '"producers_per_consumer": {"mean": 4.63, "s": 0.62}, '
     '"producer_rate_per_hour": {"mean": 1.0, "s": 0.57}, '
     '"consumer_rate_per_hour": {"mean": 5.8, "s": 0.62}}, '
     '"store": {"n_replicas": 3, "lag": {"distribution": "exponential", "mean_ms": 500.0}}, '
     '"fanout": {"mode": "scheduled", "service": {"distribution": "exponential", '
-    '"mean_ms": 20.0}, "concurrency_cap": null, "retry_backoff_ms": 10.0}, '
+    '"mean_ms": 7500.0}, "concurrency_cap": 1, "retry_backoff_ms": 10.0}, '
     '"n_timeline": 20, "duration_hours": 2.0, "analysis_window_fraction": 0.5, '
     '"out_dir": "out"}'
 )
@@ -64,6 +64,19 @@ DEFAULT_CONFIG_JSON = (
 
 def test_config_wire_format_is_pinned():
     assert json.dumps(ExperimentConfig().to_dict()) == DEFAULT_CONFIG_JSON
+
+
+def test_every_subcommand_runs_the_same_default_experiment(tmp_path, monkeypatch):
+    # No config and an empty config both mean the paper's experiment, so
+    # bare `repro` writes what `repro --config {}` writes.
+    monkeypatch.delenv("FEEDSIM_OUT", raising=False)
+    empty = tmp_path / "empty.json"
+    empty.write_text("{}")
+    parser = build_parser()
+    for command in ("gen", "run", "detect", "report", "repro"):
+        bare = _resolve_config(parser.parse_args([command]))
+        from_empty = _resolve_config(parser.parse_args([command, "--config", str(empty)]))
+        assert bare == from_empty == anomaly_config(), command
 
 
 def test_canned_configs_roundtrip_through_json():
@@ -80,7 +93,8 @@ def test_integer_and_float_spellings_write_the_same_bytes(tmp_path, monkeypatch)
     for spelling, number in (("int", 1), ("float", 1.0)):
         run_dir = tmp_path / spelling
         run_dir.mkdir()
-        data.update(analysis_window_fraction=number, duration_hours=number, scale=number)
+        data.update(analysis_window_fraction=number, duration_hours=number)
+        data["zipf"]["producer_rate_per_hour"]["mean"] = number
         (run_dir / "config.json").write_text(json.dumps(data))
         monkeypatch.chdir(run_dir)
         code = main(["repro", "--config", "config.json"])
@@ -94,7 +108,7 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     # Misspelt keys at every depth, and keys of removed fields.
     for dotted in ("mystery", "fanout.retry_backof_ms", "store.lag_mean", "store.lag.sigma",
                    "zipf.consumers_per_producer.sd", "store.read_policy",
-                   "store.write_home_policy"):
+                   "store.write_home_policy", "scale"):
         data = ExperimentConfig().to_dict()
         *parents, leaf = dotted.split(".")
         node = data
@@ -152,7 +166,8 @@ BAD_CONFIG_VALUES = [
     ('{"out_dir": ["x"]}', "config key 'out_dir' must be a string, not an array"),
     ('{"duration_hours": NaN}', "config key 'duration_hours' must be finite, not nan"),
     ('{"duration_hours": Infinity}', "config key 'duration_hours' must be finite, not inf"),
-    ('{"scale": 1e400}', "config key 'scale' must be finite, not inf"),
+    ('{"analysis_window_fraction": 1e400}',
+     "config key 'analysis_window_fraction' must be finite, not inf"),
     ('{"fanout": {"retry_backoff_ms": NaN}}',
      "config key 'fanout.retry_backoff_ms' must be finite, not nan"),
     ('{"store": {"lag": {"mean_ms": Infinity}}}',
@@ -388,6 +403,8 @@ def test_corrupt_stage_input_exits_1_naming_the_file(tmp_path, capsys, staged_ou
     ("run", "network_profile.jsonl", "p", [0, 999_999]),
     ("report", "conflicts.jsonl", "producer_id", "999999"),
     ("report", "conflicts.jsonl", "consumer_id", "999999"),
+    ("run", "network_profile.jsonl", "p", []),
+    ("run", "network_profile.jsonl", "p", [0, 0]),
 ])
 def test_ids_unknown_to_the_network_exit_1(tmp_path, capsys, staged_outputs,
                                            stage, name, key, unknown):

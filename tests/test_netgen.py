@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from feedsim.netgen import (
+    FollowingNetwork,
     InfeasibleParametersError,
     ZipfPair,
     ZipfParams,
@@ -26,7 +27,7 @@ def desk_network(seed=11):
     rng = RngStreams(seed)
     net = build_network(DESK["n_producers"], DESK["n_consumers"], ZipfParams(),
                         rng.stream("netgen.graph"))
-    profile = build_profile(net, ZipfParams(), 1.0, rng.stream("netgen.rates"))
+    profile = build_profile(net, ZipfParams(), rng.stream("netgen.rates"))
     return net, profile
 
 
@@ -64,17 +65,36 @@ def test_build_network_single_producer():
     net = build_network(1, 3, params, stream())
     assert net.follows == {0: (0,), 1: (0,), 2: (0,)}
     assert net.followers == {0: (0, 1, 2)}
-    net.validate()
 
 
 def test_build_network_desk_scale_targets():
     net, _ = desk_network()
-    net.validate()
+    assert net.followers == {p: tuple(c for c in range(net.n_consumers) if p in net.follows[c])
+                             for p in range(net.n_producers)}
     out_degrees = net.out_degrees()
     in_degrees = net.in_degrees()
     assert abs(out_degrees.mean() - 4.63) <= 0.1 * 4.63
     assert abs(in_degrees.mean() - 13.38) <= 0.1 * 13.38
     assert out_degrees.sum() == in_degrees.sum() == net.edge_count
+
+
+def test_from_follows_derives_sorted_followers():
+    # Consumers out of id order, as a network file may list them.
+    net = FollowingNetwork.from_follows(3, {2: (0, 2), 0: (1, 2), 1: (2,)})
+    assert (net.n_producers, net.n_consumers) == (3, 3)
+    assert net.followers == {0: (2,), 1: (0,), 2: (0, 1, 2)}
+
+
+@pytest.mark.parametrize("follows,message", [
+    ({0: (0,), 1: ()}, "consumer 1 follows nobody"),
+    ({0: (1, 1)}, "consumer 0 has duplicate follows"),
+    ({0: (1, 0)}, "consumer 0 follow list not sorted"),
+    ({0: (0, 2)}, "consumer 0 follows unknown producer 2"),
+    ({0: (-1, 0)}, "consumer 0 follows unknown producer -1"),
+])
+def test_from_follows_rejects_bad_follow_lists(follows, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        FollowingNetwork.from_follows(2, follows)
 
 
 def test_build_network_rejects_imbalanced_means():
@@ -109,18 +129,11 @@ def test_profile_hits_means_exactly_and_stays_positive():
     assert profile.consumer_rate.min() > 0
 
 
-def test_profile_scale_halves_means():
-    net, _ = desk_network()
-    profile = build_profile(net, ZipfParams(), 0.5, stream("rates"))
-    assert abs(profile.producer_rate.mean() - 0.5) < 1e-6
-    assert abs(profile.consumer_rate.mean() - 2.9) < 1e-6
-
-
 def test_profile_single_producer_rate_is_the_mean():
     params = ZipfParams(consumers_per_producer=ZipfPair(3.0, 0.39),
                         producers_per_consumer=ZipfPair(1.0, 0.62))
     net = build_network(1, 3, params, stream())
-    profile = build_profile(net, params, 1.0, stream("rates"))
+    profile = build_profile(net, params, stream("rates"))
     assert profile.producer_rate[0] == pytest.approx(1.0)
 
 
@@ -204,7 +217,7 @@ def test_full_scale_shape_targets():
     assert abs(in_degrees.mean() - 13.38) <= 0.1 * 13.38
     assert in_degrees.max() > 30 * in_degrees.mean()  # heavy popularity head
     assert out_degrees.max() <= 25
-    profile = build_profile(net, ZipfParams(), 1.0, rng.stream("netgen.rates"))
+    profile = build_profile(net, ZipfParams(), rng.stream("netgen.rates"))
     assert abs(profile.producer_rate.mean() - 1.0) < 1e-6
     assert abs(profile.consumer_rate.mean() - 5.8) < 1e-6
     rho = rank_correlation(in_degrees, profile.producer_rate)

@@ -12,8 +12,8 @@ rng = RngStreams(7)
 params = ZipfParams()  # desk defaults: 13.38 followers, 4.63 follows, 1 and 5.8 events/h
 
 print("generating 679 producers x 1963 consumers ...")
-network = build_network(679, 1963, params, rng.stream("netgen.graph"))
-profile = build_profile(network, params, rng.stream("netgen.rates"))
+network = build_network(679, 1963, params, rng)
+profile = build_profile(network, params, rng)
 
 out_degrees = network.out_degrees()
 in_degrees = network.in_degrees()

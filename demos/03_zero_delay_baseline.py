@@ -12,12 +12,11 @@ from feedsim.config import zero_delay_config
 cfg = replace(zero_delay_config(seed=1), n_producers=136, n_consumers=393,
               duration_hours=2.0)
 rng = RngStreams(cfg.seed)
-network = build_network(cfg.n_producers, cfg.n_consumers, cfg.zipf, rng.stream("netgen.graph"))
-profile = build_profile(network, cfg.zipf, rng.stream("netgen.rates"))
+network = build_network(cfg.n_producers, cfg.n_consumers, cfg.zipf, rng)
+profile = build_profile(network, cfg.zipf, rng)
 
 print(f"running {cfg.duration_hours:.0f} virtual hours, synchronous fan-out, zero lag ...")
-artifacts = run_experiment(network, profile, cfg.store, cfg.duration_hours, cfg.seed,
-                           fanout=cfg.fanout, n_timeline=cfg.n_timeline)
+artifacts = run_experiment(network, profile, cfg)
 print(f"{artifacts.trace.tweets} tweets, {artifacts.trace.responses} responses, "
       f"{artifacts.trace.updates_committed} timeline writes")
 

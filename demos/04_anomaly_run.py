@@ -17,15 +17,14 @@ from feedsim.config import anomaly_config
 
 cfg = anomaly_config()
 rng = RngStreams(cfg.seed)
-network = build_network(cfg.n_producers, cfg.n_consumers, cfg.zipf, rng.stream("netgen.graph"))
-profile = build_profile(network, cfg.zipf, rng.stream("netgen.rates"))
+network = build_network(cfg.n_producers, cfg.n_consumers, cfg.zipf, rng)
+profile = build_profile(network, cfg.zipf, rng)
 
 print(f"running {cfg.duration_hours:.0f} virtual hours at desk scale ...")
-artifacts = run_experiment(network, profile, cfg.store, cfg.duration_hours, cfg.seed,
-                           fanout=cfg.fanout, n_timeline=cfg.n_timeline)
+artifacts = run_experiment(network, profile, cfg)
 trace = artifacts.trace
 print(f"{trace.tweets} tweets, {trace.responses} responses, "
-      f"{trace.retries} conditional-write retries")
+      f"{trace.cas_failures} conditional-write retries")
 slowest = max(trace.fanout_completion_us.values())
 print(f"slowest fan-out completion: {slowest / 1e6:.0f} s")
 

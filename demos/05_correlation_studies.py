@@ -19,10 +19,9 @@ from feedsim.config import anomaly_config
 
 cfg = anomaly_config()
 rng = RngStreams(cfg.seed)
-network = build_network(cfg.n_producers, cfg.n_consumers, cfg.zipf, rng.stream("netgen.graph"))
-profile = build_profile(network, cfg.zipf, rng.stream("netgen.rates"))
-artifacts = run_experiment(network, profile, cfg.store, cfg.duration_hours, cfg.seed,
-                           fanout=cfg.fanout, n_timeline=cfg.n_timeline)
+network = build_network(cfg.n_producers, cfg.n_consumers, cfg.zipf, rng)
+profile = build_profile(network, cfg.zipf, rng)
+artifacts = run_experiment(network, profile, cfg)
 result = detect_all(artifacts.responses, artifacts.tweet_log, network,
                     n_timeline=cfg.n_timeline,
                     analysis_window_fraction=cfg.analysis_window_fraction)

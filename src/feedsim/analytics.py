@@ -18,10 +18,11 @@ MICROS_PER_SECOND = 1_000_000
 GAP_BUCKET_WIDTH_S = 100
 
 
-def inconsistency_rate(result: DetectionResult) -> float:
-    """Fraction of analyzed responses with at least one observable conflict."""
+def inconsistency_rate(result: DetectionResult) -> float | None:
+    """Fraction of analyzed responses with at least one observable conflict;
+    None when nothing was analyzed."""
     if result.analyzed_count == 0:
-        raise ValueError("no responses analyzed")
+        return None
     return result.conflicting_count / result.analyzed_count
 
 
@@ -73,12 +74,11 @@ class CorrelationStudy:
     y_label: str
     points: list[tuple[float, float]]
     spearman: float | None
-    log_log: bool = True
     degenerate: bool = False
 
     def to_dict(self) -> dict:
         return {"x_label": self.x_label, "y_label": self.y_label,
-                "spearman": self.spearman, "log_log": self.log_log,
+                "spearman": self.spearman, "log_log": True,
                 "degenerate": self.degenerate, "n_points": len(self.points)}
 
 
@@ -140,27 +140,22 @@ def correlation_studies(result: DetectionResult,
 
 @dataclass
 class AnalyticsReport:
+    result: DetectionResult
     rate: float | None
     histogram: dict[int, int]
     gaps: GapSummary
     attribution: dict[int, int]
     studies: list[CorrelationStudy]
-    analyzed_count: int
-    conflicting_count: int
-    record_count: int
 
 
 def build_report(result: DetectionResult, network: FollowingNetwork) -> AnalyticsReport:
-    rate = inconsistency_rate(result) if result.analyzed_count else None
     return AnalyticsReport(
-        rate=rate,
+        result=result,
+        rate=inconsistency_rate(result),
         histogram=gap_histogram(result),
         gaps=summarize_gaps(result),
         attribution=attribute_to_producers(result, network),
         studies=correlation_studies(result, network),
-        analyzed_count=result.analyzed_count,
-        conflicting_count=result.conflicting_count,
-        record_count=len(result.records),
     )
 
 
@@ -178,11 +173,12 @@ def emit_report(report: AnalyticsReport, out_dir: str | Path) -> list[Path]:
     out.mkdir(parents=True, exist_ok=True)
     written = []
 
+    result = report.result
     totals_path = out / "totals.json"
     write_json(totals_path, {
-        "analyzed_responses": report.analyzed_count,
-        "conflicting_responses": report.conflicting_count,
-        "conflict_records": report.record_count,
+        "analyzed_responses": result.analyzed_count,
+        "conflicting_responses": result.conflicting_count,
+        "conflict_records": len(result.records),
         "inconsistency_rate": report.rate,
         "gap_summary": asdict(report.gaps),
         "studies": [study.to_dict() for study in report.studies],
@@ -212,10 +208,11 @@ def emit_report(report: AnalyticsReport, out_dir: str | Path) -> list[Path]:
 
 
 def _render_summary(report: AnalyticsReport) -> str:
+    result = report.result
     lines = ["feed-following inconsistency report", ""]
-    lines.append(f"analyzed responses:    {report.analyzed_count}")
-    lines.append(f"conflicting responses: {report.conflicting_count}")
-    lines.append(f"conflict records:      {report.record_count}")
+    lines.append(f"analyzed responses:    {result.analyzed_count}")
+    lines.append(f"conflicting responses: {result.conflicting_count}")
+    lines.append(f"conflict records:      {len(result.records)}")
     if report.rate is None:
         lines.append("inconsistency rate:    n/a (nothing analyzed)")
     else:

@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -30,7 +31,13 @@ from .sim import (
     to_iso,
     write_jsonl,
 )
-from .store import ReplicatedStore, StoreConfig
+from .store import ReplicatedStore
+
+if TYPE_CHECKING:
+    from .config import ExperimentConfig
+
+# A failed conditional write is retried this long after it failed.
+RETRY_BACKOFF_US = 10 * MICROS_PER_MS
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,15 +73,12 @@ class FanoutSettings:
     mode: str = "scheduled"
     service: DistributionSpec = field(default_factory=lambda: DistributionSpec("exponential", 20.0))
     concurrency_cap: int | None = None
-    retry_backoff_ms: float = 10.0
 
     def __post_init__(self):
         if self.mode not in ("scheduled", "synchronous"):
             raise ValueError(f"unknown fan-out mode: {self.mode!r}")
         if self.concurrency_cap is not None and self.concurrency_cap < 1:
             raise ValueError("concurrency_cap must be >= 1 or None")
-        if self.retry_backoff_ms <= 0:
-            raise ValueError("retry_backoff_ms must be positive")
 
 
 # A timeline value is the tuple of (producer_id, t) pairs a response serves,
@@ -118,7 +122,6 @@ class TraceStats:
     responses: int = 0
     updates_committed: int = 0
     cas_failures: int = 0
-    retries: int = 0
     events_processed: int = 0
 
     def to_dict(self) -> dict:
@@ -134,7 +137,8 @@ class TraceStats:
             "responses": self.responses,
             "updates_committed": self.updates_committed,
             "cas_failures": self.cas_failures,
-            "retries": self.retries,
+            # _write retries every failed conditional write once.
+            "retries": self.cas_failures,
             "events_processed": self.events_processed,
             "fanout_completions": completions,
         }
@@ -151,15 +155,14 @@ class FeedApp:
     """Application layer bound to one event loop and one store."""
 
     def __init__(self, network: FollowingNetwork, loop: EventLoop, store: ReplicatedStore,
-                 rng: RngStreams, n_timeline: int = 20,
-                 fanout: FanoutSettings | None = None):
+                 rng: RngStreams, fanout: FanoutSettings, n_timeline: int):
         if n_timeline < 1:
             raise ValueError("n_timeline must be >= 1")
         self.network = network
         self.loop = loop
         self.store = store
         self.n_timeline = n_timeline
-        self.fanout = fanout or FanoutSettings()
+        self.fanout = fanout
         self.tweet_log: list[TweetEvent] = []
         self.responses: list[TimelineResponse] = []
         # Each finished fan-out's delay from post to last commit; 0 for a
@@ -167,7 +170,6 @@ class FeedApp:
         self.fanout_completion_us: dict[tuple[int, int], int] = {}
         self._service_sample = make_sampler(self.fanout.service, rng.stream("app.fanout_delay"))
         self._order_rng = rng.stream("app.fanout_order")
-        self._backoff_us = round(self.fanout.retry_backoff_ms * MICROS_PER_MS)
         # The seq of each posted tweet's pair, which orders timeline values.
         self._seqs: dict[tuple[int, int], int] = {}
         loop.set_handler(EventKind.TWEET_ARRIVAL, self.post_tweet)
@@ -225,7 +227,7 @@ class FeedApp:
         new_value = insert_entry(expected, fanout.pair, self._seqs, self.n_timeline)
         result = self.store.conditional_write(consumer_id, expected, new_value)
         if not result.ok:
-            self.loop.schedule(SimEvent(self.loop.now() + self._backoff_us, EventKind.RETRY_WRITE,
+            self.loop.schedule(SimEvent(self.loop.now() + RETRY_BACKOFF_US, EventKind.RETRY_WRITE,
                                         (fanout, consumer_id, result.current)))
             return
         fanout.pending -= 1
@@ -288,20 +290,18 @@ def _strictly_increasing(times: list[int]) -> list[int]:
 
 
 def run_experiment(network: FollowingNetwork, profile: WorkloadProfile,
-                   store_config: StoreConfig, duration_hours: float, seed: int, *,
-                   fanout: FanoutSettings | None = None, n_timeline: int = 20) -> RunArtifacts:
+                   cfg: ExperimentConfig) -> RunArtifacts:
     """Run per-producer Poisson posts and per-consumer Poisson queries.
 
+    cfg's seed, store, fanout, duration_hours and n_timeline fix the run.
     Returns the immutable tweet log, the full response log, and trace
     statistics for auditing.
     """
-    if duration_hours < 0:
-        raise ValueError("duration_hours must be >= 0")
-    duration_us = round(duration_hours * MICROS_PER_HOUR)
-    rng = RngStreams(seed)
+    duration_us = round(cfg.duration_hours * MICROS_PER_HOUR)
+    rng = RngStreams(cfg.seed)
     loop = EventLoop()
-    store = ReplicatedStore(store_config, loop, rng)
-    app = FeedApp(network, loop, store, rng, n_timeline=n_timeline, fanout=fanout)
+    store = ReplicatedStore(cfg.store, loop, rng)
+    app = FeedApp(network, loop, store, rng, cfg.fanout, cfg.n_timeline)
 
     tweet_stream = rng.stream("workload.tweet_times")
     loop.add_arrivals(EventKind.TWEET_ARRIVAL, (
@@ -328,8 +328,6 @@ def run_experiment(network: FollowingNetwork, profile: WorkloadProfile,
         responses=len(app.responses),
         updates_committed=store.write_count,
         cas_failures=store.cas_failure_count,
-        # _write retries every failed conditional write once.
-        retries=store.cas_failure_count,
         events_processed=loop.processed_count,
     )
     return RunArtifacts(tweet_log=app.tweet_log, responses=app.responses, trace=trace)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .analytics import AnalyticsReport, CorrelationStudy
+from .analytics import AnalyticsReport, CorrelationStudy, inconsistency_rate
 from .app import TraceStats
 from .detect import DetectionResult
 from .netgen import ValidationReport
@@ -37,9 +37,9 @@ def check_zero_conflicts(result: DetectionResult) -> CheckOutcome:
 
 
 def check_rate_positive(result: DetectionResult) -> CheckOutcome:
-    if result.analyzed_count == 0:
+    rate = inconsistency_rate(result)
+    if rate is None:
         return CheckOutcome("nonzero_anomaly_rate", False, "no responses analyzed")
-    rate = result.conflicting_count / result.analyzed_count
     return CheckOutcome("nonzero_anomaly_rate", rate > 0,
                         f"rate {rate:.4%} ({result.conflicting_count}/{result.analyzed_count})")
 

@@ -61,9 +61,8 @@ def cmd_gen(cfg: ExperimentConfig) -> tuple[FollowingNetwork, WorkloadProfile, V
     out = _out_dir(cfg)
     rng = RngStreams(cfg.seed)
     try:
-        network = netgen.build_network(cfg.n_producers, cfg.n_consumers, cfg.zipf,
-                                       rng.stream("netgen.graph"))
-        profile = netgen.build_profile(network, cfg.zipf, rng.stream("netgen.rates"))
+        network = netgen.build_network(cfg.n_producers, cfg.n_consumers, cfg.zipf, rng)
+        profile = netgen.build_profile(network, cfg.zipf, rng)
     except ValueError as exc:
         raise StageError("gen", str(exc)) from exc
     report = netgen.validate_profile(network, profile, cfg.zipf)
@@ -86,8 +85,7 @@ def cmd_run(cfg: ExperimentConfig, network: FollowingNetwork | None = None,
     out = _out_dir(cfg)
     if network is None:
         network, profile = _read("run", netgen.load_network_profile, out / NETWORK_FILE)
-    artifacts = app.run_experiment(network, profile, cfg.store, cfg.duration_hours,
-                                   cfg.seed, fanout=cfg.fanout, n_timeline=cfg.n_timeline)
+    artifacts = app.run_experiment(network, profile, cfg)
     app.save_tweet_log(out / TWEETS_FILE, artifacts.tweet_log)
     app.save_response_log(out / RESPONSES_FILE, artifacts.responses)
     write_json(out / TRACE_FILE, artifacts.trace.to_dict())
@@ -95,7 +93,7 @@ def cmd_run(cfg: ExperimentConfig, network: FollowingNetwork | None = None,
     print(f"run: {artifacts.trace.tweets} tweets ({artifacts.trace.tweets / hours:.1f}/h), "
           f"{artifacts.trace.responses} responses ({artifacts.trace.responses / hours:.1f}/h)")
     print(f"run: {artifacts.trace.updates_committed} timeline writes, "
-          f"{artifacts.trace.retries} retries, "
+          f"{artifacts.trace.cas_failures} retries, "
           f"{artifacts.trace.events_processed} events processed")
     return artifacts
 

@@ -195,12 +195,9 @@ def classify(response: TimelineResponse, missing: Triple, position: Position,
     )
 
 
-def inconsistency_time_gap(response: TimelineResponse,
-                           observable_missing: Sequence[ConflictRecord]) -> int | None:
-    """G = max(T - t) over the response's observable conflicts, microseconds."""
-    if not observable_missing:
-        return None
-    return max(response.T - record.t for record in observable_missing)
+def inconsistency_time_gap(records: Sequence[ConflictRecord]) -> int | None:
+    """G = max(T - t) over one response's conflict records, microseconds."""
+    return max((record.gap_us for record in records), default=None)
 
 
 @dataclass
@@ -228,8 +225,8 @@ class DetectionResult:
 
 def detect_all(responses: Sequence[TimelineResponse],
                tweet_log: Sequence[TweetEvent] | TweetIndex,
-               network: FollowingNetwork, *, n_timeline: int = 20,
-               analysis_window_fraction: float = 0.5) -> DetectionResult:
+               network: FollowingNetwork, *, n_timeline: int,
+               analysis_window_fraction: float) -> DetectionResult:
     """Run the full pipeline over the configured analysis window.
 
     The warm-up prefix is dropped: only the latter analysis_window_fraction
@@ -276,7 +273,7 @@ def detect_all(responses: Sequence[TimelineResponse],
                        if (record := classify(resp, triple, position, witness_index)) is not None]
         if own_records:
             records.extend(own_records)
-            per_response_G[resp.response_id] = inconsistency_time_gap(resp, own_records)
+            per_response_G[resp.response_id] = inconsistency_time_gap(own_records)
 
     return DetectionResult(
         records=records,

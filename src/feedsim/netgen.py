@@ -9,13 +9,14 @@ network bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .sim import IntegrityError, read_jsonl, write_jsonl
+from .sim import IntegrityError, RngStreams, read_jsonl, write_jsonl
 from .stats import rank_correlation, rank_size_slope, zipf_rank_mle
 
 MEAN_TOLERANCE = 0.10
@@ -172,8 +173,8 @@ def _choose_distinct(cdf: np.ndarray, pmf: np.ndarray, k: int,
 
 
 def build_network(n_producers: int, n_consumers: int, zipf_params: ZipfParams,
-                  stream: np.random.Generator) -> FollowingNetwork:
-    """Generate the static follow relation.
+                  rng: RngStreams) -> FollowingNetwork:
+    """Generate the static follow relation from rng's "netgen.graph" stream.
 
     Each consumer's out-degree is an iid Zipf rank draw rescaled to the
     target mean; it then picks that many distinct producers with
@@ -194,6 +195,7 @@ def build_network(n_producers: int, n_consumers: int, zipf_params: ZipfParams,
             f"({edges_in:.1f}) disagree beyond rounding"
         )
 
+    stream = rng.stream("netgen.graph")
     out_sampler = ZipfSampler(n_producers, zipf_params.producers_per_consumer.s)
     f = _calibrate_degree_scale(out_sampler, mean_out, n_producers)
     ranks = out_sampler.sample_many(n_consumers, stream)
@@ -209,12 +211,14 @@ def build_network(n_producers: int, n_consumers: int, zipf_params: ZipfParams,
 
 
 def build_profile(network: FollowingNetwork, zipf_params: ZipfParams,
-                  stream: np.random.Generator) -> WorkloadProfile:
+                  rng: RngStreams) -> WorkloadProfile:
     """Assign Zipf-shaped tweet/query rates, rescaled to exact target means.
 
-    Rates are drawn independently of the follow graph, so a producer's
-    popularity says nothing about how often it posts.
+    Rates come from rng's "netgen.rates" stream, drawn independently of the
+    follow graph, so a producer's popularity says nothing about how often
+    it posts.
     """
+    stream = rng.stream("netgen.rates")
 
     def draw_rates(count: int, pair: ZipfPair) -> tuple[np.ndarray, np.ndarray]:
         sampler = ZipfSampler(count, pair.s)
@@ -255,7 +259,7 @@ class ValidationReport:
 
 
 def validate_profile(network: FollowingNetwork, profile: WorkloadProfile,
-                     targets: ZipfParams = ZipfParams()) -> ValidationReport:
+                     targets: ZipfParams) -> ValidationReport:
     """Compare realized means and Zipf exponents against their targets.
 
     Exponent fits use the raw rank draws when the network/profile still
@@ -312,13 +316,25 @@ def save_network_profile(path: str | Path, network: FollowingNetwork,
     ))
 
 
+def _record_id(value) -> int:
+    if type(value) is not int:  # a JSON integer; a boolean is not one
+        raise ValueError(f"id {value!r} is not an integer")
+    return value
+
+
+def _record_rate(value) -> float:
+    if type(value) not in (int, float) or not math.isfinite(value) or value < 0:
+        raise ValueError(f"rate {value!r} is not a finite non-negative number")
+    return float(value)
+
+
 def _network_record(record: dict) -> tuple[str, int, tuple[int, ...] | float]:
     """(table, id, value) of one record; records self-identify by field name."""
     if "c" in record:
-        return "follows", int(record["c"]), tuple(sorted(int(p) for p in record["p"]))
+        return "follows", _record_id(record["c"]), tuple(sorted(map(_record_id, record["p"])))
     for table in ("producer", "consumer"):
         if table in record:
-            return table, int(record[table]), float(record["rate_per_hour"])
+            return table, _record_id(record[table]), _record_rate(record["rate_per_hour"])
     raise ValueError(f"unrecognized record {record!r}")
 
 

@@ -32,16 +32,14 @@ def report_criterion(number, name, passed, detail):
 
 def generate(cfg):
     rng = RngStreams(cfg.seed)
-    network = netgen.build_network(cfg.n_producers, cfg.n_consumers, cfg.zipf,
-                                   rng.stream("netgen.graph"))
-    profile = netgen.build_profile(network, cfg.zipf, rng.stream("netgen.rates"))
+    network = netgen.build_network(cfg.n_producers, cfg.n_consumers, cfg.zipf, rng)
+    profile = netgen.build_profile(network, cfg.zipf, rng)
     return network, profile
 
 
 def execute(cfg, window=None):
     network, profile = generate(cfg)
-    artifacts = run_experiment(network, profile, cfg.store, cfg.duration_hours,
-                               cfg.seed, fanout=cfg.fanout, n_timeline=cfg.n_timeline)
+    artifacts = run_experiment(network, profile, cfg)
     result = detect.detect_all(
         artifacts.responses, artifacts.tweet_log, network, n_timeline=cfg.n_timeline,
         analysis_window_fraction=window or cfg.analysis_window_fraction)
@@ -60,8 +58,7 @@ def test_criterion_1_zero_delay_soundness():
     cfg = zero_delay_config(seed=1, duration_hours=9.0)
     network, profile = generate(cfg)
     started = time.monotonic()
-    artifacts = run_experiment(network, profile, cfg.store, cfg.duration_hours,
-                               cfg.seed, fanout=cfg.fanout, n_timeline=cfg.n_timeline)
+    artifacts = run_experiment(network, profile, cfg)
     result = detect.detect_all(artifacts.responses, artifacts.tweet_log, network,
                                n_timeline=cfg.n_timeline, analysis_window_fraction=1.0)
     elapsed = time.monotonic() - started

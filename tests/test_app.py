@@ -17,6 +17,7 @@ from feedsim.app import (
     save_response_log,
     save_tweet_log,
 )
+from feedsim.config import ExperimentConfig
 from feedsim.detect import (
     ConflictRecord,
     ConflictType,
@@ -195,9 +196,9 @@ def tiny_run(fanout, lag, seed=1, hours=1.0, n_replicas=3):
          for c in range(30)}, 10)
     profile = WorkloadProfile(producer_rate=np.full(10, 6.0),
                               consumer_rate=np.full(30, 30.0))
-    return network, run_experiment(
-        network, profile, StoreConfig(n_replicas=n_replicas, lag=DistributionSpec(*lag)),
-        hours, seed, fanout=fanout, n_timeline=5)
+    return network, run_experiment(network, profile, ExperimentConfig(
+        seed=seed, store=StoreConfig(n_replicas=n_replicas, lag=DistributionSpec(*lag)),
+        fanout=fanout, n_timeline=5, duration_hours=hours))
 
 
 def test_zero_delay_synchronous_responses_equal_oracle():
@@ -243,8 +244,9 @@ def test_poisson_tweet_count_within_three_sigma():
     network = make_network({0: (0,)}, 1)
     profile = WorkloadProfile(producer_rate=np.array([60.0]),
                               consumer_rate=np.array([0.001]))
-    artifacts = run_experiment(network, profile, StoreConfig(), 1.0, seed=4,
-                               fanout=FanoutSettings(mode="synchronous"))
+    artifacts = run_experiment(network, profile, ExperimentConfig(
+        seed=4, store=StoreConfig(), fanout=FanoutSettings(mode="synchronous"),
+        duration_hours=1.0))
     sigma = 60 ** 0.5
     assert 60 - 3 * sigma <= len(artifacts.tweet_log) <= 60 + 3 * sigma
 
@@ -292,10 +294,10 @@ def test_incomplete_fanouts_reported_as_horizon_delay(monkeypatch):
                               consumer_rate=np.array([0.001, 0.001, 0.001]))
     # Five-minute mean service on one lane: producer 0's three updates
     # overlap its later tweets and producer 1's, so some writes retry.
-    artifacts = run_experiment(
-        network, profile, StoreConfig(), 0.5, seed=2, n_timeline=10_000,
+    artifacts = run_experiment(network, profile, ExperimentConfig(
+        seed=2, store=StoreConfig(), duration_hours=0.5, n_timeline=10_000,
         fanout=FanoutSettings(service=DistributionSpec("exponential", 5 * 60 * 1000.0),
-                              concurrency_cap=1))
+                              concurrency_cap=1)))
     duration = round(0.5 * MICROS_PER_HOUR)
     kinds = []
     for tw in artifacts.tweet_log:
@@ -312,7 +314,7 @@ def test_incomplete_fanouts_reported_as_horizon_delay(monkeypatch):
         kinds.append(kind)
     assert {"no followers", "finished", "unfinished"} <= set(kinds)
     assert len(artifacts.trace.fanout_completion_us) == len(artifacts.tweet_log)
-    assert artifacts.trace.retries == artifacts.trace.cas_failures > 0
+    assert artifacts.trace.to_dict()["retries"] == artifacts.trace.cas_failures > 0
 
 
 def test_log_files_roundtrip(tmp_path):
@@ -409,5 +411,3 @@ def test_fanout_settings_validation():
         FanoutSettings(mode="detached")
     with pytest.raises(ValueError):
         FanoutSettings(concurrency_cap=0)
-    with pytest.raises(ValueError):
-        FanoutSettings(retry_backoff_ms=0)

@@ -1,4 +1,5 @@
 import json
+import math
 import shutil
 from dataclasses import replace
 
@@ -56,7 +57,7 @@ DEFAULT_CONFIG_JSON = (
     '"consumer_rate_per_hour": {"mean": 5.8, "s": 0.62}}, '
     '"store": {"n_replicas": 3, "lag": {"distribution": "exponential", "mean_ms": 500.0}}, '
     '"fanout": {"mode": "scheduled", "service": {"distribution": "exponential", '
-    '"mean_ms": 7500.0}, "concurrency_cap": 1, "retry_backoff_ms": 10.0}, '
+    '"mean_ms": 7500.0}, "concurrency_cap": 1}, '
     '"n_timeline": 20, "duration_hours": 2.0, "analysis_window_fraction": 0.5, '
     '"out_dir": "out"}'
 )
@@ -108,7 +109,7 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     # Misspelt keys at every depth, and keys of removed fields.
     for dotted in ("mystery", "fanout.retry_backof_ms", "store.lag_mean", "store.lag.sigma",
                    "zipf.consumers_per_producer.sd", "store.read_policy",
-                   "store.write_home_policy", "scale"):
+                   "store.write_home_policy", "scale", "fanout.retry_backoff_ms"):
         data = ExperimentConfig().to_dict()
         *parents, leaf = dotted.split(".")
         node = data
@@ -168,8 +169,6 @@ BAD_CONFIG_VALUES = [
     ('{"duration_hours": Infinity}', "config key 'duration_hours' must be finite, not inf"),
     ('{"analysis_window_fraction": 1e400}',
      "config key 'analysis_window_fraction' must be finite, not inf"),
-    ('{"fanout": {"retry_backoff_ms": NaN}}',
-     "config key 'fanout.retry_backoff_ms' must be finite, not nan"),
     ('{"store": {"lag": {"mean_ms": Infinity}}}',
      "config key 'store.lag.mean_ms' must be finite, not inf"),
     ('{"store": {"lag": {"mean_ms": NaN}}}',
@@ -420,6 +419,35 @@ def test_ids_unknown_to_the_network_exit_1(tmp_path, capsys, staged_outputs,
     assert main([stage, "--config", str(cfg_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"{stage}: {out / 'network_profile.jsonl'}: "), err
+
+
+@pytest.mark.parametrize("table,key,value", [
+    ("producer", "rate_per_hour", math.nan),
+    ("producer", "rate_per_hour", math.inf),
+    ("producer", "rate_per_hour", -3.0),
+    ("producer", "rate_per_hour", "2.5"),
+    ("c", "p", [3.7, 5]),
+    ("c", "p", [True, 5]),
+    ("c", "c", 1.5),
+], ids=["rate_nan", "rate_infinity", "rate_negative", "rate_string", "float_in_p",
+        "boolean_in_p", "float_c"])
+def test_bad_network_record_values_exit_1(tmp_path, capsys, staged_outputs, table, key, value):
+    # Ids must be JSON integers and rates finite non-negative JSON numbers.
+    out = tmp_path / "out"
+    shutil.copytree(staged_outputs, out)
+    cfg_path = write_config(tmp_path, tiny_config(out))
+    path = out / "network_profile.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    line_no = next(i for i, line in enumerate(lines, 1) if table in json.loads(line))
+    record = json.loads(lines[line_no - 1])
+    record[key] = value
+    lines[line_no - 1] = json.dumps(record) + "\n"
+    path.write_text("".join(lines))
+    for stage in ("run", "detect", "report"):
+        capsys.readouterr()
+        assert main([stage, "--config", str(cfg_path)]) == 1, stage
+        err = capsys.readouterr().err
+        assert err.startswith(f"{stage}: {path}:{line_no}: corrupt record: ValueError: "), err
 
 
 def _swap_tweets_2_and_3(records):

@@ -224,26 +224,24 @@ def test_inconsistency_time_gap_values():
     result = detect_all(responses, tweets, network, n_timeline=4,
                         analysis_window_fraction=1.0)
     own = [r for r in result.records if r.response_id == 0]
-    assert inconsistency_time_gap(responses[0], own) == 25 * SEC
-    assert inconsistency_time_gap(responses[0], []) is None
+    assert inconsistency_time_gap(own) == 25 * SEC
+    assert inconsistency_time_gap([]) is None
 
 
 def test_sixteen_minute_gap():
     t = 16 * 60 * SEC
     tweets = [TweetEvent(0, 100, 0)]
-    response = TimelineResponse(response_id=0, consumer_id=0, T=100 + t, entries=())
     from feedsim.detect import ConflictRecord
     record = ConflictRecord(0, 0, 0, 100, ConflictType.NEWER_EARLIER, 1, t)
-    assert inconsistency_time_gap(response, [record]) == 960 * SEC
+    assert inconsistency_time_gap([record]) == 960 * SEC
 
 
 def test_gap_is_max_over_missing():
     from feedsim.detect import ConflictRecord
     T = 1000 * SEC
-    response = TimelineResponse(response_id=0, consumer_id=0, T=T, entries=())
     records = [ConflictRecord(0, 0, 0, T - d, ConflictType.GAP, 1, d)
                for d in (10 * SEC, 200 * SEC, 50 * SEC)]
-    assert inconsistency_time_gap(response, records) == 200 * SEC
+    assert inconsistency_time_gap(records) == 200 * SEC
 
 
 def test_detect_all_window_selects_latter_fraction():
@@ -277,26 +275,26 @@ def test_detect_all_rejects_disordered_or_duplicate_responses():
     tweets, network, responses, _ = two_user_scenario()
     swapped = [responses[1], responses[0]]
     with pytest.raises(IntegrityError):
-        detect_all(swapped, tweets, network, n_timeline=4)
+        detect_all(swapped, tweets, network, n_timeline=4, analysis_window_fraction=0.5)
     dup = [responses[0],
            TimelineResponse(response_id=0, consumer_id=1, T=responses[1].T,
                             entries=responses[1].entries)]
     with pytest.raises(IntegrityError):
-        detect_all(dup, tweets, network, n_timeline=4)
+        detect_all(dup, tweets, network, n_timeline=4, analysis_window_fraction=0.5)
 
 
 def test_detect_zero_lag_synchronous_run_finds_nothing():
     from feedsim.app import run_experiment
+    from feedsim.config import ExperimentConfig
 
     network = make_network(
         {c: tuple(sorted(np.random.default_rng(c).choice(8, 3, replace=False).tolist()))
          for c in range(20)}, 8)
     profile = WorkloadProfile(producer_rate=np.full(8, 8.0),
                               consumer_rate=np.full(20, 40.0))
-    artifacts = run_experiment(network, profile,
-                               StoreConfig(lag=DistributionSpec("constant", 0.0)),
-                               1.0, seed=3, fanout=FanoutSettings(mode="synchronous"),
-                               n_timeline=5)
+    artifacts = run_experiment(network, profile, ExperimentConfig(
+        seed=3, store=StoreConfig(lag=DistributionSpec("constant", 0.0)),
+        fanout=FanoutSettings(mode="synchronous"), duration_hours=1.0, n_timeline=5))
     result = detect_all(artifacts.responses, artifacts.tweet_log, network,
                         n_timeline=5, analysis_window_fraction=1.0)
     assert result.records == []

@@ -25,9 +25,8 @@ def stream(label="s", seed=11):
 
 def desk_network(seed=11):
     rng = RngStreams(seed)
-    net = build_network(DESK["n_producers"], DESK["n_consumers"], ZipfParams(),
-                        rng.stream("netgen.graph"))
-    profile = build_profile(net, ZipfParams(), rng.stream("netgen.rates"))
+    net = build_network(DESK["n_producers"], DESK["n_consumers"], ZipfParams(), rng)
+    profile = build_profile(net, ZipfParams(), rng)
     return net, profile
 
 
@@ -62,7 +61,7 @@ def test_zipf_head_probability_ratio():
 def test_build_network_single_producer():
     params = ZipfParams(consumers_per_producer=ZipfPair(3.0, 0.39),
                         producers_per_consumer=ZipfPair(1.0, 0.62))
-    net = build_network(1, 3, params, stream())
+    net = build_network(1, 3, params, RngStreams(11))
     assert net.follows == {0: (0,), 1: (0,), 2: (0,)}
     assert net.followers == {0: (0, 1, 2)}
 
@@ -101,14 +100,14 @@ def test_build_network_rejects_imbalanced_means():
     params = ZipfParams(consumers_per_producer=ZipfPair(13.38, 0.39),
                         producers_per_consumer=ZipfPair(4.63, 0.62))
     with pytest.raises(InfeasibleParametersError):
-        build_network(10, 1000, params, stream())
+        build_network(10, 1000, params, RngStreams(11))
 
 
 def test_build_network_rejects_mean_above_population():
     params = ZipfParams(consumers_per_producer=ZipfPair(2.5, 0.39),
                         producers_per_consumer=ZipfPair(2.5, 0.62))
     with pytest.raises(InfeasibleParametersError):
-        build_network(2, 2, params, stream())
+        build_network(2, 2, params, RngStreams(11))
 
 
 def test_generation_is_seed_deterministic():
@@ -132,14 +131,14 @@ def test_profile_hits_means_exactly_and_stays_positive():
 def test_profile_single_producer_rate_is_the_mean():
     params = ZipfParams(consumers_per_producer=ZipfPair(3.0, 0.39),
                         producers_per_consumer=ZipfPair(1.0, 0.62))
-    net = build_network(1, 3, params, stream())
-    profile = build_profile(net, params, stream("rates"))
+    net = build_network(1, 3, params, RngStreams(11))
+    profile = build_profile(net, params, RngStreams(11))
     assert profile.producer_rate[0] == pytest.approx(1.0)
 
 
 def test_validate_profile_desk_passes_with_exponent_fits():
     net, profile = desk_network()
-    report = validate_profile(net, profile)
+    report = validate_profile(net, profile, ZipfParams())
     assert report.passed
     for check in report.checks:
         assert check.mean_ok
@@ -151,7 +150,7 @@ def test_validate_profile_desk_passes_with_exponent_fits():
 def test_validate_profile_flags_misscaled_rates():
     net, profile = desk_network()
     profile.producer_rate = profile.producer_rate * 3
-    report = validate_profile(net, profile)
+    report = validate_profile(net, profile, ZipfParams())
     assert not report.passed
     assert any(not c.mean_ok for c in report.checks)
 
@@ -210,14 +209,14 @@ def test_full_scale_shape_targets():
     # Population sizes and distribution targets at full scale; shape only,
     # not exact head values.
     rng = RngStreams(2)
-    net = build_network(67_882, 196_283, ZipfParams(), rng.stream("netgen.graph"))
+    net = build_network(67_882, 196_283, ZipfParams(), rng)
     out_degrees = net.out_degrees()
     in_degrees = net.in_degrees()
     assert abs(out_degrees.mean() - 4.63) <= 0.1 * 4.63
     assert abs(in_degrees.mean() - 13.38) <= 0.1 * 13.38
     assert in_degrees.max() > 30 * in_degrees.mean()  # heavy popularity head
     assert out_degrees.max() <= 25
-    profile = build_profile(net, ZipfParams(), rng.stream("netgen.rates"))
+    profile = build_profile(net, ZipfParams(), rng)
     assert abs(profile.producer_rate.mean() - 1.0) < 1e-6
     assert abs(profile.consumer_rate.mean() - 5.8) < 1e-6
     rho = rank_correlation(in_degrees, profile.producer_rate)

@@ -6,6 +6,7 @@ timelines that other users can already contradict.
 """
 
 from feedsim import (
+    ExperimentConfig,
     RngStreams,
     build_network,
     build_profile,
@@ -13,9 +14,8 @@ from feedsim import (
     detect_all,
     run_experiment,
 )
-from feedsim.config import anomaly_config
 
-cfg = anomaly_config()
+cfg = ExperimentConfig()
 rng = RngStreams(cfg.seed)
 network = build_network(cfg.n_producers, cfg.n_consumers, cfg.zipf, rng)
 profile = build_profile(network, cfg.zipf, rng)

@@ -7,6 +7,7 @@ long, so popular producers' tweets go missing observably.
 """
 
 from feedsim import (
+    ExperimentConfig,
     RngStreams,
     attribute_to_producers,
     build_network,
@@ -15,9 +16,8 @@ from feedsim import (
     detect_all,
     run_experiment,
 )
-from feedsim.config import anomaly_config
 
-cfg = anomaly_config()
+cfg = ExperimentConfig()
 rng = RngStreams(cfg.seed)
 network = build_network(cfg.n_producers, cfg.n_consumers, cfg.zipf, rng)
 profile = build_profile(network, cfg.zipf, rng)

@@ -24,7 +24,6 @@ from .app import (
 )
 from .config import (
     ExperimentConfig,
-    anomaly_config,
     lag_probe_config,
     zero_delay_config,
 )
@@ -42,7 +41,6 @@ from .detect import (
     detect_all,
     feed_index,
     find_missing,
-    inconsistency_time_gap,
 )
 from .netgen import (
     FollowingNetwork,

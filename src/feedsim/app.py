@@ -28,6 +28,8 @@ from .sim import (
     from_iso,
     make_sampler,
     read_jsonl,
+    record_decimal,
+    record_int,
     to_iso,
     write_jsonl,
 )
@@ -343,8 +345,8 @@ def save_tweet_log(path: str | Path, tweets: list[TweetEvent]) -> None:
 
 def load_tweet_log(path: str | Path) -> list[TweetEvent]:
     return read_jsonl(path, lambda record: TweetEvent(
-        producer_id=int(record["producer_id"]), t=from_iso(record["t"]),
-        seq=int(record["seq"])))
+        producer_id=record_decimal(record["producer_id"]), t=from_iso(record["t"]),
+        seq=record_int(record["seq"])))
 
 
 def save_response_log(path: str | Path, responses: list[TimelineResponse]) -> None:
@@ -368,6 +370,7 @@ def save_response_log(path: str | Path, responses: list[TimelineResponse]) -> No
 
 def load_response_log(path: str | Path) -> list[TimelineResponse]:
     return read_jsonl(path, lambda record: TimelineResponse(
-        response_id=int(record["response_id"]), consumer_id=int(record["consumer_id"]),
-        T=from_iso(record["T"]),
-        entries=tuple((int(e["producer_id"]), from_iso(e["t"])) for e in record["entries"])))
+        response_id=record_int(record["response_id"]),
+        consumer_id=record_decimal(record["consumer_id"]), T=from_iso(record["T"]),
+        entries=tuple((record_decimal(e["producer_id"]), from_iso(e["t"]))
+                      for e in record["entries"])))

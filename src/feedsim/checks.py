@@ -98,14 +98,14 @@ def check_workload(report: ValidationReport) -> CheckOutcome:
     return CheckOutcome("workload_fidelity", report.passed, details)
 
 
-def evaluate_run(result: DetectionResult, trace: TraceStats, report: AnalyticsReport,
-                 validation: ValidationReport, zero_delay: bool) -> list[CheckOutcome]:
+def evaluate_run(report: AnalyticsReport, trace: TraceStats, validation: ValidationReport,
+                 zero_delay: bool) -> list[CheckOutcome]:
     outcomes = [check_workload(validation)]
     if zero_delay:
-        outcomes.append(check_zero_conflicts(result))
+        outcomes.append(check_zero_conflicts(report.result))
         return outcomes
-    outcomes.append(check_rate_positive(result))
-    outcomes.append(check_gap_bound(result, trace))
+    outcomes.append(check_rate_positive(report.result))
+    outcomes.append(check_gap_bound(report.result, trace))
     outcomes.append(check_histogram_shape(report.histogram))
     outcomes.extend(check_correlations(report.studies))
     return outcomes

@@ -118,7 +118,8 @@ def cmd_detect(cfg: ExperimentConfig, network: FollowingNetwork | None = None,
     except ValueError as exc:
         raise StageError("detect", f"{out / RESPONSES_FILE}: {exc}") from exc
     detect.save_conflict_records(out / CONFLICTS_FILE, result)
-    detect.save_detection_totals(out / DETECTION_TOTALS_FILE, result)
+    detect.save_detection_totals(out / DETECTION_TOTALS_FILE, result, cfg.n_timeline,
+                                 cfg.analysis_window_fraction)
     print(f"detect: {result.conflicting_count} conflicting of {result.analyzed_count} "
           f"analyzed responses ({len(result.records)} records)")
     return result
@@ -155,7 +156,7 @@ def cmd_repro(cfg: ExperimentConfig) -> int:
         print(exc, file=sys.stderr)
         print(f"repro: stage {exc.stage} failed", file=sys.stderr)
         return 1
-    outcomes = checks.evaluate_run(result, artifacts.trace, report, validation,
+    outcomes = checks.evaluate_run(report, artifacts.trace, validation,
                                    zero_delay=is_zero_delay(cfg))
     lines = [outcome.line() for outcome in outcomes]
     with open(out / REPRO_SUMMARY_FILE, "w", encoding="utf-8") as fh:

@@ -144,11 +144,6 @@ def zero_delay_config(seed: int = 1, duration_hours: float = 9.0,
     )
 
 
-def anomaly_config(seed: int = 39, out_dir: str = "out") -> ExperimentConfig:
-    """The default desk-scale anomaly experiment at this seed and output directory."""
-    return ExperimentConfig(seed=seed, out_dir=out_dir)
-
-
 def lag_probe_config(seed: int, lag_mean_ms: float, out_dir: str = "out") -> ExperimentConfig:
     """Synchronous fan-out with a dominant replication lag, for lag sweeps."""
     return ExperimentConfig(

@@ -15,14 +15,15 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .app import TimelineResponse, TweetEvent
 from .netgen import FollowingNetwork
-from .sim import (RECORD_ERRORS, IntegrityError, from_iso, read_jsonl, to_iso, write_json,
-                  write_jsonl)
+from .sim import (RECORD_ERRORS, IntegrityError, from_iso, read_jsonl, record_decimal,
+                  record_int, to_iso, write_json, write_jsonl)
 
 
 class ConflictType(Enum):
@@ -195,22 +196,24 @@ def classify(response: TimelineResponse, missing: Triple, position: Position,
     )
 
 
-def inconsistency_time_gap(records: Sequence[ConflictRecord]) -> int | None:
-    """G = max(T - t) over one response's conflict records, microseconds."""
-    return max((record.gap_us for record in records), default=None)
-
-
 @dataclass
 class DetectionResult:
+    """What the detector observed; every conflict count derives from the records."""
+
     records: list[ConflictRecord]
-    per_response_G: dict[int, int]
     analyzed_count: int
     total_count: int
     analyzed_start_id: int
-    n_timeline: int
-    analysis_window_fraction: float
     tweet_counts: dict[int, int]
     query_counts: dict[int, int]
+
+    @cached_property
+    def per_response_G(self) -> dict[int, int]:
+        """Each conflicting response's G = max(T - t) over its records, in record order."""
+        G: dict[int, int] = {}
+        for record in self.records:
+            G[record.response_id] = max(G.get(record.response_id, record.gap_us), record.gap_us)
+        return G
 
     @property
     def conflicting_count(self) -> int:
@@ -266,23 +269,13 @@ def detect_all(responses: Sequence[TimelineResponse],
     analyzed = responses[start:]
     wanted = {(pid, t) for _, missing in incomplete for (t, _, pid), _ in missing}
     witness_index = build_witness_index(analyzed if wanted else [], wanted)
-    records: list[ConflictRecord] = []
-    per_response_G: dict[int, int] = {}
-    for resp, missing in incomplete:
-        own_records = [record for triple, position in missing
-                       if (record := classify(resp, triple, position, witness_index)) is not None]
-        if own_records:
-            records.extend(own_records)
-            per_response_G[resp.response_id] = inconsistency_time_gap(own_records)
-
+    records = [record for resp, missing in incomplete for triple, position in missing
+               if (record := classify(resp, triple, position, witness_index)) is not None]
     return DetectionResult(
         records=records,
-        per_response_G=per_response_G,
         analyzed_count=len(analyzed),
         total_count=len(responses),
         analyzed_start_id=analyzed[0].response_id if analyzed else -1,
-        n_timeline=n_timeline,
-        analysis_window_fraction=analysis_window_fraction,
         tweet_counts=dict(Counter(pid for _, _, pid in index.triple_by_key.values())),
         query_counts=dict(Counter(resp.consumer_id for resp in analyzed)),
     )
@@ -304,49 +297,65 @@ def save_conflict_records(path: str | Path, result: DetectionResult) -> None:
 
 def load_conflict_records(path: str | Path) -> list[ConflictRecord]:
     return read_jsonl(path, lambda data: ConflictRecord(
-        response_id=int(data["response_id"]),
-        consumer_id=int(data["consumer_id"]),
-        producer_id=int(data["producer_id"]),
+        response_id=record_int(data["response_id"]),
+        consumer_id=record_decimal(data["consumer_id"]),
+        producer_id=record_decimal(data["producer_id"]),
         t=from_iso(data["t"]),
         type=ConflictType(data["type"]),
-        witness_response_id=int(data["witness_response_id"]),
+        witness_response_id=record_int(data["witness_response_id"]),
         gap_us=round(data["G_seconds"] * 1_000_000),
     ))
 
 
-def save_detection_totals(path: str | Path, result: DetectionResult) -> None:
-    totals = {
+def _render_totals(result: DetectionResult, n_timeline: int,
+                   analysis_window_fraction: float) -> dict:
+    return {
         "total_responses": result.total_count,
         "analyzed_responses": result.analyzed_count,
         "analyzed_start_id": result.analyzed_start_id,
         "conflicting_responses": result.conflicting_count,
         "conflict_records": len(result.records),
         "type_counts": result.type_counts(),
-        "n_timeline": result.n_timeline,
-        "analysis_window_fraction": result.analysis_window_fraction,
+        "n_timeline": n_timeline,
+        "analysis_window_fraction": analysis_window_fraction,
         "per_response_G_us": {str(k): v for k, v in sorted(result.per_response_G.items())},
         "tweet_counts": {str(k): v for k, v in sorted(result.tweet_counts.items())},
         "query_counts": {str(k): v for k, v in sorted(result.query_counts.items())},
     }
-    write_json(path, totals, sort_keys=True)
+
+
+def save_detection_totals(path: str | Path, result: DetectionResult, n_timeline: int,
+                          analysis_window_fraction: float) -> None:
+    write_json(path, _render_totals(result, n_timeline, analysis_window_fraction),
+               sort_keys=True)
+
+
+def _counts(table: dict) -> dict[int, int]:
+    return {record_decimal(k): record_int(v) for k, v in table.items()}
 
 
 def load_detection(records_path: str | Path, totals_path: str | Path) -> DetectionResult:
+    """The records and, from the totals file, the counts they cannot give;
+    the file's other values must echo the records."""
     records = load_conflict_records(records_path)
     try:
         with open(totals_path, encoding="utf-8") as fh:
             totals = json.load(fh)
-        return DetectionResult(
+        result = DetectionResult(
             records=records,
-            per_response_G={int(k): int(v) for k, v in totals["per_response_G_us"].items()},
-            analyzed_count=int(totals["analyzed_responses"]),
-            total_count=int(totals["total_responses"]),
-            analyzed_start_id=int(totals["analyzed_start_id"]),
-            n_timeline=int(totals["n_timeline"]),
-            analysis_window_fraction=float(totals["analysis_window_fraction"]),
-            tweet_counts={int(k): int(v) for k, v in totals["tweet_counts"].items()},
-            query_counts={int(k): int(v) for k, v in totals["query_counts"].items()},
+            analyzed_count=record_int(totals["analyzed_responses"]),
+            total_count=record_int(totals["total_responses"]),
+            analyzed_start_id=record_int(totals["analyzed_start_id"]),
+            tweet_counts=_counts(totals["tweet_counts"]),
+            query_counts=_counts(totals["query_counts"]),
         )
+        rendered = _render_totals(result, totals["n_timeline"],
+                                  totals["analysis_window_fraction"])
     except RECORD_ERRORS as exc:
         raise IntegrityError(
             f"{totals_path}: corrupt totals: {type(exc).__name__}: {exc}") from exc
+    expected, found = ({key: json.dumps(value, sort_keys=True) for key, value in doc.items()}
+                       for doc in (rendered, totals))
+    if differing := sorted(expected.items() ^ found.items()):
+        raise IntegrityError(f"{totals_path}: {differing[0][0]!r} does not match {records_path}")
+    return result

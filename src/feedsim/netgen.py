@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .sim import IntegrityError, RngStreams, read_jsonl, write_jsonl
+from .sim import IntegrityError, RngStreams, read_jsonl, record_int, write_jsonl
 from .stats import rank_correlation, rank_size_slope, zipf_rank_mle
 
 MEAN_TOLERANCE = 0.10
@@ -316,12 +316,6 @@ def save_network_profile(path: str | Path, network: FollowingNetwork,
     ))
 
 
-def _record_id(value) -> int:
-    if type(value) is not int:  # a JSON integer; a boolean is not one
-        raise ValueError(f"id {value!r} is not an integer")
-    return value
-
-
 def _record_rate(value) -> float:
     if type(value) not in (int, float) or not math.isfinite(value) or value < 0:
         raise ValueError(f"rate {value!r} is not a finite non-negative number")
@@ -331,10 +325,10 @@ def _record_rate(value) -> float:
 def _network_record(record: dict) -> tuple[str, int, tuple[int, ...] | float]:
     """(table, id, value) of one record; records self-identify by field name."""
     if "c" in record:
-        return "follows", _record_id(record["c"]), tuple(sorted(map(_record_id, record["p"])))
+        return "follows", record_int(record["c"]), tuple(sorted(map(record_int, record["p"])))
     for table in ("producer", "consumer"):
         if table in record:
-            return table, _record_id(record[table]), _record_rate(record["rate_per_hour"])
+            return table, record_int(record[table]), _record_rate(record["rate_per_hour"])
     raise ValueError(f"unrecognized record {record!r}")
 
 

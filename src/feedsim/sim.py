@@ -60,6 +60,20 @@ class IntegrityError(ValueError):
 RECORD_ERRORS = (ValueError, OverflowError, KeyError, TypeError, AttributeError)
 
 
+def record_int(value) -> int:
+    """A JSON integer field; a float or a boolean is not one."""
+    if type(value) is not int:
+        raise ValueError(f"{value!r} is not an integer")
+    return value
+
+
+def record_decimal(value) -> int:
+    """An id written as a string of ASCII digits."""
+    if type(value) is not str or not (value.isascii() and value.isdigit()):
+        raise ValueError(f"{value!r} is not a decimal id")
+    return int(value)
+
+
 def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
     """Write one JSON object per line."""
     with open(path, "w", encoding="utf-8") as fh:

@@ -19,7 +19,7 @@ from feedsim.checks import (
     check_rate_positive,
 )
 from feedsim.cli import main
-from feedsim.config import anomaly_config, lag_probe_config, zero_delay_config
+from feedsim.config import ExperimentConfig, lag_probe_config, zero_delay_config
 from feedsim.sim import RngStreams
 from feedsim.stats import rank_correlation
 from oracles import brute_force_conflicts, detector_conflict_set, random_instance
@@ -48,7 +48,7 @@ def execute(cfg, window=None):
 
 @pytest.fixture(scope="module")
 def anomaly_run():
-    cfg = anomaly_config()
+    cfg = ExperimentConfig()
     network, artifacts, result = execute(cfg)
     report = analytics.build_report(result, network)
     return cfg, network, artifacts, result, report
@@ -161,7 +161,7 @@ def test_criterion_7_lag_monotonicity():
 
 def test_criterion_8_repro_determinism(tmp_path):
     out_dir = tmp_path / "out"
-    cfg = anomaly_config(out_dir=str(out_dir))
+    cfg = ExperimentConfig(out_dir=str(out_dir))
     cfg_path = tmp_path / "config.json"
     cfg.save(cfg_path)
     first_exit = main(["repro", "--config", str(cfg_path)])

@@ -18,16 +18,12 @@ from oracles import make_network
 SEC = 1_000_000
 
 
-def make_result(records, per_response_G, analyzed=10, tweet_counts=None,
-                query_counts=None):
+def make_result(records, analyzed=10, tweet_counts=None, query_counts=None):
     return DetectionResult(
         records=records,
-        per_response_G=per_response_G,
         analyzed_count=analyzed,
         total_count=analyzed,
         analyzed_start_id=0,
-        n_timeline=20,
-        analysis_window_fraction=1.0,
         tweet_counts=tweet_counts or {},
         query_counts=query_counts or {},
     )
@@ -38,63 +34,67 @@ def record(rid, consumer, producer, t, gap_us, kind=ConflictType.GAP):
                           gap_us=gap_us)
 
 
+def gap_records(per_response_G):
+    """One record per response, carrying that response's G."""
+    return [record(rid, 0, 0, 10, gap_us) for rid, gap_us in per_response_G.items()]
+
+
 def test_rate_zero_and_exact_fraction():
-    assert inconsistency_rate(make_result([], {})) == 0.0
-    result = make_result([record(i, 0, 0, 10, SEC) for i in range(3)],
-                         {0: SEC, 1: SEC, 2: SEC}, analyzed=10)
+    assert inconsistency_rate(make_result([])) == 0.0
+    result = make_result([record(i, 0, 0, 10, SEC) for i in range(3)], analyzed=10)
     assert inconsistency_rate(result) == pytest.approx(0.3)
 
 
 def test_rate_errors_on_empty_window():
-    assert inconsistency_rate(make_result([], {}, analyzed=0)) is None
+    assert inconsistency_rate(make_result([], analyzed=0)) is None
 
 
 def test_histogram_single_bucket():
-    result = make_result([], {i: (i + 1) * SEC for i in range(5)})
+    result = make_result(gap_records({i: (i + 1) * SEC for i in range(5)}))
     assert gap_histogram(result) == {0: 5}
 
 
 def test_histogram_bucket_boundaries():
     gaps = {0: 99_999_999, 1: 100_000_000, 2: 50 * SEC, 3: 150 * SEC, 4: 150 * SEC}
-    assert gap_histogram(make_result([], gaps)) == {0: 2, 1: 3}
+    assert gap_histogram(make_result(gap_records(gaps))) == {0: 2, 1: 3}
 
 
 def test_histogram_conservation():
     gaps = {i: int(g) for i, g in
             enumerate(np.random.default_rng(0).integers(1, 7000 * SEC, size=500))}
-    result = make_result([], gaps, analyzed=1000)
+    result = make_result(gap_records(gaps), analyzed=1000)
     hist = gap_histogram(result)
     assert sum(hist.values()) == len(gaps)
     assert list(hist) == sorted(hist)
 
 
 def test_summarize_single_and_empty():
-    summary = summarize_gaps(make_result([], {0: 823 * SEC}))
+    summary = summarize_gaps(make_result(gap_records({0: 823 * SEC})))
     assert summary.mean_s == pytest.approx(823.0)
     assert summary.max_s == pytest.approx(823.0)
     assert summary.count_above_1s == 1
-    empty = summarize_gaps(make_result([], {}))
+    empty = summarize_gaps(make_result([]))
     assert empty.mean_s is None and empty.max_s is None and empty.count_above_1s == 0
 
 
 def test_summarize_counts_strictly_above_one_second():
-    summary = summarize_gaps(make_result([], {0: SEC, 1: SEC + 1, 2: 2 * SEC}))
+    summary = summarize_gaps(make_result(gap_records({0: SEC, 1: SEC + 1, 2: 2 * SEC})))
     assert summary.count_above_1s == 2
 
 
 def test_attribution_conservation():
     network = make_network({0: (0, 1, 2)}, 3)
     records = [record(i, 0, i % 3, 10 + i, SEC) for i in range(7)]
-    counts = attribute_to_producers(make_result(records, {}), network)
+    counts = attribute_to_producers(make_result(records), network)
     assert sum(counts.values()) == 7
     assert counts == {0: 3, 1: 2, 2: 2}
-    assert attribute_to_producers(make_result([], {}), network) == {}
+    assert attribute_to_producers(make_result([]), network) == {}
 
 
 def test_attribution_rejects_unknown_producer():
     network = make_network({0: (0,)}, 1)
     with pytest.raises(ValueError):
-        attribute_to_producers(make_result([record(0, 0, 5, 10, SEC)], {}), network)
+        attribute_to_producers(make_result([record(0, 0, 5, 10, SEC)]), network)
 
 
 def test_spearman_matches_rank_then_pearson():
@@ -140,7 +140,7 @@ def test_studies_monotone_and_degenerate():
         for k in range(5 - producer):
             records.append(record(rid, producer, producer, 10 + k, SEC))
             rid += 1
-    result = make_result(records, {}, tweet_counts={p: 1 for p in range(5)},
+    result = make_result(records, tweet_counts={p: 1 for p in range(5)},
                          query_counts={c: 1 for c in range(5)})
     studies = {s.x_label: s for s in correlation_studies(result, network)}
     followers_study = studies["producer_follower_count"]
@@ -155,7 +155,7 @@ def test_studies_count_distinct_incidents():
     # consumer 0 re-observes the same hole three times; consumer 1 once
     records = [record(i, 0, 0, 10, (i + 1) * SEC) for i in range(3)]
     records.append(record(3, 1, 0, 10, SEC))
-    result = make_result(records, {}, tweet_counts={0: 1},
+    result = make_result(records, tweet_counts={0: 1},
                          query_counts={0: 9, 1: 1})
     assert conflict_incidents(result) == {(0, 0, 10), (1, 0, 10)}
     studies = {s.x_label: s for s in correlation_studies(result, network)}
@@ -165,7 +165,7 @@ def test_studies_count_distinct_incidents():
 
 def test_emit_report_empty_result(tmp_path):
     network = make_network({0: (0,)}, 1)
-    report = build_report(make_result([], {}, analyzed=4), network)
+    report = build_report(make_result([], analyzed=4), network)
     paths = emit_report(report, tmp_path)
     histogram = (tmp_path / "gap_histogram.csv").read_text()
     assert histogram == "bucket_start_s,count\n"
@@ -180,7 +180,7 @@ def test_emit_report_zero_analyzed_has_null_rate(tmp_path):
     import json
 
     network = make_network({0: (0,)}, 1)
-    report = build_report(make_result([], {}, analyzed=0), network)
+    report = build_report(make_result([], analyzed=0), network)
     emit_report(report, tmp_path)
     totals = json.loads((tmp_path / "totals.json").read_text())
     assert totals["inconsistency_rate"] is None
@@ -190,13 +190,12 @@ def test_emit_report_deterministic_and_conserving(tmp_path):
     network = make_network({0: (0, 1), 1: (0,)}, 2)
     records = [record(0, 0, 0, 10, 50 * SEC), record(1, 1, 0, 20, 150 * SEC),
                record(2, 0, 1, 30, 150 * SEC)]
-    gaps = {0: 50 * SEC, 1: 150 * SEC, 2: 150 * SEC}
-    result = make_result(records, gaps, tweet_counts={0: 2, 1: 1},
+    result = make_result(records, tweet_counts={0: 2, 1: 1},
                          query_counts={0: 3, 1: 2})
     report = build_report(result, network)
     first = {p.name: p.read_bytes() for p in emit_report(report, tmp_path / "a")}
     second = {p.name: p.read_bytes() for p in emit_report(report, tmp_path / "b")}
     assert first == second
     histogram_rows = (tmp_path / "a" / "gap_histogram.csv").read_text().strip().splitlines()[1:]
-    assert sum(int(row.split(",")[1]) for row in histogram_rows) == len(gaps)
+    assert sum(int(row.split(",")[1]) for row in histogram_rows) == len(records)
     assert histogram_rows == ["0,1", "100,2"]

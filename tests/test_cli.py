@@ -9,7 +9,6 @@ from feedsim.app import FanoutSettings
 from feedsim.cli import _resolve_config, build_parser, main
 from feedsim.config import (
     ExperimentConfig,
-    anomaly_config,
     is_zero_delay,
     lag_probe_config,
     zero_delay_config,
@@ -42,7 +41,7 @@ def write_config(tmp_path, cfg, name="config.json"):
 
 
 def test_config_roundtrips_unchanged(tmp_path):
-    cfg = anomaly_config(out_dir=str(tmp_path))
+    cfg = ExperimentConfig(out_dir=str(tmp_path))
     path = write_config(tmp_path, cfg)
     assert ExperimentConfig.load(path) == cfg
 
@@ -77,12 +76,11 @@ def test_every_subcommand_runs_the_same_default_experiment(tmp_path, monkeypatch
     for command in ("gen", "run", "detect", "report", "repro"):
         bare = _resolve_config(parser.parse_args([command]))
         from_empty = _resolve_config(parser.parse_args([command, "--config", str(empty)]))
-        assert bare == from_empty == anomaly_config(), command
+        assert bare == from_empty == ExperimentConfig(), command
 
 
 def test_canned_configs_roundtrip_through_json():
-    for cfg in (ExperimentConfig(), anomaly_config(), zero_delay_config(),
-                lag_probe_config(3, 250.0)):
+    for cfg in (ExperimentConfig(), zero_delay_config(), lag_probe_config(3, 250.0)):
         assert ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
 
@@ -343,14 +341,22 @@ CORRUPTIBLE_INPUTS = {
 
 
 def corrupt(text, name, fault):
-    """Break one record of a stage input; returns the new text and its line number."""
-    key, wrong = CORRUPTIBLE_INPUTS[name]
+    """Break one record of a stage input; returns the new text and its line number.
+
+    A (key, value) fault puts value in place of the id it truncates to.
+    """
     lines = [text] if name.endswith(".json") else text.splitlines(keepends=True)
     if fault == "truncated":
         line_no = len(lines)
         lines[-1] = lines[-1][:len(lines[-1]) // 2]
     else:
-        line_no = max(i for i, line in enumerate(lines, 1) if key in json.loads(line))
+        if isinstance(fault, tuple):
+            key, wrong = fault
+            line_no = next(i for i, line in enumerate(lines, 1)
+                           if json.loads(line).get(key) in (int(wrong), str(int(wrong))))
+        else:
+            key, wrong = CORRUPTIBLE_INPUTS[name]
+            line_no = max(i for i, line in enumerate(lines, 1) if key in json.loads(line))
         record = json.loads(lines[line_no - 1])
         if fault == "missing_key":
             del record[key]
@@ -371,6 +377,23 @@ STAGE_INPUTS = [
 ]
 
 
+# Ids and counts are JSON integers or strings of ASCII digits; each value
+# here truncates to the id it replaces: (stage, file, key, value).
+BAD_IDS = [
+    ("detect", "tweets.jsonl", "seq", 63.9),
+    ("detect", "tweets.jsonl", "seq", True),
+    ("detect", "tweets.jsonl", "producer_id", 9.6),
+    ("detect", "responses.jsonl", "response_id", 1142.7),
+    ("detect", "responses.jsonl", "consumer_id", 83.0),
+    ("report", "conflicts.jsonl", "response_id", 594.5),
+    ("report", "conflicts.jsonl", "witness_response_id", 591.5),
+    ("report", "detection_totals.json", "analyzed_responses", 572.9),
+]
+STAGE_INPUT_FAULTS = [(stage, name, fault) for stage, name in STAGE_INPUTS
+                      for fault in ("truncated", "missing_key", "wrong_type")]
+STAGE_INPUT_FAULTS += [(stage, name, (key, value)) for stage, name, key, value in BAD_IDS]
+
+
 @pytest.fixture(scope="module")
 def staged_outputs(tmp_path_factory):
     """gen, run and detect outputs of the lagged tiny config, made once."""
@@ -381,8 +404,9 @@ def staged_outputs(tmp_path_factory):
     return root / "out"
 
 
-@pytest.mark.parametrize("fault", ["truncated", "missing_key", "wrong_type"])
-@pytest.mark.parametrize("stage,name", STAGE_INPUTS)
+@pytest.mark.parametrize("stage,name,fault", STAGE_INPUT_FAULTS, ids=[
+    f"{stage}-{name}-{fault if isinstance(fault, str) else '%s=%r' % fault}"
+    for stage, name, fault in STAGE_INPUT_FAULTS])
 def test_corrupt_stage_input_exits_1_naming_the_file(tmp_path, capsys, staged_outputs,
                                                       stage, name, fault):
     out = tmp_path / "out"
@@ -396,6 +420,51 @@ def test_corrupt_stage_input_exits_1_naming_the_file(tmp_path, capsys, staged_ou
     assert main([stage, "--config", str(cfg_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"{stage}: {where}"), err
+
+
+def _bump_first(table):
+    key = next(iter(table))
+    table[key] += 1
+
+
+def _swap_type_counts(totals):
+    counts = totals["type_counts"]
+    assert len(set(counts.values())) == 2
+    totals["type_counts"] = dict(zip(counts, reversed(counts.values())))
+
+
+@pytest.mark.parametrize("name,edit,key", [
+    ("detection_totals.json", lambda totals: _bump_first(totals["per_response_G_us"]),
+     "per_response_G_us"),
+    ("detection_totals.json", lambda totals: totals.update(
+        conflict_records=totals["conflict_records"] + 1), "conflict_records"),
+    ("detection_totals.json", lambda totals: totals.update(
+        conflicting_responses=totals["conflicting_responses"] - 1), "conflicting_responses"),
+    ("detection_totals.json", _swap_type_counts, "type_counts"),
+    ("conflicts.jsonl", lambda records: records[0].update(
+        G_seconds=records[0]["G_seconds"] + 1), "per_response_G_us"),
+], ids=["G_changed", "conflict_records_plus_1", "conflicting_responses_changed",
+        "type_counts_swapped", "G_seconds_changed"])
+def test_totals_that_disagree_with_the_records_exit_1(tmp_path, capsys, staged_outputs,
+                                                     name, edit, key):
+    # The totals file echoes counts the conflict records own; report checks each.
+    out = tmp_path / "out"
+    shutil.copytree(staged_outputs, out)
+    cfg_path = write_config(tmp_path, tiny_config(out))
+    path = out / name
+    if name.endswith(".json"):
+        document = json.loads(path.read_text())
+        edit(document)
+        path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
+    else:
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        edit(records)
+        path.write_text("".join(json.dumps(record) + "\n" for record in records))
+    capsys.readouterr()
+    assert main(["report", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    totals, conflicts = out / "detection_totals.json", out / "conflicts.jsonl"
+    assert err.startswith(f"report: {totals}: {key!r} does not match {conflicts}"), err
 
 
 @pytest.mark.parametrize("stage,name,key,unknown", [

@@ -3,7 +3,9 @@ import pytest
 
 from feedsim.app import FanoutSettings, TimelineResponse, TweetEvent
 from feedsim.detect import (
+    ConflictRecord,
     ConflictType,
+    DetectionResult,
     IntegrityError,
     Position,
     TweetIndex,
@@ -13,7 +15,6 @@ from feedsim.detect import (
     detect_all,
     feed_index,
     find_missing,
-    inconsistency_time_gap,
     load_conflict_records,
     load_detection,
     save_conflict_records,
@@ -219,29 +220,33 @@ def test_classify_rejects_non_positive_gap():
         classify(flagged, missing, Position.INTERIOR, witness_index)
 
 
+def result_of(records):
+    return DetectionResult(records, analyzed_count=1, total_count=1, analyzed_start_id=0,
+                           tweet_counts={}, query_counts={})
+
+
 def test_inconsistency_time_gap_values():
     tweets, network, responses, _ = two_user_scenario()
     result = detect_all(responses, tweets, network, n_timeline=4,
                         analysis_window_fraction=1.0)
     own = [r for r in result.records if r.response_id == 0]
-    assert inconsistency_time_gap(own) == 25 * SEC
-    assert inconsistency_time_gap([]) is None
+    assert result_of(own).per_response_G == {0: 25 * SEC}
+    assert result_of([]).per_response_G == {}
 
 
 def test_sixteen_minute_gap():
     t = 16 * 60 * SEC
-    tweets = [TweetEvent(0, 100, 0)]
-    from feedsim.detect import ConflictRecord
     record = ConflictRecord(0, 0, 0, 100, ConflictType.NEWER_EARLIER, 1, t)
-    assert inconsistency_time_gap([record]) == 960 * SEC
+    assert result_of([record]).per_response_G == {0: 960 * SEC}
 
 
 def test_gap_is_max_over_missing():
-    from feedsim.detect import ConflictRecord
     T = 1000 * SEC
-    records = [ConflictRecord(0, 0, 0, T - d, ConflictType.GAP, 1, d)
-               for d in (10 * SEC, 200 * SEC, 50 * SEC)]
-    assert inconsistency_time_gap(records) == 200 * SEC
+    records = [ConflictRecord(r, 0, 0, T - d, ConflictType.GAP, 1, d)
+               for r, d in ((4, 10 * SEC), (2, 30 * SEC), (4, 200 * SEC), (4, 50 * SEC))]
+    result = result_of(records)
+    assert list(result.per_response_G.items()) == [(4, 200 * SEC), (2, 30 * SEC)]
+    assert result.conflicting_count == 2
 
 
 def test_detect_all_window_selects_latter_fraction():
@@ -451,13 +456,11 @@ def test_detection_result_files_roundtrip(tmp_path):
     records_path = tmp_path / "conflicts.jsonl"
     totals_path = tmp_path / "totals.json"
     save_conflict_records(records_path, result)
-    save_detection_totals(totals_path, result)
+    save_detection_totals(totals_path, result, 4, 1.0)
     assert load_conflict_records(records_path) == result.records
     loaded = load_detection(records_path, totals_path)
-    assert loaded.per_response_G == result.per_response_G
-    assert loaded.analyzed_count == result.analyzed_count
-    assert loaded.tweet_counts == result.tweet_counts
-    assert loaded.query_counts == result.query_counts
+    assert loaded == result
+    assert loaded.per_response_G == result.per_response_G == {0: 25 * SEC, 1: 7 * SEC}
 
 
 def test_load_conflict_records_rejects_corrupt(tmp_path):

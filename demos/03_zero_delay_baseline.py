@@ -17,8 +17,8 @@ profile = build_profile(network, cfg.zipf, rng)
 
 print(f"running {cfg.duration_hours:.0f} virtual hours, synchronous fan-out, zero lag ...")
 artifacts = run_experiment(network, profile, cfg)
-print(f"{artifacts.trace.tweets} tweets, {artifacts.trace.responses} responses, "
-      f"{artifacts.trace.updates_committed} timeline writes")
+print(f"{len(artifacts.tweet_log)} tweets, {len(artifacts.responses)} responses, "
+      f"{artifacts.updates_committed} timeline writes")
 
 result = detect_all(artifacts.responses, artifacts.tweet_log, network,
                     n_timeline=cfg.n_timeline, analysis_window_fraction=1.0)

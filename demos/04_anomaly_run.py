@@ -22,10 +22,9 @@ profile = build_profile(network, cfg.zipf, rng)
 
 print(f"running {cfg.duration_hours:.0f} virtual hours at desk scale ...")
 artifacts = run_experiment(network, profile, cfg)
-trace = artifacts.trace
-print(f"{trace.tweets} tweets, {trace.responses} responses, "
-      f"{trace.cas_failures} conditional-write retries")
-slowest = max(trace.fanout_completion_us.values())
+print(f"{len(artifacts.tweet_log)} tweets, {len(artifacts.responses)} responses, "
+      f"{artifacts.cas_failures} conditional-write retries")
+slowest = max(artifacts.fanout_completion_us.values())
 print(f"slowest fan-out completion: {slowest / 1e6:.0f} s")
 
 result = detect_all(artifacts.responses, artifacts.tweet_log, network,

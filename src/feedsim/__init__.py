@@ -18,7 +18,6 @@ from .app import (
     FeedApp,
     RunArtifacts,
     TimelineResponse,
-    TraceStats,
     TweetEvent,
     run_experiment,
 )

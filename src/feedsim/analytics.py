@@ -11,10 +11,9 @@ from pathlib import Path
 
 from .detect import DetectionResult
 from .netgen import FollowingNetwork
-from .sim import write_json
+from .sim import MICROS_PER_SECOND, write_json
 from .stats import rank_correlation
 
-MICROS_PER_SECOND = 1_000_000
 GAP_BUCKET_WIDTH_S = 100
 
 

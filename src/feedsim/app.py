@@ -59,7 +59,6 @@ class TimelineResponse:
     consumer_id: int
     T: int
     entries: tuple[tuple[int, int], ...]
-    replica_served: int = -1
 
 
 @dataclass(frozen=True)
@@ -114,29 +113,31 @@ class _Fanout:
 
 
 @dataclass
-class TraceStats:
-    """Per-run bookkeeping needed to audit detector output against the run."""
+class RunArtifacts:
+    """The run stage's one record: its logs and the counters that audit them."""
 
-    duration_us: int = 0
-    max_propagation_lag_us: int = 0
-    fanout_completion_us: dict[tuple[int, int], int] = field(default_factory=dict)
-    tweets: int = 0
-    responses: int = 0
-    updates_committed: int = 0
-    cas_failures: int = 0
-    events_processed: int = 0
+    tweet_log: list[TweetEvent]
+    responses: list[TimelineResponse]
+    duration_us: int
+    max_propagation_lag_us: int
+    fanout_completion_us: dict[tuple[int, int], int]
+    updates_committed: int
+    cas_failures: int
+    events_processed: int
 
     def to_dict(self) -> dict:
+        """The trace_stats.json document."""
+        # Tweet-log order is (t, producer_id) order: only arrivals post, and
+        # arrivals at one instant fire in producer-id order.
         completions = [
             {"producer_id": str(pid), "t": to_iso(t), "completion_us": delay}
-            for (pid, t), delay in sorted(self.fanout_completion_us.items(),
-                                          key=lambda item: (item[0][1], item[0][0]))
+            for (pid, t), delay in self.fanout_completion_us.items()
         ]
         return {
             "duration_us": self.duration_us,
             "max_propagation_lag_us": self.max_propagation_lag_us,
-            "tweets": self.tweets,
-            "responses": self.responses,
+            "tweets": len(self.tweet_log),
+            "responses": len(self.responses),
             "updates_committed": self.updates_committed,
             "cas_failures": self.cas_failures,
             # _write retries every failed conditional write once.
@@ -144,13 +145,6 @@ class TraceStats:
             "events_processed": self.events_processed,
             "fanout_completions": completions,
         }
-
-
-@dataclass
-class RunArtifacts:
-    tweet_log: list[TweetEvent]
-    responses: list[TimelineResponse]
-    trace: TraceStats
 
 
 class FeedApp:
@@ -251,13 +245,11 @@ class FeedApp:
         """Serve the materialized view from a random replica; no caching."""
         if consumer_id not in self.network.follows:
             raise ValueError(f"unknown consumer {consumer_id}")
-        replica, value = self.store.read_with_source(consumer_id)
         response = TimelineResponse(
             response_id=len(self.responses),
             consumer_id=consumer_id,
             T=self.loop.now(),
-            entries=value or (),
-            replica_served=replica,
+            entries=self.store.read(consumer_id) or (),
         )
         self.responses.append(response)
         return response
@@ -296,8 +288,8 @@ def run_experiment(network: FollowingNetwork, profile: WorkloadProfile,
     """Run per-producer Poisson posts and per-consumer Poisson queries.
 
     cfg's seed, store, fanout, duration_hours and n_timeline fix the run.
-    Returns the immutable tweet log, the full response log, and trace
-    statistics for auditing.
+    Returns the immutable tweet log, the full response log, and the
+    counters that audit them.
     """
     duration_us = round(cfg.duration_hours * MICROS_PER_HOUR)
     rng = RngStreams(cfg.seed)
@@ -320,19 +312,19 @@ def run_experiment(network: FollowingNetwork, profile: WorkloadProfile,
     loop.close()
 
     # A fan-out still running at the horizon counts as finishing there.
+    # update() keeps each key where it is, so the keys stay in tweet-log order.
     completions = {(tw.producer_id, tw.t): duration_us - tw.t for tw in app.tweet_log}
     completions.update(app.fanout_completion_us)
-    trace = TraceStats(
+    return RunArtifacts(
+        tweet_log=app.tweet_log,
+        responses=app.responses,
         duration_us=duration_us,
         max_propagation_lag_us=store.max_lag_sample_us,
         fanout_completion_us=completions,
-        tweets=len(app.tweet_log),
-        responses=len(app.responses),
         updates_committed=store.write_count,
         cas_failures=store.cas_failure_count,
         events_processed=loop.processed_count,
     )
-    return RunArtifacts(tweet_log=app.tweet_log, responses=app.responses, trace=trace)
 
 
 # -- log files -------------------------------------------------------------

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .analytics import AnalyticsReport, CorrelationStudy, inconsistency_rate
-from .app import TraceStats
+from .app import RunArtifacts
 from .detect import DetectionResult
 from .netgen import ValidationReport
 from .stats import rank_correlation
@@ -44,15 +44,15 @@ def check_rate_positive(result: DetectionResult) -> CheckOutcome:
                         f"rate {rate:.4%} ({result.conflicting_count}/{result.analyzed_count})")
 
 
-def check_gap_bound(result: DetectionResult, trace: TraceStats) -> CheckOutcome:
+def check_gap_bound(result: DetectionResult, run: RunArtifacts) -> CheckOutcome:
     """Every G contribution stays within fan-out completion + propagation lag."""
     violations = 0
     for record in result.records:
-        completion = trace.fanout_completion_us.get((record.producer_id, record.t))
+        completion = run.fanout_completion_us.get((record.producer_id, record.t))
         if completion is None:
             violations += 1
             continue
-        if record.gap_us > completion + trace.max_propagation_lag_us:
+        if record.gap_us > completion + run.max_propagation_lag_us:
             violations += 1
     return CheckOutcome("gap_bounded_by_pipeline", violations == 0,
                         f"violations: {violations} of {len(result.records)} records")
@@ -98,14 +98,14 @@ def check_workload(report: ValidationReport) -> CheckOutcome:
     return CheckOutcome("workload_fidelity", report.passed, details)
 
 
-def evaluate_run(report: AnalyticsReport, trace: TraceStats, validation: ValidationReport,
+def evaluate_run(report: AnalyticsReport, run: RunArtifacts, validation: ValidationReport,
                  zero_delay: bool) -> list[CheckOutcome]:
     outcomes = [check_workload(validation)]
     if zero_delay:
         outcomes.append(check_zero_conflicts(report.result))
         return outcomes
     outcomes.append(check_rate_positive(report.result))
-    outcomes.append(check_gap_bound(report.result, trace))
+    outcomes.append(check_gap_bound(report.result, run))
     outcomes.append(check_histogram_shape(report.histogram))
     outcomes.extend(check_correlations(report.studies))
     return outcomes

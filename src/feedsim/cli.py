@@ -88,13 +88,13 @@ def cmd_run(cfg: ExperimentConfig, network: FollowingNetwork | None = None,
     artifacts = app.run_experiment(network, profile, cfg)
     app.save_tweet_log(out / TWEETS_FILE, artifacts.tweet_log)
     app.save_response_log(out / RESPONSES_FILE, artifacts.responses)
-    write_json(out / TRACE_FILE, artifacts.trace.to_dict())
+    stats = artifacts.to_dict()
+    write_json(out / TRACE_FILE, stats)
     hours = cfg.duration_hours or 1e-9
-    print(f"run: {artifacts.trace.tweets} tweets ({artifacts.trace.tweets / hours:.1f}/h), "
-          f"{artifacts.trace.responses} responses ({artifacts.trace.responses / hours:.1f}/h)")
-    print(f"run: {artifacts.trace.updates_committed} timeline writes, "
-          f"{artifacts.trace.cas_failures} retries, "
-          f"{artifacts.trace.events_processed} events processed")
+    print(f"run: {stats['tweets']} tweets ({stats['tweets'] / hours:.1f}/h), "
+          f"{stats['responses']} responses ({stats['responses'] / hours:.1f}/h)")
+    print(f"run: {stats['updates_committed']} timeline writes, {stats['retries']} retries, "
+          f"{stats['events_processed']} events processed")
     return artifacts
 
 
@@ -156,8 +156,7 @@ def cmd_repro(cfg: ExperimentConfig) -> int:
         print(exc, file=sys.stderr)
         print(f"repro: stage {exc.stage} failed", file=sys.stderr)
         return 1
-    outcomes = checks.evaluate_run(report, artifacts.trace, validation,
-                                   zero_delay=is_zero_delay(cfg))
+    outcomes = checks.evaluate_run(report, artifacts, validation, zero_delay=is_zero_delay(cfg))
     lines = [outcome.line() for outcome in outcomes]
     with open(out / REPRO_SUMMARY_FILE, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

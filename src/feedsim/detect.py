@@ -22,8 +22,8 @@ from typing import Iterable, Sequence
 
 from .app import TimelineResponse, TweetEvent
 from .netgen import FollowingNetwork
-from .sim import (RECORD_ERRORS, IntegrityError, from_iso, read_jsonl, record_decimal,
-                  record_int, to_iso, write_json, write_jsonl)
+from .sim import (MICROS_PER_SECOND, RECORD_ERRORS, IntegrityError, from_iso, read_jsonl,
+                  record_decimal, record_int, to_iso, write_json, write_jsonl)
 
 
 class ConflictType(Enum):
@@ -291,8 +291,16 @@ def save_conflict_records(path: str | Path, result: DetectionResult) -> None:
                         "t": to_iso(record.t),
                         "type": record.type.value,
                         "witness_response_id": record.witness_response_id,
-                        "G_seconds": record.gap_us / 1_000_000}
+                        "G_seconds": record.gap_us / MICROS_PER_SECOND}
                        for record in result.records))
+
+
+def _record_gap_us(seconds) -> int:
+    """G_seconds in whole microseconds; classify writes only a positive gap."""
+    gap_us = round(seconds * MICROS_PER_SECOND) if type(seconds) in (int, float) else 0
+    if gap_us <= 0:
+        raise ValueError(f"G_seconds {seconds!r} is not a positive number of seconds")
+    return gap_us
 
 
 def load_conflict_records(path: str | Path) -> list[ConflictRecord]:
@@ -303,7 +311,7 @@ def load_conflict_records(path: str | Path) -> list[ConflictRecord]:
         t=from_iso(data["t"]),
         type=ConflictType(data["type"]),
         witness_response_id=record_int(data["witness_response_id"]),
-        gap_us=round(data["G_seconds"] * 1_000_000),
+        gap_us=_record_gap_us(data["G_seconds"]),
     ))
 
 

@@ -94,11 +94,11 @@ def test_criterion_2_bruteforce_equivalence():
 
 def test_criterion_3_gap_bounded_by_pipeline(anomaly_run):
     cfg, network, artifacts, result, _ = anomaly_run
-    outcome = check_gap_bound(result, artifacts.trace)
+    outcome = check_gap_bound(result, artifacts)
     # a second, differently shaped lagged run must satisfy the bound too
     probe_cfg = lag_probe_config(seed=2, lag_mean_ms=30_000.0)
     _, probe_artifacts, probe_result = execute(probe_cfg)
-    probe_outcome = check_gap_bound(probe_result, probe_artifacts.trace)
+    probe_outcome = check_gap_bound(probe_result, probe_artifacts)
     passed = outcome.passed and probe_outcome.passed and \
         (result.records or probe_result.records)
     report_criterion(

@@ -28,7 +28,14 @@ from feedsim.detect import (
     save_conflict_records,
 )
 from feedsim.netgen import WorkloadProfile, save_network_profile
-from feedsim.sim import MICROS_PER_HOUR, DistributionSpec, EventLoop, RngStreams, to_iso
+from feedsim.sim import (
+    MICROS_PER_HOUR,
+    DistributionSpec,
+    EventLoop,
+    RngStreams,
+    from_iso,
+    to_iso,
+)
 from feedsim.store import ReplicatedStore, StoreConfig
 from oracles import make_network
 
@@ -258,7 +265,7 @@ def test_run_is_seed_deterministic():
                     ("exponential", 500.0), seed=5)
     assert a.tweet_log == b.tweet_log
     assert a.responses == b.responses
-    assert a.trace.to_dict() == b.trace.to_dict()
+    assert a.to_dict() == b.to_dict()
 
 
 def test_run_leaves_no_loop_for_the_garbage_collector():
@@ -289,6 +296,12 @@ def test_incomplete_fanouts_reported_as_horizon_delay(monkeypatch):
             return result
 
     monkeypatch.setattr(app_module, "ReplicatedStore", CommitRecordingStore)
+    # Arrival times are floored to whole minutes, so producers post at the
+    # same microsecond.
+    minute = 60_000_000
+    poisson = app_module._poisson_times_us
+    monkeypatch.setattr(app_module, "_poisson_times_us",
+                        lambda *args: poisson(*args) // minute * minute)
     network = make_network({0: (0, 1), 1: (0,), 2: (0,)}, 3)
     profile = WorkloadProfile(producer_rate=np.array([30.0, 30.0, 30.0]),
                               consumer_rate=np.array([0.001, 0.001, 0.001]))
@@ -310,11 +323,18 @@ def test_incomplete_fanouts_reported_as_horizon_delay(monkeypatch):
             kind, expected = "finished", max(commits) - tw.t
         else:
             kind, expected = "unfinished", duration - tw.t
-        assert artifacts.trace.fanout_completion_us[pair] == expected, (kind, tw)
+        assert artifacts.fanout_completion_us[pair] == expected, (kind, tw)
         kinds.append(kind)
     assert {"no followers", "finished", "unfinished"} <= set(kinds)
-    assert len(artifacts.trace.fanout_completion_us) == len(artifacts.tweet_log)
-    assert artifacts.trace.to_dict()["retries"] == artifacts.trace.cas_failures > 0
+    assert len(artifacts.fanout_completion_us) == len(artifacts.tweet_log)
+    assert artifacts.to_dict()["retries"] == artifacts.cas_failures > 0
+    # trace_stats.json lists the fan-outs in tweet-log order, which is the
+    # (t, producer_id) order, same-instant posts included.
+    posted = [(tw.producer_id, tw.t) for tw in artifacts.tweet_log]
+    assert len({t for _, t in posted}) < len(posted)
+    listed = [(int(entry["producer_id"]), from_iso(entry["t"]))
+              for entry in artifacts.to_dict()["fanout_completions"]]
+    assert listed == posted == sorted(posted, key=lambda pair: (pair[1], pair[0]))
 
 
 def test_log_files_roundtrip(tmp_path):

@@ -467,6 +467,34 @@ def test_totals_that_disagree_with_the_records_exit_1(tmp_path, capsys, staged_o
     assert err.startswith(f"report: {totals}: {key!r} does not match {conflicts}"), err
 
 
+# G_seconds values classify never writes: a gap is a number of seconds that
+# rounds to at least one microsecond.
+BAD_GAPS = [-3600.0, 0.0, True]
+
+
+@pytest.mark.parametrize("seconds", BAD_GAPS, ids=[f"G_seconds={s!r}" for s in BAD_GAPS])
+def test_conflict_gap_classify_cannot_write_exits_1(tmp_path, capsys, staged_outputs, seconds):
+    out = tmp_path / "out"
+    shutil.copytree(staged_outputs, out)
+    cfg_path = write_config(tmp_path, tiny_config(out))
+    conflicts, totals_path = out / "conflicts.jsonl", out / "detection_totals.json"
+    records = [json.loads(line) for line in conflicts.read_text().splitlines()]
+    records[0]["G_seconds"] = seconds
+    conflicts.write_text("".join(json.dumps(record) + "\n" for record in records))
+    # The totals echo the edited records, so only the gap itself is wrong.
+    per_response = {}
+    for record in records:
+        key, gap_us = str(record["response_id"]), round(record["G_seconds"] * 1_000_000)
+        per_response[key] = max(per_response.get(key, gap_us), gap_us)
+    totals = json.loads(totals_path.read_text())
+    totals["per_response_G_us"] = per_response
+    totals_path.write_text(json.dumps(totals, indent=2, sort_keys=True) + "\n")
+    capsys.readouterr()
+    assert main(["report", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"report: {conflicts}:1: "), err
+
+
 @pytest.mark.parametrize("stage,name,key,unknown", [
     ("run", "network_profile.jsonl", "p", [0, 999_999]),
     ("report", "conflicts.jsonl", "producer_id", "999999"),

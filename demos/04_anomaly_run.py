@@ -14,6 +14,7 @@ from feedsim import (
     detect_all,
     run_experiment,
 )
+from feedsim.analytics import GAP_BUCKET_WIDTH_S
 
 cfg = ExperimentConfig()
 rng = RngStreams(cfg.seed)
@@ -37,8 +38,9 @@ print(f"inconsistency rate: {report.rate:.2%} "
 print(f"gap summary: mean {report.gaps.mean_s:.0f} s, max {report.gaps.max_s:.0f} s, "
       f"{report.gaps.count_above_1s} above 1 s")
 
-print("\nG histogram (100 s buckets):")
+print(f"\nG histogram ({GAP_BUCKET_WIDTH_S} s buckets):")
 peak = max(report.histogram.values())
 for bucket, count in report.histogram.items():
     bar = "#" * max(1, round(40 * count / peak))
-    print(f"  {bucket * 100:>5}-{bucket * 100 + 99:<5} {count:>5} {bar}")
+    start = bucket * GAP_BUCKET_WIDTH_S
+    print(f"  {start:>5}-{start + GAP_BUCKET_WIDTH_S - 1:<5} {count:>5} {bar}")

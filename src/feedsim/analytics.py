@@ -6,8 +6,10 @@ network, so reports are reproducible byte for byte.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .detect import DetectionResult
 from .netgen import FollowingNetwork
@@ -67,10 +69,34 @@ def attribute_to_producers(result: DetectionResult,
     return dict(sorted(counts.items()))
 
 
+class StudySpec(NamedTuple):
+    """A scatter study: an entity's property against the conflicts it took part in."""
+
+    x_label: str
+    y_label: str
+    file_name: str
+    strong: bool  # repro expects a strong positive correlation; otherwise a weak one
+    x: Callable[[DetectionResult, FollowingNetwork, int], int]  # the entity's property
+
+
+STUDIES = (
+    StudySpec("producer_follower_count", "conflicts_caused", "study_producer_followers.csv",
+              True, lambda result, network, producer: len(network.followers[producer])),
+    StudySpec("producer_tweet_count", "conflicts_caused", "study_producer_tweets.csv",
+              False, lambda result, network, producer: result.tweet_counts.get(producer, 0)),
+    StudySpec("consumer_followed_count", "conflicts_encountered", "study_consumer_followed.csv",
+              False, lambda result, network, consumer: len(network.follows[consumer])),
+    StudySpec("consumer_query_count", "conflicts_encountered", "study_consumer_queries.csv",
+              False, lambda result, network, consumer: result.query_counts.get(consumer, 0)),
+)
+
+
 @dataclass
 class CorrelationStudy:
     x_label: str
     y_label: str
+    file_name: str
+    strong: bool
     points: list[tuple[float, float]]
     spearman: float | None
     degenerate: bool = False
@@ -81,12 +107,11 @@ class CorrelationStudy:
                 "degenerate": self.degenerate, "n_points": len(self.points)}
 
 
-def _make_study(x_label: str, y_label: str,
-                points: list[tuple[float, float]]) -> CorrelationStudy:
+def _make_study(spec: StudySpec, points: list[tuple[float, float]]) -> CorrelationStudy:
     distinct_x = len({x for x, _ in points})
     rho = rank_correlation([x for x, _ in points], [y for _, y in points]) if points else None
     degenerate = distinct_x < 3 or rho is None
-    return CorrelationStudy(x_label=x_label, y_label=y_label, points=points,
+    return CorrelationStudy(spec.x_label, spec.y_label, spec.file_name, spec.strong, points,
                             spearman=None if degenerate else rho, degenerate=degenerate)
 
 
@@ -101,40 +126,21 @@ def conflict_incidents(result: DetectionResult) -> set[tuple[int, int, int]]:
 
 def correlation_studies(result: DetectionResult,
                         network: FollowingNetwork) -> list[CorrelationStudy]:
-    """The four scatter studies relating conflicts to entity properties.
+    """The STUDIES, relating conflicts to entity properties.
 
     Conflicts are counted as distinct incidents, and points cover entities
     that participated in at least one, matching what a log-scale scatter
     of the results can show.
     """
     incidents = conflict_incidents(result)
-    caused: dict[int, int] = {}
-    encountered: dict[int, int] = {}
-    for consumer, producer, _ in incidents:
-        caused[producer] = caused.get(producer, 0) + 1
-        encountered[consumer] = encountered.get(consumer, 0) + 1
-
-    producer_points_followers = []
-    producer_points_tweets = []
-    for producer, conflicts in sorted(caused.items()):
-        producer_points_followers.append(
-            (float(len(network.followers[producer])), float(conflicts)))
-        producer_points_tweets.append(
-            (float(result.tweet_counts.get(producer, 0)), float(conflicts)))
-    consumer_points_followed = []
-    consumer_points_queries = []
-    for consumer, conflicts in sorted(encountered.items()):
-        consumer_points_followed.append(
-            (float(len(network.follows[consumer])), float(conflicts)))
-        consumer_points_queries.append(
-            (float(result.query_counts.get(consumer, 0)), float(conflicts)))
-
-    return [
-        _make_study("producer_follower_count", "conflicts_caused", producer_points_followers),
-        _make_study("producer_tweet_count", "conflicts_caused", producer_points_tweets),
-        _make_study("consumer_followed_count", "conflicts_encountered", consumer_points_followed),
-        _make_study("consumer_query_count", "conflicts_encountered", consumer_points_queries),
-    ]
+    conflicts = {"conflicts_caused": Counter(producer for _, producer, _ in incidents),
+                 "conflicts_encountered": Counter(consumer for consumer, _, _ in incidents)}
+    studies = []
+    for spec in STUDIES:
+        points = [(float(spec.x(result, network, entity)), float(count))
+                  for entity, count in sorted(conflicts[spec.y_label].items())]
+        studies.append(_make_study(spec, points))
+    return studies
 
 
 @dataclass
@@ -156,14 +162,6 @@ def build_report(result: DetectionResult, network: FollowingNetwork) -> Analytic
         attribution=attribute_to_producers(result, network),
         studies=correlation_studies(result, network),
     )
-
-
-_STUDY_FILES = {
-    "producer_follower_count": "study_producer_followers.csv",
-    "producer_tweet_count": "study_producer_tweets.csv",
-    "consumer_followed_count": "study_consumer_followed.csv",
-    "consumer_query_count": "study_consumer_queries.csv",
-}
 
 
 def emit_report(report: AnalyticsReport, out_dir: str | Path) -> list[Path]:
@@ -192,7 +190,7 @@ def emit_report(report: AnalyticsReport, out_dir: str | Path) -> list[Path]:
     written.append(histogram_path)
 
     for study in report.studies:
-        path = out / _STUDY_FILES[study.x_label]
+        path = out / study.file_name
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write("x,y\n")
             for x, y in study.points:

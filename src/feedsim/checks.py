@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .analytics import AnalyticsReport, CorrelationStudy, inconsistency_rate
+from .analytics import AnalyticsReport, CorrelationStudy
 from .app import RunArtifacts
 from .detect import DetectionResult
 from .netgen import ValidationReport
@@ -36,8 +36,8 @@ def check_zero_conflicts(result: DetectionResult) -> CheckOutcome:
                         f"conflicts: {count} over {result.analyzed_count} analyzed responses")
 
 
-def check_rate_positive(result: DetectionResult) -> CheckOutcome:
-    rate = inconsistency_rate(result)
+def check_rate_positive(report: AnalyticsReport) -> CheckOutcome:
+    rate, result = report.rate, report.result
     if rate is None:
         return CheckOutcome("nonzero_anomaly_rate", False, "no responses analyzed")
     return CheckOutcome("nonzero_anomaly_rate", rate > 0,
@@ -76,12 +76,11 @@ def check_histogram_shape(histogram: dict[int, int]) -> CheckOutcome:
 def check_correlations(studies: list[CorrelationStudy]) -> list[CheckOutcome]:
     outcomes = []
     for study in studies:
-        strong = study.x_label == "producer_follower_count"
         name = f"correlation_{study.x_label}"
         if study.degenerate:
             outcomes.append(CheckOutcome(name, False, "degenerate study"))
             continue
-        if strong:
+        if study.strong:
             passed = study.spearman > STRONG_CORRELATION_MIN
             detail = f"spearman {study.spearman:+.3f} (need > {STRONG_CORRELATION_MIN})"
         else:
@@ -104,7 +103,7 @@ def evaluate_run(report: AnalyticsReport, run: RunArtifacts, validation: Validat
     if zero_delay:
         outcomes.append(check_zero_conflicts(report.result))
         return outcomes
-    outcomes.append(check_rate_positive(report.result))
+    outcomes.append(check_rate_positive(report))
     outcomes.append(check_gap_bound(report.result, run))
     outcomes.append(check_histogram_shape(report.histogram))
     outcomes.extend(check_correlations(report.studies))

@@ -10,7 +10,6 @@ seed) pair.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -169,9 +168,8 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     cfg = ExperimentConfig() if args.config is None else ExperimentConfig.load(args.config)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    out_override = args.out or os.environ.get("FEEDSIM_OUT")
-    if out_override:
-        cfg = replace(cfg, out_dir=str(out_override))
+    if args.out is not None:
+        cfg = replace(cfg, out_dir=str(args.out))
     return cfg
 
 
@@ -195,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "anomaly experiment)")
         cmd.add_argument("--seed", type=int, default=None, help="override config seed")
         cmd.add_argument("--out", type=Path, default=None,
-                         help="override output directory (also via FEEDSIM_OUT)")
+                         help="override output directory")
     return parser
 
 

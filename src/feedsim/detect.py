@@ -198,10 +198,10 @@ def classify(response: TimelineResponse, missing: Triple, position: Position,
 
 @dataclass
 class DetectionResult:
-    """What the detector observed; every conflict count derives from the records."""
+    """What the detector observed; every conflict count derives from the records,
+    and the analyzed count from the queries counted in the analysis window."""
 
     records: list[ConflictRecord]
-    analyzed_count: int
     total_count: int
     analyzed_start_id: int
     tweet_counts: dict[int, int]
@@ -218,6 +218,10 @@ class DetectionResult:
     @property
     def conflicting_count(self) -> int:
         return len(self.per_response_G)
+
+    @property
+    def analyzed_count(self) -> int:
+        return sum(self.query_counts.values())
 
     def type_counts(self) -> dict[str, int]:
         counts = {kind.value: 0 for kind in ConflictType}
@@ -273,7 +277,6 @@ def detect_all(responses: Sequence[TimelineResponse],
                if (record := classify(resp, triple, position, witness_index)) is not None]
     return DetectionResult(
         records=records,
-        analyzed_count=len(analyzed),
         total_count=len(responses),
         analyzed_start_id=analyzed[0].response_id if analyzed else -1,
         tweet_counts=dict(Counter(pid for _, _, pid in index.triple_by_key.values())),
@@ -339,24 +342,53 @@ def save_detection_totals(path: str | Path, result: DetectionResult, n_timeline:
 
 
 def _counts(table: dict) -> dict[int, int]:
-    return {record_decimal(k): record_int(v) for k, v in table.items()}
+    """Tweets or queries per id; detect_all counts only ids it saw, so each is at least 1."""
+    counts = {record_decimal(k): record_int(v) for k, v in table.items()}
+    for key, count in counts.items():
+        if count < 1:
+            raise ValueError(f"id {key} has a count of {count}")
+    return counts
+
+
+def _check_counts(result: DetectionResult, n_timeline, analysis_window_fraction) -> None:
+    """Raise ValueError for totals that no detect_all run writes."""
+    if record_int(n_timeline) < 1:
+        raise ValueError(f"n_timeline {n_timeline} is not positive")
+    if type(analysis_window_fraction) not in (int, float) or \
+            not 0 < analysis_window_fraction <= 1:
+        raise ValueError(f"analysis_window_fraction {analysis_window_fraction!r} "
+                         f"is not a number in (0, 1]")
+    analyzed = result.analyzed_count
+    if not result.conflicting_count <= analyzed <= result.total_count:
+        raise ValueError(f"{result.conflicting_count} conflicting, {analyzed} analyzed and "
+                         f"{result.total_count} total responses are out of order")
+    start = result.analyzed_start_id
+    if not (start >= 0 if analyzed else start == -1):
+        raise ValueError(f"analyzed_start_id {start} with {analyzed} analyzed responses")
+    # Only consumers with queries are checked here: a record may name an id
+    # the network lacks, and build_report reports that against the network.
+    conflicting = Counter({r.response_id: r.consumer_id for r in result.records}.values())
+    for consumer, count in conflicting.items():
+        if count > result.query_counts.get(consumer, count):
+            raise ValueError(f"consumer {consumer} has {count} conflicting responses but "
+                             f"{result.query_counts[consumer]} queries")
 
 
 def load_detection(records_path: str | Path, totals_path: str | Path) -> DetectionResult:
     """The records and, from the totals file, the counts they cannot give;
-    the file's other values must echo the records."""
+    the file's other values must echo the records or those counts."""
     records = load_conflict_records(records_path)
     try:
         with open(totals_path, encoding="utf-8") as fh:
             totals = json.load(fh)
         result = DetectionResult(
             records=records,
-            analyzed_count=record_int(totals["analyzed_responses"]),
             total_count=record_int(totals["total_responses"]),
             analyzed_start_id=record_int(totals["analyzed_start_id"]),
             tweet_counts=_counts(totals["tweet_counts"]),
             query_counts=_counts(totals["query_counts"]),
         )
+        _check_counts(result, totals["n_timeline"], totals["analysis_window_fraction"])
         rendered = _render_totals(result, totals["n_timeline"],
                                   totals["analysis_window_fraction"])
     except RECORD_ERRORS as exc:
@@ -365,5 +397,7 @@ def load_detection(records_path: str | Path, totals_path: str | Path) -> Detecti
     expected, found = ({key: json.dumps(value, sort_keys=True) for key, value in doc.items()}
                        for doc in (rendered, totals))
     if differing := sorted(expected.items() ^ found.items()):
-        raise IntegrityError(f"{totals_path}: {differing[0][0]!r} does not match {records_path}")
+        key = differing[0][0]
+        source = "the sum of 'query_counts'" if key == "analyzed_responses" else records_path
+        raise IntegrityError(f"{totals_path}: {key!r} does not match {source}")
     return result

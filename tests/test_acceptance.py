@@ -108,7 +108,7 @@ def test_criterion_3_gap_bounded_by_pipeline(anomaly_run):
 
 def test_criterion_4_nonzero_anomaly_regime(anomaly_run):
     cfg, network, artifacts, result, report = anomaly_run
-    rate = check_rate_positive(result)
+    rate = check_rate_positive(report)
     histogram = check_histogram_shape(report.histogram)
     buckets = list(report.histogram.items())
     passed = rate.passed and histogram.passed

@@ -19,13 +19,15 @@ SEC = 1_000_000
 
 
 def make_result(records, analyzed=10, tweet_counts=None, query_counts=None):
+    """A result whose analyzed responses are all consumer 0's unless query_counts says."""
+    if query_counts is None:
+        query_counts = {0: analyzed} if analyzed else {}
     return DetectionResult(
         records=records,
-        analyzed_count=analyzed,
-        total_count=analyzed,
+        total_count=sum(query_counts.values()),
         analyzed_start_id=0,
         tweet_counts=tweet_counts or {},
-        query_counts=query_counts or {},
+        query_counts=query_counts,
     )
 
 

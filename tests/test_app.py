@@ -354,8 +354,8 @@ def test_log_files_roundtrip(tmp_path):
 def test_log_wire_format_is_pinned(tmp_path):
     record = ConflictRecord(response_id=7, consumer_id=9, producer_id=1353955, t=32_256_647,
                             type=ConflictType.GAP, witness_response_id=3, gap_us=7_743_353)
-    detection = DetectionResult(records=[record], analyzed_count=1, total_count=1,
-                                analyzed_start_id=7, tweet_counts={}, query_counts={})
+    detection = DetectionResult(records=[record], total_count=1, analyzed_start_id=7,
+                                tweet_counts={}, query_counts={9: 1})
     cases = [
         (save_tweet_log, ([TweetEvent(producer_id=1353955, t=32_256_647, seq=2)],),
          '{"producer_id": "1353955", "t": "2020-01-01T00:00:32.256647", "seq": 2}\n'),

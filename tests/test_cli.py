@@ -66,10 +66,9 @@ def test_config_wire_format_is_pinned():
     assert json.dumps(ExperimentConfig().to_dict()) == DEFAULT_CONFIG_JSON
 
 
-def test_every_subcommand_runs_the_same_default_experiment(tmp_path, monkeypatch):
+def test_every_subcommand_runs_the_same_default_experiment(tmp_path):
     # No config and an empty config both mean the paper's experiment, so
     # bare `repro` writes what `repro --config {}` writes.
-    monkeypatch.delenv("FEEDSIM_OUT", raising=False)
     empty = tmp_path / "empty.json"
     empty.write_text("{}")
     parser = build_parser()
@@ -256,23 +255,6 @@ def test_seed_flag_overrides_config(tmp_path):
     assert first != (tmp_path / "out" / "network_profile.jsonl").read_bytes()
 
 
-def test_env_var_overrides_out_dir(tmp_path, monkeypatch):
-    cfg_path = write_config(tmp_path, tiny_config(tmp_path / "ignored"))
-    monkeypatch.setenv("FEEDSIM_OUT", str(tmp_path / "env_out"))
-    assert main(["gen", "--config", str(cfg_path)]) == 0
-    assert (tmp_path / "env_out" / "network_profile.jsonl").exists()
-    assert not (tmp_path / "ignored").exists()
-
-
-def test_out_flag_beats_env_var(tmp_path, monkeypatch):
-    cfg_path = write_config(tmp_path, tiny_config(tmp_path / "ignored"))
-    monkeypatch.setenv("FEEDSIM_OUT", str(tmp_path / "env_out"))
-    assert main(["gen", "--config", str(cfg_path), "--out",
-                 str(tmp_path / "flag_out")]) == 0
-    assert (tmp_path / "flag_out" / "network_profile.jsonl").exists()
-    assert not (tmp_path / "env_out").exists()
-
-
 def test_duration_zero_pipeline_is_clean(tmp_path):
     cfg_path = write_config(tmp_path, tiny_config(tmp_path / "out", duration_hours=0.0))
     for command in ("gen", "run", "detect", "report"):
@@ -443,11 +425,17 @@ def _swap_type_counts(totals):
     ("detection_totals.json", _swap_type_counts, "type_counts"),
     ("conflicts.jsonl", lambda records: records[0].update(
         G_seconds=records[0]["G_seconds"] + 1), "per_response_G_us"),
+    ("detection_totals.json", lambda totals: totals.update(analyzed_responses=-100),
+     "analyzed_responses"),
+    ("detection_totals.json", lambda totals: totals.update(analyzed_responses=1),
+     "analyzed_responses"),
 ], ids=["G_changed", "conflict_records_plus_1", "conflicting_responses_changed",
-        "type_counts_swapped", "G_seconds_changed"])
+        "type_counts_swapped", "G_seconds_changed", "analyzed_responses_negative",
+        "analyzed_responses_1"])
 def test_totals_that_disagree_with_the_records_exit_1(tmp_path, capsys, staged_outputs,
                                                      name, edit, key):
-    # The totals file echoes counts the conflict records own; report checks each.
+    # The totals file echoes counts the conflict records own, and the analyzed
+    # count the query counts own; report checks each.
     out = tmp_path / "out"
     shutil.copytree(staged_outputs, out)
     cfg_path = write_config(tmp_path, tiny_config(out))
@@ -464,7 +452,82 @@ def test_totals_that_disagree_with_the_records_exit_1(tmp_path, capsys, staged_o
     assert main(["report", "--config", str(cfg_path)]) == 1
     err = capsys.readouterr().err
     totals, conflicts = out / "detection_totals.json", out / "conflicts.jsonl"
-    assert err.startswith(f"report: {totals}: {key!r} does not match {conflicts}"), err
+    source = "the sum of 'query_counts'" if key == "analyzed_responses" else conflicts
+    assert err.startswith(f"report: {totals}: {key!r} does not match {source}"), err
+
+
+def _first_query_count_to(value):
+    """Set the first consumer's query count, keeping the sum by moving the rest to the second."""
+    def edit(totals, records):
+        counts = totals["query_counts"]
+        first, second = list(counts)[:2]
+        counts[second] += counts[first] - value
+        counts[first] = value
+    return edit
+
+
+def _every_conflict_on_one_consumer_with_one_query(totals, records):
+    consumer = records[0]["consumer_id"]
+    for record in records:
+        record["consumer_id"] = consumer
+    counts = totals["query_counts"]
+    other = next(key for key in counts if key != consumer)
+    counts[other] += counts[consumer] - 1
+    counts[consumer] = 1
+
+
+def _first_tweet_count_negative(totals, records):
+    counts = totals["tweet_counts"]
+    counts[next(iter(counts))] = -3
+
+
+# Totals that echo themselves but that no detection run writes: (edit, message part).
+IMPOSSIBLE_TOTALS = {
+    "tweet_count_negative": (_first_tweet_count_negative, "has a count of -3"),
+    "query_count_zero": (_first_query_count_to(0), "has a count of 0"),
+    "query_count_negative": (_first_query_count_to(-5), "has a count of -5"),
+    "total_below_analyzed": (lambda totals, records: totals.update(
+        total_responses=totals["analyzed_responses"] - 1), "total responses are out of order"),
+    "records_but_nothing_analyzed": (lambda totals, records: totals.update(
+        query_counts={}, analyzed_responses=0, analyzed_start_id=-1),
+        "0 analyzed and 1143 total responses are out of order"),
+    "consumer_conflicting_more_than_it_queried": (
+        _every_conflict_on_one_consumer_with_one_query,
+        "has 3 conflicting responses but 1 queries"),
+    "analyzed_start_id_negative": (lambda totals, records: totals.update(
+        analyzed_start_id=-7), "analyzed_start_id -7 with 572 analyzed responses"),
+    "analyzed_start_id_none_with_responses": (lambda totals, records: totals.update(
+        analyzed_start_id=-1), "analyzed_start_id -1 with 572 analyzed responses"),
+    "n_timeline_zero": (lambda totals, records: totals.update(n_timeline=0),
+                        "n_timeline 0 is not positive"),
+    "n_timeline_fractional": (lambda totals, records: totals.update(n_timeline=2.5),
+                              "2.5 is not an integer"),
+    "window_fraction_string": (lambda totals, records: totals.update(
+        analysis_window_fraction="x"), "analysis_window_fraction 'x' is not a number"),
+    "window_fraction_zero": (lambda totals, records: totals.update(
+        analysis_window_fraction=0), "analysis_window_fraction 0 is not a number"),
+    "window_fraction_above_1": (lambda totals, records: totals.update(
+        analysis_window_fraction=1.5), "analysis_window_fraction 1.5 is not a number"),
+    "window_fraction_boolean": (lambda totals, records: totals.update(
+        analysis_window_fraction=True), "analysis_window_fraction True is not a number"),
+}
+
+
+@pytest.mark.parametrize("edit,message", IMPOSSIBLE_TOTALS.values(), ids=IMPOSSIBLE_TOTALS)
+def test_totals_no_detection_run_writes_exit_1(tmp_path, capsys, staged_outputs, edit, message):
+    out = tmp_path / "out"
+    shutil.copytree(staged_outputs, out)
+    cfg_path = write_config(tmp_path, tiny_config(out))
+    path, conflicts = out / "detection_totals.json", out / "conflicts.jsonl"
+    totals = json.loads(path.read_text())
+    records = [json.loads(line) for line in conflicts.read_text().splitlines()]
+    edit(totals, records)
+    path.write_text(json.dumps(totals, indent=2, sort_keys=True) + "\n")
+    conflicts.write_text("".join(json.dumps(record) + "\n" for record in records))
+    capsys.readouterr()
+    assert main(["report", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"report: {path}: ") and message in err, err
 
 
 # G_seconds values classify never writes: a gap is a number of seconds that

@@ -221,8 +221,8 @@ def test_classify_rejects_non_positive_gap():
 
 
 def result_of(records):
-    return DetectionResult(records, analyzed_count=1, total_count=1, analyzed_start_id=0,
-                           tweet_counts={}, query_counts={})
+    return DetectionResult(records, total_count=1, analyzed_start_id=0,
+                           tweet_counts={}, query_counts={0: 1})
 
 
 def test_inconsistency_time_gap_values():

@@ -13,8 +13,13 @@ store = ReplicatedStore(
     loop, RngStreams(1),
 )
 
-ack = store.write("greeting", "v1")
-print(f"wrote v1 at t=0, home replica {ack.home_replica}, version {ack.version}")
+
+def holders(value):
+    return [r for r in range(3) if store.replica_value(r, "greeting") == value]
+
+
+store.write("greeting", "v1")
+print(f"wrote v1 at t=0, held right after the commit by replica(s) {holders('v1')}")
 print("replica values right after commit:",
       [store.replica_value(r, "greeting") for r in range(3)])
 
@@ -22,8 +27,8 @@ loop.run_until(5_000_000)  # 5 virtual seconds
 print("after 5s:", [store.replica_value(r, "greeting") for r in range(3)],
       "converged:", store.is_converged())
 
-ack = store.write("greeting", "v2")
-print(f"\nwrote v2 at t=5s, home replica {ack.home_replica}")
+store.write("greeting", "v2")
+print(f"\nwrote v2 at t=5s, held right after the commit by replica(s) {holders('v2')}")
 stale = sum(store.read("greeting") == "v1" for _ in range(10_000))
 print(f"immediately after: {stale / 100:.1f}% of 10k random-replica reads still see v1")
 

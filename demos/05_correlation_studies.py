@@ -36,7 +36,7 @@ for producer, count in sorted(attribution.items(), key=lambda kv: -kv[1])[:5]:
 print("\nrank correlations over conflict participants (log-log scatter style):")
 for study in correlation_studies(result, network):
     value = "degenerate" if study.degenerate else f"{study.spearman:+.3f}"
-    print(f"  {study.x_label:<26} vs {study.y_label:<21} "
+    print(f"  {study.spec.x_label:<26} vs {study.spec.y_label:<21} "
           f"spearman {value}  ({len(study.points)} points)")
 print("\nonly producer popularity correlates strongly; activity and consumer "
       "behavior barely matter here")

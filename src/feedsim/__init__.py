@@ -31,7 +31,6 @@ from .detect import (
     ConflictType,
     DetectionResult,
     IntegrityError,
-    Position,
     TweetIndex,
     WitnessIndex,
     build_witness_index,
@@ -65,6 +64,6 @@ from .sim import (
     from_iso,
     to_iso,
 )
-from .store import CasResult, ReplicatedStore, StoreConfig, WriteAck
+from .store import CasResult, ReplicatedStore, StoreConfig
 
 __version__ = "0.1.0"

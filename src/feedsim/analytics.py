@@ -93,16 +93,13 @@ STUDIES = (
 
 @dataclass
 class CorrelationStudy:
-    x_label: str
-    y_label: str
-    file_name: str
-    strong: bool
+    spec: StudySpec
     points: list[tuple[float, float]]
     spearman: float | None
     degenerate: bool = False
 
     def to_dict(self) -> dict:
-        return {"x_label": self.x_label, "y_label": self.y_label,
+        return {"x_label": self.spec.x_label, "y_label": self.spec.y_label,
                 "spearman": self.spearman, "log_log": True,
                 "degenerate": self.degenerate, "n_points": len(self.points)}
 
@@ -111,8 +108,8 @@ def _make_study(spec: StudySpec, points: list[tuple[float, float]]) -> Correlati
     distinct_x = len({x for x, _ in points})
     rho = rank_correlation([x for x, _ in points], [y for _, y in points]) if points else None
     degenerate = distinct_x < 3 or rho is None
-    return CorrelationStudy(spec.x_label, spec.y_label, spec.file_name, spec.strong, points,
-                            spearman=None if degenerate else rho, degenerate=degenerate)
+    return CorrelationStudy(spec, points, spearman=None if degenerate else rho,
+                            degenerate=degenerate)
 
 
 def conflict_incidents(result: DetectionResult) -> set[tuple[int, int, int]]:
@@ -190,7 +187,7 @@ def emit_report(report: AnalyticsReport, out_dir: str | Path) -> list[Path]:
     written.append(histogram_path)
 
     for study in report.studies:
-        path = out / study.file_name
+        path = out / study.spec.file_name
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write("x,y\n")
             for x, y in study.points:
@@ -229,7 +226,7 @@ def _render_summary(report: AnalyticsReport) -> str:
     lines.append("correlation studies (spearman):")
     for study in report.studies:
         value = "degenerate" if study.degenerate else f"{study.spearman:+.3f}"
-        lines.append(f"  {study.x_label} vs {study.y_label}: {value}")
+        lines.append(f"  {study.spec.x_label} vs {study.spec.y_label}: {value}")
     if report.attribution:
         lines.append("")
         lines.append("top offending producers:")

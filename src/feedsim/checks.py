@@ -76,11 +76,11 @@ def check_histogram_shape(histogram: dict[int, int]) -> CheckOutcome:
 def check_correlations(studies: list[CorrelationStudy]) -> list[CheckOutcome]:
     outcomes = []
     for study in studies:
-        name = f"correlation_{study.x_label}"
+        name = f"correlation_{study.spec.x_label}"
         if study.degenerate:
             outcomes.append(CheckOutcome(name, False, "degenerate study"))
             continue
-        if study.strong:
+        if study.spec.strong:
             passed = study.spearman > STRONG_CORRELATION_MIN
             detail = f"spearman {study.spearman:+.3f} (need > {STRONG_CORRELATION_MIN})"
         else:

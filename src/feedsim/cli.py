@@ -107,7 +107,7 @@ def cmd_detect(cfg: ExperimentConfig, network: FollowingNetwork | None = None,
         tweets = _read("detect", app.load_tweet_log, out / TWEETS_FILE)
         responses = _read("detect", app.load_response_log, out / RESPONSES_FILE)
     try:
-        index = detect.TweetIndex(tweets)
+        index = detect.TweetIndex(tweets, network)
     except IntegrityError as exc:
         raise StageError("detect", f"{out / TWEETS_FILE}: {exc}") from exc
     try:
@@ -131,12 +131,8 @@ def cmd_report(cfg: ExperimentConfig, network: FollowingNetwork | None = None,
     if network is None:
         network, _ = _read("report", netgen.load_network_profile, out / NETWORK_FILE)
         result = _read("report", detect.load_detection, out / CONFLICTS_FILE,
-                       out / DETECTION_TOTALS_FILE)
-    try:
-        report = analytics.build_report(result, network)
-    except (KeyError, ValueError) as exc:
-        raise StageError("report", f"{out / NETWORK_FILE}: does not hold every id the "
-                                   f"conflicts name: {type(exc).__name__}: {exc}") from exc
+                       out / DETECTION_TOTALS_FILE, network, out / NETWORK_FILE)
+    report = analytics.build_report(result, network)
     for path in analytics.emit_report(report, out):
         print(f"report: wrote {path}")
     return report

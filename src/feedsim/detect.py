@@ -31,14 +31,6 @@ class ConflictType(Enum):
     NEWER_EARLIER = "newer_earlier"
 
 
-class Position(Enum):
-    """Where a missing tweet sits relative to the served entries."""
-
-    INTERIOR = "interior"
-    HEAD = "head"
-    TAIL = "tail"
-
-
 # Tweets are handled as (t, seq, producer_id) triples so lexicographic
 # comparison is exactly the global order.
 Triple = tuple[int, int, int]
@@ -57,9 +49,10 @@ class ConflictRecord:
 
 
 class TweetIndex:
-    """The global tweet log keyed by (producer_id, t), in global order, validated on build."""
+    """The global tweet log keyed by (producer_id, t), in global order, validated on build
+    against the network whose producers posted it."""
 
-    def __init__(self, tweet_log: Sequence[TweetEvent]):
+    def __init__(self, tweet_log: Sequence[TweetEvent], network: FollowingNetwork):
         self.triple_by_key: dict[tuple[int, int], Triple] = {}
         last: Triple | None = None
         for tweet in tweet_log:
@@ -70,6 +63,9 @@ class TweetIndex:
             key = (tweet.producer_id, tweet.t)
             if key in self.triple_by_key:
                 raise IntegrityError(f"tweet seq {tweet.seq} repeats the identity {key}")
+            if tweet.producer_id not in network.followers:
+                raise IntegrityError(
+                    f"tweet seq {tweet.seq} names unknown producer {tweet.producer_id}")
             self.triple_by_key[key] = triple
 
     def served(self, response: TimelineResponse) -> list[Triple]:
@@ -114,13 +110,14 @@ def consistent_timeline(feeds: dict[int, list[Triple]], consumer_id: int, T: int
 
 
 def find_missing(served: Sequence[Triple],
-                 oracle: Sequence[Triple]) -> list[tuple[Triple, Position]]:
-    """Oracle entries absent from the served triples, tagged by position.
+                 oracle: Sequence[Triple]) -> list[tuple[Triple, ConflictType]]:
+    """Oracle entries absent from the served triples, tagged with the
+    conflict type each would be.
 
     served must come from TweetIndex.served, newest first. A missing
-    tweet is INTERIOR when the response holds both newer and older
-    entries, HEAD when nothing served is newer, TAIL when nothing served
-    is older.
+    tweet is a GAP when the response holds both newer and older entries
+    and NEWER_EARLIER when nothing served is newer. A tweet older than
+    everything served is mere staleness and is left out.
     """
     served_set = set(served)
     newest = served[0] if served else None
@@ -129,15 +126,10 @@ def find_missing(served: Sequence[Triple],
     for triple in oracle:
         if triple in served_set:
             continue
-        newer_exists = newest is not None and newest > triple
-        older_exists = oldest is not None and oldest < triple
-        if newer_exists and older_exists:
-            position = Position.INTERIOR
-        elif not newer_exists:
-            position = Position.HEAD
-        else:
-            position = Position.TAIL
-        missing.append((triple, position))
+        if newest is None or newest < triple:
+            missing.append((triple, ConflictType.NEWER_EARLIER))
+        elif oldest < triple:
+            missing.append((triple, ConflictType.GAP))
     return missing
 
 
@@ -162,23 +154,18 @@ def build_witness_index(responses: Iterable[TimelineResponse],
     return WitnessIndex(containments)
 
 
-def classify(response: TimelineResponse, missing: Triple, position: Position,
+def classify(response: TimelineResponse, missing: Triple, conflict_type: ConflictType,
              witness_index: WitnessIndex) -> ConflictRecord | None:
     """Decide whether one missing tweet is an observable conflict.
 
-    An interior hole is a conflict as soon as any response contains the
-    tweet; a head hole needs a witness timestamped strictly earlier than
-    the flagged response. Tail holes are never observable.
+    A gap is a conflict as soon as any response contains the tweet; a
+    newer-earlier hole needs a witness timestamped strictly earlier than
+    the flagged response.
     """
     t, _, producer_id = missing
     earliest = witness_index.containments.get((producer_id, t))
-    if earliest is None:
-        return None
-    if position is Position.INTERIOR:
-        conflict_type = ConflictType.GAP
-    elif position is Position.HEAD and earliest[0] < response.T:
-        conflict_type = ConflictType.NEWER_EARLIER
-    else:
+    if earliest is None or (conflict_type is ConflictType.NEWER_EARLIER
+                            and earliest[0] >= response.T):
         return None
     gap_us = response.T - t
     if gap_us <= 0:
@@ -245,7 +232,7 @@ def detect_all(responses: Sequence[TimelineResponse],
     """
     if not 0 < analysis_window_fraction <= 1:
         raise ValueError("analysis_window_fraction must be in (0, 1]")
-    index = tweet_log if isinstance(tweet_log, TweetIndex) else TweetIndex(tweet_log)
+    index = tweet_log if isinstance(tweet_log, TweetIndex) else TweetIndex(tweet_log, network)
     feeds = feed_index(index, network)
     start = len(responses) - int(round(len(responses) * analysis_window_fraction))
     incomplete = []  # (response, what it misses) for analyzed responses unlike their oracle
@@ -273,8 +260,8 @@ def detect_all(responses: Sequence[TimelineResponse],
     analyzed = responses[start:]
     wanted = {(pid, t) for _, missing in incomplete for (t, _, pid), _ in missing}
     witness_index = build_witness_index(analyzed if wanted else [], wanted)
-    records = [record for resp, missing in incomplete for triple, position in missing
-               if (record := classify(resp, triple, position, witness_index)) is not None]
+    records = [record for resp, missing in incomplete for triple, conflict_type in missing
+               if (record := classify(resp, triple, conflict_type, witness_index)) is not None]
     return DetectionResult(
         records=records,
         total_count=len(responses),
@@ -365,18 +352,35 @@ def _check_counts(result: DetectionResult, n_timeline, analysis_window_fraction)
     start = result.analyzed_start_id
     if not (start >= 0 if analyzed else start == -1):
         raise ValueError(f"analyzed_start_id {start} with {analyzed} analyzed responses")
-    # Only consumers with queries are checked here: a record may name an id
-    # the network lacks, and build_report reports that against the network.
-    conflicting = Counter({r.response_id: r.consumer_id for r in result.records}.values())
-    for consumer, count in conflicting.items():
-        if count > result.query_counts.get(consumer, count):
-            raise ValueError(f"consumer {consumer} has {count} conflicting responses but "
-                             f"{result.query_counts[consumer]} queries")
 
 
-def load_detection(records_path: str | Path, totals_path: str | Path) -> DetectionResult:
+def _check_ids(result: DetectionResult, network: FollowingNetwork, network_path: str | Path,
+               totals_path: str | Path) -> None:
+    """Raise IntegrityError for an id the network lacks, against the network
+    when a record names it and against the totals file when a count table does."""
+    for record in result.records:
+        for kind, id_, known in (("producer", record.producer_id, network.followers),
+                                 ("consumer", record.consumer_id, network.follows)):
+            if id_ not in known:
+                raise IntegrityError(f"{network_path}: does not hold {kind} {id_}, which "
+                                     f"the record of response {record.response_id} names")
+    for table, kind, known in (("tweet_counts", "producer", network.followers),
+                               ("query_counts", "consumer", network.follows)):
+        if unknown := getattr(result, table).keys() - known.keys():
+            raise IntegrityError(f"{totals_path}: {table!r} names {kind} {min(unknown)}, "
+                                 f"which {network_path} does not hold")
+
+
+# The totals keys that echo the conflict records; the totals file owns the others.
+_RECORD_KEYS = {"conflicting_responses", "conflict_records", "type_counts", "per_response_G_us"}
+
+
+def load_detection(records_path: str | Path, totals_path: str | Path,
+                   network: FollowingNetwork, network_path: str | Path) -> DetectionResult:
     """The records and, from the totals file, the counts they cannot give;
-    the file's other values must echo the records or those counts."""
+    the file's other values must echo the records or those counts. Every id
+    must be in the network, read from network_path, and every consumer must
+    have at least as many queries as conflicting responses."""
     records = load_conflict_records(records_path)
     try:
         with open(totals_path, encoding="utf-8") as fh:
@@ -398,6 +402,16 @@ def load_detection(records_path: str | Path, totals_path: str | Path) -> Detecti
                        for doc in (rendered, totals))
     if differing := sorted(expected.items() ^ found.items()):
         key = differing[0][0]
-        source = "the sum of 'query_counts'" if key == "analyzed_responses" else records_path
-        raise IntegrityError(f"{totals_path}: {key!r} does not match {source}")
+        if key == "analyzed_responses":
+            raise IntegrityError(f"{totals_path}: {key!r} does not match the sum of "
+                                 f"'query_counts'")
+        if key in _RECORD_KEYS:
+            raise IntegrityError(f"{totals_path}: {key!r} does not match {records_path}")
+        raise IntegrityError(f"{totals_path}: {key!r} is not written the way detect writes it")
+    _check_ids(result, network, network_path, totals_path)
+    conflicting = Counter({r.response_id: r.consumer_id for r in records}.values())
+    for consumer, count in conflicting.items():
+        if count > (queries := result.query_counts.get(consumer, 0)):
+            raise IntegrityError(f"{totals_path}: consumer {consumer} has {count} conflicting "
+                                 f"responses but {queries} queries")
     return result

@@ -33,16 +33,9 @@ class StoreConfig:
             raise ValueError("n_replicas must be >= 1")
 
 
-class WriteAck(NamedTuple):
-    home_replica: int
-    version: int
-    commit_time: int
-
-
 class CasResult(NamedTuple):
     ok: bool
-    ack: WriteAck | None
-    current: Any
+    current: Any  # the authoritative value after the call
 
 
 class ReplicatedStore:
@@ -63,7 +56,8 @@ class ReplicatedStore:
         self.cas_failure_count = 0
         loop.set_handler(EventKind.PROPAGATION_ARRIVAL, self._on_propagation)
 
-    def _commit(self, key: Any, value: Any) -> WriteAck:
+    def write(self, key: Any, value: Any) -> None:
+        """Unconditional write; always succeeds."""
         current = self._authoritative.get(key)
         entry = (1 if current is None else current[0] + 1, value)
         now = self._loop.now()
@@ -80,7 +74,6 @@ class ReplicatedStore:
             self._loop.schedule(SimEvent(now + lag, EventKind.PROPAGATION_ARRIVAL,
                                          (replica, key, entry)))
         self.write_count += 1
-        return WriteAck(home, entry[0], now)
 
     def _on_propagation(self, payload: tuple[int, Any, tuple[int, Any]]) -> None:
         # Last writer by version wins; late lower-version arrivals are dropped.
@@ -90,21 +83,18 @@ class ReplicatedStore:
         if current is None or entry[0] > current[0]:
             values[key] = entry
 
-    def write(self, key: Any, value: Any) -> WriteAck:
-        """Unconditional write; always succeeds."""
-        return self._commit(key, value)
-
     def conditional_write(self, key: Any, expected: Any, new_value: Any) -> CasResult:
         """Commit new_value iff the authoritative value equals expected.
 
-        On failure the current authoritative value is returned so the
-        caller can recompute and retry.
+        Either way the authoritative value after the call is returned, so on
+        failure the caller can recompute and retry.
         """
         current = self.authoritative_read(key)
         if current != expected:
             self.cas_failure_count += 1
-            return CasResult(False, None, current)
-        return CasResult(True, self._commit(key, new_value), None)
+            return CasResult(False, current)
+        self.write(key, new_value)
+        return CasResult(True, new_value)
 
     def read(self, key: Any) -> Any:
         """Read from a uniformly random replica; may be stale or absent."""

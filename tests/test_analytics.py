@@ -144,7 +144,7 @@ def test_studies_monotone_and_degenerate():
             rid += 1
     result = make_result(records, tweet_counts={p: 1 for p in range(5)},
                          query_counts={c: 1 for c in range(5)})
-    studies = {s.x_label: s for s in correlation_studies(result, network)}
+    studies = {s.spec.x_label: s for s in correlation_studies(result, network)}
     followers_study = studies["producer_follower_count"]
     assert not followers_study.degenerate
     assert followers_study.spearman == pytest.approx(1.0)
@@ -160,7 +160,7 @@ def test_studies_count_distinct_incidents():
     result = make_result(records, tweet_counts={0: 1},
                          query_counts={0: 9, 1: 1})
     assert conflict_incidents(result) == {(0, 0, 10), (1, 0, 10)}
-    studies = {s.x_label: s for s in correlation_studies(result, network)}
+    studies = {s.spec.x_label: s for s in correlation_studies(result, network)}
     points = dict(studies["consumer_query_count"].points)
     assert points == {9.0: 1.0, 1.0: 1.0}
 

@@ -210,7 +210,7 @@ def tiny_run(fanout, lag, seed=1, hours=1.0, n_replicas=3):
 
 def test_zero_delay_synchronous_responses_equal_oracle():
     network, artifacts = tiny_run(FanoutSettings(mode="synchronous"), ("constant", 0.0))
-    feeds = feed_index(TweetIndex(artifacts.tweet_log), network)
+    feeds = feed_index(TweetIndex(artifacts.tweet_log, network), network)
     for response in artifacts.responses:
         oracle = consistent_timeline(feeds, response.consumer_id, response.T, 5)
         assert list(response.entries) == [(pid, t) for t, _, pid in oracle]
@@ -292,7 +292,7 @@ def test_incomplete_fanouts_reported_as_horizon_delay(monkeypatch):
             result = super().conditional_write(key, expected, new_value)
             if result.ok:
                 for pair in set(new_value) - set(expected or ()):
-                    commit_times.setdefault(pair, []).append(result.ack.commit_time)
+                    commit_times.setdefault(pair, []).append(self._loop.now())
             return result
 
     monkeypatch.setattr(app_module, "ReplicatedStore", CommitRecordingStore)

@@ -2,6 +2,7 @@ import json
 import math
 import shutil
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -44,6 +45,16 @@ def test_config_roundtrips_unchanged(tmp_path):
     cfg = ExperimentConfig(out_dir=str(tmp_path))
     path = write_config(tmp_path, cfg)
     assert ExperimentConfig.load(path) == cfg
+
+
+def test_benchmark_configs_are_the_canned_configs():
+    # perfbench/ describes its config files as these two configs; the test
+    # only reads them.
+    configs = Path(__file__).resolve().parent.parent / "perfbench" / "configs"
+    assert ExperimentConfig.load(configs / "zero_delay_2h.json") == \
+        zero_delay_config(seed=1, duration_hours=2.0)
+    assert ExperimentConfig.load(configs / "anomaly_x10.json") == \
+        ExperimentConfig(n_producers=6790, n_consumers=19630)
 
 
 # The benchmark leaves config_used.json out of its digests, so the wire
@@ -481,6 +492,23 @@ def _first_tweet_count_negative(totals, records):
     counts[next(iter(counts))] = -3
 
 
+def _queries_moved_off_a_conflicting_consumer(totals, records):
+    counts = totals["query_counts"]
+    consumer = records[0]["consumer_id"]
+    other = next(key for key in counts if key != consumer)
+    counts[other] += counts.pop(consumer)
+
+
+def _query_count_for_unknown_consumer(totals, records):
+    totals["query_counts"]["999999"] = 1
+    totals["analyzed_responses"] += 1
+    totals["total_responses"] += 1
+
+
+def _tweet_counts_keys_with_leading_zero(totals, records):
+    totals["tweet_counts"] = {f"0{key}": count for key, count in totals["tweet_counts"].items()}
+
+
 # Totals that echo themselves but that no detection run writes: (edit, message part).
 IMPOSSIBLE_TOTALS = {
     "tweet_count_negative": (_first_tweet_count_negative, "has a count of -3"),
@@ -494,6 +522,15 @@ IMPOSSIBLE_TOTALS = {
     "consumer_conflicting_more_than_it_queried": (
         _every_conflict_on_one_consumer_with_one_query,
         "has 3 conflicting responses but 1 queries"),
+    "queries_moved_off_a_conflicting_consumer": (
+        _queries_moved_off_a_conflicting_consumer, "conflicting responses but 0 queries"),
+    "tweet_count_for_unknown_producer": (lambda totals, records: totals["tweet_counts"].update(
+        {"999999": 1}), "'tweet_counts' names producer 999999"),
+    "query_count_for_unknown_consumer": (_query_count_for_unknown_consumer,
+                                         "'query_counts' names consumer 999999"),
+    "tweet_counts_keys_with_leading_zero": (_tweet_counts_keys_with_leading_zero,
+                                            "'tweet_counts' is not written the way detect "
+                                            "writes it"),
     "analyzed_start_id_negative": (lambda totals, records: totals.update(
         analyzed_start_id=-7), "analyzed_start_id -7 with 572 analyzed responses"),
     "analyzed_start_id_none_with_responses": (lambda totals, records: totals.update(
@@ -528,6 +565,7 @@ def test_totals_no_detection_run_writes_exit_1(tmp_path, capsys, staged_outputs,
     assert main(["report", "--config", str(cfg_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"report: {path}: ") and message in err, err
+    assert str(conflicts) not in err, err
 
 
 # G_seconds values classify never writes: a gap is a number of seconds that
@@ -642,13 +680,15 @@ def _future_entry_in_warm_up(records):
     ("responses.jsonl", lambda records: records[-1].update(T=records[0]["T"]),
      "response {last} is timestamped before the response before it"),
     ("tweets.jsonl", _swap_tweets_2_and_3, "tweet log not strictly ordered at seq 2"),
+    ("tweets.jsonl", lambda records: records[-1].update(producer_id="999999"),
+     "tweet seq {last} names unknown producer 999999"),
     ("responses.jsonl", _phantom_entry_in_warm_up,
      "response {warm} contains a phantom tweet (99999, "),
     ("responses.jsonl", _future_entry_in_warm_up, "response {warm} contains a future tweet ("),
     ("responses.jsonl", lambda records: _warm_up(records)["entries"].reverse(),
      "response {warm} entries not strictly newest-first"),
 ], ids=["unknown_consumer", "phantom_entry", "duplicate_response_id", "disordered_T",
-        "swapped_tweets", "warm_up_phantom_entry", "warm_up_future_entry",
+        "swapped_tweets", "unknown_producer", "warm_up_phantom_entry", "warm_up_future_entry",
         "warm_up_reversed_entries"])
 def test_detect_integrity_errors_name_the_log(tmp_path, capsys, staged_outputs,
                                               name, edit, message):
@@ -656,7 +696,7 @@ def test_detect_integrity_errors_name_the_log(tmp_path, capsys, staged_outputs,
     shutil.copytree(staged_outputs, out)
     cfg_path = write_config(tmp_path, tiny_config(out))
     records = [json.loads(line) for line in (out / name).read_text().splitlines()]
-    last = records[-1].get("response_id")
+    last = records[-1]["response_id" if name == "responses.jsonl" else "seq"]
     warm = _warm_up(records)["response_id"] if name == "responses.jsonl" else None
     edit(records)
     (out / name).write_text("".join(json.dumps(record) + "\n" for record in records))

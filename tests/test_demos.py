@@ -1,7 +1,9 @@
 import json
 import os
+import re
 import subprocess
 import sys
+from fnmatch import fnmatch
 from pathlib import Path
 
 import pytest
@@ -32,14 +34,33 @@ def test_demo_runs_clean(tmp_path, demo):
     assert proc.stdout
 
 
-def test_readme_library_example_matches_repro(tmp_path):
+README = (ROOT / "README.md").read_text(encoding="utf-8")
+
+
+@pytest.fixture(scope="module")
+def bare_repro(tmp_path_factory):
+    """The output directory of bare `repro`."""
+    out = tmp_path_factory.mktemp("bare_repro") / "out"
+    assert main(["repro", "--out", str(out)]) == 0
+    return out
+
+
+def test_readme_library_example_matches_repro(tmp_path, bare_repro):
     # The README's library pipeline must run the experiment bare `repro` runs.
-    readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    library = readme[readme.index("\n## Library\n"):]
+    library = README[README.index("\n## Library\n"):]
     start = library.index("```python\n") + len("```python\n")
     code = library[start:library.index("```", start)]
     proc = run_python(["-c", code], tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert main(["repro", "--out", str(tmp_path / "out")]) == 0
-    totals = json.loads((tmp_path / "out" / "totals.json").read_text())
+    totals = json.loads((bare_repro / "totals.json").read_text())
     assert float(proc.stdout.split()[-1]) == totals["inconsistency_rate"]
+
+
+def test_readme_files_table_names_every_repro_file(bare_repro):
+    start = README.index("Files written to the output directory:")
+    table = README[start:README.index("\n## Library\n")]
+    named = [name for row in table.splitlines() if row.startswith("| `")
+             for name in re.findall(r"`([^`]+)`", row.split(" | ")[0])]
+    unnamed = [path.name for path in sorted(bare_repro.iterdir())
+               if not any(fnmatch(path.name, name) for name in named)]
+    assert unnamed == []

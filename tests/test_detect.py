@@ -7,7 +7,6 @@ from feedsim.detect import (
     ConflictType,
     DetectionResult,
     IntegrityError,
-    Position,
     TweetIndex,
     build_witness_index,
     classify,
@@ -48,26 +47,27 @@ def two_user_scenario():
 
 def test_consistent_timeline_five_tweet_window():
     tweets, network, _, (A, B, C, D, E) = two_user_scenario()
-    oracle = consistent_timeline(feed_index(TweetIndex(tweets), network), 0, 45 * SEC, 4)
+    oracle = consistent_timeline(feed_index(TweetIndex(tweets, network), network), 0, 45 * SEC, 4)
     assert [(pid, t) for t, _, pid in oracle] == [D, C, B, A]
 
 
 def test_consistent_timeline_before_any_tweet_is_empty():
     tweets, network, _, _ = two_user_scenario()
-    assert consistent_timeline(feed_index(TweetIndex(tweets), network), 0, 5 * SEC, 4) == []
+    feeds = feed_index(TweetIndex(tweets, network), network)
+    assert consistent_timeline(feeds, 0, 5 * SEC, 4) == []
 
 
 def test_consistent_timeline_unknown_consumer():
     tweets, network, _, _ = two_user_scenario()
     with pytest.raises(ValueError):
-        consistent_timeline(feed_index(TweetIndex(tweets), network), 7, 45 * SEC, 4)
+        consistent_timeline(feed_index(TweetIndex(tweets, network), network), 7, 45 * SEC, 4)
 
 
 def test_consistent_timeline_matches_bruteforce_merge():
     rng = np.random.default_rng(0)
     for _ in range(50):
         responses, tweets, network, n = random_instance(rng)
-        feeds = feed_index(TweetIndex(tweets), network)
+        feeds = feed_index(TweetIndex(tweets, network), network)
         for consumer in network.follows:
             T = int(rng.integers(0, 100))
             ours = consistent_timeline(feeds, consumer, T, n)
@@ -77,20 +77,20 @@ def test_consistent_timeline_matches_bruteforce_merge():
 
 def test_find_missing_positions():
     tweets, network, (r_gap, r_head), (A, B, C, D, E) = two_user_scenario()
-    index = TweetIndex(tweets)
+    index = TweetIndex(tweets, network)
     oracle_gap = consistent_timeline(feed_index(index, network), 0, r_gap.T, 4)
     missing = find_missing(index.served(r_gap), oracle_gap)
     assert [(pid, t, pos) for (t, _, pid), pos in missing] == \
-           [(B[0], B[1], Position.INTERIOR)]
+           [(B[0], B[1], ConflictType.GAP)]
     oracle_head = consistent_timeline(feed_index(index, network), 1, r_head.T, 4)
     missing = find_missing(index.served(r_head), oracle_head)
     assert [(pid, t, pos) for (t, _, pid), pos in missing] == \
-           [(D[0], D[1], Position.HEAD)]
+           [(D[0], D[1], ConflictType.NEWER_EARLIER)]
 
 
 def test_find_missing_exact_match_is_empty():
     tweets, network, _, (A, B, C, D, E) = two_user_scenario()
-    index = TweetIndex(tweets)
+    index = TweetIndex(tweets, network)
     response = TimelineResponse(response_id=9, consumer_id=0, T=45 * SEC,
                                 entries=(D, C, B, A))
     oracle = consistent_timeline(feed_index(index, network), 0, 45 * SEC, 4)
@@ -98,8 +98,8 @@ def test_find_missing_exact_match_is_empty():
 
 
 def test_phantom_entry_raises_integrity_error():
-    tweets, _, _, _ = two_user_scenario()
-    index = TweetIndex(tweets)
+    tweets, network, _, _ = two_user_scenario()
+    index = TweetIndex(tweets, network)
     response = TimelineResponse(response_id=0, consumer_id=0, T=45 * SEC,
                                 entries=((0, 123456),))
     with pytest.raises(IntegrityError, match="phantom"):
@@ -107,18 +107,19 @@ def test_phantom_entry_raises_integrity_error():
 
 
 def test_future_entry_raises_integrity_error():
-    tweets, _, _, (A, B, C, D, E) = two_user_scenario()
-    index = TweetIndex(tweets)
+    tweets, network, _, (A, B, C, D, E) = two_user_scenario()
+    index = TweetIndex(tweets, network)
     response = TimelineResponse(response_id=0, consumer_id=0, T=15 * SEC, entries=(C,))
     with pytest.raises(IntegrityError, match="future"):
         index.served(response)
 
 
 def test_tweet_index_rejects_duplicate_identity_and_disorder():
+    network = make_network({0: (0, 1)}, 2)
     with pytest.raises(IntegrityError):
-        TweetIndex([TweetEvent(0, 10, 0), TweetEvent(0, 10, 1)])
+        TweetIndex([TweetEvent(0, 10, 0), TweetEvent(0, 10, 1)], network)
     with pytest.raises(IntegrityError):
-        TweetIndex([TweetEvent(0, 20, 0), TweetEvent(1, 10, 1)])
+        TweetIndex([TweetEvent(0, 20, 0), TweetEvent(1, 10, 1)], network)
 
 
 def test_witness_index_shapes():
@@ -135,7 +136,7 @@ def test_witness_index_shapes():
 def test_witness_index_matches_linear_scan():
     rng = np.random.default_rng(1)
     responses, tweets, network, n = random_instance(rng)
-    index = build_witness_index(responses, set(TweetIndex(tweets).triple_by_key))
+    index = build_witness_index(responses, set(TweetIndex(tweets, network).triple_by_key))
     sample = tweets if len(tweets) <= 100 else \
         [tweets[i] for i in rng.choice(len(tweets), 100, replace=False)]
     for tw in sample:
@@ -168,7 +169,7 @@ def test_two_user_scenario_classification():
 
 def test_head_missing_needs_strictly_earlier_witness():
     tweets, network, _, (A, B, C, D, E) = two_user_scenario()
-    index = TweetIndex(tweets)
+    index = TweetIndex(tweets, network)
     flagged = TimelineResponse(response_id=1, consumer_id=1, T=45 * SEC,
                                entries=(C, B, A))
     same_time_witness = TimelineResponse(response_id=0, consumer_id=0, T=45 * SEC,
@@ -176,27 +177,22 @@ def test_head_missing_needs_strictly_earlier_witness():
     witness_index = build_witness_index([flagged, same_time_witness], {A, B, C, D, E})
     oracle = consistent_timeline(feed_index(index, network), 1, flagged.T, 4)
     [(triple, position)] = find_missing(index.served(flagged), oracle)
-    assert position is Position.HEAD
+    assert position is ConflictType.NEWER_EARLIER
     assert classify(flagged, triple, position, witness_index) is None
 
 
 def test_tail_missing_is_never_observable():
     tweets, network, _, (A, B, C, D, E) = two_user_scenario()
-    index = TweetIndex(tweets)
+    index = TweetIndex(tweets, network)
     flagged = TimelineResponse(response_id=1, consumer_id=1, T=45 * SEC,
                                entries=(D, C, B))
-    witness = TimelineResponse(response_id=0, consumer_id=0, T=41 * SEC,
-                               entries=(D, C, B, A))
     oracle = consistent_timeline(feed_index(index, network), 1, flagged.T, 4)
-    [(triple, position)] = find_missing(index.served(flagged), oracle)
-    assert position is Position.TAIL
-    witness_index = build_witness_index([witness, flagged], {A, B, C, D, E})
-    assert classify(flagged, triple, position, witness_index) is None
+    assert find_missing(index.served(flagged), oracle) == []
 
 
 def test_unwitnessed_interior_gap_is_not_observable():
     tweets, network, _, (A, B, C, D, E) = two_user_scenario()
-    index = TweetIndex(tweets)
+    index = TweetIndex(tweets, network)
     flagged = TimelineResponse(response_id=0, consumer_id=0, T=45 * SEC,
                                entries=(D, C, A))
     oracle = consistent_timeline(feed_index(index, network), 0, flagged.T, 4)
@@ -209,15 +205,15 @@ def test_classify_rejects_non_positive_gap():
     tweets = [TweetEvent(0, 10, 0), TweetEvent(1, 10, 1), TweetEvent(0, 5, -1)]
     tweets.sort(key=lambda tw: (tw.t, tw.seq))
     tweets = [TweetEvent(tw.producer_id, tw.t, i) for i, tw in enumerate(tweets)]
-    index = TweetIndex(tweets)
     network = make_network({0: (0, 1), 1: (0, 1)}, 2)
+    index = TweetIndex(tweets, network)
     missing = index.triple_by_key[(0, 10)]
     flagged = TimelineResponse(response_id=1, consumer_id=0, T=10,
                                entries=((1, 10), (0, 5)))
     witness = TimelineResponse(response_id=0, consumer_id=1, T=10, entries=((0, 10),))
     witness_index = build_witness_index([witness, flagged], set(index.triple_by_key))
     with pytest.raises(IntegrityError):
-        classify(flagged, missing, Position.INTERIOR, witness_index)
+        classify(flagged, missing, ConflictType.GAP, witness_index)
 
 
 def result_of(records):
@@ -411,7 +407,7 @@ def test_observable_subset_of_missing():
         responses, tweets, network, n = random_instance(rng)
         result = detect_all(responses, tweets, network, n_timeline=n,
                             analysis_window_fraction=1.0)
-        index = TweetIndex(tweets)
+        index = TweetIndex(tweets, network)
         feeds = feed_index(index, network)
         per_response_records = {}
         for record in result.records:
@@ -429,7 +425,7 @@ def test_enlarging_witness_corpus_never_removes_conflicts():
         responses, tweets, network, n = random_instance(rng)
         if len(responses) < 4:
             continue
-        index = TweetIndex(tweets)
+        index = TweetIndex(tweets, network)
         feeds = feed_index(index, network)
         every = set(index.triple_by_key)
         half = build_witness_index(responses[len(responses) // 2:], every)
@@ -458,7 +454,7 @@ def test_detection_result_files_roundtrip(tmp_path):
     save_conflict_records(records_path, result)
     save_detection_totals(totals_path, result, 4, 1.0)
     assert load_conflict_records(records_path) == result.records
-    loaded = load_detection(records_path, totals_path)
+    loaded = load_detection(records_path, totals_path, network, tmp_path / "network.jsonl")
     assert loaded == result
     assert loaded.per_response_G == result.per_response_G == {0: 25 * SEC, 1: 7 * SEC}
 

@@ -60,7 +60,6 @@ from .sim import (
     EventKind,
     EventLoop,
     RngStreams,
-    SimEvent,
     from_iso,
     to_iso,
 )

@@ -24,7 +24,6 @@ from .sim import (
     EventKind,
     EventLoop,
     RngStreams,
-    SimEvent,
     from_iso,
     make_sampler,
     read_jsonl,
@@ -129,9 +128,10 @@ class RunArtifacts:
         """The trace_stats.json document."""
         # Tweet-log order is (t, producer_id) order: only arrivals post, and
         # arrivals at one instant fire in producer-id order.
+        times = to_iso([t for _, t in self.fanout_completion_us])
         completions = [
-            {"producer_id": str(pid), "t": to_iso(t), "completion_us": delay}
-            for (pid, t), delay in self.fanout_completion_us.items()
+            {"producer_id": str(pid), "t": t, "completion_us": delay}
+            for ((pid, _), delay), t in zip(self.fanout_completion_us.items(), times)
         ]
         return {
             "duration_us": self.duration_us,
@@ -210,8 +210,8 @@ class FeedApp:
             # The update task reads the timeline when it starts service; the
             # conditional write lands when service completes.
             expected = self.store.authoritative_read(consumer_id)
-            self.loop.schedule(SimEvent(self.loop.now() + self._service_sample(),
-                                        EventKind.FANOUT_STEP, (fanout, consumer_id, expected)))
+            self.loop.schedule((self.loop.now() + self._service_sample(),
+                                EventKind.FANOUT_STEP, (fanout, consumer_id, expected)))
 
     def _write(self, update: tuple[_Fanout, int, tuple | None]) -> None:
         """Try one conditional write of a tweet into a follower's timeline.
@@ -223,8 +223,8 @@ class FeedApp:
         new_value = insert_entry(expected, fanout.pair, self._seqs, self.n_timeline)
         result = self.store.conditional_write(consumer_id, expected, new_value)
         if not result.ok:
-            self.loop.schedule(SimEvent(self.loop.now() + RETRY_BACKOFF_US, EventKind.RETRY_WRITE,
-                                        (fanout, consumer_id, result.current)))
+            self.loop.schedule((self.loop.now() + RETRY_BACKOFF_US, EventKind.RETRY_WRITE,
+                                (fanout, consumer_id, result.current)))
             return
         fanout.pending -= 1
         if fanout.pending == 0:
@@ -331,14 +331,19 @@ def run_experiment(network: FollowingNetwork, profile: WorkloadProfile,
 
 
 def save_tweet_log(path: str | Path, tweets: list[TweetEvent]) -> None:
-    write_jsonl(path, ({"producer_id": str(tw.producer_id), "t": to_iso(tw.t), "seq": tw.seq}
-                       for tw in tweets))
+    write_jsonl(path, ({"producer_id": str(tw.producer_id), "t": t, "seq": tw.seq}
+                       for tw, t in zip(tweets, to_iso([tw.t for tw in tweets]))))
 
 
 def load_tweet_log(path: str | Path) -> list[TweetEvent]:
     return read_jsonl(path, lambda record: TweetEvent(
         producer_id=record_decimal(record["producer_id"]), t=from_iso(record["t"]),
         seq=record_int(record["seq"])))
+
+
+# save_response_log renders the T of this many responses at a time, so only
+# one chunk's timestamp strings are held at once.
+RESPONSE_LOG_CHUNK = 1024
 
 
 def save_response_log(path: str | Path, responses: list[TimelineResponse]) -> None:
@@ -349,20 +354,35 @@ def save_response_log(path: str | Path, responses: list[TimelineResponse]) -> No
     so each distinct entries tuple and each pair is rendered once.
     """
     entries_json = dict.fromkeys(resp.entries for resp in responses)
-    pair_json = {pair: '{"producer_id": "%d", "t": "%s"}' % (pair[0], to_iso(pair[1]))
-                 for pair in {pair for entries in entries_json for pair in entries}}
+    pairs = list({pair for entries in entries_json for pair in entries})
+    pair_json = {pair: '{"producer_id": "%d", "t": "%s"}' % (pair[0], t)
+                 for pair, t in zip(pairs, to_iso([t for _, t in pairs]))}
     for entries in entries_json:
         entries_json[entries] = ", ".join([pair_json[pair] for pair in entries])
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(
-            '{"response_id": %d, "consumer_id": "%d", "T": "%s", "entries": [%s]}\n'
-            % (resp.response_id, resp.consumer_id, to_iso(resp.T), entries_json[resp.entries])
-            for resp in responses)
+        for start in range(0, len(responses), RESPONSE_LOG_CHUNK):
+            chunk = responses[start:start + RESPONSE_LOG_CHUNK]
+            fh.writelines(
+                '{"response_id": %d, "consumer_id": "%d", "T": "%s", "entries": [%s]}\n'
+                % (resp.response_id, resp.consumer_id, T, entries_json[resp.entries])
+                for resp, T in zip(chunk, to_iso([resp.T for resp in chunk])))
 
 
 def load_response_log(path: str | Path) -> list[TimelineResponse]:
+    """Read a response log; each distinct (producer_id, t) string pair is parsed once."""
+    pairs: dict[tuple[str, str], tuple[int, int]] = {}
+
+    def entry(record: dict) -> tuple[int, int]:
+        try:
+            return pairs[record["producer_id"], record["t"]]
+        except (KeyError, TypeError):
+            # Unseen, or not a pair of strings: parsing raises as it would
+            # uncached, and only a pair of strings that parsed is kept.
+            pair = pairs[record["producer_id"], record["t"]] = (
+                record_decimal(record["producer_id"]), from_iso(record["t"]))
+            return pair
+
     return read_jsonl(path, lambda record: TimelineResponse(
         response_id=record_int(record["response_id"]),
         consumer_id=record_decimal(record["consumer_id"]), T=from_iso(record["T"]),
-        entries=tuple((record_decimal(e["producer_id"]), from_iso(e["t"]))
-                      for e in record["entries"])))
+        entries=tuple(map(entry, record["entries"]))))

@@ -16,7 +16,6 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -34,7 +33,6 @@ class ConflictType(Enum):
 # Tweets are handled as (t, seq, producer_id) triples so lexicographic
 # comparison is exactly the global order.
 Triple = tuple[int, int, int]
-_time = itemgetter(0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,23 +88,33 @@ class TweetIndex:
         return triples
 
 
-def feed_index(index: TweetIndex, network: FollowingNetwork) -> dict[int, list[Triple]]:
-    """Per consumer, the triples of its followed producers' tweets, in global order."""
-    feeds: dict[int, list[Triple]] = {consumer: [] for consumer in network.follows}
-    for triple in index.triple_by_key.values():
-        for consumer in network.followers.get(triple[2], ()):
-            feeds[consumer].append(triple)
-    return feeds
+# A consumer's feed: the times of its followed producers' tweets in global
+# order, and their (producer_id, t) pairs newest-first.
+Feed = tuple[list[int], tuple[tuple[int, int], ...]]
 
 
-def consistent_timeline(feeds: dict[int, list[Triple]], consumer_id: int, T: int,
-                        n_timeline: int) -> list[Triple]:
-    """The n_timeline newest tweets with t <= T in the consumer's feed, newest first."""
+def feed_index(index: TweetIndex, network: FollowingNetwork) -> dict[int, Feed]:
+    """Per consumer, the feed of its followed producers' tweets."""
+    times: dict[int, list[int]] = {consumer: [] for consumer in network.follows}
+    pairs: dict[int, list[tuple[int, int]]] = {consumer: [] for consumer in network.follows}
+    for key in index.triple_by_key:
+        for consumer in network.followers.get(key[0], ()):
+            times[consumer].append(key[1])
+            pairs[consumer].append(key)
+    return {consumer: (times[consumer], tuple(reversed(pairs[consumer]))) for consumer in times}
+
+
+def consistent_timeline(feeds: dict[int, Feed], consumer_id: int, T: int,
+                        n_timeline: int) -> tuple[tuple[int, int], ...]:
+    """The n_timeline newest tweets with t <= T in the consumer's feed, as the
+    newest-first (producer_id, t) pairs a response serves."""
     feed = feeds.get(consumer_id)
     if feed is None:
         raise ValueError(f"unknown consumer {consumer_id}")
-    hi = bisect_right(feed, T, key=_time)
-    return feed[max(0, hi - n_timeline):hi][::-1]
+    times, pairs = feed
+    # pairs is newest-first, so the tweets with t <= T start here.
+    start = len(times) - bisect_right(times, T)
+    return pairs[start:start + n_timeline]
 
 
 def find_missing(served: Sequence[Triple],
@@ -254,8 +262,9 @@ def detect_all(responses: Sequence[TimelineResponse],
             continue
         oracle = consistent_timeline(feeds, resp.consumer_id, resp.T, n_timeline)
         # Serving exactly the oracle proves the entries valid and complete.
-        if list(resp.entries) != [(pid, t) for t, _, pid in oracle]:
-            incomplete.append((resp, find_missing(index.served(resp), oracle)))
+        if resp.entries != oracle:
+            incomplete.append((resp, find_missing(
+                index.served(resp), [index.triple_by_key[pair] for pair in oracle])))
 
     analyzed = responses[start:]
     wanted = {(pid, t) for _, missing in incomplete for (t, _, pid), _ in missing}
@@ -278,11 +287,12 @@ def save_conflict_records(path: str | Path, result: DetectionResult) -> None:
     write_jsonl(path, ({"response_id": record.response_id,
                         "consumer_id": str(record.consumer_id),
                         "producer_id": str(record.producer_id),
-                        "t": to_iso(record.t),
+                        "t": t,
                         "type": record.type.value,
                         "witness_response_id": record.witness_response_id,
                         "G_seconds": record.gap_us / MICROS_PER_SECOND}
-                       for record in result.records))
+                       for record, t in zip(result.records,
+                                            to_iso([record.t for record in result.records]))))
 
 
 def _record_gap_us(seconds) -> int:

@@ -17,7 +17,7 @@ from functools import partial
 from heapq import heappop, heappush
 from itertools import chain
 from pathlib import Path
-from typing import Any, Callable, Iterable, NamedTuple
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -29,20 +29,24 @@ MICROS_PER_HOUR = 3_600_000_000
 EPOCH = datetime(2020, 1, 1)
 
 
-# "YYYY-MM-DD" of each day since EPOCH that to_iso has rendered.
-_ISO_DATES: dict[int, str] = {}
+# EPOCH as a numpy instant, and the timestamps datetime can represent,
+# which is the range from_iso parses.
+_EPOCH_US = np.datetime64(EPOCH, "us")
+_MIN_MICROS = (datetime.min - EPOCH) // timedelta(microseconds=1)
+_MAX_MICROS = (datetime.max - EPOCH) // timedelta(microseconds=1)
 
 
-def to_iso(micros: int) -> str:
-    """Render a virtual timestamp as ISO-8601 with microsecond precision."""
-    seconds, micro = divmod(int(micros), MICROS_PER_SECOND)
-    days, seconds = divmod(seconds, 86_400)
-    date = _ISO_DATES.get(days)
-    if date is None:
-        date = _ISO_DATES[days] = (EPOCH + timedelta(days=days)).date().isoformat()
-    hour, seconds = divmod(seconds, 3_600)
-    minute, second = divmod(seconds, 60)
-    return "%sT%02d:%02d:%02d.%06d" % (date, hour, minute, second, micro)
+def to_iso(micros: Sequence[int]) -> list[str]:
+    """Render virtual timestamps as ISO-8601 with microsecond precision.
+
+    Raises OverflowError for a timestamp outside datetime's range, which
+    numpy would otherwise render with a five-digit year.
+    """
+    counts = np.asarray(micros, dtype=np.int64)
+    if counts.size and (counts.min() < _MIN_MICROS or counts.max() > _MAX_MICROS):
+        raise OverflowError("timestamp out of datetime's range")
+    return np.datetime_as_string(_EPOCH_US + counts.astype("timedelta64[us]"),
+                                 unit="us").tolist()
 
 
 def from_iso(text: str) -> int:
@@ -114,14 +118,6 @@ class EventKind(str, Enum):
     RETRY_WRITE = "retry_write"
 
 
-class SimEvent(NamedTuple):
-    """A callback to queue: its handler receives the payload at fire_at."""
-
-    fire_at: int
-    kind: EventKind
-    payload: Any = None
-
-
 class EventLoop:
     """Single-threaded virtual-time event queue.
 
@@ -170,8 +166,9 @@ class EventLoop:
         self._arrivals.sort(reverse=True)
         self.scheduled_count = seq
 
-    def schedule(self, event: SimEvent) -> int:
-        """Queue an event; returns its seq."""
+    def schedule(self, event: tuple[int, EventKind, Any]) -> int:
+        """Queue a (fire_at, kind, payload) event: kind's handler receives the
+        payload at fire_at. Returns the event's seq."""
         fire_at, kind, payload = event
         if fire_at < self._now:
             raise ValueError(f"cannot schedule event at t={fire_at} before now={self._now}")

@@ -17,7 +17,6 @@ from .sim import (
     EventKind,
     EventLoop,
     RngStreams,
-    SimEvent,
     choice_sampler,
     make_sampler,
 )
@@ -48,6 +47,9 @@ class ReplicatedStore:
             {} for _ in range(config.n_replicas)
         ]
         self._authoritative: dict[Any, tuple[int, Any]] = {}
+        # The replicas a write committed at each home propagates to, in order.
+        self._peers = [tuple(r for r in range(config.n_replicas) if r != home)
+                       for home in range(config.n_replicas)]
         self._lag_sample = make_sampler(config.lag, rng.stream("store.lag"))
         self._read_replica = choice_sampler(config.n_replicas, rng.stream("store.read"))
         self._home_replica = choice_sampler(config.n_replicas, rng.stream("store.home"))
@@ -58,21 +60,21 @@ class ReplicatedStore:
 
     def write(self, key: Any, value: Any) -> None:
         """Unconditional write; always succeeds."""
-        current = self._authoritative.get(key)
+        self._commit(key, self._authoritative.get(key), value)
+
+    def _commit(self, key: Any, current: tuple[int, Any] | None, value: Any) -> None:
+        """Commit value over current, the key's authoritative entry."""
         entry = (1 if current is None else current[0] + 1, value)
         now = self._loop.now()
         home = self._home_replica()
         self._authoritative[key] = entry
         # The new version is above every replica's, so the home takes it as is.
         self._replicas[home][key] = entry
-        for replica in range(self.config.n_replicas):
-            if replica == home:
-                continue
+        for replica in self._peers[home]:
             lag = self._lag_sample()
             if lag > self.max_lag_sample_us:
                 self.max_lag_sample_us = lag
-            self._loop.schedule(SimEvent(now + lag, EventKind.PROPAGATION_ARRIVAL,
-                                         (replica, key, entry)))
+            self._loop.schedule((now + lag, EventKind.PROPAGATION_ARRIVAL, (replica, key, entry)))
         self.write_count += 1
 
     def _on_propagation(self, payload: tuple[int, Any, tuple[int, Any]]) -> None:
@@ -89,11 +91,12 @@ class ReplicatedStore:
         Either way the authoritative value after the call is returned, so on
         failure the caller can recompute and retry.
         """
-        current = self.authoritative_read(key)
-        if current != expected:
+        current = self._authoritative.get(key)
+        value = None if current is None else current[1]
+        if value != expected:
             self.cas_failure_count += 1
-            return CasResult(False, current)
-        self.write(key, new_value)
+            return CasResult(False, value)
+        self._commit(key, current, new_value)
         return CasResult(True, new_value)
 
     def read(self, key: Any) -> Any:

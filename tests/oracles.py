@@ -8,12 +8,13 @@ sort, truncate, all-pairs scans) without reusing feedsim.detect internals.
 from __future__ import annotations
 
 import heapq
+from datetime import timedelta
 
 import numpy as np
 
 from feedsim.app import TimelineResponse, TweetEvent
 from feedsim.netgen import FollowingNetwork
-from feedsim.sim import SimEvent
+from feedsim.sim import EPOCH
 
 
 class ReferenceLoop:
@@ -36,16 +37,17 @@ class ReferenceLoop:
         self.handlers[kind] = handler
 
     def schedule(self, event):
-        assert event.fire_at >= self.t
+        fire_at, kind, payload = event
+        assert fire_at >= self.t
         seq = self.scheduled_count
-        heapq.heappush(self.heap, (event.fire_at, seq, event))
+        heapq.heappush(self.heap, (fire_at, seq, kind, payload))
         self.scheduled_count = seq + 1
         return seq
 
     def add_arrivals(self, kind, times_per_payload):
         for payload, times in times_per_payload:
             for t in times:
-                self.schedule(SimEvent(t, kind, payload))
+                self.schedule((t, kind, payload))
 
     @property
     def pending_count(self):
@@ -54,12 +56,17 @@ class ReferenceLoop:
     def run_until(self, t_end):
         processed = 0
         while self.heap and self.heap[0][0] <= t_end:
-            fire_at, _, event = heapq.heappop(self.heap)
+            fire_at, _, kind, payload = heapq.heappop(self.heap)
             self.t = fire_at
-            self.handlers[event.kind](event.payload)
+            self.handlers[kind](payload)
             processed += 1
         self.t = t_end
         return processed
+
+
+def datetime_iso(micros: int) -> str:
+    """The reference rendering of a timestamp that feedsim.sim.to_iso must reproduce."""
+    return (EPOCH + timedelta(microseconds=micros)).isoformat(timespec="microseconds")
 
 
 def brute_timeline(consumer_id, T, tweets, network, n_timeline):

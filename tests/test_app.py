@@ -34,10 +34,9 @@ from feedsim.sim import (
     EventLoop,
     RngStreams,
     from_iso,
-    to_iso,
 )
 from feedsim.store import ReplicatedStore, StoreConfig
-from oracles import make_network
+from oracles import datetime_iso, make_network
 
 
 def make_app(follows, n_producers, *, n_replicas=3, lag=("constant", 0.0),
@@ -212,8 +211,7 @@ def test_zero_delay_synchronous_responses_equal_oracle():
     network, artifacts = tiny_run(FanoutSettings(mode="synchronous"), ("constant", 0.0))
     feeds = feed_index(TweetIndex(artifacts.tweet_log, network), network)
     for response in artifacts.responses:
-        oracle = consistent_timeline(feeds, response.consumer_id, response.T, 5)
-        assert list(response.entries) == [(pid, t) for t, _, pid in oracle]
+        assert response.entries == consistent_timeline(feeds, response.consumer_id, response.T, 5)
 
 
 def test_lagged_run_responses_never_contain_future_or_phantom_tweets():
@@ -381,12 +379,16 @@ def test_log_wire_format_is_pinned(tmp_path):
         assert path.read_text() == expected, save.__name__
 
 
-def test_response_log_equals_json_dumps_of_each_record(tmp_path):
-    def record(resp):
-        return {"response_id": resp.response_id, "consumer_id": str(resp.consumer_id),
-                "T": to_iso(resp.T),
-                "entries": [{"producer_id": str(pid), "t": to_iso(t)} for pid, t in resp.entries]}
+def json_line(resp):
+    """The response's log line as json.dumps renders its record."""
+    return json.dumps({
+        "response_id": resp.response_id, "consumer_id": str(resp.consumer_id),
+        "T": datetime_iso(resp.T),
+        "entries": [{"producer_id": str(pid), "t": datetime_iso(t)} for pid, t in resp.entries],
+    }) + "\n"
 
+
+def test_response_log_equals_json_dumps_of_each_record(tmp_path):
     rng = np.random.default_rng(11)
     for seed in range(3):
         _, artifacts = tiny_run(
@@ -411,9 +413,30 @@ def test_response_log_equals_json_dumps_of_each_record(tmp_path):
         path = tmp_path / f"responses{seed}.jsonl"
         save_response_log(path, responses)
         lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-        expected = [json.dumps(record(resp)) + "\n" for resp in responses]
+        expected = [json_line(resp) for resp in responses]
         assert len(lines) == len(expected)
         assert [i for i, (got, want) in enumerate(zip(lines, expected)) if got != want] == []
+
+
+def test_response_log_across_chunks_equals_json_dumps(tmp_path):
+    """A log of more than one chunk, whose entries tuples recur across chunk boundaries."""
+    rng = np.random.default_rng(12)
+    day = 86_400_000_000
+    timelines = [tuple((int(rng.integers(0, 2**40)), int(rng.integers(-day, 400 * day)))
+                       for _ in range(int(rng.integers(0, 6))))
+                 for _ in range(40)]
+    n = 2 * app_module.RESPONSE_LOG_CHUNK + 77
+    Ts = np.sort(rng.integers(-day, 400 * day, size=n)).tolist()
+    responses = [TimelineResponse(response_id=i, consumer_id=int(rng.integers(0, 2**40)), T=T,
+                                  entries=timelines[int(rng.integers(0, len(timelines)))])
+                 for i, T in enumerate(Ts)]
+    path = tmp_path / "responses.jsonl"
+    save_response_log(path, responses)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    expected = [json_line(resp) for resp in responses]
+    assert len(lines) == len(expected) == n
+    assert [i for i, (got, want) in enumerate(zip(lines, expected)) if got != want] == []
+    assert load_response_log(path) == responses
 
 
 def test_load_tweet_log_rejects_corrupt(tmp_path):

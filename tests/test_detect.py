@@ -45,16 +45,21 @@ def two_user_scenario():
     return tweets, network, [r_gap, r_head], (A, B, C, D, E)
 
 
+def oracle_triples(index, oracle):
+    """The (t, seq, producer_id) triples of an oracle's (producer_id, t) pairs."""
+    return [index.triple_by_key[pair] for pair in oracle]
+
+
 def test_consistent_timeline_five_tweet_window():
     tweets, network, _, (A, B, C, D, E) = two_user_scenario()
     oracle = consistent_timeline(feed_index(TweetIndex(tweets, network), network), 0, 45 * SEC, 4)
-    assert [(pid, t) for t, _, pid in oracle] == [D, C, B, A]
+    assert oracle == (D, C, B, A)
 
 
 def test_consistent_timeline_before_any_tweet_is_empty():
     tweets, network, _, _ = two_user_scenario()
     feeds = feed_index(TweetIndex(tweets, network), network)
-    assert consistent_timeline(feeds, 0, 5 * SEC, 4) == []
+    assert consistent_timeline(feeds, 0, 5 * SEC, 4) == ()
 
 
 def test_consistent_timeline_unknown_consumer():
@@ -72,18 +77,18 @@ def test_consistent_timeline_matches_bruteforce_merge():
             T = int(rng.integers(0, 100))
             ours = consistent_timeline(feeds, consumer, T, n)
             brute = brute_timeline(consumer, T, tweets, network, n)
-            assert ours == [(tw.t, tw.seq, tw.producer_id) for tw in brute]
+            assert ours == tuple((tw.producer_id, tw.t) for tw in brute)
 
 
 def test_find_missing_positions():
     tweets, network, (r_gap, r_head), (A, B, C, D, E) = two_user_scenario()
     index = TweetIndex(tweets, network)
     oracle_gap = consistent_timeline(feed_index(index, network), 0, r_gap.T, 4)
-    missing = find_missing(index.served(r_gap), oracle_gap)
+    missing = find_missing(index.served(r_gap), oracle_triples(index, oracle_gap))
     assert [(pid, t, pos) for (t, _, pid), pos in missing] == \
            [(B[0], B[1], ConflictType.GAP)]
     oracle_head = consistent_timeline(feed_index(index, network), 1, r_head.T, 4)
-    missing = find_missing(index.served(r_head), oracle_head)
+    missing = find_missing(index.served(r_head), oracle_triples(index, oracle_head))
     assert [(pid, t, pos) for (t, _, pid), pos in missing] == \
            [(D[0], D[1], ConflictType.NEWER_EARLIER)]
 
@@ -94,7 +99,7 @@ def test_find_missing_exact_match_is_empty():
     response = TimelineResponse(response_id=9, consumer_id=0, T=45 * SEC,
                                 entries=(D, C, B, A))
     oracle = consistent_timeline(feed_index(index, network), 0, 45 * SEC, 4)
-    assert find_missing(index.served(response), oracle) == []
+    assert find_missing(index.served(response), oracle_triples(index, oracle)) == []
 
 
 def test_phantom_entry_raises_integrity_error():
@@ -176,7 +181,7 @@ def test_head_missing_needs_strictly_earlier_witness():
                                          entries=(D, C, B, A))
     witness_index = build_witness_index([flagged, same_time_witness], {A, B, C, D, E})
     oracle = consistent_timeline(feed_index(index, network), 1, flagged.T, 4)
-    [(triple, position)] = find_missing(index.served(flagged), oracle)
+    [(triple, position)] = find_missing(index.served(flagged), oracle_triples(index, oracle))
     assert position is ConflictType.NEWER_EARLIER
     assert classify(flagged, triple, position, witness_index) is None
 
@@ -187,7 +192,7 @@ def test_tail_missing_is_never_observable():
     flagged = TimelineResponse(response_id=1, consumer_id=1, T=45 * SEC,
                                entries=(D, C, B))
     oracle = consistent_timeline(feed_index(index, network), 1, flagged.T, 4)
-    assert find_missing(index.served(flagged), oracle) == []
+    assert find_missing(index.served(flagged), oracle_triples(index, oracle)) == []
 
 
 def test_unwitnessed_interior_gap_is_not_observable():
@@ -196,7 +201,7 @@ def test_unwitnessed_interior_gap_is_not_observable():
     flagged = TimelineResponse(response_id=0, consumer_id=0, T=45 * SEC,
                                entries=(D, C, A))
     oracle = consistent_timeline(feed_index(index, network), 0, flagged.T, 4)
-    [(triple, position)] = find_missing(index.served(flagged), oracle)
+    [(triple, position)] = find_missing(index.served(flagged), oracle_triples(index, oracle))
     witness_index = build_witness_index([flagged], {A, B, C, D, E})
     assert classify(flagged, triple, position, witness_index) is None
 
@@ -415,7 +420,7 @@ def test_observable_subset_of_missing():
                 per_response_records.get(record.response_id, 0) + 1
         for response in responses:
             oracle = consistent_timeline(feeds, response.consumer_id, response.T, n)
-            missing = find_missing(index.served(response), oracle)
+            missing = find_missing(index.served(response), oracle_triples(index, oracle))
             assert per_response_records.get(response.response_id, 0) <= len(missing)
 
 
@@ -435,7 +440,7 @@ def test_enlarging_witness_corpus_never_removes_conflicts():
             found = set()
             for response in responses[len(responses) // 2:]:
                 oracle = consistent_timeline(feeds, response.consumer_id, response.T, n)
-                for triple, position in find_missing(index.served(response), oracle):
+                for triple, position in find_missing(index.served(response), oracle_triples(index, oracle)):
                     record = classify(response, triple, position, witness_index)
                     if record is not None:
                         found.add((record.response_id, record.producer_id,

@@ -11,13 +11,12 @@ from feedsim.sim import (
     EventKind,
     EventLoop,
     RngStreams,
-    SimEvent,
     choice_sampler,
     from_iso,
     make_sampler,
     to_iso,
 )
-from oracles import ReferenceLoop
+from oracles import ReferenceLoop, datetime_iso
 
 
 def collecting_loop():
@@ -29,7 +28,7 @@ def collecting_loop():
 
 
 def at(loop, fire_at, kind=EventKind.TWEET_ARRIVAL, payload=None):
-    return loop.schedule(SimEvent(fire_at, kind, payload))
+    return loop.schedule((fire_at, kind, payload))
 
 
 def test_schedule_in_past_raises():
@@ -198,8 +197,8 @@ def drive(loop, seed):
             for _ in range(int(rng.choice(3, p=[0.5, 0.3, 0.2]))):
                 delay = int(rng.choice([0, 0, 1, 2, int(rng.integers(0, 40))]))
                 follow_up = follow_ups[int(rng.integers(3))]
-                seqs.append(loop.schedule(SimEvent(loop.now() + delay, follow_up,
-                                                   (payload, len(seqs)))))
+                seqs.append(loop.schedule((loop.now() + delay, follow_up,
+                                           (payload, len(seqs)))))
         return handle
 
     for kind in EventKind:
@@ -250,8 +249,8 @@ def test_negative_seed_rejected():
 
 
 def test_iso_roundtrip_microsecond_precision():
-    for micros in (0, 1, 999_999, 32_256_647, 86_400_000_000 + 123):
-        text = to_iso(micros)
+    cases = [0, 1, 999_999, 32_256_647, 86_400_000_000 + 123]
+    for micros, text in zip(cases, to_iso(cases), strict=True):
         assert from_iso(text) == micros
         # microseconds are always rendered, six digits wide
         assert len(text.rsplit(".", 1)[1]) == 6
@@ -276,7 +275,7 @@ def parse_or_error(text):
 def test_from_iso_matches_datetime():
     day = 86_400_000_000
     rng = np.random.default_rng(8)
-    texts = [to_iso(int(v)) for v in rng.integers(-5 * day, 400 * day, size=5_000)]
+    texts = to_iso(rng.integers(-5 * day, 400 * day, size=5_000))
     texts += ["2020-02-30T00:00:00.000000", "2021-02-29T12:00:00.000000",
               "2020-13-01T00:00:00.000000", "2020-00-10T00:00:00.000000",
               "2020-01-01T24:00:00.000000", "2020-01-01T23:60:00.000000",
@@ -291,25 +290,46 @@ def test_from_iso_matches_datetime():
     assert mismatched == []
 
 
-def datetime_iso(micros: int) -> str:
-    """The reference rendering to_iso must reproduce."""
-    return (EPOCH + timedelta(microseconds=micros)).isoformat(timespec="microseconds")
-
-
 def micros_at(*when) -> int:
     return (datetime(*when) - EPOCH) // timedelta(microseconds=1)
+
+
+# The first and last microsecond datetime can represent.
+MIN_MICROS = micros_at(1, 1, 1)
+MAX_MICROS = micros_at(9999, 12, 31, 23, 59, 59, 999_999)
 
 
 def test_to_iso_matches_datetime():
     day = 86_400_000_000
     rng = np.random.default_rng(5)
     boundaries = [micros_at(2020, 1, 2), micros_at(2020, 2, 29), micros_at(2020, 3, 1),
-                  micros_at(2021, 1, 1), 0, day, -day]
+                  micros_at(2021, 1, 1), 0, day, -day,
+                  # Leap days and month ends on both sides of the epoch, the
+                  # century years 1900 and 2100 (not leap) and 2000 (leap).
+                  micros_at(2024, 2, 29), micros_at(2024, 3, 1), micros_at(2023, 3, 1),
+                  micros_at(2000, 2, 29), micros_at(2000, 3, 1), micros_at(1900, 3, 1),
+                  micros_at(2100, 3, 1), micros_at(1970, 1, 1), micros_at(1969, 12, 31),
+                  micros_at(1, 1, 2), micros_at(9999, 12, 31)]
     cases = ([int(v) for v in rng.integers(-5 * day, 400 * day, size=20_000)]
-             + [b + d for b in boundaries for d in (-1_000_001, -1, 0, 1, 999_999, 1_000_000)])
-    assert [c for c in cases if to_iso(c) != datetime_iso(c)] == []
-    assert to_iso(micros_at(2020, 2, 29, 23, 59, 59, 999_999)) == "2020-02-29T23:59:59.999999"
-    assert to_iso(-1) == "2019-12-31T23:59:59.999999"
+             + [int(v) for v in rng.integers(MIN_MICROS, MAX_MICROS, size=2_000)]
+             + [b + d for b in boundaries for d in (-1_000_001, -1, 0, 1, 999_999, 1_000_000)]
+             + [MIN_MICROS, MIN_MICROS + 1, MAX_MICROS - 1, MAX_MICROS])
+    rendered = to_iso(cases)
+    assert len(rendered) == len(cases)
+    assert [c for c, text in zip(cases, rendered) if text != datetime_iso(c)] == []
+    assert to_iso([micros_at(2020, 2, 29, 23, 59, 59, 999_999), -1]) == \
+        ["2020-02-29T23:59:59.999999", "2019-12-31T23:59:59.999999"]
+    assert to_iso([]) == []
+
+
+def test_to_iso_raises_beyond_datetime_range():
+    eight_millennia = 8_000 * 365 * 86_400_000_000
+    for micros in (MAX_MICROS + 1, MIN_MICROS - 1, eight_millennia, -eight_millennia, 2**63):
+        # datetime refuses the same timestamp.
+        with pytest.raises(OverflowError):
+            datetime_iso(micros)
+        with pytest.raises(OverflowError):
+            to_iso([0, micros, 1])
 
 
 def test_block_samplers_equal_scalar_draws():

@@ -16,8 +16,9 @@ class PropagationLoop(EventLoop):
         self.propagations: list[tuple[int, int]] = []
 
     def schedule(self, event):
-        if event.kind is EventKind.PROPAGATION_ARRIVAL:
-            self.propagations.append((self.now(), event.fire_at))
+        fire_at, kind, _ = event
+        if kind is EventKind.PROPAGATION_ARRIVAL:
+            self.propagations.append((self.now(), fire_at))
         return super().schedule(event)
 
     @property

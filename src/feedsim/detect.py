@@ -30,11 +30,6 @@ class ConflictType(Enum):
     NEWER_EARLIER = "newer_earlier"
 
 
-# Tweets are handled as (t, seq, producer_id) triples so lexicographic
-# comparison is exactly the global order.
-Triple = tuple[int, int, int]
-
-
 @dataclass(frozen=True, slots=True)
 class ConflictRecord:
     response_id: int
@@ -47,45 +42,44 @@ class ConflictRecord:
 
 
 class TweetIndex:
-    """The global tweet log keyed by (producer_id, t), in global order, validated on build
-    against the network whose producers posted it."""
+    """The global tweet log, validated on build against the network whose producers
+    posted it. rank maps each tweet's (producer_id, t) to its position in the log,
+    which is strictly ordered by (t, seq), so comparing ranks is the global order."""
 
     def __init__(self, tweet_log: Sequence[TweetEvent], network: FollowingNetwork):
-        self.triple_by_key: dict[tuple[int, int], Triple] = {}
-        last: Triple | None = None
+        self.rank: dict[tuple[int, int], int] = {}
+        last = None
         for tweet in tweet_log:
-            triple = (tweet.t, tweet.seq, tweet.producer_id)
-            if last is not None and triple <= last:
+            order = (tweet.t, tweet.seq, tweet.producer_id)
+            if last is not None and order <= last:
                 raise IntegrityError(f"tweet log not strictly ordered at seq {tweet.seq}")
-            last = triple
+            last = order
             key = (tweet.producer_id, tweet.t)
-            if key in self.triple_by_key:
+            if key in self.rank:
                 raise IntegrityError(f"tweet seq {tweet.seq} repeats the identity {key}")
             if tweet.producer_id not in network.followers:
                 raise IntegrityError(
                     f"tweet seq {tweet.seq} names unknown producer {tweet.producer_id}")
-            self.triple_by_key[key] = triple
+            self.rank[key] = len(self.rank)
 
-    def served(self, response: TimelineResponse) -> list[Triple]:
-        """Validate a response's entries and return them as newest-first triples."""
-        triples = []
-        prev: Triple | None = None
+    def check(self, response: TimelineResponse) -> None:
+        """Raise IntegrityError unless every entry is in the tweet log, no later
+        than the response's T, and the entries are strictly newest-first."""
+        prev = len(self.rank)  # above every rank, so the first entry passes
         for pid, t in response.entries:
-            triple = self.triple_by_key.get((pid, t))
-            if triple is None:
+            rank = self.rank.get((pid, t))
+            if rank is None:
                 raise IntegrityError(f"response {response.response_id} contains a phantom tweet "
                                      f"({pid}, {t}) that is not in the tweet log")
             if t > response.T:
                 raise IntegrityError(
                     f"response {response.response_id} contains a future tweet ({pid}, {t})"
                 )
-            if prev is not None and triple >= prev:
+            if rank >= prev:
                 raise IntegrityError(
                     f"response {response.response_id} entries not strictly newest-first"
                 )
-            prev = triple
-            triples.append(triple)
-        return triples
+            prev = rank
 
 
 # A consumer's feed: the times of its followed producers' tweets in global
@@ -97,7 +91,7 @@ def feed_index(index: TweetIndex, network: FollowingNetwork) -> dict[int, Feed]:
     """Per consumer, the feed of its followed producers' tweets."""
     times: dict[int, list[int]] = {consumer: [] for consumer in network.follows}
     pairs: dict[int, list[tuple[int, int]]] = {consumer: [] for consumer in network.follows}
-    for key in index.triple_by_key:
+    for key in index.rank:
         for consumer in network.followers.get(key[0], ()):
             times[consumer].append(key[1])
             pairs[consumer].append(key)
@@ -117,27 +111,30 @@ def consistent_timeline(feeds: dict[int, Feed], consumer_id: int, T: int,
     return pairs[start:start + n_timeline]
 
 
-def find_missing(served: Sequence[Triple],
-                 oracle: Sequence[Triple]) -> list[tuple[Triple, ConflictType]]:
-    """Oracle entries absent from the served triples, tagged with the
-    conflict type each would be.
+def find_missing(index: TweetIndex, entries: Sequence[tuple[int, int]],
+                 oracle: Sequence[tuple[int, int]]
+                 ) -> list[tuple[tuple[int, int], ConflictType]]:
+    """Oracle (producer_id, t) pairs absent from the served entries, tagged
+    with the conflict type each would be.
 
-    served must come from TweetIndex.served, newest first. A missing
-    tweet is a GAP when the response holds both newer and older entries
-    and NEWER_EARLIER when nothing served is newer. A tweet older than
-    everything served is mere staleness and is left out.
+    entries must have passed TweetIndex.check, so each has a rank in index
+    and they are newest first. A missing tweet is a GAP when the response
+    holds both newer and older entries and NEWER_EARLIER when nothing
+    served is newer. A tweet older than everything served is mere
+    staleness and is left out.
     """
-    served_set = set(served)
-    newest = served[0] if served else None
-    oldest = served[-1] if served else None
+    rank = index.rank
+    served = set(entries)
+    newest, oldest = (rank[entries[0]], rank[entries[-1]]) if entries else (-1, -1)
     missing = []
-    for triple in oracle:
-        if triple in served_set:
+    for key in oracle:
+        if key in served:
             continue
-        if newest is None or newest < triple:
-            missing.append((triple, ConflictType.NEWER_EARLIER))
-        elif oldest < triple:
-            missing.append((triple, ConflictType.GAP))
+        position = rank[key]
+        if newest < position:
+            missing.append((key, ConflictType.NEWER_EARLIER))
+        elif oldest < position:
+            missing.append((key, ConflictType.GAP))
     return missing
 
 
@@ -148,30 +145,27 @@ class WitnessIndex:
     containments: dict[tuple[int, int], tuple[int, int]]
 
 
-def build_witness_index(responses: Iterable[TimelineResponse],
-                        wanted: set[tuple[int, int]]) -> WitnessIndex:
-    """Index the served (producer_id, t) keys that are in wanted."""
+def build_witness_index(responses: Iterable[TimelineResponse]) -> WitnessIndex:
+    """Index every served (producer_id, t) key at its first sighting, which
+    is its earliest witness when responses come in (T, response_id) order."""
     containments: dict[tuple[int, int], tuple[int, int]] = {}
     for resp in responses:
-        if wanted.isdisjoint(resp.entries):
-            continue
         pair = (resp.T, resp.response_id)
-        for key in wanted.intersection(resp.entries):
-            if pair <= containments.get(key, pair):
-                containments[key] = pair
+        for key in resp.entries:
+            containments.setdefault(key, pair)
     return WitnessIndex(containments)
 
 
-def classify(response: TimelineResponse, missing: Triple, conflict_type: ConflictType,
-             witness_index: WitnessIndex) -> ConflictRecord | None:
+def classify(response: TimelineResponse, missing: tuple[int, int],
+             conflict_type: ConflictType, witness_index: WitnessIndex) -> ConflictRecord | None:
     """Decide whether one missing tweet is an observable conflict.
 
     A gap is a conflict as soon as any response contains the tweet; a
     newer-earlier hole needs a witness timestamped strictly earlier than
     the flagged response.
     """
-    t, _, producer_id = missing
-    earliest = witness_index.containments.get((producer_id, t))
+    producer_id, t = missing
+    earliest = witness_index.containments.get(missing)
     if earliest is None or (conflict_type is ConflictType.NEWER_EARLIER
                             and earliest[0] >= response.T):
         return None
@@ -233,8 +227,10 @@ def detect_all(responses: Sequence[TimelineResponse],
 
     The warm-up prefix is dropped: only the latter analysis_window_fraction
     of responses (by count) is analyzed, and witnesses are drawn from that
-    same window, indexed only for the tweets some analyzed response misses.
-    Every response, warm-up included, is validated.
+    same window. Every response, warm-up included, is validated, and the
+    responses must come with strictly increasing ids and non-decreasing T,
+    so they are in (T, response_id) order and each tweet's first sighting
+    in the window is its earliest witness.
     Errors in the tweet log are raised while tweet_log is indexed, so a
     caller that passes a TweetIndex sees only errors in the responses.
     """
@@ -244,38 +240,37 @@ def detect_all(responses: Sequence[TimelineResponse],
     feeds = feed_index(index, network)
     start = len(responses) - int(round(len(responses) * analysis_window_fraction))
     incomplete = []  # (response, what it misses) for analyzed responses unlike their oracle
-    prev_T = None
-    seen_ids: set[int] = set()
+    prev = None
     for i, resp in enumerate(responses):
-        if resp.response_id in seen_ids:
-            raise IntegrityError(f"duplicate response id {resp.response_id}")
-        seen_ids.add(resp.response_id)
-        if prev_T is not None and resp.T < prev_T:
-            raise IntegrityError(f"response {resp.response_id} is timestamped before "
-                                 f"the response before it")
-        prev_T = resp.T
+        if prev is not None:
+            if resp.response_id <= prev.response_id:
+                raise IntegrityError(
+                    f"response ids not strictly increasing at response {resp.response_id}")
+            if resp.T < prev.T:
+                raise IntegrityError(f"response {resp.response_id} is timestamped before "
+                                     f"the response before it")
+        prev = resp
         if resp.consumer_id not in feeds:
             raise IntegrityError(
                 f"response {resp.response_id} names unknown consumer {resp.consumer_id}")
         if i < start:
-            index.served(resp)
+            index.check(resp)
             continue
         oracle = consistent_timeline(feeds, resp.consumer_id, resp.T, n_timeline)
         # Serving exactly the oracle proves the entries valid and complete.
         if resp.entries != oracle:
-            incomplete.append((resp, find_missing(
-                index.served(resp), [index.triple_by_key[pair] for pair in oracle])))
+            index.check(resp)
+            incomplete.append((resp, find_missing(index, resp.entries, oracle)))
 
     analyzed = responses[start:]
-    wanted = {(pid, t) for _, missing in incomplete for (t, _, pid), _ in missing}
-    witness_index = build_witness_index(analyzed if wanted else [], wanted)
-    records = [record for resp, missing in incomplete for triple, conflict_type in missing
-               if (record := classify(resp, triple, conflict_type, witness_index)) is not None]
+    witness_index = build_witness_index(analyzed if incomplete else [])
+    records = [record for resp, missing in incomplete for key, conflict_type in missing
+               if (record := classify(resp, key, conflict_type, witness_index)) is not None]
     return DetectionResult(
         records=records,
         total_count=len(responses),
         analyzed_start_id=analyzed[0].response_id if analyzed else -1,
-        tweet_counts=dict(Counter(pid for _, _, pid in index.triple_by_key.values())),
+        tweet_counts=dict(Counter(pid for pid, _ in index.rank)),
         query_counts=dict(Counter(resp.consumer_id for resp in analyzed)),
     )
 

@@ -668,6 +668,11 @@ def _future_entry_in_warm_up(records):
     _warm_up(records)["entries"] = records[-1]["entries"][:1]
 
 
+def _swap_last_two_response_ids(records):
+    records[-2]["response_id"], records[-1]["response_id"] = \
+        records[-1]["response_id"], records[-2]["response_id"]
+
+
 @pytest.mark.parametrize("name,edit,message", [
     ("responses.jsonl", lambda records: records[-1].update(consumer_id="99999"),
      "response {last} names unknown consumer 99999"),
@@ -676,7 +681,9 @@ def _future_entry_in_warm_up(records):
                                                   "t": records[-1]["T"]}]),
      "response {last} contains a phantom tweet (99999, "),
     ("responses.jsonl", lambda records: records[-1].update(response_id=0),
-     "duplicate response id 0"),
+     "response ids not strictly increasing at response 0"),
+    ("responses.jsonl", _swap_last_two_response_ids,
+     "response ids not strictly increasing at response "),
     ("responses.jsonl", lambda records: records[-1].update(T=records[0]["T"]),
      "response {last} is timestamped before the response before it"),
     ("tweets.jsonl", _swap_tweets_2_and_3, "tweet log not strictly ordered at seq 2"),
@@ -687,7 +694,8 @@ def _future_entry_in_warm_up(records):
     ("responses.jsonl", _future_entry_in_warm_up, "response {warm} contains a future tweet ("),
     ("responses.jsonl", lambda records: _warm_up(records)["entries"].reverse(),
      "response {warm} entries not strictly newest-first"),
-], ids=["unknown_consumer", "phantom_entry", "duplicate_response_id", "disordered_T",
+], ids=["unknown_consumer", "phantom_entry", "duplicate_response_id",
+        "decreasing_response_ids", "disordered_T",
         "swapped_tweets", "unknown_producer", "warm_up_phantom_entry", "warm_up_future_entry",
         "warm_up_reversed_entries"])
 def test_detect_integrity_errors_name_the_log(tmp_path, capsys, staged_outputs,

@@ -45,11 +45,6 @@ def two_user_scenario():
     return tweets, network, [r_gap, r_head], (A, B, C, D, E)
 
 
-def oracle_triples(index, oracle):
-    """The (t, seq, producer_id) triples of an oracle's (producer_id, t) pairs."""
-    return [index.triple_by_key[pair] for pair in oracle]
-
-
 def test_consistent_timeline_five_tweet_window():
     tweets, network, _, (A, B, C, D, E) = two_user_scenario()
     oracle = consistent_timeline(feed_index(TweetIndex(tweets, network), network), 0, 45 * SEC, 4)
@@ -84,13 +79,12 @@ def test_find_missing_positions():
     tweets, network, (r_gap, r_head), (A, B, C, D, E) = two_user_scenario()
     index = TweetIndex(tweets, network)
     oracle_gap = consistent_timeline(feed_index(index, network), 0, r_gap.T, 4)
-    missing = find_missing(index.served(r_gap), oracle_triples(index, oracle_gap))
-    assert [(pid, t, pos) for (t, _, pid), pos in missing] == \
-           [(B[0], B[1], ConflictType.GAP)]
+    index.check(r_gap)
+    assert find_missing(index, r_gap.entries, oracle_gap) == [(B, ConflictType.GAP)]
     oracle_head = consistent_timeline(feed_index(index, network), 1, r_head.T, 4)
-    missing = find_missing(index.served(r_head), oracle_triples(index, oracle_head))
-    assert [(pid, t, pos) for (t, _, pid), pos in missing] == \
-           [(D[0], D[1], ConflictType.NEWER_EARLIER)]
+    index.check(r_head)
+    assert find_missing(index, r_head.entries, oracle_head) == \
+           [(D, ConflictType.NEWER_EARLIER)]
 
 
 def test_find_missing_exact_match_is_empty():
@@ -99,7 +93,8 @@ def test_find_missing_exact_match_is_empty():
     response = TimelineResponse(response_id=9, consumer_id=0, T=45 * SEC,
                                 entries=(D, C, B, A))
     oracle = consistent_timeline(feed_index(index, network), 0, 45 * SEC, 4)
-    assert find_missing(index.served(response), oracle_triples(index, oracle)) == []
+    index.check(response)
+    assert find_missing(index, response.entries, oracle) == []
 
 
 def test_phantom_entry_raises_integrity_error():
@@ -108,7 +103,7 @@ def test_phantom_entry_raises_integrity_error():
     response = TimelineResponse(response_id=0, consumer_id=0, T=45 * SEC,
                                 entries=((0, 123456),))
     with pytest.raises(IntegrityError, match="phantom"):
-        index.served(response)
+        index.check(response)
 
 
 def test_future_entry_raises_integrity_error():
@@ -116,7 +111,7 @@ def test_future_entry_raises_integrity_error():
     index = TweetIndex(tweets, network)
     response = TimelineResponse(response_id=0, consumer_id=0, T=15 * SEC, entries=(C,))
     with pytest.raises(IntegrityError, match="future"):
-        index.served(response)
+        index.check(response)
 
 
 def test_tweet_index_rejects_duplicate_identity_and_disorder():
@@ -129,29 +124,41 @@ def test_tweet_index_rejects_duplicate_identity_and_disorder():
 
 def test_witness_index_shapes():
     tweets, network, responses, (A, B, C, D, E) = two_user_scenario()
-    every = {A, B, C, D, E}
-    assert build_witness_index([], every).containments == {}
-    index = build_witness_index(responses[:1], every)
+    assert build_witness_index([]).containments == {}
+    index = build_witness_index(responses[:1])
     assert len(index.containments) == 3
     assert index.containments[D] == (responses[0].T, 0)
     assert B not in index.containments
-    assert build_witness_index(responses, {B, E}).containments == {B: (responses[1].T, 1)}
+    # each key keeps its first sighting: C and A stay with response 0
+    first = (responses[0].T, 0)
+    assert build_witness_index(responses).containments == \
+        {D: first, C: first, A: first, B: (responses[1].T, 1)}
 
 
 def test_witness_index_matches_linear_scan():
     rng = np.random.default_rng(1)
-    responses, tweets, network, n = random_instance(rng)
-    index = build_witness_index(responses, set(TweetIndex(tweets, network).triple_by_key))
-    sample = tweets if len(tweets) <= 100 else \
-        [tweets[i] for i in rng.choice(len(tweets), 100, replace=False)]
-    for tw in sample:
-        scan = sorted((r.T, r.response_id) for r in responses
-                      if (tw.producer_id, tw.t) in set(r.entries))
-        pair = (tw.producer_id, tw.t)
-        if scan:
+    checked = 0
+    for _ in range(20):
+        responses, tweets, network, n = random_instance(rng)
+        index = build_witness_index(responses)
+        served = {pair for r in responses for pair in r.entries}
+        assert index.containments.keys() == served
+        for pair in served:
+            scan = [(r.T, r.response_id) for r in responses if pair in r.entries]
             assert index.containments[pair] == min(scan)
-        else:
-            assert pair not in index.containments
+            checked += 1
+    assert checked > 0
+
+
+def test_rank_is_the_global_tweet_order():
+    rng = np.random.default_rng(2)
+    for _ in range(50):
+        responses, tweets, network, n = random_instance(rng)
+        index = TweetIndex(tweets, network)
+        by_rank = sorted(index.rank, key=index.rank.__getitem__)
+        by_order = [(tw.producer_id, tw.t)
+                    for tw in sorted(tweets, key=lambda tw: (tw.t, tw.seq, tw.producer_id))]
+        assert by_rank == by_order
 
 
 def test_two_user_scenario_classification():
@@ -179,11 +186,12 @@ def test_head_missing_needs_strictly_earlier_witness():
                                entries=(C, B, A))
     same_time_witness = TimelineResponse(response_id=0, consumer_id=0, T=45 * SEC,
                                          entries=(D, C, B, A))
-    witness_index = build_witness_index([flagged, same_time_witness], {A, B, C, D, E})
+    witness_index = build_witness_index([same_time_witness, flagged])
     oracle = consistent_timeline(feed_index(index, network), 1, flagged.T, 4)
-    [(triple, position)] = find_missing(index.served(flagged), oracle_triples(index, oracle))
+    index.check(flagged)
+    [(key, position)] = find_missing(index, flagged.entries, oracle)
     assert position is ConflictType.NEWER_EARLIER
-    assert classify(flagged, triple, position, witness_index) is None
+    assert classify(flagged, key, position, witness_index) is None
 
 
 def test_tail_missing_is_never_observable():
@@ -192,7 +200,8 @@ def test_tail_missing_is_never_observable():
     flagged = TimelineResponse(response_id=1, consumer_id=1, T=45 * SEC,
                                entries=(D, C, B))
     oracle = consistent_timeline(feed_index(index, network), 1, flagged.T, 4)
-    assert find_missing(index.served(flagged), oracle_triples(index, oracle)) == []
+    index.check(flagged)
+    assert find_missing(index, flagged.entries, oracle) == []
 
 
 def test_unwitnessed_interior_gap_is_not_observable():
@@ -201,9 +210,10 @@ def test_unwitnessed_interior_gap_is_not_observable():
     flagged = TimelineResponse(response_id=0, consumer_id=0, T=45 * SEC,
                                entries=(D, C, A))
     oracle = consistent_timeline(feed_index(index, network), 0, flagged.T, 4)
-    [(triple, position)] = find_missing(index.served(flagged), oracle_triples(index, oracle))
-    witness_index = build_witness_index([flagged], {A, B, C, D, E})
-    assert classify(flagged, triple, position, witness_index) is None
+    index.check(flagged)
+    [(key, position)] = find_missing(index, flagged.entries, oracle)
+    witness_index = build_witness_index([flagged])
+    assert classify(flagged, key, position, witness_index) is None
 
 
 def test_classify_rejects_non_positive_gap():
@@ -212,11 +222,12 @@ def test_classify_rejects_non_positive_gap():
     tweets = [TweetEvent(tw.producer_id, tw.t, i) for i, tw in enumerate(tweets)]
     network = make_network({0: (0, 1), 1: (0, 1)}, 2)
     index = TweetIndex(tweets, network)
-    missing = index.triple_by_key[(0, 10)]
+    missing = (0, 10)
+    assert missing in index.rank
     flagged = TimelineResponse(response_id=1, consumer_id=0, T=10,
                                entries=((1, 10), (0, 5)))
     witness = TimelineResponse(response_id=0, consumer_id=1, T=10, entries=((0, 10),))
-    witness_index = build_witness_index([witness, flagged], set(index.triple_by_key))
+    witness_index = build_witness_index([witness, flagged])
     with pytest.raises(IntegrityError):
         classify(flagged, missing, ConflictType.GAP, witness_index)
 
@@ -287,6 +298,12 @@ def test_detect_all_rejects_disordered_or_duplicate_responses():
                             entries=responses[1].entries)]
     with pytest.raises(IntegrityError):
         detect_all(dup, tweets, network, n_timeline=4, analysis_window_fraction=0.5)
+    decreasing = [TimelineResponse(response_id=1, consumer_id=0, T=responses[0].T,
+                                   entries=responses[0].entries),
+                  TimelineResponse(response_id=0, consumer_id=1, T=responses[1].T,
+                                   entries=responses[1].entries)]
+    with pytest.raises(IntegrityError, match="not strictly increasing at response 0"):
+        detect_all(decreasing, tweets, network, n_timeline=4, analysis_window_fraction=0.5)
 
 
 def test_detect_zero_lag_synchronous_run_finds_nothing():
@@ -420,7 +437,8 @@ def test_observable_subset_of_missing():
                 per_response_records.get(record.response_id, 0) + 1
         for response in responses:
             oracle = consistent_timeline(feeds, response.consumer_id, response.T, n)
-            missing = find_missing(index.served(response), oracle_triples(index, oracle))
+            index.check(response)
+            missing = find_missing(index, response.entries, oracle)
             assert per_response_records.get(response.response_id, 0) <= len(missing)
 
 
@@ -432,16 +450,16 @@ def test_enlarging_witness_corpus_never_removes_conflicts():
             continue
         index = TweetIndex(tweets, network)
         feeds = feed_index(index, network)
-        every = set(index.triple_by_key)
-        half = build_witness_index(responses[len(responses) // 2:], every)
-        full = build_witness_index(responses, every)
+        half = build_witness_index(responses[len(responses) // 2:])
+        full = build_witness_index(responses)
 
         def records_with(witness_index):
             found = set()
             for response in responses[len(responses) // 2:]:
                 oracle = consistent_timeline(feeds, response.consumer_id, response.T, n)
-                for triple, position in find_missing(index.served(response), oracle_triples(index, oracle)):
-                    record = classify(response, triple, position, witness_index)
+                index.check(response)
+                for key, position in find_missing(index, response.entries, oracle):
+                    record = classify(response, key, position, witness_index)
                     if record is not None:
                         found.add((record.response_id, record.producer_id,
                                    record.t, record.type.value))

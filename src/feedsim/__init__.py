@@ -18,7 +18,6 @@ from .app import (
     FeedApp,
     RunArtifacts,
     TimelineResponse,
-    TweetEvent,
     run_experiment,
 )
 from .config import (
@@ -37,7 +36,6 @@ from .detect import (
     classify,
     consistent_timeline,
     detect_all,
-    feed_index,
     find_missing,
 )
 from .netgen import (

@@ -2,15 +2,16 @@
 per-follower fan-out into materialized timeline views, and query serving.
 
 Each posted tweet receives a global (t, seq) timestamp from the single
-frontend, then one timeline update per follower flows through the store's
-conditional-write path. Query responses are whatever a random replica
-holds at that instant.
+frontend, where seq is its position in the tweet log, then one timeline
+update per follower flows through the store's conditional-write path.
+Query responses are whatever a random replica holds at that instant.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import count
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -39,15 +40,6 @@ if TYPE_CHECKING:
 
 # A failed conditional write is retried this long after it failed.
 RETRY_BACKOFF_US = 10 * MICROS_PER_MS
-
-
-@dataclass(frozen=True, slots=True)
-class TweetEvent:
-    """One publish event in the global order; immutable once timestamped."""
-
-    producer_id: int
-    t: int
-    seq: int
 
 
 @dataclass(slots=True)
@@ -115,7 +107,7 @@ class _Fanout:
 class RunArtifacts:
     """The run stage's one record: its logs and the counters that audit them."""
 
-    tweet_log: list[TweetEvent]
+    tweet_log: list[tuple[int, int]]
     responses: list[TimelineResponse]
     duration_us: int
     max_propagation_lag_us: int
@@ -159,7 +151,9 @@ class FeedApp:
         self.store = store
         self.n_timeline = n_timeline
         self.fanout = fanout
-        self.tweet_log: list[TweetEvent] = []
+        # Each posted tweet's (producer_id, t) in the global order; its
+        # position is its seq.
+        self.tweet_log: list[tuple[int, int]] = []
         self.responses: list[TimelineResponse] = []
         # Each finished fan-out's delay from post to last commit; 0 for a
         # tweet with no followers. An unfinished fan-out has no entry.
@@ -175,30 +169,29 @@ class FeedApp:
 
     # -- posting ---------------------------------------------------------
 
-    def post_tweet(self, producer_id: int) -> TweetEvent:
-        """Timestamp a new tweet and kick off its per-follower fan-out."""
+    def post_tweet(self, producer_id: int) -> tuple[int, int]:
+        """Timestamp a new tweet, kick off its per-follower fan-out and return its pair."""
         if producer_id not in self.network.followers:
             raise ValueError(f"unknown producer {producer_id}")
-        tweet = TweetEvent(producer_id=producer_id, t=self.loop.now(), seq=len(self.tweet_log))
-        pair = (producer_id, tweet.t)
+        pair = (producer_id, self.loop.now())
         if pair in self._seqs:
-            raise ValueError(f"producer {producer_id} already posted at t={tweet.t}")
-        self.tweet_log.append(tweet)
-        self._seqs[pair] = tweet.seq
+            raise ValueError(f"producer {producer_id} already posted at t={pair[1]}")
+        self._seqs[pair] = len(self.tweet_log)
+        self.tweet_log.append(pair)
         followers = self.network.followers[producer_id]
         if not followers:
             self.fanout_completion_us[pair] = 0
-            return tweet
+            return pair
         fanout = _Fanout(pair, len(followers))
         if self.fanout.mode == "synchronous":
             # Nothing runs between the read and the write, so each write lands.
             for consumer_id in followers:
                 self._write((fanout, consumer_id, self.store.authoritative_read(consumer_id)))
-            return tweet
+            return pair
         order = self._order_rng.permutation(len(followers))
         fanout.queue = deque(followers[i] for i in order)
         self._fill_lanes(fanout)
-        return tweet
+        return pair
 
     def _fill_lanes(self, fanout: _Fanout) -> None:
         """Start queued updates while the tweet has a free service lane."""
@@ -313,7 +306,7 @@ def run_experiment(network: FollowingNetwork, profile: WorkloadProfile,
 
     # A fan-out still running at the horizon counts as finishing there.
     # update() keeps each key where it is, so the keys stay in tweet-log order.
-    completions = {(tw.producer_id, tw.t): duration_us - tw.t for tw in app.tweet_log}
+    completions = {pair: duration_us - pair[1] for pair in app.tweet_log}
     completions.update(app.fanout_completion_us)
     return RunArtifacts(
         tweet_log=app.tweet_log,
@@ -330,15 +323,24 @@ def run_experiment(network: FollowingNetwork, profile: WorkloadProfile,
 # -- log files -------------------------------------------------------------
 
 
-def save_tweet_log(path: str | Path, tweets: list[TweetEvent]) -> None:
-    write_jsonl(path, ({"producer_id": str(tw.producer_id), "t": t, "seq": tw.seq}
-                       for tw, t in zip(tweets, to_iso([tw.t for tw in tweets]))))
+def save_tweet_log(path: str | Path, tweets: list[tuple[int, int]]) -> None:
+    """Write each tweet's pair with its position in the log as its seq."""
+    times = to_iso([t for _, t in tweets])
+    write_jsonl(path, ({"producer_id": str(pid), "t": t, "seq": seq}
+                       for seq, ((pid, _), t) in enumerate(zip(tweets, times))))
 
 
-def load_tweet_log(path: str | Path) -> list[TweetEvent]:
-    return read_jsonl(path, lambda record: TweetEvent(
-        producer_id=record_decimal(record["producer_id"]), t=from_iso(record["t"]),
-        seq=record_int(record["seq"])))
+def load_tweet_log(path: str | Path) -> list[tuple[int, int]]:
+    """Read a tweet log's (producer_id, t) pairs; each record's seq must be its position."""
+    positions = count()
+
+    def tweet(record: dict) -> tuple[int, int]:
+        pair = (record_decimal(record["producer_id"]), from_iso(record["t"]))
+        if (seq := record_int(record["seq"])) != (position := next(positions)):
+            raise ValueError(f"seq {seq} is not the record's position {position}")
+        return pair
+
+    return read_jsonl(path, tweet)
 
 
 # save_response_log renders the T of this many responses at a time, so only

@@ -98,7 +98,7 @@ def cmd_run(cfg: ExperimentConfig, network: FollowingNetwork | None = None,
 
 
 def cmd_detect(cfg: ExperimentConfig, network: FollowingNetwork | None = None,
-               tweets: list[app.TweetEvent] | None = None,
+               tweets: list[tuple[int, int]] | None = None,
                responses: list[app.TimelineResponse] | None = None) -> detect.DetectionResult:
     """Find observable conflicts; without a network, all inputs are read from file."""
     out = _out_dir(cfg)
@@ -117,8 +117,7 @@ def cmd_detect(cfg: ExperimentConfig, network: FollowingNetwork | None = None,
     except ValueError as exc:
         raise StageError("detect", f"{out / RESPONSES_FILE}: {exc}") from exc
     detect.save_conflict_records(out / CONFLICTS_FILE, result)
-    detect.save_detection_totals(out / DETECTION_TOTALS_FILE, result, cfg.n_timeline,
-                                 cfg.analysis_window_fraction)
+    write_json(out / DETECTION_TOTALS_FILE, result.to_dict(), sort_keys=True)
     print(f"detect: {result.conflicting_count} conflicting of {result.analyzed_count} "
           f"analyzed responses ({len(result.records)} records)")
     return result

@@ -19,10 +19,10 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .app import TimelineResponse, TweetEvent
+from .app import TimelineResponse
 from .netgen import FollowingNetwork
 from .sim import (MICROS_PER_SECOND, RECORD_ERRORS, IntegrityError, from_iso, read_jsonl,
-                  record_decimal, record_int, to_iso, write_json, write_jsonl)
+                  record_decimal, record_int, to_iso, write_jsonl)
 
 
 class ConflictType(Enum):
@@ -41,26 +41,40 @@ class ConflictRecord:
     gap_us: int
 
 
-class TweetIndex:
-    """The global tweet log, validated on build against the network whose producers
-    posted it. rank maps each tweet's (producer_id, t) to its position in the log,
-    which is strictly ordered by (t, seq), so comparing ranks is the global order."""
+# A consumer's feed: the times of its followed producers' tweets in global
+# order, and their (producer_id, t) pairs newest-first.
+Feed = tuple[list[int], tuple[tuple[int, int], ...]]
 
-    def __init__(self, tweet_log: Sequence[TweetEvent], network: FollowingNetwork):
+
+class TweetIndex:
+    """The tweet log's (producer_id, t) pairs, validated on build against the network
+    whose producers posted it, and its views: rank maps each pair to its seq, which is
+    its position in the (t, seq)-ordered log, so ranks compare in the global order;
+    feeds holds each consumer's Feed, and tweet_counts each posting producer's tweets."""
+
+    def __init__(self, tweet_log: Sequence[tuple[int, int]], network: FollowingNetwork):
         self.rank: dict[tuple[int, int], int] = {}
-        last = None
-        for tweet in tweet_log:
-            order = (tweet.t, tweet.seq, tweet.producer_id)
-            if last is not None and order <= last:
-                raise IntegrityError(f"tweet log not strictly ordered at seq {tweet.seq}")
-            last = order
-            key = (tweet.producer_id, tweet.t)
+        self.tweet_counts: dict[int, int] = {}
+        times: dict[int, list[int]] = {consumer: [] for consumer in network.follows}
+        pairs: dict[int, list[tuple[int, int]]] = {consumer: [] for consumer in network.follows}
+        last_t = None
+        for seq, key in enumerate(tweet_log):
+            producer_id, t = key
+            if last_t is not None and t < last_t:
+                raise IntegrityError(f"tweet log not strictly ordered at seq {seq}")
+            last_t = t
             if key in self.rank:
-                raise IntegrityError(f"tweet seq {tweet.seq} repeats the identity {key}")
-            if tweet.producer_id not in network.followers:
-                raise IntegrityError(
-                    f"tweet seq {tweet.seq} names unknown producer {tweet.producer_id}")
-            self.rank[key] = len(self.rank)
+                raise IntegrityError(f"tweet seq {seq} repeats the identity {key}")
+            followers = network.followers.get(producer_id)
+            if followers is None:
+                raise IntegrityError(f"tweet seq {seq} names unknown producer {producer_id}")
+            self.rank[key] = seq
+            self.tweet_counts[producer_id] = self.tweet_counts.get(producer_id, 0) + 1
+            for consumer in followers:
+                times[consumer].append(t)
+                pairs[consumer].append(key)
+        self.feeds: dict[int, Feed] = {
+            consumer: (times[consumer], tuple(reversed(pairs[consumer]))) for consumer in times}
 
     def check(self, response: TimelineResponse) -> None:
         """Raise IntegrityError unless every entry is in the tweet log, no later
@@ -80,22 +94,6 @@ class TweetIndex:
                     f"response {response.response_id} entries not strictly newest-first"
                 )
             prev = rank
-
-
-# A consumer's feed: the times of its followed producers' tweets in global
-# order, and their (producer_id, t) pairs newest-first.
-Feed = tuple[list[int], tuple[tuple[int, int], ...]]
-
-
-def feed_index(index: TweetIndex, network: FollowingNetwork) -> dict[int, Feed]:
-    """Per consumer, the feed of its followed producers' tweets."""
-    times: dict[int, list[int]] = {consumer: [] for consumer in network.follows}
-    pairs: dict[int, list[tuple[int, int]]] = {consumer: [] for consumer in network.follows}
-    for key in index.rank:
-        for consumer in network.followers.get(key[0], ()):
-            times[consumer].append(key[1])
-            pairs[consumer].append(key)
-    return {consumer: (times[consumer], tuple(reversed(pairs[consumer]))) for consumer in times}
 
 
 def consistent_timeline(feeds: dict[int, Feed], consumer_id: int, T: int,
@@ -187,14 +185,17 @@ def classify(response: TimelineResponse, missing: tuple[int, int],
 
 @dataclass
 class DetectionResult:
-    """What the detector observed; every conflict count derives from the records,
-    and the analyzed count from the queries counted in the analysis window."""
+    """What the detector observed with which settings; every conflict count derives
+    from the records, and the analyzed count from the queries counted in the
+    analysis window."""
 
     records: list[ConflictRecord]
     total_count: int
     analyzed_start_id: int
     tweet_counts: dict[int, int]
     query_counts: dict[int, int]
+    n_timeline: int
+    analysis_window_fraction: float
 
     @cached_property
     def per_response_G(self) -> dict[int, int]:
@@ -218,9 +219,25 @@ class DetectionResult:
             counts[record.type.value] += 1
         return counts
 
+    def to_dict(self) -> dict:
+        """The detection_totals.json document."""
+        return {
+            "total_responses": self.total_count,
+            "analyzed_responses": self.analyzed_count,
+            "analyzed_start_id": self.analyzed_start_id,
+            "conflicting_responses": self.conflicting_count,
+            "conflict_records": len(self.records),
+            "type_counts": self.type_counts(),
+            "n_timeline": self.n_timeline,
+            "analysis_window_fraction": self.analysis_window_fraction,
+            "per_response_G_us": {str(k): v for k, v in sorted(self.per_response_G.items())},
+            "tweet_counts": {str(k): v for k, v in sorted(self.tweet_counts.items())},
+            "query_counts": {str(k): v for k, v in sorted(self.query_counts.items())},
+        }
+
 
 def detect_all(responses: Sequence[TimelineResponse],
-               tweet_log: Sequence[TweetEvent] | TweetIndex,
+               tweet_log: Sequence[tuple[int, int]] | TweetIndex,
                network: FollowingNetwork, *, n_timeline: int,
                analysis_window_fraction: float) -> DetectionResult:
     """Run the full pipeline over the configured analysis window.
@@ -237,7 +254,6 @@ def detect_all(responses: Sequence[TimelineResponse],
     if not 0 < analysis_window_fraction <= 1:
         raise ValueError("analysis_window_fraction must be in (0, 1]")
     index = tweet_log if isinstance(tweet_log, TweetIndex) else TweetIndex(tweet_log, network)
-    feeds = feed_index(index, network)
     start = len(responses) - int(round(len(responses) * analysis_window_fraction))
     incomplete = []  # (response, what it misses) for analyzed responses unlike their oracle
     prev = None
@@ -250,13 +266,13 @@ def detect_all(responses: Sequence[TimelineResponse],
                 raise IntegrityError(f"response {resp.response_id} is timestamped before "
                                      f"the response before it")
         prev = resp
-        if resp.consumer_id not in feeds:
+        if resp.consumer_id not in index.feeds:
             raise IntegrityError(
                 f"response {resp.response_id} names unknown consumer {resp.consumer_id}")
         if i < start:
             index.check(resp)
             continue
-        oracle = consistent_timeline(feeds, resp.consumer_id, resp.T, n_timeline)
+        oracle = consistent_timeline(index.feeds, resp.consumer_id, resp.T, n_timeline)
         # Serving exactly the oracle proves the entries valid and complete.
         if resp.entries != oracle:
             index.check(resp)
@@ -270,8 +286,10 @@ def detect_all(responses: Sequence[TimelineResponse],
         records=records,
         total_count=len(responses),
         analyzed_start_id=analyzed[0].response_id if analyzed else -1,
-        tweet_counts=dict(Counter(pid for pid, _ in index.rank)),
+        tweet_counts=index.tweet_counts,
         query_counts=dict(Counter(resp.consumer_id for resp in analyzed)),
+        n_timeline=n_timeline,
+        analysis_window_fraction=analysis_window_fraction,
     )
 
 
@@ -310,29 +328,6 @@ def load_conflict_records(path: str | Path) -> list[ConflictRecord]:
     ))
 
 
-def _render_totals(result: DetectionResult, n_timeline: int,
-                   analysis_window_fraction: float) -> dict:
-    return {
-        "total_responses": result.total_count,
-        "analyzed_responses": result.analyzed_count,
-        "analyzed_start_id": result.analyzed_start_id,
-        "conflicting_responses": result.conflicting_count,
-        "conflict_records": len(result.records),
-        "type_counts": result.type_counts(),
-        "n_timeline": n_timeline,
-        "analysis_window_fraction": analysis_window_fraction,
-        "per_response_G_us": {str(k): v for k, v in sorted(result.per_response_G.items())},
-        "tweet_counts": {str(k): v for k, v in sorted(result.tweet_counts.items())},
-        "query_counts": {str(k): v for k, v in sorted(result.query_counts.items())},
-    }
-
-
-def save_detection_totals(path: str | Path, result: DetectionResult, n_timeline: int,
-                          analysis_window_fraction: float) -> None:
-    write_json(path, _render_totals(result, n_timeline, analysis_window_fraction),
-               sort_keys=True)
-
-
 def _counts(table: dict) -> dict[int, int]:
     """Tweets or queries per id; detect_all counts only ids it saw, so each is at least 1."""
     counts = {record_decimal(k): record_int(v) for k, v in table.items()}
@@ -342,14 +337,13 @@ def _counts(table: dict) -> dict[int, int]:
     return counts
 
 
-def _check_counts(result: DetectionResult, n_timeline, analysis_window_fraction) -> None:
+def _check_counts(result: DetectionResult) -> None:
     """Raise ValueError for totals that no detect_all run writes."""
-    if record_int(n_timeline) < 1:
-        raise ValueError(f"n_timeline {n_timeline} is not positive")
-    if type(analysis_window_fraction) not in (int, float) or \
-            not 0 < analysis_window_fraction <= 1:
-        raise ValueError(f"analysis_window_fraction {analysis_window_fraction!r} "
-                         f"is not a number in (0, 1]")
+    if result.n_timeline < 1:
+        raise ValueError(f"n_timeline {result.n_timeline} is not positive")
+    fraction = result.analysis_window_fraction
+    if type(fraction) not in (int, float) or not 0 < fraction <= 1:
+        raise ValueError(f"analysis_window_fraction {fraction!r} is not a number in (0, 1]")
     analyzed = result.analyzed_count
     if not result.conflicting_count <= analyzed <= result.total_count:
         raise ValueError(f"{result.conflicting_count} conflicting, {analyzed} analyzed and "
@@ -396,10 +390,11 @@ def load_detection(records_path: str | Path, totals_path: str | Path,
             analyzed_start_id=record_int(totals["analyzed_start_id"]),
             tweet_counts=_counts(totals["tweet_counts"]),
             query_counts=_counts(totals["query_counts"]),
+            n_timeline=record_int(totals["n_timeline"]),
+            analysis_window_fraction=totals["analysis_window_fraction"],
         )
-        _check_counts(result, totals["n_timeline"], totals["analysis_window_fraction"])
-        rendered = _render_totals(result, totals["n_timeline"],
-                                  totals["analysis_window_fraction"])
+        _check_counts(result)
+        rendered = result.to_dict()
     except RECORD_ERRORS as exc:
         raise IntegrityError(
             f"{totals_path}: corrupt totals: {type(exc).__name__}: {exc}") from exc

@@ -333,10 +333,17 @@ def _network_record(record: dict) -> tuple[str, int, tuple[int, ...] | float]:
 
 
 def load_network_profile(path: str | Path) -> tuple[FollowingNetwork, WorkloadProfile]:
-    """Read a file written by save_network_profile; IntegrityError names the file."""
+    """Read a file written by save_network_profile; IntegrityError names the file,
+    and the line of a record that repeats an earlier record's id."""
     tables: dict[str, dict] = {"follows": {}, "producer": {}, "consumer": {}}
-    for table, key, value in read_jsonl(path, _network_record):
+
+    def add(record: dict) -> None:
+        table, key, value = _network_record(record)
+        if key in tables[table]:
+            raise ValueError(f"a second {table} record for id {key}")
         tables[table][key] = value
+
+    read_jsonl(path, add)
     follows, producer_rates, consumer_rates = tables.values()
 
     n_consumers = len(follows)

@@ -271,8 +271,6 @@ def make_sampler(spec: DistributionSpec, stream: np.random.Generator) -> Callabl
         value = round(spec.mean_ms * MICROS_PER_MS)
         return lambda: value
     scale = spec.mean_ms * MICROS_PER_MS
-    if scale == 0:
-        return lambda: 0
     # int() of each scalar draw truncates toward zero, as astype does.
     return _block_sampler(
         lambda: stream.exponential(scale, SAMPLE_BLOCK).astype(np.int64).tolist())

@@ -12,7 +12,7 @@ from datetime import timedelta
 
 import numpy as np
 
-from feedsim.app import TimelineResponse, TweetEvent
+from feedsim.app import TimelineResponse
 from feedsim.netgen import FollowingNetwork
 from feedsim.sim import EPOCH
 
@@ -70,17 +70,19 @@ def datetime_iso(micros: int) -> str:
 
 
 def brute_timeline(consumer_id, T, tweets, network, n_timeline):
-    """Merge-sort-and-truncate over the full log."""
+    """Merge-sort-and-truncate over the full log of (producer_id, t) pairs, whose
+    positions are their seqs; returns the newest (producer_id, t) pairs."""
     followed = set(network.follows[consumer_id])
-    eligible = [tw for tw in tweets if tw.producer_id in followed and tw.t <= T]
-    eligible.sort(key=lambda tw: (tw.t, tw.seq), reverse=True)
-    return eligible[:n_timeline]
+    eligible = [(t, seq, pid) for seq, (pid, t) in enumerate(tweets)
+                if pid in followed and t <= T]
+    eligible.sort(reverse=True)
+    return [(pid, t) for t, _, pid in eligible[:n_timeline]]
 
 
 def brute_force_conflicts(responses, tweets, network, n_timeline,
                           window_fraction=1.0):
     """All-pairs crosschecking: returns {(response_id, producer, t, type)}."""
-    seq_of = {(tw.producer_id, tw.t): tw.seq for tw in tweets}
+    seq_of = {pair: seq for seq, pair in enumerate(tweets)}
     start = len(responses) - int(round(len(responses) * window_fraction))
     analyzed = list(responses)[start:]
     found = set()
@@ -88,23 +90,23 @@ def brute_force_conflicts(responses, tweets, network, n_timeline,
         oracle = brute_timeline(resp.consumer_id, resp.T, tweets, network, n_timeline)
         served_pairs = set(resp.entries)
         served_keys = [(t, seq_of[(pid, t)]) for pid, t in resp.entries]
-        for tw in oracle:
-            if (tw.producer_id, tw.t) in served_pairs:
+        for pid, t in oracle:
+            if (pid, t) in served_pairs:
                 continue
-            key = (tw.t, tw.seq)
+            key = (t, seq_of[(pid, t)])
             newer = any(k > key for k in served_keys)
             older = any(k < key for k in served_keys)
             witnesses = [
                 other for other in analyzed
                 if other.response_id != resp.response_id
-                and (tw.producer_id, tw.t) in set(other.entries)
+                and (pid, t) in set(other.entries)
             ]
             if newer and older:
                 if witnesses:
-                    found.add((resp.response_id, tw.producer_id, tw.t, "gap"))
+                    found.add((resp.response_id, pid, t, "gap"))
             elif not newer:
                 if any(other.T < resp.T for other in witnesses):
-                    found.add((resp.response_id, tw.producer_id, tw.t, "newer_earlier"))
+                    found.add((resp.response_id, pid, t, "newer_earlier"))
     return found
 
 
@@ -119,7 +121,8 @@ def make_network(follows: dict[int, tuple[int, ...]], n_producers: int) -> Follo
 
 
 def random_instance(rng: np.random.Generator):
-    """A small random corpus: (responses, tweets, network, n_timeline).
+    """A small random corpus: (responses, tweets, network, n_timeline), where
+    tweets is the log of (producer_id, t) pairs and each position is its seq.
 
     Times are drawn from a narrow range so cross-producer timestamp ties
     are common; response styles mix near-oracle views with entry drops,
@@ -135,16 +138,13 @@ def random_instance(rng: np.random.Generator):
         follows[c] = tuple(sorted(rng.choice(n_producers, size=k, replace=False).tolist()))
     network = make_network(follows, n_producers)
 
-    tweets = []
     raw = []
     for p in range(n_producers):
         count = int(rng.integers(0, 11))
         times = rng.choice(80, size=min(count, 80), replace=False)
         raw.extend((int(t), p) for t in times)
     raw.sort()
-    tweets = [TweetEvent(producer_id=p, t=t, seq=i) for i, (t, p) in enumerate(raw)]
-    total = min(len(tweets), 50)
-    tweets = tweets[:total]
+    tweets = [(p, t) for t, p in raw][:50]
 
     responses = []
     n_responses = int(rng.integers(0, 60))
@@ -154,23 +154,22 @@ def random_instance(rng: np.random.Generator):
         followed = set(follows[consumer])
         # strictly-past entries only: a served view can never contain a
         # same-instant tweet while missing another (store values grow as a
-        # chain), so fabricated corpora must not either
-        eligible = [tw for tw in tweets if tw.producer_id in followed and tw.t < T]
-        eligible.sort(key=lambda tw: (tw.t, tw.seq), reverse=True)
+        # chain), so fabricated corpora must not either; the log is in
+        # (t, seq) order, so its reverse is newest first
+        eligible = [(pid, t) for pid, t in reversed(tweets) if pid in followed and t < T]
         style = rng.random()
         if style < 0.4:
             # near-oracle view with random drops
-            kept = [tw for tw in eligible if rng.random() > 0.3][:n_timeline]
+            kept = [pair for pair in eligible if rng.random() > 0.3][:n_timeline]
         elif style < 0.7 and eligible:
             # stale view: what the oracle looked like a little earlier
             cutoff = int(rng.integers(0, T + 1))
-            kept = [tw for tw in eligible if tw.t <= cutoff][:n_timeline]
+            kept = [(pid, t) for pid, t in eligible if t <= cutoff][:n_timeline]
         else:
             # arbitrary subset, possibly older than the oracle window
             size = int(rng.integers(0, min(n_timeline, len(eligible)) + 1)) if eligible else 0
             idx = sorted(rng.choice(len(eligible), size=size, replace=False).tolist())
             kept = [eligible[i] for i in idx]
-        entries = tuple((tw.producer_id, tw.t) for tw in kept)
         responses.append(TimelineResponse(response_id=rid, consumer_id=consumer,
-                                          T=T, entries=entries))
+                                          T=T, entries=tuple(kept)))
     return responses, tweets, network, n_timeline

@@ -28,6 +28,8 @@ def make_result(records, analyzed=10, tweet_counts=None, query_counts=None):
         analyzed_start_id=0,
         tweet_counts=tweet_counts or {},
         query_counts=query_counts,
+        n_timeline=20,
+        analysis_window_fraction=0.5,
     )
 
 

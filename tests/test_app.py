@@ -9,7 +9,6 @@ from feedsim.app import (
     FanoutSettings,
     FeedApp,
     TimelineResponse,
-    TweetEvent,
     insert_entry,
     load_response_log,
     load_tweet_log,
@@ -24,7 +23,6 @@ from feedsim.detect import (
     DetectionResult,
     TweetIndex,
     consistent_timeline,
-    feed_index,
     save_conflict_records,
 )
 from feedsim.netgen import WorkloadProfile, save_network_profile
@@ -82,8 +80,8 @@ def test_same_instant_posts_get_distinct_seq():
     app, loop, _, _ = make_app({0: (0, 1)}, 2)
     a = app.post_tweet(0)
     b = app.post_tweet(1)
-    assert (a.t, a.seq) < (b.t, b.seq)
-    assert a.seq == 0 and b.seq == 1
+    assert a[1] == b[1]  # the same instant
+    assert app.tweet_log == [a, b]  # seq 0 and seq 1
 
 
 def test_duplicate_producer_timestamp_rejected():
@@ -121,28 +119,29 @@ def test_insert_entry_equals_sorted_brute_force():
             t += int(rng.integers(1, 3))
             for producer_id in sorted(rng.choice(30, size=int(rng.integers(1, 4)),
                                                  replace=False).tolist(), reverse=True):
-                tweets.append(TweetEvent(producer_id, t, len(tweets)))
-        seqs = {(tw.producer_id, tw.t): tw.seq for tw in tweets}
+                tweets.append((producer_id, t))
+        seqs = {pair: seq for seq, pair in enumerate(tweets)}
         n_timeline = int(rng.choice([1, 2, 3, 5, 20]))
         value, inserted = None, []
         for i in rng.permutation(len(tweets)).tolist():
-            tweet = tweets[i]
-            inserted.append(tweet)
-            value = insert_entry(value, (tweet.producer_id, tweet.t), seqs, n_timeline)
-            expected = sorted(inserted, key=lambda tw: (tw.t, tw.seq), reverse=True)[:n_timeline]
-            assert value == tuple((tw.producer_id, tw.t) for tw in expected), (trial, n_timeline)
+            pair = tweets[i]
+            inserted.append(pair)
+            value = insert_entry(value, pair, seqs, n_timeline)
+            expected = sorted(inserted, key=lambda pair: (pair[1], seqs[pair]),
+                              reverse=True)[:n_timeline]
+            assert value == tuple(expected), (trial, n_timeline)
 
 
 def test_apply_timeline_update_empty_then_full():
     app, loop, store, _ = make_app({0: (0, 1)}, 2, n_timeline=2)
     t1 = app.post_tweet(0)
-    assert store.authoritative_read(0) == ((0, t1.t),)
+    assert store.authoritative_read(0) == (t1,)
     loop.run_until(1)
     loop.run_until(2)
     t2 = app.post_tweet(1)
     loop.run_until(3)
     t3 = app.post_tweet(0)  # same producer later
-    assert store.authoritative_read(0) == ((0, t3.t), (1, t2.t))  # t1 truncated away
+    assert store.authoritative_read(0) == (t3, t2)  # t1 truncated away
 
 
 def test_concurrent_updates_end_as_sorted_truncated_window():
@@ -161,8 +160,9 @@ def test_concurrent_updates_end_as_sorted_truncated_window():
         loop.run_until(t)
         tweets.append(app.post_tweet(p))
     loop.run_until(t + 600_000_000)
-    expected = sorted(tweets, key=lambda tw: (tw.t, tw.seq), reverse=True)[:20]
-    assert store.authoritative_read(0) == tuple((tw.producer_id, tw.t) for tw in expected)
+    assert tweets == app.tweet_log
+    expected = sorted(tweets, key=lambda pair: (pair[1], tweets.index(pair)), reverse=True)[:20]
+    assert store.authoritative_read(0) == tuple(expected)
     assert store.is_converged()
 
 
@@ -209,7 +209,7 @@ def tiny_run(fanout, lag, seed=1, hours=1.0, n_replicas=3):
 
 def test_zero_delay_synchronous_responses_equal_oracle():
     network, artifacts = tiny_run(FanoutSettings(mode="synchronous"), ("constant", 0.0))
-    feeds = feed_index(TweetIndex(artifacts.tweet_log, network), network)
+    feeds = TweetIndex(artifacts.tweet_log, network).feeds
     for response in artifacts.responses:
         assert response.entries == consistent_timeline(feeds, response.consumer_id, response.T, 5)
 
@@ -218,7 +218,7 @@ def test_lagged_run_responses_never_contain_future_or_phantom_tweets():
     network, artifacts = tiny_run(
         FanoutSettings(service=DistributionSpec("exponential", 50.0)),
         ("exponential", 2000.0))
-    known = {(tw.producer_id, tw.t) for tw in artifacts.tweet_log}
+    known = set(artifacts.tweet_log)
     for response in artifacts.responses:
         entries = list(response.entries)
         assert all(t <= response.T for _, t in entries)
@@ -228,14 +228,17 @@ def test_lagged_run_responses_never_contain_future_or_phantom_tweets():
         assert len(set(entries)) == len(entries)
 
 
-def test_tweet_log_is_strictly_ordered_with_unique_identity():
+def test_tweet_log_is_strictly_ordered_with_unique_identity(tmp_path):
     _, artifacts = tiny_run(FanoutSettings(mode="synchronous"), ("constant", 0.0))
-    keys = [(tw.t, tw.seq) for tw in artifacts.tweet_log]
+    keys = [(t, seq) for seq, (_, t) in enumerate(artifacts.tweet_log)]
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys)
-    identities = {(tw.producer_id, tw.t) for tw in artifacts.tweet_log}
+    identities = set(artifacts.tweet_log)
     assert len(identities) == len(artifacts.tweet_log)
-    assert [tw.seq for tw in artifacts.tweet_log] == list(range(len(artifacts.tweet_log)))
+    # The written seq of each tweet is its position in the log.
+    save_tweet_log(tmp_path / "tweets.jsonl", artifacts.tweet_log)
+    lines = (tmp_path / "tweets.jsonl").read_text().splitlines()
+    assert [json.loads(line)["seq"] for line in lines] == list(range(len(artifacts.tweet_log)))
 
 
 def test_run_duration_zero_produces_empty_logs():
@@ -311,24 +314,24 @@ def test_incomplete_fanouts_reported_as_horizon_delay(monkeypatch):
                               concurrency_cap=1)))
     duration = round(0.5 * MICROS_PER_HOUR)
     kinds = []
-    for tw in artifacts.tweet_log:
-        pair = (tw.producer_id, tw.t)
+    for pair in artifacts.tweet_log:
+        producer_id, t = pair
         commits = commit_times.get(pair, [])
-        followers = network.followers[tw.producer_id]
+        followers = network.followers[producer_id]
         if not followers:
             kind, expected = "no followers", 0
         elif len(commits) == len(followers):
-            kind, expected = "finished", max(commits) - tw.t
+            kind, expected = "finished", max(commits) - t
         else:
-            kind, expected = "unfinished", duration - tw.t
-        assert artifacts.fanout_completion_us[pair] == expected, (kind, tw)
+            kind, expected = "unfinished", duration - t
+        assert artifacts.fanout_completion_us[pair] == expected, (kind, pair)
         kinds.append(kind)
     assert {"no followers", "finished", "unfinished"} <= set(kinds)
     assert len(artifacts.fanout_completion_us) == len(artifacts.tweet_log)
     assert artifacts.to_dict()["retries"] == artifacts.cas_failures > 0
     # trace_stats.json lists the fan-outs in tweet-log order, which is the
     # (t, producer_id) order, same-instant posts included.
-    posted = [(tw.producer_id, tw.t) for tw in artifacts.tweet_log]
+    posted = artifacts.tweet_log
     assert len({t for _, t in posted}) < len(posted)
     listed = [(int(entry["producer_id"]), from_iso(entry["t"]))
               for entry in artifacts.to_dict()["fanout_completions"]]
@@ -353,9 +356,12 @@ def test_log_wire_format_is_pinned(tmp_path):
     record = ConflictRecord(response_id=7, consumer_id=9, producer_id=1353955, t=32_256_647,
                             type=ConflictType.GAP, witness_response_id=3, gap_us=7_743_353)
     detection = DetectionResult(records=[record], total_count=1, analyzed_start_id=7,
-                                tweet_counts={}, query_counts={9: 1})
+                                tweet_counts={}, query_counts={9: 1}, n_timeline=20,
+                                analysis_window_fraction=0.5)
     cases = [
-        (save_tweet_log, ([TweetEvent(producer_id=1353955, t=32_256_647, seq=2)],),
+        (save_tweet_log, ([(4, 32_256_645), (1353955, 32_256_646), (1353955, 32_256_647)],),
+         '{"producer_id": "4", "t": "2020-01-01T00:00:32.256645", "seq": 0}\n'
+         '{"producer_id": "1353955", "t": "2020-01-01T00:00:32.256646", "seq": 1}\n'
          '{"producer_id": "1353955", "t": "2020-01-01T00:00:32.256647", "seq": 2}\n'),
         (save_response_log, ([TimelineResponse(response_id=7, consumer_id=9, T=40_000_000,
                                                entries=((1353955, 32_256_647),))],),

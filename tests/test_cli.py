@@ -648,8 +648,36 @@ def test_bad_network_record_values_exit_1(tmp_path, capsys, staged_outputs, tabl
         assert err.startswith(f"{stage}: {path}:{line_no}: corrupt record: ValueError: "), err
 
 
+@pytest.mark.parametrize("table,record", [
+    ("follows", {"c": 5, "p": [0, 1, 2]}),
+    ("producer", {"producer": 3, "rate_per_hour": 500.0}),
+    ("consumer", {"consumer": 5, "rate_per_hour": 500.0}),
+], ids=["follows", "producer", "consumer"])
+def test_repeated_network_record_exits_1(tmp_path, capsys, staged_outputs, table, record):
+    # A second record for an id would otherwise overwrite the first one.
+    out = tmp_path / "out"
+    shutil.copytree(staged_outputs, out)
+    cfg_path = write_config(tmp_path, tiny_config(out))
+    path = out / "network_profile.jsonl"
+    lines = path.read_text().splitlines(keepends=True) + [json.dumps(record) + "\n"]
+    path.write_text("".join(lines))
+    id_ = record.get("c", record.get(table))
+    for stage in ("run", "detect", "report"):
+        capsys.readouterr()
+        assert main([stage, "--config", str(cfg_path)]) == 1, stage
+        err = capsys.readouterr().err
+        assert err.startswith(f"{stage}: {path}:{len(lines)}: corrupt record: ValueError: "
+                              f"a second {table} record for id {id_}\n"), err
+
+
 def _swap_tweets_2_and_3(records):
     records.insert(3, records.pop(2))
+
+
+def _swap_tweets_2_and_3_with_seqs(records):
+    _swap_tweets_2_and_3(records)
+    records[2]["seq"], records[3]["seq"] = 2, 3
+    assert records[3]["t"] < records[2]["t"]
 
 
 def _warm_up(records):
@@ -673,31 +701,37 @@ def _swap_last_two_response_ids(records):
         records[-1]["response_id"], records[-2]["response_id"]
 
 
+# Each message follows the file name: after ": " when the whole log breaks an
+# invariant, after ":<line>: " when the loader rejects one record.
 @pytest.mark.parametrize("name,edit,message", [
     ("responses.jsonl", lambda records: records[-1].update(consumer_id="99999"),
-     "response {last} names unknown consumer 99999"),
+     ": response {last} names unknown consumer 99999"),
     ("responses.jsonl",
      lambda records: records[-1].update(entries=[{"producer_id": "99999",
                                                   "t": records[-1]["T"]}]),
-     "response {last} contains a phantom tweet (99999, "),
+     ": response {last} contains a phantom tweet (99999, "),
     ("responses.jsonl", lambda records: records[-1].update(response_id=0),
-     "response ids not strictly increasing at response 0"),
+     ": response ids not strictly increasing at response 0"),
     ("responses.jsonl", _swap_last_two_response_ids,
-     "response ids not strictly increasing at response "),
+     ": response ids not strictly increasing at response "),
     ("responses.jsonl", lambda records: records[-1].update(T=records[0]["T"]),
-     "response {last} is timestamped before the response before it"),
-    ("tweets.jsonl", _swap_tweets_2_and_3, "tweet log not strictly ordered at seq 2"),
+     ": response {last} is timestamped before the response before it"),
+    ("tweets.jsonl", _swap_tweets_2_and_3,
+     ":3: corrupt record: ValueError: seq 3 is not the record's position 2"),
+    ("tweets.jsonl", _swap_tweets_2_and_3_with_seqs, ": tweet log not strictly ordered at seq 3"),
+    ("tweets.jsonl", lambda records: records[-1].update(seq=records[-1]["seq"] + 1),
+     ":{lines}: corrupt record: ValueError: seq {lines} is not the record's position {last}"),
     ("tweets.jsonl", lambda records: records[-1].update(producer_id="999999"),
-     "tweet seq {last} names unknown producer 999999"),
+     ": tweet seq {last} names unknown producer 999999"),
     ("responses.jsonl", _phantom_entry_in_warm_up,
-     "response {warm} contains a phantom tweet (99999, "),
-    ("responses.jsonl", _future_entry_in_warm_up, "response {warm} contains a future tweet ("),
+     ": response {warm} contains a phantom tweet (99999, "),
+    ("responses.jsonl", _future_entry_in_warm_up, ": response {warm} contains a future tweet ("),
     ("responses.jsonl", lambda records: _warm_up(records)["entries"].reverse(),
-     "response {warm} entries not strictly newest-first"),
+     ": response {warm} entries not strictly newest-first"),
 ], ids=["unknown_consumer", "phantom_entry", "duplicate_response_id",
         "decreasing_response_ids", "disordered_T",
-        "swapped_tweets", "unknown_producer", "warm_up_phantom_entry", "warm_up_future_entry",
-        "warm_up_reversed_entries"])
+        "swapped_tweets", "swapped_tweets_and_seqs", "bumped_last_seq", "unknown_producer",
+        "warm_up_phantom_entry", "warm_up_future_entry", "warm_up_reversed_entries"])
 def test_detect_integrity_errors_name_the_log(tmp_path, capsys, staged_outputs,
                                               name, edit, message):
     out = tmp_path / "out"
@@ -711,4 +745,5 @@ def test_detect_integrity_errors_name_the_log(tmp_path, capsys, staged_outputs,
     capsys.readouterr()
     assert main(["detect", "--config", str(cfg_path)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"detect: {out / name}: {message.format(last=last, warm=warm)}"), err
+    expected = message.format(last=last, warm=warm, lines=len(records))
+    assert err.startswith(f"detect: {out / name}{expected}"), err

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from feedsim.app import FanoutSettings, TimelineResponse, TweetEvent
+from collections import Counter
+
+from feedsim.app import FanoutSettings, TimelineResponse
 from feedsim.detect import (
     ConflictRecord,
     ConflictType,
@@ -12,15 +14,13 @@ from feedsim.detect import (
     classify,
     consistent_timeline,
     detect_all,
-    feed_index,
     find_missing,
     load_conflict_records,
     load_detection,
     save_conflict_records,
-    save_detection_totals,
 )
 from feedsim.netgen import WorkloadProfile
-from feedsim.sim import DistributionSpec
+from feedsim.sim import DistributionSpec, write_json
 from feedsim.store import StoreConfig
 from oracles import (
     brute_force_conflicts,
@@ -35,8 +35,8 @@ SEC = 1_000_000
 
 def two_user_scenario():
     """One producer, five tweets A..E; two followers with diverging views."""
-    tweets = [TweetEvent(0, (i + 1) * 10 * SEC, i) for i in range(5)]  # A..E
-    A, B, C, D, E = [(0, tw.t) for tw in tweets]
+    tweets = [(0, (i + 1) * 10 * SEC) for i in range(5)]  # A..E
+    A, B, C, D, E = tweets
     network = make_network({0: (0,), 1: (0,)}, 1)
     r_gap = TimelineResponse(response_id=0, consumer_id=0, T=45 * SEC,
                              entries=(D, C, A))          # missing B mid-stream
@@ -47,41 +47,41 @@ def two_user_scenario():
 
 def test_consistent_timeline_five_tweet_window():
     tweets, network, _, (A, B, C, D, E) = two_user_scenario()
-    oracle = consistent_timeline(feed_index(TweetIndex(tweets, network), network), 0, 45 * SEC, 4)
+    oracle = consistent_timeline(TweetIndex(tweets, network).feeds, 0, 45 * SEC, 4)
     assert oracle == (D, C, B, A)
 
 
 def test_consistent_timeline_before_any_tweet_is_empty():
     tweets, network, _, _ = two_user_scenario()
-    feeds = feed_index(TweetIndex(tweets, network), network)
+    feeds = TweetIndex(tweets, network).feeds
     assert consistent_timeline(feeds, 0, 5 * SEC, 4) == ()
 
 
 def test_consistent_timeline_unknown_consumer():
     tweets, network, _, _ = two_user_scenario()
     with pytest.raises(ValueError):
-        consistent_timeline(feed_index(TweetIndex(tweets, network), network), 7, 45 * SEC, 4)
+        consistent_timeline(TweetIndex(tweets, network).feeds, 7, 45 * SEC, 4)
 
 
 def test_consistent_timeline_matches_bruteforce_merge():
     rng = np.random.default_rng(0)
     for _ in range(50):
         responses, tweets, network, n = random_instance(rng)
-        feeds = feed_index(TweetIndex(tweets, network), network)
+        feeds = TweetIndex(tweets, network).feeds
         for consumer in network.follows:
             T = int(rng.integers(0, 100))
             ours = consistent_timeline(feeds, consumer, T, n)
             brute = brute_timeline(consumer, T, tweets, network, n)
-            assert ours == tuple((tw.producer_id, tw.t) for tw in brute)
+            assert ours == tuple(brute)
 
 
 def test_find_missing_positions():
     tweets, network, (r_gap, r_head), (A, B, C, D, E) = two_user_scenario()
     index = TweetIndex(tweets, network)
-    oracle_gap = consistent_timeline(feed_index(index, network), 0, r_gap.T, 4)
+    oracle_gap = consistent_timeline(index.feeds, 0, r_gap.T, 4)
     index.check(r_gap)
     assert find_missing(index, r_gap.entries, oracle_gap) == [(B, ConflictType.GAP)]
-    oracle_head = consistent_timeline(feed_index(index, network), 1, r_head.T, 4)
+    oracle_head = consistent_timeline(index.feeds, 1, r_head.T, 4)
     index.check(r_head)
     assert find_missing(index, r_head.entries, oracle_head) == \
            [(D, ConflictType.NEWER_EARLIER)]
@@ -92,7 +92,7 @@ def test_find_missing_exact_match_is_empty():
     index = TweetIndex(tweets, network)
     response = TimelineResponse(response_id=9, consumer_id=0, T=45 * SEC,
                                 entries=(D, C, B, A))
-    oracle = consistent_timeline(feed_index(index, network), 0, 45 * SEC, 4)
+    oracle = consistent_timeline(index.feeds, 0, 45 * SEC, 4)
     index.check(response)
     assert find_missing(index, response.entries, oracle) == []
 
@@ -116,10 +116,12 @@ def test_future_entry_raises_integrity_error():
 
 def test_tweet_index_rejects_duplicate_identity_and_disorder():
     network = make_network({0: (0, 1)}, 2)
-    with pytest.raises(IntegrityError):
-        TweetIndex([TweetEvent(0, 10, 0), TweetEvent(0, 10, 1)], network)
-    with pytest.raises(IntegrityError):
-        TweetIndex([TweetEvent(0, 20, 0), TweetEvent(1, 10, 1)], network)
+    with pytest.raises(IntegrityError, match="seq 1 repeats the identity"):
+        TweetIndex([(0, 10), (0, 10)], network)
+    with pytest.raises(IntegrityError, match="not strictly ordered at seq 1"):
+        TweetIndex([(0, 20), (1, 10)], network)
+    with pytest.raises(IntegrityError, match="seq 1 names unknown producer 2"):
+        TweetIndex([(0, 10), (2, 20)], network)
 
 
 def test_witness_index_shapes():
@@ -150,15 +152,35 @@ def test_witness_index_matches_linear_scan():
     assert checked > 0
 
 
-def test_rank_is_the_global_tweet_order():
+def test_tweet_index_views_equal_brute_force():
     rng = np.random.default_rng(2)
     for _ in range(50):
         responses, tweets, network, n = random_instance(rng)
         index = TweetIndex(tweets, network)
-        by_rank = sorted(index.rank, key=index.rank.__getitem__)
-        by_order = [(tw.producer_id, tw.t)
-                    for tw in sorted(tweets, key=lambda tw: (tw.t, tw.seq, tw.producer_id))]
-        assert by_rank == by_order
+        assert index.rank == {key: seq for seq, key in enumerate(tweets)}
+        assert index.feeds.keys() == network.follows.keys()
+        for consumer, producers in network.follows.items():
+            followed = [(pid, t) for pid, t in tweets if pid in producers]
+            assert index.feeds[consumer] == ([t for _, t in followed], tuple(followed[::-1]))
+        assert index.tweet_counts == dict(Counter(pid for pid, _ in tweets))
+
+
+def test_detection_totals_roundtrip_on_random_instances(tmp_path):
+    rng = np.random.default_rng(3)
+    records_path, totals_path = tmp_path / "conflicts.jsonl", tmp_path / "totals.json"
+    records = 0
+    for _ in range(50):
+        responses, tweets, network, n = random_instance(rng)
+        fraction = float(rng.choice([1.0, 0.6, 0.3]))
+        result = detect_all(responses, tweets, network, n_timeline=n,
+                            analysis_window_fraction=fraction)
+        save_conflict_records(records_path, result)
+        write_json(totals_path, result.to_dict(), sort_keys=True)
+        loaded = load_detection(records_path, totals_path, network, tmp_path / "network.jsonl")
+        assert loaded == result
+        assert loaded.to_dict() == result.to_dict()
+        records += len(result.records)
+    assert records > 0
 
 
 def test_two_user_scenario_classification():
@@ -187,7 +209,7 @@ def test_head_missing_needs_strictly_earlier_witness():
     same_time_witness = TimelineResponse(response_id=0, consumer_id=0, T=45 * SEC,
                                          entries=(D, C, B, A))
     witness_index = build_witness_index([same_time_witness, flagged])
-    oracle = consistent_timeline(feed_index(index, network), 1, flagged.T, 4)
+    oracle = consistent_timeline(index.feeds, 1, flagged.T, 4)
     index.check(flagged)
     [(key, position)] = find_missing(index, flagged.entries, oracle)
     assert position is ConflictType.NEWER_EARLIER
@@ -199,7 +221,7 @@ def test_tail_missing_is_never_observable():
     index = TweetIndex(tweets, network)
     flagged = TimelineResponse(response_id=1, consumer_id=1, T=45 * SEC,
                                entries=(D, C, B))
-    oracle = consistent_timeline(feed_index(index, network), 1, flagged.T, 4)
+    oracle = consistent_timeline(index.feeds, 1, flagged.T, 4)
     index.check(flagged)
     assert find_missing(index, flagged.entries, oracle) == []
 
@@ -209,7 +231,7 @@ def test_unwitnessed_interior_gap_is_not_observable():
     index = TweetIndex(tweets, network)
     flagged = TimelineResponse(response_id=0, consumer_id=0, T=45 * SEC,
                                entries=(D, C, A))
-    oracle = consistent_timeline(feed_index(index, network), 0, flagged.T, 4)
+    oracle = consistent_timeline(index.feeds, 0, flagged.T, 4)
     index.check(flagged)
     [(key, position)] = find_missing(index, flagged.entries, oracle)
     witness_index = build_witness_index([flagged])
@@ -217,9 +239,7 @@ def test_unwitnessed_interior_gap_is_not_observable():
 
 
 def test_classify_rejects_non_positive_gap():
-    tweets = [TweetEvent(0, 10, 0), TweetEvent(1, 10, 1), TweetEvent(0, 5, -1)]
-    tweets.sort(key=lambda tw: (tw.t, tw.seq))
-    tweets = [TweetEvent(tw.producer_id, tw.t, i) for i, tw in enumerate(tweets)]
+    tweets = [(0, 5), (0, 10), (1, 10)]
     network = make_network({0: (0, 1), 1: (0, 1)}, 2)
     index = TweetIndex(tweets, network)
     missing = (0, 10)
@@ -234,7 +254,8 @@ def test_classify_rejects_non_positive_gap():
 
 def result_of(records):
     return DetectionResult(records, total_count=1, analyzed_start_id=0,
-                           tweet_counts={}, query_counts={0: 1})
+                           tweet_counts={}, query_counts={0: 1}, n_timeline=4,
+                           analysis_window_fraction=1.0)
 
 
 def test_inconsistency_time_gap_values():
@@ -342,10 +363,10 @@ def oracle_heavy_instance(rng: np.random.Generator):
     network = make_network(follows, n_producers)
     raw = sorted((2 * int(t), rng.random(), p) for p in range(n_producers)
                  for t in rng.choice(10, size=int(rng.integers(0, 8)), replace=False))
-    tweets = [TweetEvent(producer_id=p, t=t, seq=i) for i, (t, _, p) in enumerate(raw)]
+    tweets = [(p, t) for t, _, p in raw]
 
     def view(consumer, T, n):
-        return [(tw.producer_id, tw.t) for tw in brute_timeline(consumer, T, tweets, network, n)]
+        return brute_timeline(consumer, T, tweets, network, n)
 
     responses = []
     for rid, T in enumerate(sorted(2 * rng.integers(0, 11, size=int(rng.integers(0, 40))) + 1)):
@@ -384,7 +405,7 @@ def test_detector_fast_paths_equal_bruteforce():
             seen_types.add(record.type)
         for r in analyzed:
             oracle = brute_timeline(r.consumer_id, r.T, tweets, network, n)
-            exact += list(r.entries) == [(tw.producer_id, tw.t) for tw in oracle]
+            exact += list(r.entries) == oracle
     assert exact > 1000
     assert seen_types == set(ConflictType)
 
@@ -430,7 +451,7 @@ def test_observable_subset_of_missing():
         result = detect_all(responses, tweets, network, n_timeline=n,
                             analysis_window_fraction=1.0)
         index = TweetIndex(tweets, network)
-        feeds = feed_index(index, network)
+        feeds = index.feeds
         per_response_records = {}
         for record in result.records:
             per_response_records[record.response_id] = \
@@ -449,7 +470,7 @@ def test_enlarging_witness_corpus_never_removes_conflicts():
         if len(responses) < 4:
             continue
         index = TweetIndex(tweets, network)
-        feeds = feed_index(index, network)
+        feeds = index.feeds
         half = build_witness_index(responses[len(responses) // 2:])
         full = build_witness_index(responses)
 
@@ -475,7 +496,7 @@ def test_detection_result_files_roundtrip(tmp_path):
     records_path = tmp_path / "conflicts.jsonl"
     totals_path = tmp_path / "totals.json"
     save_conflict_records(records_path, result)
-    save_detection_totals(totals_path, result, 4, 1.0)
+    write_json(totals_path, result.to_dict(), sort_keys=True)
     assert load_conflict_records(records_path) == result.records
     loaded = load_detection(records_path, totals_path, network, tmp_path / "network.jsonl")
     assert loaded == result

@@ -8,6 +8,7 @@ timelines that other users can already contradict.
 from feedsim import (
     ExperimentConfig,
     RngStreams,
+    TweetIndex,
     build_network,
     build_profile,
     build_report,
@@ -28,7 +29,7 @@ print(f"{len(artifacts.tweet_log)} tweets, {len(artifacts.responses)} responses,
 slowest = max(artifacts.fanout_completion_us.values())
 print(f"slowest fan-out completion: {slowest / 1e6:.0f} s")
 
-result = detect_all(artifacts.responses, artifacts.tweet_log, network,
+result = detect_all(artifacts.responses, TweetIndex(artifacts.tweet_log, network),
                     n_timeline=cfg.n_timeline,
                     analysis_window_fraction=cfg.analysis_window_fraction)
 report = build_report(result, network)

@@ -9,6 +9,7 @@ long, so popular producers' tweets go missing observably.
 from feedsim import (
     ExperimentConfig,
     RngStreams,
+    TweetIndex,
     attribute_to_producers,
     build_network,
     build_profile,
@@ -22,7 +23,7 @@ rng = RngStreams(cfg.seed)
 network = build_network(cfg.n_producers, cfg.n_consumers, cfg.zipf, rng)
 profile = build_profile(network, cfg.zipf, rng)
 artifacts = run_experiment(network, profile, cfg)
-result = detect_all(artifacts.responses, artifacts.tweet_log, network,
+result = detect_all(artifacts.responses, TweetIndex(artifacts.tweet_log, network),
                     n_timeline=cfg.n_timeline,
                     analysis_window_fraction=cfg.analysis_window_fraction)
 

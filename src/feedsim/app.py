@@ -44,9 +44,9 @@ RETRY_BACKOFF_US = 10 * MICROS_PER_MS
 
 @dataclass(slots=True)
 class TimelineResponse:
-    """One served timeline query; entries are (producer_id, t) newest-first."""
+    """One served timeline query; entries are (producer_id, t) newest-first.
+    Its response id is its position in the response log."""
 
-    response_id: int
     consumer_id: int
     T: int
     entries: tuple[tuple[int, int], ...]
@@ -238,12 +238,8 @@ class FeedApp:
         """Serve the materialized view from a random replica; no caching."""
         if consumer_id not in self.network.follows:
             raise ValueError(f"unknown consumer {consumer_id}")
-        response = TimelineResponse(
-            response_id=len(self.responses),
-            consumer_id=consumer_id,
-            T=self.loop.now(),
-            entries=self.store.read(consumer_id) or (),
-        )
+        response = TimelineResponse(consumer_id, self.loop.now(),
+                                    self.store.read(consumer_id) or ())
         self.responses.append(response)
         return response
 
@@ -349,7 +345,8 @@ RESPONSE_LOG_CHUNK = 1024
 
 
 def save_response_log(path: str | Path, responses: list[TimelineResponse]) -> None:
-    """Write what json.dumps would write for each response's record, byte for byte.
+    """Write what json.dumps would write for each response's record, byte for byte,
+    with its position in the log as its response_id.
 
     Every value is an integer or an ISO timestamp, so nothing needs escaping.
     Responses share timeline tuples and a tweet shows up in many timelines,
@@ -366,13 +363,16 @@ def save_response_log(path: str | Path, responses: list[TimelineResponse]) -> No
             chunk = responses[start:start + RESPONSE_LOG_CHUNK]
             fh.writelines(
                 '{"response_id": %d, "consumer_id": "%d", "T": "%s", "entries": [%s]}\n'
-                % (resp.response_id, resp.consumer_id, T, entries_json[resp.entries])
-                for resp, T in zip(chunk, to_iso([resp.T for resp in chunk])))
+                % (response_id, resp.consumer_id, T, entries_json[resp.entries])
+                for response_id, (resp, T) in enumerate(
+                    zip(chunk, to_iso([resp.T for resp in chunk])), start))
 
 
 def load_response_log(path: str | Path) -> list[TimelineResponse]:
-    """Read a response log; each distinct (producer_id, t) string pair is parsed once."""
+    """Read a response log; each record's response_id must be its position, and
+    each distinct (producer_id, t) string pair is parsed once."""
     pairs: dict[tuple[str, str], tuple[int, int]] = {}
+    positions = count()
 
     def entry(record: dict) -> tuple[int, int]:
         try:
@@ -384,7 +384,11 @@ def load_response_log(path: str | Path) -> list[TimelineResponse]:
                 record_decimal(record["producer_id"]), from_iso(record["t"]))
             return pair
 
-    return read_jsonl(path, lambda record: TimelineResponse(
-        response_id=record_int(record["response_id"]),
-        consumer_id=record_decimal(record["consumer_id"]), T=from_iso(record["T"]),
-        entries=tuple(map(entry, record["entries"]))))
+    def response(record: dict) -> TimelineResponse:
+        resp = TimelineResponse(record_decimal(record["consumer_id"]), from_iso(record["T"]),
+                                tuple(map(entry, record["entries"])))
+        if (response_id := record_int(record["response_id"])) != (position := next(positions)):
+            raise ValueError(f"response_id {response_id} is not the record's position {position}")
+        return resp
+
+    return read_jsonl(path, response)

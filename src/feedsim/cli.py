@@ -111,9 +111,8 @@ def cmd_detect(cfg: ExperimentConfig, network: FollowingNetwork | None = None,
     except IntegrityError as exc:
         raise StageError("detect", f"{out / TWEETS_FILE}: {exc}") from exc
     try:
-        result = detect.detect_all(
-            responses, index, network, n_timeline=cfg.n_timeline,
-            analysis_window_fraction=cfg.analysis_window_fraction)
+        result = detect.detect_all(responses, index, n_timeline=cfg.n_timeline,
+                                   analysis_window_fraction=cfg.analysis_window_fraction)
     except ValueError as exc:
         raise StageError("detect", f"{out / RESPONSES_FILE}: {exc}") from exc
     detect.save_conflict_records(out / CONFLICTS_FILE, result)
@@ -201,19 +200,24 @@ _STAGES = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Exit code: 0 on success, 1 on a stage failure or a failed check, 2 on a bad config."""
+    """Exit code: 0 on success, 1 on a failed stage, output write or check, 2 on a bad config."""
     args = build_parser().parse_args(argv)
     try:
         cfg = _resolve_config(args)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"{args.command}: bad config: {exc}", file=sys.stderr)
         return 2
-    if args.command == "repro":
-        return cmd_repro(cfg)
     try:
+        if args.command == "repro":
+            return cmd_repro(cfg)
         _STAGES[args.command](cfg)
     except StageError as exc:
         print(exc, file=sys.stderr)
+        return 1
+    except OSError as exc:
+        # _read turns every input error into a StageError, so this is an output.
+        print(f"{args.command}: cannot write {exc.filename or cfg.out_dir}: {exc.strerror}",
+              file=sys.stderr)
         return 1
     return 0
 

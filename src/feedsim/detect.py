@@ -50,10 +50,12 @@ class TweetIndex:
     """The tweet log's (producer_id, t) pairs, validated on build against the network
     whose producers posted it, and its views: rank maps each pair to its seq, which is
     its position in the (t, seq)-ordered log, so ranks compare in the global order;
-    feeds holds each consumer's Feed, and tweet_counts each posting producer's tweets."""
+    feeds holds each consumer's Feed, and tweet_counts each posting producer's tweets;
+    follows holds each consumer's followed producers."""
 
     def __init__(self, tweet_log: Sequence[tuple[int, int]], network: FollowingNetwork):
         self.rank: dict[tuple[int, int], int] = {}
+        self.follows = network.follows
         self.tweet_counts: dict[int, int] = {}
         times: dict[int, list[int]] = {consumer: [] for consumer in network.follows}
         pairs: dict[int, list[tuple[int, int]]] = {consumer: [] for consumer in network.follows}
@@ -76,23 +78,24 @@ class TweetIndex:
         self.feeds: dict[int, Feed] = {
             consumer: (times[consumer], tuple(reversed(pairs[consumer]))) for consumer in times}
 
-    def check(self, response: TimelineResponse) -> None:
+    def check(self, response_id: int, response: TimelineResponse) -> None:
         """Raise IntegrityError unless every entry is in the tweet log, no later
-        than the response's T, and the entries are strictly newest-first."""
+        than the response's T and from a producer the consumer follows, and the
+        entries are strictly newest-first."""
         prev = len(self.rank)  # above every rank, so the first entry passes
+        followed = self.follows[response.consumer_id]
         for pid, t in response.entries:
             rank = self.rank.get((pid, t))
             if rank is None:
-                raise IntegrityError(f"response {response.response_id} contains a phantom tweet "
+                raise IntegrityError(f"response {response_id} contains a phantom tweet "
                                      f"({pid}, {t}) that is not in the tweet log")
             if t > response.T:
-                raise IntegrityError(
-                    f"response {response.response_id} contains a future tweet ({pid}, {t})"
-                )
+                raise IntegrityError(f"response {response_id} contains a future tweet ({pid}, {t})")
+            if pid not in followed:
+                raise IntegrityError(f"response {response_id} contains an unfollowed "
+                                     f"producer's tweet ({pid}, {t})")
             if rank >= prev:
-                raise IntegrityError(
-                    f"response {response.response_id} entries not strictly newest-first"
-                )
+                raise IntegrityError(f"response {response_id} entries not strictly newest-first")
             prev = rank
 
 
@@ -143,18 +146,19 @@ class WitnessIndex:
     containments: dict[tuple[int, int], tuple[int, int]]
 
 
-def build_witness_index(responses: Iterable[TimelineResponse]) -> WitnessIndex:
-    """Index every served (producer_id, t) key at its first sighting, which
-    is its earliest witness when responses come in (T, response_id) order."""
+def build_witness_index(responses: Iterable[tuple[int, TimelineResponse]]) -> WitnessIndex:
+    """Index every served (producer_id, t) key of the (response_id, response)
+    pairs at its first sighting, which is its earliest witness when they come
+    in (T, response_id) order."""
     containments: dict[tuple[int, int], tuple[int, int]] = {}
-    for resp in responses:
-        pair = (resp.T, resp.response_id)
+    for response_id, resp in responses:
+        pair = (resp.T, response_id)
         for key in resp.entries:
             containments.setdefault(key, pair)
     return WitnessIndex(containments)
 
 
-def classify(response: TimelineResponse, missing: tuple[int, int],
+def classify(response_id: int, response: TimelineResponse, missing: tuple[int, int],
              conflict_type: ConflictType, witness_index: WitnessIndex) -> ConflictRecord | None:
     """Decide whether one missing tweet is an observable conflict.
 
@@ -170,10 +174,10 @@ def classify(response: TimelineResponse, missing: tuple[int, int],
     gap_us = response.T - t
     if gap_us <= 0:
         raise IntegrityError(
-            f"non-positive gap for response {response.response_id}: tweet at {t} vs T={response.T}"
+            f"non-positive gap for response {response_id}: tweet at {t} vs T={response.T}"
         )
     return ConflictRecord(
-        response_id=response.response_id,
+        response_id=response_id,
         consumer_id=response.consumer_id,
         producer_id=producer_id,
         t=t,
@@ -186,12 +190,11 @@ def classify(response: TimelineResponse, missing: tuple[int, int],
 @dataclass
 class DetectionResult:
     """What the detector observed with which settings; every conflict count derives
-    from the records, and the analyzed count from the queries counted in the
-    analysis window."""
+    from the records, the analyzed count from the queries counted in the analysis
+    window, and the window's first response id from the two counts."""
 
     records: list[ConflictRecord]
     total_count: int
-    analyzed_start_id: int
     tweet_counts: dict[int, int]
     query_counts: dict[int, int]
     n_timeline: int
@@ -212,6 +215,11 @@ class DetectionResult:
     @property
     def analyzed_count(self) -> int:
         return sum(self.query_counts.values())
+
+    @property
+    def analyzed_start_id(self) -> int:
+        """The analysis window's first response id, its position in the log; -1 if empty."""
+        return self.total_count - self.analyzed_count if self.query_counts else -1
 
     def type_counts(self) -> dict[str, int]:
         counts = {kind.value: 0 for kind in ConflictType}
@@ -236,56 +244,44 @@ class DetectionResult:
         }
 
 
-def detect_all(responses: Sequence[TimelineResponse],
-               tweet_log: Sequence[tuple[int, int]] | TweetIndex,
-               network: FollowingNetwork, *, n_timeline: int,
-               analysis_window_fraction: float) -> DetectionResult:
+def detect_all(responses: Sequence[TimelineResponse], index: TweetIndex, *,
+               n_timeline: int, analysis_window_fraction: float) -> DetectionResult:
     """Run the full pipeline over the configured analysis window.
 
-    The warm-up prefix is dropped: only the latter analysis_window_fraction
-    of responses (by count) is analyzed, and witnesses are drawn from that
-    same window. Every response, warm-up included, is validated, and the
-    responses must come with strictly increasing ids and non-decreasing T,
-    so they are in (T, response_id) order and each tweet's first sighting
-    in the window is its earliest witness.
-    Errors in the tweet log are raised while tweet_log is indexed, so a
-    caller that passes a TweetIndex sees only errors in the responses.
+    A response's id is its position in responses. The warm-up prefix is
+    dropped: only the latter analysis_window_fraction of responses (by count)
+    is analyzed, and witnesses are drawn from that same window. Every
+    response, warm-up included, is validated, and T must not decrease, so
+    the responses are in (T, response_id) order and each tweet's first
+    sighting in the window is its earliest witness.
     """
     if not 0 < analysis_window_fraction <= 1:
         raise ValueError("analysis_window_fraction must be in (0, 1]")
-    index = tweet_log if isinstance(tweet_log, TweetIndex) else TweetIndex(tweet_log, network)
     start = len(responses) - int(round(len(responses) * analysis_window_fraction))
-    incomplete = []  # (response, what it misses) for analyzed responses unlike their oracle
-    prev = None
+    incomplete = []  # (id, response, what it misses) for analyzed responses unlike their oracle
+    prev_T = None
     for i, resp in enumerate(responses):
-        if prev is not None:
-            if resp.response_id <= prev.response_id:
-                raise IntegrityError(
-                    f"response ids not strictly increasing at response {resp.response_id}")
-            if resp.T < prev.T:
-                raise IntegrityError(f"response {resp.response_id} is timestamped before "
-                                     f"the response before it")
-        prev = resp
+        if prev_T is not None and resp.T < prev_T:
+            raise IntegrityError(f"response {i} is timestamped before the response before it")
+        prev_T = resp.T
         if resp.consumer_id not in index.feeds:
-            raise IntegrityError(
-                f"response {resp.response_id} names unknown consumer {resp.consumer_id}")
+            raise IntegrityError(f"response {i} names unknown consumer {resp.consumer_id}")
         if i < start:
-            index.check(resp)
+            index.check(i, resp)
             continue
         oracle = consistent_timeline(index.feeds, resp.consumer_id, resp.T, n_timeline)
         # Serving exactly the oracle proves the entries valid and complete.
         if resp.entries != oracle:
-            index.check(resp)
-            incomplete.append((resp, find_missing(index, resp.entries, oracle)))
+            index.check(i, resp)
+            incomplete.append((i, resp, find_missing(index, resp.entries, oracle)))
 
     analyzed = responses[start:]
-    witness_index = build_witness_index(analyzed if incomplete else [])
-    records = [record for resp, missing in incomplete for key, conflict_type in missing
-               if (record := classify(resp, key, conflict_type, witness_index)) is not None]
+    witness_index = build_witness_index(enumerate(analyzed, start) if incomplete else [])
+    records = [record for i, resp, missing in incomplete for key, conflict_type in missing
+               if (record := classify(i, resp, key, conflict_type, witness_index)) is not None]
     return DetectionResult(
         records=records,
         total_count=len(responses),
-        analyzed_start_id=analyzed[0].response_id if analyzed else -1,
         tweet_counts=index.tweet_counts,
         query_counts=dict(Counter(resp.consumer_id for resp in analyzed)),
         n_timeline=n_timeline,
@@ -348,9 +344,6 @@ def _check_counts(result: DetectionResult) -> None:
     if not result.conflicting_count <= analyzed <= result.total_count:
         raise ValueError(f"{result.conflicting_count} conflicting, {analyzed} analyzed and "
                          f"{result.total_count} total responses are out of order")
-    start = result.analyzed_start_id
-    if not (start >= 0 if analyzed else start == -1):
-        raise ValueError(f"analyzed_start_id {start} with {analyzed} analyzed responses")
 
 
 def _check_ids(result: DetectionResult, network: FollowingNetwork, network_path: str | Path,
@@ -387,7 +380,6 @@ def load_detection(records_path: str | Path, totals_path: str | Path,
         result = DetectionResult(
             records=records,
             total_count=record_int(totals["total_responses"]),
-            analyzed_start_id=record_int(totals["analyzed_start_id"]),
             tweet_counts=_counts(totals["tweet_counts"]),
             query_counts=_counts(totals["query_counts"]),
             n_timeline=record_int(totals["n_timeline"]),

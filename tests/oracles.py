@@ -81,12 +81,13 @@ def brute_timeline(consumer_id, T, tweets, network, n_timeline):
 
 def brute_force_conflicts(responses, tweets, network, n_timeline,
                           window_fraction=1.0):
-    """All-pairs crosschecking: returns {(response_id, producer, t, type)}."""
+    """All-pairs crosschecking: returns {(response_id, producer, t, type)}, where
+    a response's id is its position in responses."""
     seq_of = {pair: seq for seq, pair in enumerate(tweets)}
     start = len(responses) - int(round(len(responses) * window_fraction))
-    analyzed = list(responses)[start:]
+    analyzed = list(enumerate(responses))[start:]
     found = set()
-    for resp in analyzed:
+    for response_id, resp in analyzed:
         oracle = brute_timeline(resp.consumer_id, resp.T, tweets, network, n_timeline)
         served_pairs = set(resp.entries)
         served_keys = [(t, seq_of[(pid, t)]) for pid, t in resp.entries]
@@ -97,16 +98,16 @@ def brute_force_conflicts(responses, tweets, network, n_timeline,
             newer = any(k > key for k in served_keys)
             older = any(k < key for k in served_keys)
             witnesses = [
-                other for other in analyzed
-                if other.response_id != resp.response_id
+                other for other_id, other in analyzed
+                if other_id != response_id
                 and (pid, t) in set(other.entries)
             ]
             if newer and older:
                 if witnesses:
-                    found.add((resp.response_id, pid, t, "gap"))
+                    found.add((response_id, pid, t, "gap"))
             elif not newer:
                 if any(other.T < resp.T for other in witnesses):
-                    found.add((resp.response_id, pid, t, "newer_earlier"))
+                    found.add((response_id, pid, t, "newer_earlier"))
     return found
 
 
@@ -149,7 +150,7 @@ def random_instance(rng: np.random.Generator):
     responses = []
     n_responses = int(rng.integers(0, 60))
     Ts = sorted(int(t) for t in rng.integers(0, 100, size=n_responses))
-    for rid, T in enumerate(Ts):
+    for T in Ts:
         consumer = int(rng.integers(0, n_consumers))
         followed = set(follows[consumer])
         # strictly-past entries only: a served view can never contain a
@@ -170,6 +171,5 @@ def random_instance(rng: np.random.Generator):
             size = int(rng.integers(0, min(n_timeline, len(eligible)) + 1)) if eligible else 0
             idx = sorted(rng.choice(len(eligible), size=size, replace=False).tolist())
             kept = [eligible[i] for i in idx]
-        responses.append(TimelineResponse(response_id=rid, consumer_id=consumer,
-                                          T=T, entries=tuple(kept)))
+        responses.append(TimelineResponse(consumer_id=consumer, T=T, entries=tuple(kept)))
     return responses, tweets, network, n_timeline

@@ -41,7 +41,8 @@ def execute(cfg, window=None):
     network, profile = generate(cfg)
     artifacts = run_experiment(network, profile, cfg)
     result = detect.detect_all(
-        artifacts.responses, artifacts.tweet_log, network, n_timeline=cfg.n_timeline,
+        artifacts.responses, detect.TweetIndex(artifacts.tweet_log, network),
+        n_timeline=cfg.n_timeline,
         analysis_window_fraction=window or cfg.analysis_window_fraction)
     return network, artifacts, result
 
@@ -59,7 +60,8 @@ def test_criterion_1_zero_delay_soundness():
     network, profile = generate(cfg)
     started = time.monotonic()
     artifacts = run_experiment(network, profile, cfg)
-    result = detect.detect_all(artifacts.responses, artifacts.tweet_log, network,
+    result = detect.detect_all(artifacts.responses,
+                               detect.TweetIndex(artifacts.tweet_log, network),
                                n_timeline=cfg.n_timeline, analysis_window_fraction=1.0)
     elapsed = time.monotonic() - started
     passed = (len(artifacts.responses) >= 100_000 and len(result.records) == 0
@@ -78,7 +80,8 @@ def test_criterion_2_bruteforce_equivalence():
     while instances < 200:
         responses, tweets, network, n_timeline = random_instance(rng)
         fraction = 1.0 if rng.random() < 0.7 else 0.6
-        result = detect.detect_all(responses, tweets, network, n_timeline=n_timeline,
+        result = detect.detect_all(responses, detect.TweetIndex(tweets, network),
+                                   n_timeline=n_timeline,
                                    analysis_window_fraction=fraction)
         expected = brute_force_conflicts(responses, tweets, network, n_timeline, fraction)
         if detector_conflict_set(result) != expected:

@@ -25,7 +25,6 @@ def make_result(records, analyzed=10, tweet_counts=None, query_counts=None):
     return DetectionResult(
         records=records,
         total_count=sum(query_counts.values()),
-        analyzed_start_id=0,
         tweet_counts=tweet_counts or {},
         query_counts=query_counts,
         n_timeline=20,

@@ -1,8 +1,11 @@
 import gc
 import json
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import feedsim.app as app_module
 from feedsim.app import (
@@ -30,6 +33,7 @@ from feedsim.sim import (
     MICROS_PER_HOUR,
     DistributionSpec,
     EventLoop,
+    IntegrityError,
     RngStreams,
     from_iso,
 )
@@ -192,7 +196,7 @@ def test_query_before_any_tweet_is_empty():
     app, *_ = make_app({0: (0,)}, 1)
     response = app.query_timeline(0)
     assert response.entries == ()
-    assert response.response_id == 0
+    assert app.responses == [response]  # response id 0 is its position
 
 
 def tiny_run(fanout, lag, seed=1, hours=1.0, n_replicas=3):
@@ -347,15 +351,13 @@ def test_log_files_roundtrip(tmp_path):
     save_tweet_log(tweet_path, artifacts.tweet_log)
     save_response_log(resp_path, artifacts.responses)
     assert load_tweet_log(tweet_path) == artifacts.tweet_log
-    loaded = load_response_log(resp_path)
-    assert [(r.response_id, r.consumer_id, r.T, r.entries) for r in loaded] == \
-           [(r.response_id, r.consumer_id, r.T, r.entries) for r in artifacts.responses]
+    assert load_response_log(resp_path) == artifacts.responses
 
 
 def test_log_wire_format_is_pinned(tmp_path):
     record = ConflictRecord(response_id=7, consumer_id=9, producer_id=1353955, t=32_256_647,
                             type=ConflictType.GAP, witness_response_id=3, gap_us=7_743_353)
-    detection = DetectionResult(records=[record], total_count=1, analyzed_start_id=7,
+    detection = DetectionResult(records=[record], total_count=1,
                                 tweet_counts={}, query_counts={9: 1}, n_timeline=20,
                                 analysis_window_fraction=0.5)
     cases = [
@@ -363,10 +365,13 @@ def test_log_wire_format_is_pinned(tmp_path):
          '{"producer_id": "4", "t": "2020-01-01T00:00:32.256645", "seq": 0}\n'
          '{"producer_id": "1353955", "t": "2020-01-01T00:00:32.256646", "seq": 1}\n'
          '{"producer_id": "1353955", "t": "2020-01-01T00:00:32.256647", "seq": 2}\n'),
-        (save_response_log, ([TimelineResponse(response_id=7, consumer_id=9, T=40_000_000,
-                                               entries=((1353955, 32_256_647),))],),
-         '{"response_id": 7, "consumer_id": "9", "T": "2020-01-01T00:00:40.000000", '
-         '"entries": [{"producer_id": "1353955", "t": "2020-01-01T00:00:32.256647"}]}\n'),
+        (save_response_log, ([TimelineResponse(consumer_id=9, T=40_000_000,
+                                               entries=((1353955, 32_256_647),)),
+                              TimelineResponse(consumer_id=4, T=40_000_001, entries=())],),
+         '{"response_id": 0, "consumer_id": "9", "T": "2020-01-01T00:00:40.000000", '
+         '"entries": [{"producer_id": "1353955", "t": "2020-01-01T00:00:32.256647"}]}\n'
+         '{"response_id": 1, "consumer_id": "4", "T": "2020-01-01T00:00:40.000001", '
+         '"entries": []}\n'),
         (save_network_profile, (make_network({0: (0, 1)}, 2),
                                 WorkloadProfile(producer_rate=np.array([0.75, 2.0]),
                                                 consumer_rate=np.array([5.8]))),
@@ -385,10 +390,10 @@ def test_log_wire_format_is_pinned(tmp_path):
         assert path.read_text() == expected, save.__name__
 
 
-def json_line(resp):
-    """The response's log line as json.dumps renders its record."""
+def json_line(response_id, resp):
+    """The log line of the response at this position as json.dumps renders its record."""
     return json.dumps({
-        "response_id": resp.response_id, "consumer_id": str(resp.consumer_id),
+        "response_id": response_id, "consumer_id": str(resp.consumer_id),
         "T": datetime_iso(resp.T),
         "entries": [{"producer_id": str(pid), "t": datetime_iso(t)} for pid, t in resp.entries],
     }) + "\n"
@@ -401,8 +406,7 @@ def test_response_log_equals_json_dumps_of_each_record(tmp_path):
             FanoutSettings(service=DistributionSpec("exponential", float(rng.integers(1, 90_000)))),
             ("exponential", float(rng.integers(0, 5000))), seed=seed, hours=0.5)
         # Ids and times far from the run's: wide integers, days into the year.
-        extra = [TimelineResponse(response_id=int(rng.integers(0, 2**40)),
-                                  consumer_id=int(rng.integers(0, 2**40)),
+        extra = [TimelineResponse(consumer_id=int(rng.integers(0, 2**40)),
                                   T=int(rng.integers(0, 400 * 86_400_000_000)),
                                   entries=tuple((int(rng.integers(0, 2**40)),
                                                  int(rng.integers(0, 400 * 86_400_000_000)))
@@ -412,14 +416,14 @@ def test_response_log_equals_json_dumps_of_each_record(tmp_path):
         shared = ((7, 86_400_000_001), (3, 5))
         copy = tuple(list(shared))
         assert copy == shared and copy is not shared
-        reused = [TimelineResponse(response_id=i, consumer_id=i, T=i, entries=entries)
+        reused = [TimelineResponse(consumer_id=i, T=i, entries=entries)
                   for i, entries in enumerate((shared, (), shared, copy, ()))]
         responses = artifacts.responses + extra + reused
         assert any(not r.entries for r in responses) and any(r.entries for r in responses)
         path = tmp_path / f"responses{seed}.jsonl"
         save_response_log(path, responses)
         lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-        expected = [json_line(resp) for resp in responses]
+        expected = [json_line(i, resp) for i, resp in enumerate(responses)]
         assert len(lines) == len(expected)
         assert [i for i, (got, want) in enumerate(zip(lines, expected)) if got != want] == []
 
@@ -433,16 +437,47 @@ def test_response_log_across_chunks_equals_json_dumps(tmp_path):
                  for _ in range(40)]
     n = 2 * app_module.RESPONSE_LOG_CHUNK + 77
     Ts = np.sort(rng.integers(-day, 400 * day, size=n)).tolist()
-    responses = [TimelineResponse(response_id=i, consumer_id=int(rng.integers(0, 2**40)), T=T,
+    responses = [TimelineResponse(consumer_id=int(rng.integers(0, 2**40)), T=T,
                                   entries=timelines[int(rng.integers(0, len(timelines)))])
-                 for i, T in enumerate(Ts)]
+                 for T in Ts]
     path = tmp_path / "responses.jsonl"
     save_response_log(path, responses)
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-    expected = [json_line(resp) for resp in responses]
+    expected = [json_line(i, resp) for i, resp in enumerate(responses)]
     assert len(lines) == len(expected) == n
     assert [i for i, (got, want) in enumerate(zip(lines, expected)) if got != want] == []
     assert load_response_log(path) == responses
+
+
+DAY_US = 86_400_000_000
+LOGGED_RESPONSES = st.builds(
+    TimelineResponse,
+    consumer_id=st.integers(0, 2**40),
+    T=st.integers(-DAY_US, 400 * DAY_US),
+    entries=st.lists(st.tuples(st.integers(0, 2**40), st.integers(-DAY_US, 400 * DAY_US)),
+                     max_size=3).map(tuple))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(LOGGED_RESPONSES, min_size=1, max_size=12), st.integers(1, 5), st.data())
+def test_response_log_ids_are_positions(tmp_path_factory, responses, chunk, data):
+    """A response log round-trips, chunk boundaries included, and a record whose
+    response_id is not its position is rejected naming its line."""
+    path = tmp_path_factory.mktemp("responses") / "responses.jsonl"
+    with patch.object(app_module, "RESPONSE_LOG_CHUNK", chunk):
+        save_response_log(path, responses)
+    assert load_response_log(path) == responses
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    position = data.draw(st.integers(0, len(lines) - 1))
+    wrong = data.draw(st.integers(-2**40, 2**40).filter(lambda id_: id_ != position))
+    prefix = f'{{"response_id": {position}, '
+    assert lines[position].startswith(prefix)
+    lines[position] = f'{{"response_id": {wrong}, ' + lines[position][len(prefix):]
+    path.write_text("".join(lines), encoding="utf-8")
+    with pytest.raises(IntegrityError) as raised:
+        load_response_log(path)
+    assert str(raised.value) == (f"{path}:{position + 1}: corrupt record: ValueError: "
+                                 f"response_id {wrong} is not the record's position {position}")
 
 
 def test_load_tweet_log_rejects_corrupt(tmp_path):

@@ -1,5 +1,7 @@
+import errno
 import json
 import math
+import os
 import shutil
 from dataclasses import replace
 from pathlib import Path
@@ -248,6 +250,18 @@ def test_gen_infeasible_parameters_exit_nonzero(tmp_path, capsys):
 def test_run_without_gen_errors(tmp_path):
     cfg_path = write_config(tmp_path, tiny_config(tmp_path / "out"))
     assert main(["run", "--config", str(cfg_path)]) == 1
+
+
+@pytest.mark.parametrize("command", ["gen", "repro"])
+@pytest.mark.parametrize("sub,code", [("", errno.EEXIST), ("sub", errno.ENOTDIR)],
+                         ids=["existing_file", "under_a_file"])
+def test_unusable_out_exits_1_naming_it(tmp_path, capsys, command, sub, code):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    out = taken / sub
+    cfg_path = write_config(tmp_path, tiny_config(tmp_path / "out"))
+    assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"{command}: cannot write {out}: {os.strerror(code)}\n"
 
 
 def test_detect_rejects_corrupt_logs(tmp_path):
@@ -532,9 +546,11 @@ IMPOSSIBLE_TOTALS = {
                                             "'tweet_counts' is not written the way detect "
                                             "writes it"),
     "analyzed_start_id_negative": (lambda totals, records: totals.update(
-        analyzed_start_id=-7), "analyzed_start_id -7 with 572 analyzed responses"),
+        analyzed_start_id=-7), "'analyzed_start_id' is not written the way detect writes it"),
     "analyzed_start_id_none_with_responses": (lambda totals, records: totals.update(
-        analyzed_start_id=-1), "analyzed_start_id -1 with 572 analyzed responses"),
+        analyzed_start_id=-1), "'analyzed_start_id' is not written the way detect writes it"),
+    "analyzed_start_id_3": (lambda totals, records: totals.update(analyzed_start_id=3),
+                            "'analyzed_start_id' is not written the way detect writes it"),
     "n_timeline_zero": (lambda totals, records: totals.update(n_timeline=0),
                         "n_timeline 0 is not positive"),
     "n_timeline_fractional": (lambda totals, records: totals.update(n_timeline=2.5),
@@ -701,6 +717,22 @@ def _swap_last_two_response_ids(records):
         records[-1]["response_id"], records[-2]["response_id"]
 
 
+def _unfollowed_producers_tweet_in_last(records):
+    """Insert into the last response, newest-first, a tweet no later than its T
+    from a producer never served to its consumer, which that consumer does not
+    follow."""
+    last = records[-1]
+    own = {entry["producer_id"] for record in records
+           if record["consumer_id"] == last["consumer_id"] for entry in record["entries"]}
+    times = {entry["t"] for entry in last["entries"]}
+    # ISO timestamps of one width sort as the times they render.
+    last["entries"].append(max(
+        (entry for record in records for entry in record["entries"]
+         if entry["producer_id"] not in own and entry["t"] <= last["T"]
+         and entry["t"] not in times), key=lambda entry: entry["t"]))
+    last["entries"].sort(key=lambda entry: entry["t"], reverse=True)
+
+
 # Each message follows the file name: after ": " when the whole log breaks an
 # invariant, after ":<line>: " when the loader rejects one record.
 @pytest.mark.parametrize("name,edit,message", [
@@ -711,9 +743,14 @@ def _swap_last_two_response_ids(records):
                                                   "t": records[-1]["T"]}]),
      ": response {last} contains a phantom tweet (99999, "),
     ("responses.jsonl", lambda records: records[-1].update(response_id=0),
-     ": response ids not strictly increasing at response 0"),
+     ":{lines}: corrupt record: ValueError: response_id 0 is not the record's position {last}"),
     ("responses.jsonl", _swap_last_two_response_ids,
-     ": response ids not strictly increasing at response "),
+     ":{last}: corrupt record: ValueError: response_id {last} is not the record's position "
+     "{before}"),
+    ("responses.jsonl",
+     lambda records: records[-1].update(response_id=records[-1]["response_id"] + 5),
+     ":{lines}: corrupt record: ValueError: response_id {bumped} is not the record's position "
+     "{last}"),
     ("responses.jsonl", lambda records: records[-1].update(T=records[0]["T"]),
      ": response {last} is timestamped before the response before it"),
     ("tweets.jsonl", _swap_tweets_2_and_3,
@@ -728,10 +765,13 @@ def _swap_last_two_response_ids(records):
     ("responses.jsonl", _future_entry_in_warm_up, ": response {warm} contains a future tweet ("),
     ("responses.jsonl", lambda records: _warm_up(records)["entries"].reverse(),
      ": response {warm} entries not strictly newest-first"),
+    ("responses.jsonl", _unfollowed_producers_tweet_in_last,
+     ": response {last} contains an unfollowed producer's tweet ("),
 ], ids=["unknown_consumer", "phantom_entry", "duplicate_response_id",
-        "decreasing_response_ids", "disordered_T",
+        "decreasing_response_ids", "bumped_last_response_id", "disordered_T",
         "swapped_tweets", "swapped_tweets_and_seqs", "bumped_last_seq", "unknown_producer",
-        "warm_up_phantom_entry", "warm_up_future_entry", "warm_up_reversed_entries"])
+        "warm_up_phantom_entry", "warm_up_future_entry", "warm_up_reversed_entries",
+        "unfollowed_producers_tweet"])
 def test_detect_integrity_errors_name_the_log(tmp_path, capsys, staged_outputs,
                                               name, edit, message):
     out = tmp_path / "out"
@@ -745,5 +785,6 @@ def test_detect_integrity_errors_name_the_log(tmp_path, capsys, staged_outputs,
     capsys.readouterr()
     assert main(["detect", "--config", str(cfg_path)]) == 1
     err = capsys.readouterr().err
-    expected = message.format(last=last, warm=warm, lines=len(records))
+    expected = message.format(last=last, before=last - 1, bumped=last + 5, warm=warm,
+                              lines=len(records))
     assert err.startswith(f"detect: {out / name}{expected}"), err

@@ -1,9 +1,10 @@
+import json
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from collections import Counter
-
-from feedsim.app import FanoutSettings, TimelineResponse
+from feedsim.app import FanoutSettings, TimelineResponse, load_response_log, save_response_log
 from feedsim.detect import (
     ConflictRecord,
     ConflictType,
@@ -38,9 +39,9 @@ def two_user_scenario():
     tweets = [(0, (i + 1) * 10 * SEC) for i in range(5)]  # A..E
     A, B, C, D, E = tweets
     network = make_network({0: (0,), 1: (0,)}, 1)
-    r_gap = TimelineResponse(response_id=0, consumer_id=0, T=45 * SEC,
+    r_gap = TimelineResponse(consumer_id=0, T=45 * SEC,
                              entries=(D, C, A))          # missing B mid-stream
-    r_head = TimelineResponse(response_id=1, consumer_id=1, T=47 * SEC,
+    r_head = TimelineResponse(consumer_id=1, T=47 * SEC,
                               entries=(C, B, A))         # missing newest D
     return tweets, network, [r_gap, r_head], (A, B, C, D, E)
 
@@ -79,10 +80,10 @@ def test_find_missing_positions():
     tweets, network, (r_gap, r_head), (A, B, C, D, E) = two_user_scenario()
     index = TweetIndex(tweets, network)
     oracle_gap = consistent_timeline(index.feeds, 0, r_gap.T, 4)
-    index.check(r_gap)
+    index.check(0, r_gap)
     assert find_missing(index, r_gap.entries, oracle_gap) == [(B, ConflictType.GAP)]
     oracle_head = consistent_timeline(index.feeds, 1, r_head.T, 4)
-    index.check(r_head)
+    index.check(1, r_head)
     assert find_missing(index, r_head.entries, oracle_head) == \
            [(D, ConflictType.NEWER_EARLIER)]
 
@@ -90,28 +91,36 @@ def test_find_missing_positions():
 def test_find_missing_exact_match_is_empty():
     tweets, network, _, (A, B, C, D, E) = two_user_scenario()
     index = TweetIndex(tweets, network)
-    response = TimelineResponse(response_id=9, consumer_id=0, T=45 * SEC,
-                                entries=(D, C, B, A))
+    response = TimelineResponse(consumer_id=0, T=45 * SEC, entries=(D, C, B, A))
     oracle = consistent_timeline(index.feeds, 0, 45 * SEC, 4)
-    index.check(response)
+    index.check(9, response)
     assert find_missing(index, response.entries, oracle) == []
 
 
 def test_phantom_entry_raises_integrity_error():
     tweets, network, _, _ = two_user_scenario()
     index = TweetIndex(tweets, network)
-    response = TimelineResponse(response_id=0, consumer_id=0, T=45 * SEC,
-                                entries=((0, 123456),))
+    response = TimelineResponse(consumer_id=0, T=45 * SEC, entries=((0, 123456),))
     with pytest.raises(IntegrityError, match="phantom"):
-        index.check(response)
+        index.check(0, response)
 
 
 def test_future_entry_raises_integrity_error():
     tweets, network, _, (A, B, C, D, E) = two_user_scenario()
     index = TweetIndex(tweets, network)
-    response = TimelineResponse(response_id=0, consumer_id=0, T=15 * SEC, entries=(C,))
+    response = TimelineResponse(consumer_id=0, T=15 * SEC, entries=(C,))
     with pytest.raises(IntegrityError, match="future"):
-        index.check(response)
+        index.check(0, response)
+
+
+def test_unfollowed_producer_entry_raises_integrity_error():
+    network = make_network({0: (0,), 1: (1,)}, 2)
+    index = TweetIndex([(0, 10), (1, 20)], network)
+    index.check(1, TimelineResponse(consumer_id=1, T=30, entries=((1, 20),)))
+    response = TimelineResponse(consumer_id=0, T=30, entries=((1, 20), (0, 10)))
+    with pytest.raises(IntegrityError, match=r"response 4 contains an unfollowed producer's "
+                                             r"tweet \(1, 20\)"):
+        index.check(4, response)
 
 
 def test_tweet_index_rejects_duplicate_identity_and_disorder():
@@ -127,13 +136,13 @@ def test_tweet_index_rejects_duplicate_identity_and_disorder():
 def test_witness_index_shapes():
     tweets, network, responses, (A, B, C, D, E) = two_user_scenario()
     assert build_witness_index([]).containments == {}
-    index = build_witness_index(responses[:1])
+    index = build_witness_index(enumerate(responses[:1]))
     assert len(index.containments) == 3
     assert index.containments[D] == (responses[0].T, 0)
     assert B not in index.containments
     # each key keeps its first sighting: C and A stay with response 0
     first = (responses[0].T, 0)
-    assert build_witness_index(responses).containments == \
+    assert build_witness_index(enumerate(responses)).containments == \
         {D: first, C: first, A: first, B: (responses[1].T, 1)}
 
 
@@ -142,11 +151,11 @@ def test_witness_index_matches_linear_scan():
     checked = 0
     for _ in range(20):
         responses, tweets, network, n = random_instance(rng)
-        index = build_witness_index(responses)
+        index = build_witness_index(enumerate(responses))
         served = {pair for r in responses for pair in r.entries}
         assert index.containments.keys() == served
         for pair in served:
-            scan = [(r.T, r.response_id) for r in responses if pair in r.entries]
+            scan = [(r.T, i) for i, r in enumerate(responses) if pair in r.entries]
             assert index.containments[pair] == min(scan)
             checked += 1
     assert checked > 0
@@ -172,7 +181,7 @@ def test_detection_totals_roundtrip_on_random_instances(tmp_path):
     for _ in range(50):
         responses, tweets, network, n = random_instance(rng)
         fraction = float(rng.choice([1.0, 0.6, 0.3]))
-        result = detect_all(responses, tweets, network, n_timeline=n,
+        result = detect_all(responses, TweetIndex(tweets, network), n_timeline=n,
                             analysis_window_fraction=fraction)
         save_conflict_records(records_path, result)
         write_json(totals_path, result.to_dict(), sort_keys=True)
@@ -185,7 +194,7 @@ def test_detection_totals_roundtrip_on_random_instances(tmp_path):
 
 def test_two_user_scenario_classification():
     tweets, network, responses, (A, B, C, D, E) = two_user_scenario()
-    result = detect_all(responses, tweets, network, n_timeline=4,
+    result = detect_all(responses, TweetIndex(tweets, network), n_timeline=4,
                         analysis_window_fraction=1.0)
     assert len(result.records) == 2
     by_response = {r.response_id: r for r in result.records}
@@ -204,38 +213,34 @@ def test_two_user_scenario_classification():
 def test_head_missing_needs_strictly_earlier_witness():
     tweets, network, _, (A, B, C, D, E) = two_user_scenario()
     index = TweetIndex(tweets, network)
-    flagged = TimelineResponse(response_id=1, consumer_id=1, T=45 * SEC,
-                               entries=(C, B, A))
-    same_time_witness = TimelineResponse(response_id=0, consumer_id=0, T=45 * SEC,
-                                         entries=(D, C, B, A))
-    witness_index = build_witness_index([same_time_witness, flagged])
+    flagged = TimelineResponse(consumer_id=1, T=45 * SEC, entries=(C, B, A))
+    same_time_witness = TimelineResponse(consumer_id=0, T=45 * SEC, entries=(D, C, B, A))
+    witness_index = build_witness_index(enumerate([same_time_witness, flagged]))
     oracle = consistent_timeline(index.feeds, 1, flagged.T, 4)
-    index.check(flagged)
+    index.check(1, flagged)
     [(key, position)] = find_missing(index, flagged.entries, oracle)
     assert position is ConflictType.NEWER_EARLIER
-    assert classify(flagged, key, position, witness_index) is None
+    assert classify(1, flagged, key, position, witness_index) is None
 
 
 def test_tail_missing_is_never_observable():
     tweets, network, _, (A, B, C, D, E) = two_user_scenario()
     index = TweetIndex(tweets, network)
-    flagged = TimelineResponse(response_id=1, consumer_id=1, T=45 * SEC,
-                               entries=(D, C, B))
+    flagged = TimelineResponse(consumer_id=1, T=45 * SEC, entries=(D, C, B))
     oracle = consistent_timeline(index.feeds, 1, flagged.T, 4)
-    index.check(flagged)
+    index.check(1, flagged)
     assert find_missing(index, flagged.entries, oracle) == []
 
 
 def test_unwitnessed_interior_gap_is_not_observable():
     tweets, network, _, (A, B, C, D, E) = two_user_scenario()
     index = TweetIndex(tweets, network)
-    flagged = TimelineResponse(response_id=0, consumer_id=0, T=45 * SEC,
-                               entries=(D, C, A))
+    flagged = TimelineResponse(consumer_id=0, T=45 * SEC, entries=(D, C, A))
     oracle = consistent_timeline(index.feeds, 0, flagged.T, 4)
-    index.check(flagged)
+    index.check(0, flagged)
     [(key, position)] = find_missing(index, flagged.entries, oracle)
-    witness_index = build_witness_index([flagged])
-    assert classify(flagged, key, position, witness_index) is None
+    witness_index = build_witness_index([(0, flagged)])
+    assert classify(0, flagged, key, position, witness_index) is None
 
 
 def test_classify_rejects_non_positive_gap():
@@ -244,23 +249,22 @@ def test_classify_rejects_non_positive_gap():
     index = TweetIndex(tweets, network)
     missing = (0, 10)
     assert missing in index.rank
-    flagged = TimelineResponse(response_id=1, consumer_id=0, T=10,
-                               entries=((1, 10), (0, 5)))
-    witness = TimelineResponse(response_id=0, consumer_id=1, T=10, entries=((0, 10),))
-    witness_index = build_witness_index([witness, flagged])
-    with pytest.raises(IntegrityError):
-        classify(flagged, missing, ConflictType.GAP, witness_index)
+    flagged = TimelineResponse(consumer_id=0, T=10, entries=((1, 10), (0, 5)))
+    witness = TimelineResponse(consumer_id=1, T=10, entries=((0, 10),))
+    witness_index = build_witness_index(enumerate([witness, flagged]))
+    with pytest.raises(IntegrityError, match="non-positive gap for response 1"):
+        classify(1, flagged, missing, ConflictType.GAP, witness_index)
 
 
 def result_of(records):
-    return DetectionResult(records, total_count=1, analyzed_start_id=0,
+    return DetectionResult(records, total_count=1,
                            tweet_counts={}, query_counts={0: 1}, n_timeline=4,
                            analysis_window_fraction=1.0)
 
 
 def test_inconsistency_time_gap_values():
     tweets, network, responses, _ = two_user_scenario()
-    result = detect_all(responses, tweets, network, n_timeline=4,
+    result = detect_all(responses, TweetIndex(tweets, network), n_timeline=4,
                         analysis_window_fraction=1.0)
     own = [r for r in result.records if r.response_id == 0]
     assert result_of(own).per_response_G == {0: 25 * SEC}
@@ -284,7 +288,7 @@ def test_gap_is_max_over_missing():
 
 def test_detect_all_window_selects_latter_fraction():
     tweets, network, responses, _ = two_user_scenario()
-    result = detect_all(responses, tweets, network, n_timeline=4,
+    result = detect_all(responses, TweetIndex(tweets, network), n_timeline=4,
                         analysis_window_fraction=0.5)
     assert result.analyzed_count == 1
     assert result.analyzed_start_id == 1
@@ -294,7 +298,7 @@ def test_detect_all_window_selects_latter_fraction():
 
 def test_detect_all_empty_window_still_validates_warm_up():
     tweets, network, responses, (A, B, C, D, E) = two_user_scenario()
-    result = detect_all(responses, tweets, network, n_timeline=4,
+    result = detect_all(responses, TweetIndex(tweets, network), n_timeline=4,
                         analysis_window_fraction=0.1)
     assert result.total_count == 2
     assert result.analyzed_count == 0
@@ -302,29 +306,33 @@ def test_detect_all_empty_window_still_validates_warm_up():
     assert result.records == []
     assert result.per_response_G == {}
     assert result.query_counts == {}
-    phantom = TimelineResponse(response_id=0, consumer_id=0, T=45 * SEC,
-                               entries=(D, (0, 35 * SEC), A))
+    phantom = TimelineResponse(consumer_id=0, T=45 * SEC, entries=(D, (0, 35 * SEC), A))
     with pytest.raises(IntegrityError, match="phantom"):
-        detect_all([phantom, responses[1]], tweets, network, n_timeline=4,
+        detect_all([phantom, responses[1]], TweetIndex(tweets, network), n_timeline=4,
                    analysis_window_fraction=0.1)
 
 
-def test_detect_all_rejects_disordered_or_duplicate_responses():
+def test_detect_all_rejects_disordered_or_duplicate_responses(tmp_path):
     tweets, network, responses, _ = two_user_scenario()
     swapped = [responses[1], responses[0]]
-    with pytest.raises(IntegrityError):
-        detect_all(swapped, tweets, network, n_timeline=4, analysis_window_fraction=0.5)
-    dup = [responses[0],
-           TimelineResponse(response_id=0, consumer_id=1, T=responses[1].T,
-                            entries=responses[1].entries)]
-    with pytest.raises(IntegrityError):
-        detect_all(dup, tweets, network, n_timeline=4, analysis_window_fraction=0.5)
-    decreasing = [TimelineResponse(response_id=1, consumer_id=0, T=responses[0].T,
-                                   entries=responses[0].entries),
-                  TimelineResponse(response_id=0, consumer_id=1, T=responses[1].T,
-                                   entries=responses[1].entries)]
-    with pytest.raises(IntegrityError, match="not strictly increasing at response 0"):
-        detect_all(decreasing, tweets, network, n_timeline=4, analysis_window_fraction=0.5)
+    with pytest.raises(IntegrityError, match="response 1 is timestamped before"):
+        detect_all(swapped, TweetIndex(tweets, network), n_timeline=4,
+                   analysis_window_fraction=0.5)
+    # A response's id is its position, so the log loader rejects a repeated
+    # or a decreasing id, naming its line.
+    path = tmp_path / "responses.jsonl"
+    save_response_log(path, responses)
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    for ids, message in (((0, 0), ":2: corrupt record: ValueError: response_id 0 is not the "
+                                  "record's position 1"),
+                         ((1, 0), ":1: corrupt record: ValueError: response_id 1 is not the "
+                                  "record's position 0")):
+        for record, response_id in zip(records, ids):
+            record["response_id"] = response_id
+        path.write_text("".join(json.dumps(record) + "\n" for record in records))
+        with pytest.raises(IntegrityError) as raised:
+            load_response_log(path)
+        assert str(raised.value) == f"{path}{message}"
 
 
 def test_detect_zero_lag_synchronous_run_finds_nothing():
@@ -339,7 +347,7 @@ def test_detect_zero_lag_synchronous_run_finds_nothing():
     artifacts = run_experiment(network, profile, ExperimentConfig(
         seed=3, store=StoreConfig(lag=DistributionSpec("constant", 0.0)),
         fanout=FanoutSettings(mode="synchronous"), duration_hours=1.0, n_timeline=5))
-    result = detect_all(artifacts.responses, artifacts.tweet_log, network,
+    result = detect_all(artifacts.responses, TweetIndex(artifacts.tweet_log, network),
                         n_timeline=5, analysis_window_fraction=1.0)
     assert result.records == []
 
@@ -369,7 +377,7 @@ def oracle_heavy_instance(rng: np.random.Generator):
         return brute_timeline(consumer, T, tweets, network, n)
 
     responses = []
-    for rid, T in enumerate(sorted(2 * rng.integers(0, 11, size=int(rng.integers(0, 40))) + 1)):
+    for T in sorted(2 * rng.integers(0, 11, size=int(rng.integers(0, 40))) + 1):
         consumer, style = int(rng.integers(0, n_consumers)), rng.random()
         if style < 0.6:
             entries = view(consumer, T, n_timeline)
@@ -380,8 +388,7 @@ def oracle_heavy_instance(rng: np.random.Generator):
             entries = entries[:n_timeline]
         else:
             entries = view(consumer, int(rng.integers(0, T + 1)), n_timeline)
-        responses.append(TimelineResponse(response_id=rid, consumer_id=consumer, T=int(T),
-                                          entries=tuple(entries)))
+        responses.append(TimelineResponse(consumer_id=consumer, T=int(T), entries=tuple(entries)))
     return responses, tweets, network, n_timeline
 
 
@@ -393,17 +400,17 @@ def test_detector_fast_paths_equal_bruteforce():
     for _ in range(150):
         responses, tweets, network, n = oracle_heavy_instance(rng)
         fraction = float(rng.choice([1.0, 0.6, 0.3]))
-        result = detect_all(responses, tweets, network, n_timeline=n,
+        result = detect_all(responses, TweetIndex(tweets, network), n_timeline=n,
                             analysis_window_fraction=fraction)
         assert detector_conflict_set(result) == \
             brute_force_conflicts(responses, tweets, network, n, fraction)
-        analyzed = responses[result.total_count - result.analyzed_count:]
+        analyzed = list(enumerate(responses))[result.total_count - result.analyzed_count:]
         for record in result.records:
             pair = (record.producer_id, record.t)
-            earliest = min((r.T, r.response_id) for r in analyzed if pair in r.entries)
+            earliest = min((r.T, i) for i, r in analyzed if pair in r.entries)
             assert record.witness_response_id == earliest[1]
             seen_types.add(record.type)
-        for r in analyzed:
+        for _, r in analyzed:
             oracle = brute_timeline(r.consumer_id, r.T, tweets, network, n)
             exact += list(r.entries) == oracle
     assert exact > 1000
@@ -416,7 +423,7 @@ def test_detector_equals_bruteforce_on_random_instances():
     for _ in range(40):
         responses, tweets, network, n = random_instance(rng)
         fraction = 1.0 if rng.random() < 0.7 else 0.6
-        result = detect_all(responses, tweets, network, n_timeline=n,
+        result = detect_all(responses, TweetIndex(tweets, network), n_timeline=n,
                             analysis_window_fraction=fraction)
         brute = brute_force_conflicts(responses, tweets, network, n, fraction)
         assert detector_conflict_set(result) == brute
@@ -429,12 +436,11 @@ def test_records_are_sound_by_direct_scan():
     total = 0
     for _ in range(30):
         responses, tweets, network, n = random_instance(rng)
-        result = detect_all(responses, tweets, network, n_timeline=n,
+        result = detect_all(responses, TweetIndex(tweets, network), n_timeline=n,
                             analysis_window_fraction=1.0)
-        by_id = {r.response_id: r for r in responses}
         for record in result.records:
-            flagged = by_id[record.response_id]
-            witness = by_id[record.witness_response_id]
+            flagged = responses[record.response_id]
+            witness = responses[record.witness_response_id]
             pair = (record.producer_id, record.t)
             assert pair in set(witness.entries)
             assert pair not in set(flagged.entries)
@@ -448,7 +454,7 @@ def test_observable_subset_of_missing():
     rng = np.random.default_rng(9)
     for _ in range(20):
         responses, tweets, network, n = random_instance(rng)
-        result = detect_all(responses, tweets, network, n_timeline=n,
+        result = detect_all(responses, TweetIndex(tweets, network), n_timeline=n,
                             analysis_window_fraction=1.0)
         index = TweetIndex(tweets, network)
         feeds = index.feeds
@@ -456,11 +462,11 @@ def test_observable_subset_of_missing():
         for record in result.records:
             per_response_records[record.response_id] = \
                 per_response_records.get(record.response_id, 0) + 1
-        for response in responses:
+        for response_id, response in enumerate(responses):
             oracle = consistent_timeline(feeds, response.consumer_id, response.T, n)
-            index.check(response)
+            index.check(response_id, response)
             missing = find_missing(index, response.entries, oracle)
-            assert per_response_records.get(response.response_id, 0) <= len(missing)
+            assert per_response_records.get(response_id, 0) <= len(missing)
 
 
 def test_enlarging_witness_corpus_never_removes_conflicts():
@@ -471,16 +477,17 @@ def test_enlarging_witness_corpus_never_removes_conflicts():
             continue
         index = TweetIndex(tweets, network)
         feeds = index.feeds
-        half = build_witness_index(responses[len(responses) // 2:])
-        full = build_witness_index(responses)
+        later = list(enumerate(responses))[len(responses) // 2:]
+        half = build_witness_index(later)
+        full = build_witness_index(enumerate(responses))
 
         def records_with(witness_index):
             found = set()
-            for response in responses[len(responses) // 2:]:
+            for response_id, response in later:
                 oracle = consistent_timeline(feeds, response.consumer_id, response.T, n)
-                index.check(response)
+                index.check(response_id, response)
                 for key, position in find_missing(index, response.entries, oracle):
-                    record = classify(response, key, position, witness_index)
+                    record = classify(response_id, response, key, position, witness_index)
                     if record is not None:
                         found.add((record.response_id, record.producer_id,
                                    record.t, record.type.value))
@@ -491,7 +498,7 @@ def test_enlarging_witness_corpus_never_removes_conflicts():
 
 def test_detection_result_files_roundtrip(tmp_path):
     tweets, network, responses, _ = two_user_scenario()
-    result = detect_all(responses, tweets, network, n_timeline=4,
+    result = detect_all(responses, TweetIndex(tweets, network), n_timeline=4,
                         analysis_window_fraction=1.0)
     records_path = tmp_path / "conflicts.jsonl"
     totals_path = tmp_path / "totals.json"

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 from .app import TimelineResponse
 from .netgen import FollowingNetwork
 from .sim import (MICROS_PER_SECOND, RECORD_ERRORS, IntegrityError, from_iso, read_jsonl,
-                  record_decimal, record_int, to_iso, write_jsonl)
+                  record_decimal, record_int, record_line, to_iso, write_jsonl)
 
 
 class ConflictType(Enum):
@@ -363,6 +363,22 @@ def _check_ids(result: DetectionResult, network: FollowingNetwork, network_path:
                                  f"which {network_path} does not hold")
 
 
+def _record_id_fault(record: ConflictRecord, window: range) -> str | None:
+    """Why detect_all cannot have written the record's ids, or None: both lie
+    in the analysis window, a response never witnesses its own hole, and a
+    newer-earlier witness has a strictly earlier T, so a smaller id."""
+    for name in ("response_id", "witness_response_id"):
+        if (id_ := getattr(record, name)) not in window:
+            return f"{name} {id_} is outside the analysis window [{window.start}, {window.stop})"
+    if record.witness_response_id == record.response_id:
+        return f"response {record.response_id} is its own witness"
+    if (record.type is ConflictType.NEWER_EARLIER
+            and record.witness_response_id > record.response_id):
+        return (f"newer_earlier witness {record.witness_response_id} comes after "
+                f"response {record.response_id}")
+    return None
+
+
 # The totals keys that echo the conflict records; the totals file owns the others.
 _RECORD_KEYS = {"conflicting_responses", "conflict_records", "type_counts", "per_response_G_us"}
 
@@ -371,8 +387,9 @@ def load_detection(records_path: str | Path, totals_path: str | Path,
                    network: FollowingNetwork, network_path: str | Path) -> DetectionResult:
     """The records and, from the totals file, the counts they cannot give;
     the file's other values must echo the records or those counts. Every id
-    must be in the network, read from network_path, and every consumer must
-    have at least as many queries as conflicting responses."""
+    must be in the network, read from network_path, every consumer must
+    have at least as many queries as conflicting responses, and each record's
+    ids must be ones detect_all draws."""
     records = load_conflict_records(records_path)
     try:
         with open(totals_path, encoding="utf-8") as fh:
@@ -406,4 +423,8 @@ def load_detection(records_path: str | Path, totals_path: str | Path,
         if count > (queries := result.query_counts.get(consumer, 0)):
             raise IntegrityError(f"{totals_path}: consumer {consumer} has {count} conflicting "
                                  f"responses but {queries} queries")
+    window = range(result.analyzed_start_id, result.total_count)
+    for index, record in enumerate(records):
+        if fault := _record_id_fault(record, window):
+            raise IntegrityError(f"{records_path}:{record_line(records_path, index)}: {fault}")
     return result

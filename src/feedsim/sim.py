@@ -110,6 +110,12 @@ def read_jsonl(path: str | Path, parse: Callable[[Any], Any]) -> list:
     return parsed
 
 
+def record_line(path: str | Path, index: int) -> int:
+    """The line number of the index-th record that read_jsonl returns from path."""
+    with open(path, "rb") as fh:
+        return [line_no for line_no, line in enumerate(fh, 1) if line.strip()][index]
+
+
 class EventKind(str, Enum):
     TWEET_ARRIVAL = "tweet_arrival"
     FANOUT_STEP = "fanout_step"

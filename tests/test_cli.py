@@ -566,17 +566,24 @@ IMPOSSIBLE_TOTALS = {
 }
 
 
-@pytest.mark.parametrize("edit,message", IMPOSSIBLE_TOTALS.values(), ids=IMPOSSIBLE_TOTALS)
-def test_totals_no_detection_run_writes_exit_1(tmp_path, capsys, staged_outputs, edit, message):
-    out = tmp_path / "out"
-    shutil.copytree(staged_outputs, out)
-    cfg_path = write_config(tmp_path, tiny_config(out))
+def _edit_detection(out, edit, lead=""):
+    """Apply edit(totals, records) to the detection files in out and write them
+    back, conflicts.jsonl after the text lead; returns the two paths."""
     path, conflicts = out / "detection_totals.json", out / "conflicts.jsonl"
     totals = json.loads(path.read_text())
     records = [json.loads(line) for line in conflicts.read_text().splitlines()]
     edit(totals, records)
     path.write_text(json.dumps(totals, indent=2, sort_keys=True) + "\n")
-    conflicts.write_text("".join(json.dumps(record) + "\n" for record in records))
+    conflicts.write_text(lead + "".join(json.dumps(record) + "\n" for record in records))
+    return path, conflicts
+
+
+@pytest.mark.parametrize("edit,message", IMPOSSIBLE_TOTALS.values(), ids=IMPOSSIBLE_TOTALS)
+def test_totals_no_detection_run_writes_exit_1(tmp_path, capsys, staged_outputs, edit, message):
+    out = tmp_path / "out"
+    shutil.copytree(staged_outputs, out)
+    cfg_path = write_config(tmp_path, tiny_config(out))
+    path, conflicts = _edit_detection(out, edit)
     capsys.readouterr()
     assert main(["report", "--config", str(cfg_path)]) == 1
     err = capsys.readouterr().err
@@ -610,6 +617,55 @@ def test_conflict_gap_classify_cannot_write_exits_1(tmp_path, capsys, staged_out
     assert main(["report", "--config", str(cfg_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"report: {conflicts}:1: "), err
+
+
+def _last_response_moved_to_5(totals, records):
+    """Move the last conflicting response's records and its G to response 5, in the warm-up."""
+    moved = records[-1]["response_id"]
+    for record in records:
+        if record["response_id"] == moved:
+            record["response_id"] = 5
+    totals["per_response_G_us"]["5"] = totals["per_response_G_us"].pop(str(moved))
+
+
+def _set_witness(line, witness):
+    """Set the witness of the record on line (1-based) to witness(record)."""
+    def edit(totals, records):
+        record = records[line - 1]
+        record["witness_response_id"] = witness(record)
+    return edit
+
+
+# Record ids detect_all never writes, each edit keeping the totals' echo of the
+# records intact: (edit, line, message after the line). The tiny run's analysis
+# window is responses 571 to 1142.
+IMPOSSIBLE_RECORD_IDS = {
+    "witness_past_the_log": (_set_witness(1, lambda record: 99999), 1,
+                             "witness_response_id 99999 is outside the analysis window "
+                             "[571, 1143)"),
+    "response_in_warm_up": (_last_response_moved_to_5, 3,
+                            "response_id 5 is outside the analysis window [571, 1143)"),
+    "witness_is_the_response": (_set_witness(2, lambda record: record["response_id"]), 2,
+                                "response 975 is its own witness"),
+    "newer_earlier_witness_after_the_response": (
+        _set_witness(1, lambda record: record["response_id"] + 1), 1,
+        "newer_earlier witness 595 comes after response 594"),
+}
+
+
+@pytest.mark.parametrize("edit,line,message", IMPOSSIBLE_RECORD_IDS.values(),
+                         ids=IMPOSSIBLE_RECORD_IDS)
+def test_record_ids_no_detection_run_writes_exit_1(tmp_path, capsys, staged_outputs,
+                                                   edit, line, message):
+    out = tmp_path / "out"
+    shutil.copytree(staged_outputs, out)
+    cfg_path = write_config(tmp_path, tiny_config(out))
+    # The loader skips a blank line, and the message still counts it.
+    _, conflicts = _edit_detection(out, edit, lead="\n")
+    capsys.readouterr()
+    assert main(["report", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"report: {conflicts}:{line + 1}: {message}\n"), err
 
 
 @pytest.mark.parametrize("stage,name,key,unknown", [

@@ -124,3 +124,25 @@ def test_importing_the_cli_loads_no_scipy():
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="counting threads needs /proc/self/task")
+@pytest.mark.parametrize("caller", [None, "2"], ids=["unset", "caller_set_2"])
+def test_importing_the_cli_starts_one_blas_thread_unless_told(caller):
+    # A fresh interpreter: this process imported numpy before feedsim could set the variable.
+    code = ("import os, feedsim.cli; "
+            "print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if caller is not None:
+        env["OPENBLAS_NUM_THREADS"] = caller
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    threads, setting = proc.stdout.split()
+    if caller is None:
+        assert (threads, setting) == ("1", "1")
+    else:
+        assert setting == caller

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import count
+from itertools import accumulate, count
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -244,17 +244,23 @@ class FeedApp:
         return response
 
 
+def _chunk_size(expected: float) -> int:
+    """Gaps a Poisson draw takes at once when expected arrivals fall in the
+    horizon: enough that the first chunk nearly always passes it."""
+    return max(16, int(expected * 1.5) + 8)
+
+
 def _poisson_times_us(rate_per_hour: float, duration_us: int,
                       stream: np.random.Generator) -> np.ndarray:
     """Arrival times of a Poisson process over [0, duration_us), ascending."""
     if rate_per_hour <= 0 or duration_us <= 0:
         return np.empty(0, dtype=np.int64)
     mean_gap = MICROS_PER_HOUR / rate_per_hour
-    expected = duration_us / mean_gap
+    size = _chunk_size(duration_us / mean_gap)
     times: list[np.ndarray] = []
     total = 0.0
     while True:
-        chunk = stream.exponential(mean_gap, size=max(16, int(expected * 1.5) + 8))
+        chunk = stream.exponential(mean_gap, size=size)
         cum = total + np.cumsum(chunk)
         times.append(cum)
         total = float(cum[-1])
@@ -264,12 +270,52 @@ def _poisson_times_us(rate_per_hour: float, duration_us: int,
     return all_times[all_times < duration_us].astype(np.int64)
 
 
-def _strictly_increasing(times: list[int]) -> list[int]:
-    # Same-microsecond collisions are nudged so (producer_id, t) stays unique.
-    for i in range(1, len(times)):
-        if times[i] <= times[i - 1]:
-            times[i] = times[i - 1] + 1
+def _poisson_arrivals_us(rates_per_hour: np.ndarray, duration_us: int,
+                         stream: np.random.Generator) -> list[np.ndarray]:
+    """_poisson_times_us of each rate in turn on stream, value for value and
+    leaving stream where those calls would.
+
+    The first chunks of all rates come from one draw: an array of scales
+    draws what the per-rate calls draw, in the same order. A rate whose
+    first chunk falls short of the horizon would draw its second chunk
+    next, so the stream is rewound to the rate's start, the rate runs
+    through _poisson_times_us alone, and the rates after it are drawn
+    together again. Memory stays proportional to the draws.
+    """
+    times = [np.empty(0, dtype=np.int64)] * len(rates_per_hour)
+    if duration_us <= 0:
+        return times
+    active = np.flatnonzero(rates_per_hour > 0)
+    mean_gaps = MICROS_PER_HOUR / rates_per_hour[active]
+    sizes = [_chunk_size(expected) for expected in (duration_us / mean_gaps).tolist()]
+    # Rate j's first chunk is draws bounds[j]:bounds[j + 1] of the whole stream.
+    bounds = [0, *accumulate(sizes)]
+    first = 0
+    while first < len(sizes):
+        state = stream.bit_generator.state
+        gaps = stream.exponential(np.repeat(mean_gaps[first:], sizes[first:]))
+        offset = bounds[first]
+        for j in range(first, len(sizes)):
+            # A rate's own cumsum adds in the order _poisson_times_us does.
+            cum = np.cumsum(gaps[bounds[j] - offset:bounds[j + 1] - offset])
+            if cum[-1] <= duration_us:
+                stream.bit_generator.state = state
+                stream.exponential(np.repeat(mean_gaps[first:j], sizes[first:j]))
+                times[active[j]] = _poisson_times_us(
+                    float(rates_per_hour[active[j]]), duration_us, stream)
+                first = j + 1
+                break
+            times[active[j]] = cum[cum < duration_us].astype(np.int64)
+        else:
+            break
     return times
+
+
+def _strictly_increasing(times: np.ndarray) -> np.ndarray:
+    # Same-microsecond collisions are nudged so (producer_id, t) stays unique:
+    # t'[i] = max(t[i], t'[i-1] + 1), so t'[i] - i is the running max of t[i] - i.
+    steps = np.arange(len(times))
+    return np.maximum.accumulate(times - steps) + steps
 
 
 def run_experiment(network: FollowingNetwork, profile: WorkloadProfile,
@@ -286,16 +332,13 @@ def run_experiment(network: FollowingNetwork, profile: WorkloadProfile,
     store = ReplicatedStore(cfg.store, loop, rng)
     app = FeedApp(network, loop, store, rng, cfg.fanout, cfg.n_timeline)
 
-    tweet_stream = rng.stream("workload.tweet_times")
-    loop.add_arrivals(EventKind.TWEET_ARRIVAL, (
-        (producer, _strictly_increasing(_poisson_times_us(
-            float(profile.producer_rate[producer]), duration_us, tweet_stream).tolist()))
-        for producer in range(network.n_producers)))
-    query_stream = rng.stream("workload.query_times")
-    loop.add_arrivals(EventKind.TIMELINE_QUERY, (
-        (consumer, _poisson_times_us(
-            float(profile.consumer_rate[consumer]), duration_us, query_stream).tolist())
-        for consumer in range(network.n_consumers)))
+    tweet_times = _poisson_arrivals_us(profile.producer_rate, duration_us,
+                                       rng.stream("workload.tweet_times"))
+    loop.add_arrivals(EventKind.TWEET_ARRIVAL, zip(
+        range(network.n_producers), map(_strictly_increasing, tweet_times)))
+    query_times = _poisson_arrivals_us(profile.consumer_rate, duration_us,
+                                       rng.stream("workload.query_times"))
+    loop.add_arrivals(EventKind.TIMELINE_QUERY, zip(range(network.n_consumers), query_times))
 
     loop.run_until(duration_us)
     loop.close()

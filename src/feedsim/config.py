@@ -15,7 +15,7 @@ from typing import Any
 
 from .app import FanoutSettings
 from .netgen import ZipfParams
-from .sim import DistributionSpec, write_json
+from .sim import MAX_MICROS, MICROS_PER_HOUR, DistributionSpec, write_json
 from .store import StoreConfig
 
 DESK_N_PRODUCERS = 679
@@ -107,6 +107,11 @@ class ExperimentConfig:
             raise ValueError("n_timeline must be >= 1")
         if self.duration_hours < 0:
             raise ValueError("duration_hours must be >= 0")
+        # Every event time up to the horizon must render as a timestamp.
+        horizon_us = self.duration_hours * MICROS_PER_HOUR
+        if not (math.isfinite(horizon_us) and round(horizon_us) <= MAX_MICROS):
+            raise ValueError(f"duration_hours must be below {MAX_MICROS // MICROS_PER_HOUR + 1}, "
+                             "past which event times cannot be written as timestamps")
         if not 0 < self.analysis_window_fraction <= 1:
             raise ValueError("analysis_window_fraction must be in (0, 1]")
 

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import count, islice
 from pathlib import Path
 
 import numpy as np
 
-from .sim import IntegrityError, RngStreams, read_jsonl, record_int, write_jsonl
+from .sim import IntegrityError, RngStreams, read_jsonl, record_int, record_line
 from .stats import rank_correlation, rank_size_slope, zipf_rank_mle
 
 MEAN_TOLERANCE = 0.10
@@ -101,19 +101,27 @@ class FollowingNetwork:
         """
         follower_lists: list[list[int]] = [[] for _ in range(n_producers)]
         for consumer, producers in sorted(follows.items()):
-            if len(producers) == 0:
-                raise ValueError(f"consumer {consumer} follows nobody")
-            if len(set(producers)) != len(producers):
-                raise ValueError(f"consumer {consumer} has duplicate follows")
-            if tuple(sorted(producers)) != tuple(producers):
-                raise ValueError(f"consumer {consumer} follow list not sorted")
+            _check_follow_list(consumer, producers)
             for p in producers:
-                if not 0 <= p < n_producers:
+                if p >= n_producers:
                     raise ValueError(f"consumer {consumer} follows unknown producer {p}")
                 follower_lists[p].append(consumer)
         return cls(n_producers, len(follows), follows,
                    {p: tuple(consumers) for p, consumers in enumerate(follower_lists)},
                    out_degree_ranks)
+
+
+def _check_follow_list(consumer: int, producers: tuple[int, ...]) -> None:
+    """Raise ValueError naming consumer if its follow list is empty, repeats a
+    producer, is unsorted or names a negative producer id."""
+    if len(producers) == 0:
+        raise ValueError(f"consumer {consumer} follows nobody")
+    if len(set(producers)) != len(producers):
+        raise ValueError(f"consumer {consumer} has duplicate follows")
+    if tuple(sorted(producers)) != tuple(producers):
+        raise ValueError(f"consumer {consumer} follow list not sorted")
+    if producers[0] < 0:
+        raise ValueError(f"consumer {consumer} follows unknown producer {producers[0]}")
 
 
 @dataclass
@@ -172,6 +180,54 @@ def _choose_distinct(cdf: np.ndarray, pmf: np.ndarray, k: int,
     return np.sort(np.array(chosen, dtype=np.int64))
 
 
+def _choose_follows(cdf: np.ndarray, pmf: np.ndarray, degrees: np.ndarray,
+                    stream: np.random.Generator) -> list[tuple[int, ...]]:
+    """_choose_distinct of each degree k in turn on stream, as tuples, value
+    for value and leaving stream where those calls would.
+
+    A run of consecutive consumers with 3k < n draws the first batch of
+    uniforms of each in one call and keeps each one's first k distinct
+    indices. A consumer in another branch ends the run and draws alone. So
+    does one whose first batch holds fewer than k distinct indices: it
+    would draw a second batch next, so the stream is rewound to its start,
+    it runs through _choose_distinct, and the run resumes after it.
+    """
+    n = len(cdf)
+    follows: list[tuple[int, ...]] = []
+    run_ends = np.append(np.flatnonzero(3 * degrees >= n), len(degrees))
+    consumer = 0
+    while consumer < len(degrees):
+        stop = int(run_ends[np.searchsorted(run_ends, consumer)])
+        if stop == consumer:
+            follows.append(tuple(_choose_distinct(cdf, pmf, int(degrees[consumer]),
+                                                  stream).tolist()))
+            consumer += 1
+            continue
+        ks = degrees[consumer:stop]
+        batches = np.maximum(2 * ks, 8)
+        state = stream.bit_generator.state
+        idx = np.searchsorted(cdf, stream.random(int(batches.sum())), side="right")
+        owner = np.repeat(np.arange(len(ks)), batches)
+        # The first sighting of each index in each batch, in draw order.
+        _, sighted = np.unique(owner * n + idx, return_index=True)
+        sighted.sort()
+        found = np.bincount(owner[sighted], minlength=len(ks))
+        rank = np.arange(len(sighted)) - np.repeat(np.cumsum(found) - found, found)
+        short = np.flatnonzero(found < ks)
+        complete = int(short[0]) if short.size else len(ks)
+        kept = sighted[(rank < ks[owner[sighted]]) & (owner[sighted] < complete)]
+        chosen = iter((np.sort(owner[kept] * n + idx[kept]) % n).tolist())
+        follows += [tuple(islice(chosen, k)) for k in ks[:complete].tolist()]
+        consumer += complete
+        if complete < len(ks):
+            stream.bit_generator.state = state
+            stream.random(int(batches[:complete].sum()))
+            follows.append(tuple(_choose_distinct(cdf, pmf, int(ks[complete]),
+                                                  stream).tolist()))
+            consumer += 1
+    return follows
+
+
 def build_network(n_producers: int, n_consumers: int, zipf_params: ZipfParams,
                   rng: RngStreams) -> FollowingNetwork:
     """Generate the static follow relation from rng's "netgen.graph" stream.
@@ -204,9 +260,7 @@ def build_network(n_producers: int, n_consumers: int, zipf_params: ZipfParams,
     popularity = ZipfSampler(n_producers, zipf_params.consumers_per_producer.s)
     pop_pmf, pop_cdf = popularity.pmf, popularity._cdf
 
-    follows = {consumer: tuple(_choose_distinct(pop_cdf, pop_pmf, int(degrees[consumer]),
-                                                stream).tolist())
-               for consumer in range(n_consumers)}
+    follows = dict(enumerate(_choose_follows(pop_cdf, pop_pmf, degrees, stream)))
     return FollowingNetwork.from_follows(n_producers, follows, out_degree_ranks=ranks)
 
 
@@ -305,15 +359,21 @@ def validate_profile(network: FollowingNetwork, profile: WorkloadProfile,
 
 def save_network_profile(path: str | Path, network: FollowingNetwork,
                          profile: WorkloadProfile) -> None:
-    """Write the follow lists and rates as line-delimited JSON."""
-    write_jsonl(path, chain(
-        ({"c": consumer, "p": list(network.follows[consumer])}
-         for consumer in range(network.n_consumers)),
-        ({"producer": producer, "rate_per_hour": float(profile.producer_rate[producer])}
-         for producer in range(network.n_producers)),
-        ({"consumer": consumer, "rate_per_hour": float(profile.consumer_rate[consumer])}
-         for consumer in range(network.n_consumers)),
-    ))
+    """Write the follow lists and rates as line-delimited JSON: what json.dumps
+    would write for each record, byte for byte.
+
+    Ids are integers and rates finite floats, whose repr is what json writes.
+    """
+    if not (np.isfinite(profile.producer_rate).all() and np.isfinite(profile.consumer_rate).all()):
+        raise ValueError("rates must be finite")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines('{"c": %d, "p": [%s]}\n'
+                      % (consumer, ", ".join(map(str, network.follows[consumer])))
+                      for consumer in range(network.n_consumers))
+        fh.writelines('{"producer": %d, "rate_per_hour": %r}\n' % record
+                      for record in enumerate(profile.producer_rate.tolist()))
+        fh.writelines('{"consumer": %d, "rate_per_hour": %r}\n' % record
+                      for record in enumerate(profile.consumer_rate.tolist()))
 
 
 def _record_rate(value) -> float:
@@ -323,9 +383,15 @@ def _record_rate(value) -> float:
 
 
 def _network_record(record: dict) -> tuple[str, int, tuple[int, ...] | float]:
-    """(table, id, value) of one record; records self-identify by field name."""
+    """(table, id, value) of one record; records self-identify by field name.
+
+    A follow list must be as save_network_profile writes it: non-empty,
+    strictly increasing and of non-negative ids.
+    """
     if "c" in record:
-        return "follows", record_int(record["c"]), tuple(sorted(map(record_int, record["p"])))
+        consumer, producers = record_int(record["c"]), tuple(map(record_int, record["p"]))
+        _check_follow_list(consumer, producers)
+        return "follows", consumer, producers
     for table in ("producer", "consumer"):
         if table in record:
             return table, record_int(record[table]), _record_rate(record["rate_per_hour"])
@@ -334,14 +400,21 @@ def _network_record(record: dict) -> tuple[str, int, tuple[int, ...] | float]:
 
 def load_network_profile(path: str | Path) -> tuple[FollowingNetwork, WorkloadProfile]:
     """Read a file written by save_network_profile; IntegrityError names the file,
-    and the line of a record that repeats an earlier record's id."""
+    and the line of a record that is malformed, repeats an earlier record's id
+    or follows a producer past the producer records."""
     tables: dict[str, dict] = {"follows": {}, "producer": {}, "consumer": {}}
+    # Each consumer's follow record's position among the file's records.
+    follow_records: dict[int, int] = {}
+    positions = count()
 
     def add(record: dict) -> None:
+        position = next(positions)
         table, key, value = _network_record(record)
         if key in tables[table]:
             raise ValueError(f"a second {table} record for id {key}")
         tables[table][key] = value
+        if table == "follows":
+            follow_records[key] = position
 
     read_jsonl(path, add)
     follows, producer_rates, consumer_rates = tables.values()
@@ -354,6 +427,13 @@ def load_network_profile(path: str | Path) -> tuple[FollowingNetwork, WorkloadPr
         raise IntegrityError(f"{path}: producer ids are not a dense 0..N-1 range")
     if set(consumer_rates) != set(range(n_consumers)):
         raise IntegrityError(f"{path}: consumer rate records do not match follow records")
+    # Lists are sorted, so only the last id of each can be past the producers.
+    for consumer, producers in follows.items():
+        if producers[-1] >= n_producers:
+            line = record_line(path, follow_records[consumer])
+            unknown = next(p for p in producers if p >= n_producers)
+            raise IntegrityError(
+                f"{path}:{line}: consumer {consumer} follows unknown producer {unknown}")
 
     try:
         network = FollowingNetwork.from_follows(n_producers, follows)

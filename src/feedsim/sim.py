@@ -33,7 +33,7 @@ EPOCH = datetime(2020, 1, 1)
 # which is the range from_iso parses.
 _EPOCH_US = np.datetime64(EPOCH, "us")
 _MIN_MICROS = (datetime.min - EPOCH) // timedelta(microseconds=1)
-_MAX_MICROS = (datetime.max - EPOCH) // timedelta(microseconds=1)
+MAX_MICROS = (datetime.max - EPOCH) // timedelta(microseconds=1)
 
 
 def to_iso(micros: Sequence[int]) -> list[str]:
@@ -43,7 +43,7 @@ def to_iso(micros: Sequence[int]) -> list[str]:
     numpy would otherwise render with a five-digit year.
     """
     counts = np.asarray(micros, dtype=np.int64)
-    if counts.size and (counts.min() < _MIN_MICROS or counts.max() > _MAX_MICROS):
+    if counts.size and (counts.min() < _MIN_MICROS or counts.max() > MAX_MICROS):
         raise OverflowError("timestamp out of datetime's range")
     return np.datetime_as_string(_EPOCH_US + counts.astype("timedelta64[us]"),
                                  unit="us").tolist()
@@ -130,14 +130,19 @@ class EventLoop:
     Events fire in ascending (fire_at, seq) order, and seq is assigned when
     an event is queued, so simultaneous events fire in the order they were
     queued. Pre-drawn arrivals, which make up most events, are kept apart
-    from the heap of in-flight events as one sorted list and merged with it
-    as the loop runs.
+    from the heap of in-flight events as three columns in firing order
+    (times, kinds, payloads), and the loop walks them by index, merging
+    them with the heap as it runs.
     """
 
     def __init__(self):
-        # Both hold (fire_at, seq, kind, payload); _arrivals latest-first.
+        # (fire_at, seq, kind, payload) of each in-flight event.
         self._heap: list[tuple[int, int, EventKind, Any]] = []
-        self._arrivals: list[tuple[int, int, EventKind, Any]] = []
+        self._arrival_times: list[int] = []
+        self._arrival_kinds: list[EventKind] = []
+        self._arrival_payloads: list[Any] = []
+        # The position in the arrival columns of the next arrival to fire.
+        self._next_arrival = 0
         self._now = 0
         self._handlers: dict[EventKind, Callable[[Any], None]] = {}
         # Also the seq of the next queued event.
@@ -151,26 +156,36 @@ class EventLoop:
         self._handlers[kind] = handler
 
     def add_arrivals(self, kind: EventKind,
-                     times_per_payload: Iterable[tuple[Any, Iterable[int]]]) -> None:
-        """Queue an event of kind at each time of each (payload, times) pair.
+                     times_per_payload: Iterable[tuple[Any, Sequence[int]]]) -> None:
+        """Queue an event of kind at each time of each (payload, times) pair,
+        where times is a list or an integer array.
 
         Seqs follow the order given, exactly as if each were scheduled in
-        turn. Arrivals are accepted only before any other event is queued.
+        turn. Arrivals are accepted only before any other event is queued
+        or any event fires; a time before now() raises and queues nothing.
         """
-        if self.scheduled_count != len(self._arrivals):
+        if self._next_arrival or self.scheduled_count != len(self._arrival_times):
             raise ValueError("arrivals must be added before any other event is queued")
-        added = []
-        seq = self.scheduled_count
-        for payload, times in times_per_payload:
-            for fire_at in times:
-                if fire_at < self._now:
-                    raise ValueError(
-                        f"cannot schedule event at t={fire_at} before now={self._now}")
-                added.append((fire_at, seq, kind, payload))
-                seq += 1
-        self._arrivals += added
-        self._arrivals.sort(reverse=True)
-        self.scheduled_count = seq
+        payloads, times = [], [np.empty(0, dtype=np.int64)]
+        for payload, payload_times in times_per_payload:
+            payloads.append(payload)
+            times.append(np.asarray(payload_times, dtype=np.int64))
+        added = np.concatenate(times)
+        if added.size and added.min() < self._now:
+            fire_at = int(added[np.argmax(added < self._now)])
+            raise ValueError(f"cannot schedule event at t={fire_at} before now={self._now}")
+        owners = np.repeat(np.arange(len(payloads)), [len(t) for t in times[1:]]).tolist()
+        # The queued arrivals come first and hold the smaller seqs, and each
+        # block is in seq order among equal times, so a stable sort on time
+        # is (time, seq) order.
+        all_times = np.concatenate([np.asarray(self._arrival_times, dtype=np.int64), added])
+        order = np.argsort(all_times, kind="stable").tolist()
+        kinds = self._arrival_kinds + [kind] * added.size
+        all_payloads = self._arrival_payloads + list(map(payloads.__getitem__, owners))
+        self._arrival_times = all_times[order].tolist()
+        self._arrival_kinds = list(map(kinds.__getitem__, order))
+        self._arrival_payloads = list(map(all_payloads.__getitem__, order))
+        self.scheduled_count += added.size
 
     def schedule(self, event: tuple[int, EventKind, Any]) -> int:
         """Queue a (fire_at, kind, payload) event: kind's handler receives the
@@ -199,21 +214,25 @@ class EventLoop:
         """Process every event with fire_at <= t_end; leaves now() == t_end."""
         if t_end < self._now:
             raise ValueError(f"cannot run to t={t_end} before now={self._now}")
-        heap, arrivals, handlers = self._heap, self._arrivals, self._handlers
+        heap, handlers = self._heap, self._handlers
+        times, kinds, payloads = self._arrival_times, self._arrival_kinds, self._arrival_payloads
         start = self.processed_count
-        # The next arrival's time when it fires by t_end, else t_end + 1; only
-        # popping an arrival changes it, since no arrival is queued mid-run.
+        # next_arrival is the time of arrival i when it fires by t_end, else
+        # t_end + 1; only firing an arrival changes it, since no arrival is
+        # queued mid-run.
+        i, n = self._next_arrival, len(times)
         limit = t_end + 1
-        next_arrival = arrivals[-1][0] if arrivals and arrivals[-1][0] < limit else limit
+        next_arrival = times[i] if i < n and times[i] < limit else limit
         while True:
             # Every arrival was queued before any heap event, so its seq is
             # smaller and it fires first on a tie.
             if heap and heap[0][0] < next_arrival:
                 fire_at, _, kind, payload = heappop(heap)
             elif next_arrival < limit:
-                # Popping frees each arrival as it fires.
-                fire_at, _, kind, payload = arrivals.pop()
-                next_arrival = arrivals[-1][0] if arrivals and arrivals[-1][0] < limit else limit
+                fire_at, kind, payload = next_arrival, kinds[i], payloads[i]
+                # Stored before the handler runs, which may raise or add arrivals.
+                i = self._next_arrival = i + 1
+                next_arrival = times[i] if i < n and times[i] < limit else limit
             else:
                 break
             self._now = fire_at

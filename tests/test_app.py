@@ -1,5 +1,6 @@
 import gc
 import json
+import tracemalloc
 from unittest.mock import patch
 
 import numpy as np
@@ -263,6 +264,81 @@ def test_poisson_tweet_count_within_three_sigma():
     assert 60 - 3 * sigma <= len(artifacts.tweet_log) <= 60 + 3 * sigma
 
 
+# The per-rate draw, the reference the bulk draw must equal.
+POISSON_TIMES_US = app_module._poisson_times_us
+
+
+def short_chunks(expected):
+    """A chunk-size rule whose first chunk falls short of the horizon about
+    half the time, so the bulk draw must replay those rates."""
+    return max(1, int(expected))
+
+
+def assert_bulk_poisson_equals_per_rate(rates, duration_us, seed):
+    bulk, reference = RngStreams(seed).stream("t"), RngStreams(seed).stream("t")
+    drawn = app_module._poisson_arrivals_us(np.array(rates, dtype=float), duration_us, bulk)
+    expected = [POISSON_TIMES_US(float(rate), duration_us, reference) for rate in rates]
+    assert len(drawn) == len(expected)
+    for times, want in zip(drawn, expected):
+        assert times.dtype == np.int64 and times.tolist() == want.tolist()
+    # Both streams end in the same state, so the next draw is equal too.
+    assert bulk.random() == reference.random()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from([0.0, -1.0]) | st.floats(0.01, 400.0), max_size=10),
+       st.sampled_from([0, 1, 90_000_000, MICROS_PER_HOUR // 2]), st.integers(0, 2**32 - 1),
+       st.booleans())
+def test_bulk_poisson_draws_equal_per_rate_draws(rates, duration_us, seed, short):
+    rule = short_chunks if short else app_module._chunk_size
+    with patch.object(app_module, "_chunk_size", rule):
+        assert_bulk_poisson_equals_per_rate(rates, duration_us, seed)
+
+
+def test_bulk_poisson_replays_each_rate_whose_first_chunk_falls_short():
+    rates = [30.0, 0.0, 12.0, 60.0, 5.0] * 4
+    replayed = []
+
+    def replay(rate, duration_us, stream):
+        replayed.append(rate)
+        return POISSON_TIMES_US(rate, duration_us, stream)
+
+    with patch.object(app_module, "_chunk_size", short_chunks), \
+            patch.object(app_module, "_poisson_times_us", replay):
+        assert_bulk_poisson_equals_per_rate(rates, MICROS_PER_HOUR, 3)
+    # Some rates were replayed alone and the others drawn in bulk.
+    assert 0 < len(replayed) < 16
+
+
+def test_bulk_poisson_memory_follows_the_draws_not_the_longest_rate():
+    # One rate 10^4 times the others. Padding every rate's draws to the
+    # longest would hold 201 x 15,008 gaps, 24 MB.
+    rates = np.array([1.0] * 200 + [10_000.0])
+    draws = sum(app_module._chunk_size(rate) for rate in rates.tolist())
+    assert draws == 200 * 16 + 15_008
+    stream = RngStreams(1).stream("t")
+    # A first call makes numpy's one-time allocations outside the trace.
+    app_module._poisson_arrivals_us(np.array([1.0]), MICROS_PER_HOUR, RngStreams(1).stream("t"))
+    tracemalloc.start()
+    try:
+        app_module._poisson_arrivals_us(rates, MICROS_PER_HOUR, stream)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # About three times the draws' 8 bytes each: the scales, the gaps and
+    # each rate's running sums and times.
+    assert peak < 5 * 8 * draws
+
+
+@given(st.lists(st.integers(0, 40), max_size=30))
+def test_strictly_increasing_nudges_each_time_past_the_one_before(times):
+    expected = list(times)
+    for i in range(1, len(expected)):
+        if expected[i] <= expected[i - 1]:
+            expected[i] = expected[i - 1] + 1
+    assert app_module._strictly_increasing(np.array(times, dtype=np.int64)).tolist() == expected
+
+
 def test_run_is_seed_deterministic():
     _, a = tiny_run(FanoutSettings(service=DistributionSpec("exponential", 30.0)),
                     ("exponential", 500.0), seed=5)
@@ -304,9 +380,9 @@ def test_incomplete_fanouts_reported_as_horizon_delay(monkeypatch):
     # Arrival times are floored to whole minutes, so producers post at the
     # same microsecond.
     minute = 60_000_000
-    poisson = app_module._poisson_times_us
-    monkeypatch.setattr(app_module, "_poisson_times_us",
-                        lambda *args: poisson(*args) // minute * minute)
+    poisson = app_module._poisson_arrivals_us
+    monkeypatch.setattr(app_module, "_poisson_arrivals_us",
+                        lambda *args: [times // minute * minute for times in poisson(*args)])
     network = make_network({0: (0, 1), 1: (0,), 2: (0,)}, 3)
     profile = WorkloadProfile(producer_rate=np.array([30.0, 30.0, 30.0]),
                               consumer_rate=np.array([0.001, 0.001, 0.001]))

@@ -161,6 +161,8 @@ def test_is_zero_delay(lag, mode, expected):
     assert is_zero_delay(cfg) is expected
 
 
+DURATION_PAST_TIMESTAMPS = ("duration_hours must be below 69951240, past which event times "
+                            "cannot be written as timestamps")
 BAD_CONFIG_VALUES = [
     ('{"seed": "x"}', "config key 'seed' must be an integer, not a string"),
     ('{"seed": 1.5}', "config key 'seed' must be an integer, not a number"),
@@ -190,6 +192,10 @@ BAD_CONFIG_VALUES = [
     ('{"duration_hours": -Infinity}', "config key 'duration_hours' must be finite, not -inf"),
     ('{"duration_hours": 1' + "0" * 309 + '}',
      "config key 'duration_hours' must be finite, not inf"),
+    # Finite, but the horizon lies past the last timestamp; only loaded, never
+    # run, since a run would draw that many hours of arrivals.
+    ('{"duration_hours": 1e300}', DURATION_PAST_TIMESTAMPS),
+    ('{"duration_hours": 69951241}', DURATION_PAST_TIMESTAMPS),
 ]
 
 
@@ -200,6 +206,15 @@ def test_bad_config_value_is_usage_error(tmp_path, capsys, text, message):
     path.write_text(text)
     assert main(["gen", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert f"gen: bad config: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["gen", "run", "detect", "report", "repro"])
+def test_duration_past_timestamps_is_usage_error_for_every_command(tmp_path, capsys, command):
+    path = tmp_path / "bad.json"
+    path.write_text('{"duration_hours": 1e300}')
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"{command}: bad config: {DURATION_PAST_TIMESTAMPS}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -688,7 +703,38 @@ def test_ids_unknown_to_the_network_exit_1(tmp_path, capsys, staged_outputs,
     capsys.readouterr()
     assert main([stage, "--config", str(cfg_path)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"{stage}: {out / 'network_profile.jsonl'}: "), err
+    # A bad follow list is reported at its line, the edited first one.
+    where = ":1" if name == "network_profile.jsonl" else ""
+    assert err.startswith(f"{stage}: {out / 'network_profile.jsonl'}{where}: "), err
+
+
+# A follow list as save_network_profile never writes it: (p, the message after
+# the line). The tiny network has 68 producers; the record edited is consumer
+# 5's, on line 6.
+BAD_FOLLOW_LISTS = {
+    "unsorted": ([2, 0], "corrupt record: ValueError: consumer 5 follow list not sorted"),
+    "empty": ([], "corrupt record: ValueError: consumer 5 follows nobody"),
+    "repeated": ([3, 3], "corrupt record: ValueError: consumer 5 has duplicate follows"),
+    "negative": ([-1, 0], "corrupt record: ValueError: consumer 5 follows unknown producer -1"),
+    "past_the_producers": ([0, 68, 300], "consumer 5 follows unknown producer 68"),
+}
+
+
+@pytest.mark.parametrize("producers,message", BAD_FOLLOW_LISTS.values(), ids=BAD_FOLLOW_LISTS)
+def test_bad_follow_list_exits_1_naming_its_line(tmp_path, capsys, staged_outputs,
+                                                 producers, message):
+    out = tmp_path / "out"
+    shutil.copytree(staged_outputs, out)
+    cfg_path = write_config(tmp_path, tiny_config(out))
+    path = out / "network_profile.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    assert json.loads(lines[5])["c"] == 5
+    lines[5] = json.dumps({"c": 5, "p": producers}) + "\n"
+    path.write_text("".join(lines))
+    for stage in ("run", "detect", "report"):
+        capsys.readouterr()
+        assert main([stage, "--config", str(cfg_path)]) == 1, stage
+        assert capsys.readouterr().err.startswith(f"{stage}: {path}:6: {message}\n"), stage
 
 
 @pytest.mark.parametrize("table,key,value", [

@@ -1,6 +1,12 @@
+import json
+from unittest.mock import patch
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import feedsim.netgen as netgen_module
 from feedsim.netgen import (
     FollowingNetwork,
     InfeasibleParametersError,
@@ -10,6 +16,7 @@ from feedsim.netgen import (
     build_network,
     build_profile,
     load_network_profile,
+    WorkloadProfile,
     save_network_profile,
     validate_profile,
 )
@@ -178,6 +185,77 @@ def test_degree_and_rate_are_independent():
     net, profile = desk_network(seed=3)
     rho = rank_correlation(net.in_degrees(), profile.producer_rate)
     assert abs(rho) < 0.1
+
+
+# The per-consumer draw, the reference the bulk draw must equal.
+CHOOSE_DISTINCT = netgen_module._choose_distinct
+
+
+def assert_bulk_follows_equal_per_consumer(n, s, degrees, seed):
+    sampler = ZipfSampler(n, s)
+    degrees = np.array(degrees, dtype=np.int64)
+    bulk, reference = RngStreams(seed).stream("g"), RngStreams(seed).stream("g")
+    drawn = netgen_module._choose_follows(sampler._cdf, sampler.pmf, degrees, bulk)
+    assert drawn == [tuple(CHOOSE_DISTINCT(sampler._cdf, sampler.pmf, int(k), reference).tolist())
+                     for k in degrees]
+    # Both streams end in the same state, so the next draw is equal too.
+    assert bulk.random() == reference.random()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 40), st.floats(0.0, 3.0), st.lists(st.integers(1, 45), max_size=25),
+       st.integers(0, 2**32 - 1))
+def test_bulk_follow_draws_equal_per_consumer_draws(n, s, degrees, seed):
+    # Degrees up to past n interleave the k >= n, 3k >= n and 3k < n branches;
+    # a steep popularity curve makes first batches fall short.
+    assert_bulk_follows_equal_per_consumer(n, s, degrees, seed)
+
+
+def test_bulk_follow_draws_replay_each_short_batch():
+    replayed = []
+
+    def replay(cdf, pmf, k, stream):
+        replayed.append(k)
+        return CHOOSE_DISTINCT(cdf, pmf, k, stream)
+
+    degrees = [5, 4, 9, 30, 5, 60, 7, 6, 8, 70, 4, 5, 9, 9]
+    with patch.object(netgen_module, "_choose_distinct", replay):
+        assert_bulk_follows_equal_per_consumer(60, 2.0, degrees, 4)
+    # The 3k >= n consumers draw alone, and some 3k < n ones were replayed.
+    assert [k for k in replayed if 3 * k >= 60] == [30, 60, 70]
+    assert 0 < len([k for k in replayed if 3 * k < 60]) < 11
+
+
+NETWORK_RATES = st.sampled_from([0.0, 5e-324, 0.1, 1 / 3, 1e16, 1.7976931348623157e308]) | \
+    st.floats(0.0, 1e6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_network_file_equals_json_dumps_of_each_record(tmp_path_factory, data):
+    producer_rates = data.draw(st.lists(NETWORK_RATES, min_size=1, max_size=6))
+    n_producers = len(producer_rates)
+    follows = data.draw(st.lists(
+        st.sets(st.integers(0, n_producers - 1), min_size=1).map(sorted).map(tuple),
+        min_size=1, max_size=6))
+    consumer_rates = data.draw(st.lists(NETWORK_RATES, min_size=len(follows),
+                                        max_size=len(follows)))
+    network = FollowingNetwork.from_follows(n_producers, dict(enumerate(follows)))
+    path = tmp_path_factory.mktemp("net") / "network.jsonl"
+    save_network_profile(path, network, WorkloadProfile(np.array(producer_rates),
+                                                        np.array(consumer_rates)))
+    records = ([{"c": c, "p": list(p)} for c, p in enumerate(follows)]
+               + [{"producer": p, "rate_per_hour": r} for p, r in enumerate(producer_rates)]
+               + [{"consumer": c, "rate_per_hour": r} for c, r in enumerate(consumer_rates)])
+    assert path.read_text() == "".join(json.dumps(record) + "\n" for record in records)
+
+
+def test_network_file_rejects_rates_json_cannot_load(tmp_path):
+    network = FollowingNetwork.from_follows(1, {0: (0,)})
+    for rate in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="rates must be finite"):
+            save_network_profile(tmp_path / "network.jsonl", network,
+                                 WorkloadProfile(np.array([1.0]), np.array([rate])))
 
 
 def test_file_roundtrip_is_exact(tmp_path):

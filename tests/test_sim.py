@@ -169,6 +169,20 @@ def test_add_arrivals_after_another_event_raises():
     assert loop.scheduled_count == loop.processed_count == 2
 
 
+def test_add_arrivals_from_the_first_arrivals_handler_raises():
+    loop, refused = EventLoop(), []
+
+    def handle(payload):
+        with pytest.raises(ValueError):
+            loop.add_arrivals(EventKind.TIMELINE_QUERY, [("q", [9])])
+        refused.append(payload)
+
+    loop.set_handler(EventKind.TWEET_ARRIVAL, handle)
+    loop.add_arrivals(EventKind.TWEET_ARRIVAL, [("a", [4])])
+    assert loop.run_until(10) == 1
+    assert refused == ["a"] and loop.scheduled_count == 1
+
+
 def test_add_arrivals_in_the_past_raises_and_queues_nothing():
     loop, _ = collecting_loop()
     loop.run_until(10)
@@ -177,6 +191,22 @@ def test_add_arrivals_in_the_past_raises_and_queues_nothing():
     assert loop.scheduled_count == loop.pending_count == 0
     loop.add_arrivals(EventKind.TWEET_ARRIVAL, [("a", [12])])
     assert loop.run_until(12) == 1
+
+
+def test_arrival_whose_handler_raised_does_not_fire_again():
+    loop, fired = EventLoop(), []
+
+    def handle(payload):
+        fired.append(payload)
+        if payload == "a":
+            raise RuntimeError("handler failed")
+
+    loop.set_handler(EventKind.TWEET_ARRIVAL, handle)
+    loop.add_arrivals(EventKind.TWEET_ARRIVAL, [("a", np.array([1])), ("b", np.array([2]))])
+    with pytest.raises(RuntimeError):
+        loop.run_until(5)
+    loop.run_until(5)
+    assert fired == ["a", "b"]
 
 
 def drive(loop, seed):

@@ -270,17 +270,22 @@ def _poisson_times_us(rate_per_hour: float, duration_us: int,
     return all_times[all_times < duration_us].astype(np.int64)
 
 
+# Rates one bulk Poisson draw spans. A short first chunk throws away the
+# draws of the rates after it in the same bulk draw, so this bounds the waste.
+_RATES_PER_DRAW = 1024
+
+
 def _poisson_arrivals_us(rates_per_hour: np.ndarray, duration_us: int,
                          stream: np.random.Generator) -> list[np.ndarray]:
     """_poisson_times_us of each rate in turn on stream, value for value and
     leaving stream where those calls would.
 
-    The first chunks of all rates come from one draw: an array of scales
-    draws what the per-rate calls draw, in the same order. A rate whose
-    first chunk falls short of the horizon would draw its second chunk
-    next, so the stream is rewound to the rate's start, the rate runs
-    through _poisson_times_us alone, and the rates after it are drawn
-    together again. Memory stays proportional to the draws.
+    The first chunks of up to _RATES_PER_DRAW rates come from one draw: an
+    array of scales draws what the per-rate calls draw, in the same order.
+    A rate whose first chunk falls short of the horizon would draw its
+    second chunk next, so the stream is rewound to the rate's start, the
+    rate runs through _poisson_times_us alone, and the rates after it are
+    drawn together again. Memory stays proportional to the draws.
     """
     times = [np.empty(0, dtype=np.int64)] * len(rates_per_hour)
     if duration_us <= 0:
@@ -292,10 +297,11 @@ def _poisson_arrivals_us(rates_per_hour: np.ndarray, duration_us: int,
     bounds = [0, *accumulate(sizes)]
     first = 0
     while first < len(sizes):
+        last = min(first + _RATES_PER_DRAW, len(sizes))
         state = stream.bit_generator.state
-        gaps = stream.exponential(np.repeat(mean_gaps[first:], sizes[first:]))
+        gaps = stream.exponential(np.repeat(mean_gaps[first:last], sizes[first:last]))
         offset = bounds[first]
-        for j in range(first, len(sizes)):
+        for j in range(first, last):
             # A rate's own cumsum adds in the order _poisson_times_us does.
             cum = np.cumsum(gaps[bounds[j] - offset:bounds[j + 1] - offset])
             if cum[-1] <= duration_us:
@@ -303,11 +309,9 @@ def _poisson_arrivals_us(rates_per_hour: np.ndarray, duration_us: int,
                 stream.exponential(np.repeat(mean_gaps[first:j], sizes[first:j]))
                 times[active[j]] = _poisson_times_us(
                     float(rates_per_hour[active[j]]), duration_us, stream)
-                first = j + 1
                 break
             times[active[j]] = cum[cum < duration_us].astype(np.int64)
-        else:
-            break
+        first = j + 1
     return times
 
 

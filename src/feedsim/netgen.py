@@ -96,32 +96,33 @@ class FollowingNetwork:
                      out_degree_ranks: np.ndarray | None = None) -> FollowingNetwork:
         """The network of these follow lists, with each producer's followers sorted.
 
-        Raises ValueError naming the first consumer, by id, whose follow list
-        is empty, repeats a producer, is unsorted or names an unknown producer.
+        Raises FollowListError naming the first consumer, by id, whose follow
+        list is empty, repeats a producer, is unsorted or names an unknown
+        producer.
         """
         follower_lists: list[list[int]] = [[] for _ in range(n_producers)]
         for consumer, producers in sorted(follows.items()):
-            _check_follow_list(consumer, producers)
+            if len(producers) == 0:
+                raise FollowListError(consumer, "follows nobody")
+            if len(set(producers)) != len(producers):
+                raise FollowListError(consumer, "has duplicate follows")
+            if tuple(sorted(producers)) != tuple(producers):
+                raise FollowListError(consumer, "follow list not sorted")
             for p in producers:
-                if p >= n_producers:
-                    raise ValueError(f"consumer {consumer} follows unknown producer {p}")
+                if not 0 <= p < n_producers:
+                    raise FollowListError(consumer, f"follows unknown producer {p}")
                 follower_lists[p].append(consumer)
         return cls(n_producers, len(follows), follows,
                    {p: tuple(consumers) for p, consumers in enumerate(follower_lists)},
                    out_degree_ranks)
 
 
-def _check_follow_list(consumer: int, producers: tuple[int, ...]) -> None:
-    """Raise ValueError naming consumer if its follow list is empty, repeats a
-    producer, is unsorted or names a negative producer id."""
-    if len(producers) == 0:
-        raise ValueError(f"consumer {consumer} follows nobody")
-    if len(set(producers)) != len(producers):
-        raise ValueError(f"consumer {consumer} has duplicate follows")
-    if tuple(sorted(producers)) != tuple(producers):
-        raise ValueError(f"consumer {consumer} follow list not sorted")
-    if producers[0] < 0:
-        raise ValueError(f"consumer {consumer} follows unknown producer {producers[0]}")
+class FollowListError(ValueError):
+    """A follow list FollowingNetwork.from_follows rejects, and its consumer's id."""
+
+    def __init__(self, consumer: int, problem: str):
+        super().__init__(f"consumer {consumer} {problem}")
+        self.consumer = consumer
 
 
 @dataclass
@@ -180,28 +181,38 @@ def _choose_distinct(cdf: np.ndarray, pmf: np.ndarray, k: int,
     return np.sort(np.array(chosen, dtype=np.int64))
 
 
+# A bulk follow draw spans at least _BULK_MIN consumers, since fewer draw
+# faster one by one, and at most _BULK_MAX, which bounds its memory.
+_BULK_MIN, _BULK_MAX = 64, 4096
+
+
 def _choose_follows(cdf: np.ndarray, pmf: np.ndarray, degrees: np.ndarray,
                     stream: np.random.Generator) -> list[tuple[int, ...]]:
     """_choose_distinct of each degree k in turn on stream, as tuples, value
     for value and leaving stream where those calls would.
 
-    A run of consecutive consumers with 3k < n draws the first batch of
-    uniforms of each in one call and keeps each one's first k distinct
-    indices. A consumer in another branch ends the run and draws alone. So
-    does one whose first batch holds fewer than k distinct indices: it
-    would draw a second batch next, so the stream is rewound to its start,
-    it runs through _choose_distinct, and the run resumes after it.
+    Consecutive consumers with 3k < n draw the first batch of uniforms of
+    each in one call and keep each one's first k distinct indices. A
+    consumer in another branch ends the bulk draw. So does one whose first
+    batch holds fewer than k distinct indices: it would draw a second batch
+    next, so the stream is rewound to its start and it runs through
+    _choose_distinct; the draws made for the consumers after it are thrown
+    away. The next bulk draw spans at most twice the consumers this one
+    kept, so no more is thrown away than was kept. Where fewer than
+    _BULK_MIN consumers would be drawn in bulk, the next _BULK_MIN run
+    through _choose_distinct one by one instead.
     """
     n = len(cdf)
     follows: list[tuple[int, ...]] = []
     run_ends = np.append(np.flatnonzero(3 * degrees >= n), len(degrees))
-    consumer = 0
+    consumer, window = 0, _BULK_MIN
     while consumer < len(degrees):
-        stop = int(run_ends[np.searchsorted(run_ends, consumer)])
-        if stop == consumer:
-            follows.append(tuple(_choose_distinct(cdf, pmf, int(degrees[consumer]),
-                                                  stream).tolist()))
-            consumer += 1
+        stop = min(int(run_ends[np.searchsorted(run_ends, consumer)]), consumer + window)
+        if stop - consumer < _BULK_MIN:
+            stop = min(consumer + _BULK_MIN, len(degrees))
+            follows += [tuple(_choose_distinct(cdf, pmf, k, stream).tolist())
+                        for k in degrees[consumer:stop].tolist()]
+            consumer, window = stop, _BULK_MIN
             continue
         ks = degrees[consumer:stop]
         batches = np.maximum(2 * ks, 8)
@@ -225,6 +236,7 @@ def _choose_follows(cdf: np.ndarray, pmf: np.ndarray, degrees: np.ndarray,
             follows.append(tuple(_choose_distinct(cdf, pmf, int(ks[complete]),
                                                   stream).tolist()))
             consumer += 1
+        window = min(2 * complete, _BULK_MAX)
     return follows
 
 
@@ -383,15 +395,9 @@ def _record_rate(value) -> float:
 
 
 def _network_record(record: dict) -> tuple[str, int, tuple[int, ...] | float]:
-    """(table, id, value) of one record; records self-identify by field name.
-
-    A follow list must be as save_network_profile writes it: non-empty,
-    strictly increasing and of non-negative ids.
-    """
+    """(table, id, value) of one record; records self-identify by field name."""
     if "c" in record:
-        consumer, producers = record_int(record["c"]), tuple(map(record_int, record["p"]))
-        _check_follow_list(consumer, producers)
-        return "follows", consumer, producers
+        return "follows", record_int(record["c"]), tuple(map(record_int, record["p"]))
     for table in ("producer", "consumer"):
         if table in record:
             return table, record_int(record[table]), _record_rate(record["rate_per_hour"])
@@ -401,7 +407,7 @@ def _network_record(record: dict) -> tuple[str, int, tuple[int, ...] | float]:
 def load_network_profile(path: str | Path) -> tuple[FollowingNetwork, WorkloadProfile]:
     """Read a file written by save_network_profile; IntegrityError names the file,
     and the line of a record that is malformed, repeats an earlier record's id
-    or follows a producer past the producer records."""
+    or holds a follow list from_follows rejects."""
     tables: dict[str, dict] = {"follows": {}, "producer": {}, "consumer": {}}
     # Each consumer's follow record's position among the file's records.
     follow_records: dict[int, int] = {}
@@ -427,18 +433,11 @@ def load_network_profile(path: str | Path) -> tuple[FollowingNetwork, WorkloadPr
         raise IntegrityError(f"{path}: producer ids are not a dense 0..N-1 range")
     if set(consumer_rates) != set(range(n_consumers)):
         raise IntegrityError(f"{path}: consumer rate records do not match follow records")
-    # Lists are sorted, so only the last id of each can be past the producers.
-    for consumer, producers in follows.items():
-        if producers[-1] >= n_producers:
-            line = record_line(path, follow_records[consumer])
-            unknown = next(p for p in producers if p >= n_producers)
-            raise IntegrityError(
-                f"{path}:{line}: consumer {consumer} follows unknown producer {unknown}")
-
     try:
         network = FollowingNetwork.from_follows(n_producers, follows)
-    except ValueError as exc:
-        raise IntegrityError(f"{path}: {exc}") from exc
+    except FollowListError as exc:
+        line = record_line(path, follow_records[exc.consumer])
+        raise IntegrityError(f"{path}:{line}: {exc}") from exc
     profile = WorkloadProfile(
         producer_rate=np.array([producer_rates[p] for p in range(n_producers)]),
         consumer_rate=np.array([consumer_rates[c] for c in range(n_consumers)]),

@@ -288,10 +288,12 @@ def assert_bulk_poisson_equals_per_rate(rates, duration_us, seed):
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.sampled_from([0.0, -1.0]) | st.floats(0.01, 400.0), max_size=10),
        st.sampled_from([0, 1, 90_000_000, MICROS_PER_HOUR // 2]), st.integers(0, 2**32 - 1),
-       st.booleans())
-def test_bulk_poisson_draws_equal_per_rate_draws(rates, duration_us, seed, short):
+       st.booleans(), st.integers(1, 12))
+def test_bulk_poisson_draws_equal_per_rate_draws(rates, duration_us, seed, short,
+                                                 rates_per_draw):
     rule = short_chunks if short else app_module._chunk_size
-    with patch.object(app_module, "_chunk_size", rule):
+    with patch.object(app_module, "_chunk_size", rule), \
+            patch.object(app_module, "_RATES_PER_DRAW", rates_per_draw):
         assert_bulk_poisson_equals_per_rate(rates, duration_us, seed)
 
 

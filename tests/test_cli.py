@@ -209,15 +209,6 @@ def test_bad_config_value_is_usage_error(tmp_path, capsys, text, message):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("command", ["gen", "run", "detect", "report", "repro"])
-def test_duration_past_timestamps_is_usage_error_for_every_command(tmp_path, capsys, command):
-    path = tmp_path / "bad.json"
-    path.write_text('{"duration_hours": 1e300}')
-    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
-    assert f"{command}: bad config: {DURATION_PAST_TIMESTAMPS}" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
-
-
 def test_config_rejects_invalid_populations(tmp_path):
     path = tmp_path / "bad.json"
     data = tiny_config(tmp_path).to_dict()
@@ -712,10 +703,10 @@ def test_ids_unknown_to_the_network_exit_1(tmp_path, capsys, staged_outputs,
 # the line). The tiny network has 68 producers; the record edited is consumer
 # 5's, on line 6.
 BAD_FOLLOW_LISTS = {
-    "unsorted": ([2, 0], "corrupt record: ValueError: consumer 5 follow list not sorted"),
-    "empty": ([], "corrupt record: ValueError: consumer 5 follows nobody"),
-    "repeated": ([3, 3], "corrupt record: ValueError: consumer 5 has duplicate follows"),
-    "negative": ([-1, 0], "corrupt record: ValueError: consumer 5 follows unknown producer -1"),
+    "unsorted": ([2, 0], "consumer 5 follow list not sorted"),
+    "empty": ([], "consumer 5 follows nobody"),
+    "repeated": ([3, 3], "consumer 5 has duplicate follows"),
+    "negative": ([-1, 0], "consumer 5 follows unknown producer -1"),
     "past_the_producers": ([0, 68, 300], "consumer 5 follows unknown producer 68"),
 }
 

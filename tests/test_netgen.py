@@ -191,24 +191,44 @@ def test_degree_and_rate_are_independent():
 CHOOSE_DISTINCT = netgen_module._choose_distinct
 
 
+class CountingStream:
+    """A stream that records the size of each uniform draw made from it."""
+
+    def __init__(self, stream):
+        self.stream, self.draws = stream, []
+
+    def random(self, size):
+        self.draws.append(size)
+        return self.stream.random(size)
+
+    def __getattr__(self, name):
+        return getattr(self.stream, name)
+
+
 def assert_bulk_follows_equal_per_consumer(n, s, degrees, seed):
+    """The two streams' uniform draw sizes, bulk then per-consumer."""
     sampler = ZipfSampler(n, s)
     degrees = np.array(degrees, dtype=np.int64)
-    bulk, reference = RngStreams(seed).stream("g"), RngStreams(seed).stream("g")
+    bulk = CountingStream(RngStreams(seed).stream("g"))
+    reference = CountingStream(RngStreams(seed).stream("g"))
     drawn = netgen_module._choose_follows(sampler._cdf, sampler.pmf, degrees, bulk)
     assert drawn == [tuple(CHOOSE_DISTINCT(sampler._cdf, sampler.pmf, int(k), reference).tolist())
                      for k in degrees]
     # Both streams end in the same state, so the next draw is equal too.
-    assert bulk.random() == reference.random()
+    assert bulk.random(1) == reference.random(1)
+    return bulk.draws[:-1], reference.draws[:-1]
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 40), st.floats(0.0, 3.0), st.lists(st.integers(1, 45), max_size=25),
-       st.integers(0, 2**32 - 1))
-def test_bulk_follow_draws_equal_per_consumer_draws(n, s, degrees, seed):
+       st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(0, 8))
+def test_bulk_follow_draws_equal_per_consumer_draws(n, s, degrees, seed, bulk_min, extra):
     # Degrees up to past n interleave the k >= n, 3k >= n and 3k < n branches;
-    # a steep popularity curve makes first batches fall short.
-    assert_bulk_follows_equal_per_consumer(n, s, degrees, seed)
+    # a steep popularity curve makes first batches fall short. Small bulk
+    # bounds let a few consumers make several bulk draws.
+    with patch.object(netgen_module, "_BULK_MIN", bulk_min), \
+            patch.object(netgen_module, "_BULK_MAX", bulk_min + extra):
+        assert_bulk_follows_equal_per_consumer(n, s, degrees, seed)
 
 
 def test_bulk_follow_draws_replay_each_short_batch():
@@ -219,11 +239,35 @@ def test_bulk_follow_draws_replay_each_short_batch():
         return CHOOSE_DISTINCT(cdf, pmf, k, stream)
 
     degrees = [5, 4, 9, 30, 5, 60, 7, 6, 8, 70, 4, 5, 9, 9]
-    with patch.object(netgen_module, "_choose_distinct", replay):
-        assert_bulk_follows_equal_per_consumer(60, 2.0, degrees, 4)
-    # The 3k >= n consumers draw alone, and some 3k < n ones were replayed.
+    with patch.object(netgen_module, "_choose_distinct", replay), \
+            patch.object(netgen_module, "_BULK_MIN", 1):
+        assert_bulk_follows_equal_per_consumer(60, 1.5, degrees, 4)
+    # The 3k >= n consumers draw alone, and some 3k < n ones were replayed
+    # (or drawn alone after a bulk draw kept none) and the others drawn in bulk.
     assert [k for k in replayed if 3 * k >= 60] == [30, 60, 70]
     assert 0 < len([k for k in replayed if 3 * k < 60]) < 11
+
+
+def desk_degrees(n_consumers, seed):
+    """Out-degrees drawn as build_network draws them for the desk network."""
+    sampler = ZipfSampler(679, ZipfParams().producers_per_consumer.s)
+    ranks = sampler.sample_many(n_consumers, RngStreams(seed).stream("d"))
+    f = netgen_module._calibrate_degree_scale(sampler, ZipfParams().producers_per_consumer.mean,
+                                              679)
+    return np.clip(np.round(f * ranks), 1, 679).astype(np.int64)
+
+
+@pytest.mark.parametrize("s", [0.39, 1.0, 2.0])
+def test_bulk_follow_draws_waste_no_more_than_they_keep(s):
+    # At s = 2 most of a consumer's first batch is the top producer, so most
+    # consumers fall short and are replayed; the draws thrown away must stay
+    # in proportion to those kept, however many consumers there are.
+    degrees = desk_degrees(3000, 5)
+    with patch.object(netgen_module, "_BULK_MAX", 256):
+        bulk, reference = assert_bulk_follows_equal_per_consumer(679, s, degrees, 6)
+    assert sum(bulk) <= 3 * sum(reference)
+    # No one draw spans more than _BULK_MAX consumers' first batches.
+    assert max(bulk) <= np.sort(np.maximum(2 * degrees, 8))[-256:].sum()
 
 
 NETWORK_RATES = st.sampled_from([0.0, 5e-324, 0.1, 1 / 3, 1e16, 1.7976931348623157e308]) | \

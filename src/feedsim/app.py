@@ -389,6 +389,9 @@ def load_tweet_log(path: str | Path) -> list[tuple[int, int]]:
 # save_response_log renders the T of this many responses at a time, so only
 # one chunk's timestamp strings are held at once.
 RESPONSE_LOG_CHUNK = 1024
+# The response log's write buffer: a line is two small writes, and a larger
+# buffer hands the file system fewer, larger blocks.
+RESPONSE_LOG_BUFFER = 1 << 16
 
 
 def save_response_log(path: str | Path, responses: list[TimelineResponse]) -> None:
@@ -397,22 +400,25 @@ def save_response_log(path: str | Path, responses: list[TimelineResponse]) -> No
 
     Every value is an integer or an ISO timestamp, so nothing needs escaping.
     Responses share timeline tuples and a tweet shows up in many timelines,
-    so each distinct entries tuple and each pair is rendered once.
+    so each pair is rendered once, and each distinct entries tuple is
+    encoded once, with the line's end, as the tail every line that serves it
+    writes after its own header.
     """
-    entries_json = dict.fromkeys(resp.entries for resp in responses)
-    pairs = list({pair for entries in entries_json for pair in entries})
+    tails = dict.fromkeys(resp.entries for resp in responses)
+    pairs = list({pair for entries in tails for pair in entries})
     pair_json = {pair: '{"producer_id": "%d", "t": "%s"}' % (pair[0], t)
                  for pair, t in zip(pairs, to_iso([t for _, t in pairs]))}
-    for entries in entries_json:
-        entries_json[entries] = ", ".join([pair_json[pair] for pair in entries])
-    with open(path, "w", encoding="utf-8") as fh:
+    for entries in tails:
+        tails[entries] = (", ".join([pair_json[pair] for pair in entries]) + "]}\n").encode()
+    with open(path, "wb", buffering=RESPONSE_LOG_BUFFER) as fh:
+        write = fh.write
         for start in range(0, len(responses), RESPONSE_LOG_CHUNK):
             chunk = responses[start:start + RESPONSE_LOG_CHUNK]
-            fh.writelines(
-                '{"response_id": %d, "consumer_id": "%d", "T": "%s", "entries": [%s]}\n'
-                % (response_id, resp.consumer_id, T, entries_json[resp.entries])
-                for response_id, (resp, T) in enumerate(
-                    zip(chunk, to_iso([resp.T for resp in chunk])), start))
+            for response_id, (resp, T) in enumerate(
+                    zip(chunk, to_iso([resp.T for resp in chunk])), start):
+                write(b'{"response_id": %d, "consumer_id": "%d", "T": "%s", "entries": ['
+                      % (response_id, resp.consumer_id, T.encode()))
+                write(tails[resp.entries])
 
 
 def load_response_log(path: str | Path) -> list[TimelineResponse]:

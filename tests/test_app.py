@@ -20,6 +20,7 @@ from feedsim.app import (
     save_response_log,
     save_tweet_log,
 )
+from feedsim.cli import main
 from feedsim.config import ExperimentConfig
 from feedsim.detect import (
     ConflictRecord,
@@ -40,6 +41,7 @@ from feedsim.sim import (
 )
 from feedsim.store import ReplicatedStore, StoreConfig
 from oracles import datetime_iso, make_network
+from test_cli import tiny_config, write_config
 
 
 def make_app(follows, n_producers, *, n_replicas=3, lag=("constant", 0.0),
@@ -351,17 +353,27 @@ def test_run_is_seed_deterministic():
     assert a.to_dict() == b.to_dict()
 
 
-def test_run_leaves_no_loop_for_the_garbage_collector():
+def test_run_leaves_no_loop_for_the_garbage_collector(tmp_path):
+    """A whole in-process `repro` leaves no cyclic garbage of feedsim's types,
+    so the rare collections cli.entry() sets up have nothing of ours to free.
+
+    DEBUG_SAVEALL keeps whatever a collection finds unreachable in gc.garbage
+    instead of freeing it.
+    """
+    cfg_path = write_config(tmp_path, tiny_config(tmp_path / "out"))
     gc.collect()
-    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
     try:
-        _, artifacts = tiny_run(FanoutSettings(service=DistributionSpec("exponential", 30.0)),
-                                ("exponential", 500.0))
-        alive = [obj for obj in gc.get_objects()
-                 if isinstance(obj, (EventLoop, ReplicatedStore, FeedApp))]
+        main(["repro", "--config", str(cfg_path)])
+        gc.collect()
+        ours = [type(obj) for obj in gc.garbage
+                if type(obj).__module__.partition(".")[0] == "feedsim"]
     finally:
-        gc.enable()
-    assert artifacts.responses and alive == []
+        gc.set_debug(0)
+        gc.garbage.clear()
+    # The check summary is repro's last file: every stage ran.
+    assert (tmp_path / "out" / "repro_summary.txt").exists()
+    assert ours == []
 
 
 def test_incomplete_fanouts_reported_as_horizon_delay(monkeypatch):

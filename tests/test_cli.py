@@ -1,13 +1,17 @@
 import errno
+import gc
 import json
 import math
 import os
 import shutil
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import feedsim.cli as cli
 from feedsim.app import FanoutSettings
 from feedsim.cli import _resolve_config, build_parser, main
 from feedsim.config import (
@@ -19,6 +23,8 @@ from feedsim.config import (
 from feedsim.netgen import ZipfPair, ZipfParams
 from feedsim.sim import DistributionSpec
 from feedsim.store import StoreConfig
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def tiny_config(out_dir, **overrides):
@@ -221,6 +227,45 @@ def test_malformed_config_file_is_usage_error(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     assert main(["run", "--config", str(path)]) == 2
+
+
+def gc_state():
+    return gc.get_threshold(), gc.get_freeze_count()
+
+
+def test_main_leaves_the_collector_as_it_found_it(tmp_path, monkeypatch):
+    """The collector policy is the process entry's alone. The tests and
+    perfbench's tracer and probe call main() in their own process, so main()
+    moves no threshold and freezes nothing, during the run or after it."""
+    cfg_path = write_config(tmp_path, tiny_config(tmp_path / "out"))
+    found = gc_state()
+    during = []
+    run = cli.cmd_run
+
+    def watched_run(*args):
+        during.append(gc_state())
+        return run(*args)
+
+    monkeypatch.setattr(cli, "cmd_run", watched_run)
+    main(["repro", "--config", str(cfg_path)])
+    assert during == [found]
+    assert gc_state() == found
+
+
+def test_module_entry_freezes_the_heap_and_raises_the_threshold(tmp_path):
+    """`python -m feedsim.cli` runs main() through entry(), which sets the policy."""
+    cfg_path = write_config(tmp_path, tiny_config(tmp_path / "out"))
+    code = ("import gc, runpy\n"
+            "try:\n"
+            "    runpy.run_module('feedsim.cli', run_name='__main__')\n"
+            "finally:\n"
+            "    print(gc.get_threshold()[0], gc.get_freeze_count() > 0)\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code, "repro", "--config", str(cfg_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert (tmp_path / "out" / "repro_summary.txt").exists(), done.stderr
+    assert done.stdout.splitlines()[-1] == f"{cli.GC_GEN0_THRESHOLD} True"
 
 
 def test_full_pipeline_stage_by_stage(tmp_path, capsys):

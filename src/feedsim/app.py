@@ -390,7 +390,8 @@ def load_tweet_log(path: str | Path) -> list[tuple[int, int]]:
 # one chunk's timestamp strings are held at once.
 RESPONSE_LOG_CHUNK = 1024
 # The response log's write buffer: a line is two small writes, and a larger
-# buffer hands the file system fewer, larger blocks.
+# buffer than the default, one file-system block (often 4 KiB), hands the
+# file system fewer, larger writes.
 RESPONSE_LOG_BUFFER = 1 << 16
 
 

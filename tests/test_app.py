@@ -354,12 +354,25 @@ def test_run_is_seed_deterministic():
 
 
 def test_run_leaves_no_loop_for_the_garbage_collector(tmp_path):
-    """A whole in-process `repro` leaves no cyclic garbage of feedsim's types,
-    so the rare collections cli.entry() sets up have nothing of ours to free.
+    """A run's loop, store and app are freed by reference counts alone, even
+    while its artifacts are held, and a whole in-process `repro` leaves no
+    cyclic garbage of feedsim's types, so the rare collections cli.entry()
+    sets up have nothing of ours to free.
 
     DEBUG_SAVEALL keeps whatever a collection finds unreachable in gc.garbage
     instead of freeing it.
     """
+    gc.collect()
+    gc.disable()
+    try:
+        _, artifacts = tiny_run(FanoutSettings(service=DistributionSpec("exponential", 30.0)),
+                                ("exponential", 500.0))
+        alive = [obj for obj in gc.get_objects()
+                 if isinstance(obj, (EventLoop, ReplicatedStore, FeedApp))]
+    finally:
+        gc.enable()
+    assert artifacts.responses and alive == []
+
     cfg_path = write_config(tmp_path, tiny_config(tmp_path / "out"))
     gc.collect()
     gc.set_debug(gc.DEBUG_SAVEALL)

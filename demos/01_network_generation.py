@@ -6,7 +6,8 @@ very chatty ones, and no correlation between the two.
 
 import numpy as np
 
-from feedsim import RngStreams, ZipfParams, build_network, build_profile, validate_profile
+from feedsim.netgen import ZipfParams, build_network, build_profile, validate_profile
+from feedsim.sim import RngStreams
 
 rng = RngStreams(7)
 params = ZipfParams()  # desk defaults: 13.38 followers, 4.63 follows, 1 and 5.8 events/h

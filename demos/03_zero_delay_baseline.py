@@ -6,9 +6,11 @@ would produce, so the detector must find exactly nothing.
 
 from dataclasses import replace
 
-from feedsim import (RngStreams, TweetIndex, build_network, build_profile, detect_all,
-                     run_experiment)
+from feedsim.app import run_experiment
 from feedsim.config import zero_delay_config
+from feedsim.detect import TweetIndex, detect_all
+from feedsim.netgen import build_network, build_profile
+from feedsim.sim import RngStreams
 
 cfg = replace(zero_delay_config(seed=1), n_producers=136, n_consumers=393,
               duration_hours=2.0)

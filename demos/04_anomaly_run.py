@@ -5,17 +5,12 @@ producer's fan-out takes minutes; followers querying mid-fan-out see
 timelines that other users can already contradict.
 """
 
-from feedsim import (
-    ExperimentConfig,
-    RngStreams,
-    TweetIndex,
-    build_network,
-    build_profile,
-    build_report,
-    detect_all,
-    run_experiment,
-)
-from feedsim.analytics import GAP_BUCKET_WIDTH_S
+from feedsim.analytics import GAP_BUCKET_WIDTH_S, build_report
+from feedsim.app import run_experiment
+from feedsim.config import ExperimentConfig
+from feedsim.detect import TweetIndex, detect_all
+from feedsim.netgen import build_network, build_profile
+from feedsim.sim import RngStreams
 
 cfg = ExperimentConfig()
 rng = RngStreams(cfg.seed)

@@ -6,17 +6,12 @@ query counts. Popularity is the only strong signal: big fan-outs take
 long, so popular producers' tweets go missing observably.
 """
 
-from feedsim import (
-    ExperimentConfig,
-    RngStreams,
-    TweetIndex,
-    attribute_to_producers,
-    build_network,
-    build_profile,
-    correlation_studies,
-    detect_all,
-    run_experiment,
-)
+from feedsim.analytics import attribute_to_producers, correlation_studies
+from feedsim.app import run_experiment
+from feedsim.config import ExperimentConfig
+from feedsim.detect import TweetIndex, detect_all
+from feedsim.netgen import build_network, build_profile
+from feedsim.sim import RngStreams
 
 cfg = ExperimentConfig()
 rng = RngStreams(cfg.seed)

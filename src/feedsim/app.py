@@ -9,6 +9,7 @@ Query responses are whatever a random replica holds at that instant.
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import accumulate, count
@@ -239,7 +240,7 @@ class FeedApp:
         if consumer_id not in self.network.follows:
             raise ValueError(f"unknown consumer {consumer_id}")
         response = TimelineResponse(consumer_id, self.loop.now(),
-                                    self.store.read(consumer_id) or ())
+                                    self.store.read_with_source(consumer_id)[1] or ())
         self.responses.append(response)
         return response
 
@@ -338,11 +339,13 @@ def run_experiment(network: FollowingNetwork, profile: WorkloadProfile,
 
     tweet_times = _poisson_arrivals_us(profile.producer_rate, duration_us,
                                        rng.stream("workload.tweet_times"))
-    loop.add_arrivals(EventKind.TWEET_ARRIVAL, zip(
-        range(network.n_producers), map(_strictly_increasing, tweet_times)))
     query_times = _poisson_arrivals_us(profile.consumer_rate, duration_us,
                                        rng.stream("workload.query_times"))
-    loop.add_arrivals(EventKind.TIMELINE_QUERY, zip(range(network.n_consumers), query_times))
+    loop.add_arrivals([
+        (EventKind.TWEET_ARRIVAL, zip(range(network.n_producers),
+                                      map(_strictly_increasing, tweet_times))),
+        (EventKind.TIMELINE_QUERY, zip(range(network.n_consumers), query_times)),
+    ])
 
     loop.run_until(duration_us)
     loop.close()
@@ -401,16 +404,20 @@ def save_response_log(path: str | Path, responses: list[TimelineResponse]) -> No
 
     Every value is an integer or an ISO timestamp, so nothing needs escaping.
     Responses share timeline tuples and a tweet shows up in many timelines,
-    so each pair is rendered once, and each distinct entries tuple is
-    encoded once, with the line's end, as the tail every line that serves it
-    writes after its own header.
+    so each pair is rendered once, and each distinct entries tuple gets a
+    slot, hashed once per response, whose tail is encoded once, with the
+    line's end, and written by every line that serves it after its own header.
     """
-    tails = dict.fromkeys(resp.entries for resp in responses)
-    pairs = list({pair for entries in tails for pair in entries})
+    slots: dict[tuple, int] = {}
+    slot_of = array("i", [slots.setdefault(resp.entries, len(slots)) for resp in responses])
+    pairs = list({pair for entries in slots for pair in entries})
     pair_json = {pair: '{"producer_id": "%d", "t": "%s"}' % (pair[0], t)
                  for pair, t in zip(pairs, to_iso([t for _, t in pairs]))}
-    for entries in tails:
-        tails[entries] = (", ".join([pair_json[pair] for pair in entries]) + "]}\n").encode()
+    tails = [(", ".join([pair_json[pair] for pair in entries]) + "]}\n").encode()
+             for entries in slots]
+    # A desk repro reaches its peak memory in this write, so what only the
+    # rendering needs goes now, and slot_of is an array, not a list of ints.
+    del slots, pair_json
     with open(path, "wb", buffering=RESPONSE_LOG_BUFFER) as fh:
         write = fh.write
         for start in range(0, len(responses), RESPONSE_LOG_CHUNK):
@@ -419,7 +426,7 @@ def save_response_log(path: str | Path, responses: list[TimelineResponse]) -> No
                     zip(chunk, to_iso([resp.T for resp in chunk])), start):
                 write(b'{"response_id": %d, "consumer_id": "%d", "T": "%s", "entries": ['
                       % (response_id, resp.consumer_id, T.encode()))
-                write(tails[resp.entries])
+                write(tails[slot_of[response_id]])
 
 
 def load_response_log(path: str | Path) -> list[TimelineResponse]:

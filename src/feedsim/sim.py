@@ -59,9 +59,10 @@ class IntegrityError(ValueError):
     """A file or log violates the format or an invariant the simulator guarantees."""
 
 
-# What mapping a decoded record of the wrong shape to an object can raise:
-# a bad or infinite value, a missing key, or a value of the wrong type.
-RECORD_ERRORS = (ValueError, OverflowError, KeyError, TypeError, AttributeError)
+# What decoding a record, or mapping one of the wrong shape to an object, can
+# raise: a bad or infinite value, a missing key, a value of the wrong type, or
+# nesting too deep for the decoder.
+RECORD_ERRORS = (ValueError, OverflowError, KeyError, TypeError, AttributeError, RecursionError)
 
 
 def record_int(value) -> int:
@@ -155,37 +156,37 @@ class EventLoop:
     def set_handler(self, kind: EventKind, handler: Callable[[Any], None]) -> None:
         self._handlers[kind] = handler
 
-    def add_arrivals(self, kind: EventKind,
-                     times_per_payload: Iterable[tuple[Any, Sequence[int]]]) -> None:
-        """Queue an event of kind at each time of each (payload, times) pair,
-        where times is a list or an integer array.
+    def add_arrivals(
+            self, blocks: Iterable[tuple[EventKind, Iterable[tuple[Any, Sequence[int]]]]]) -> None:
+        """Queue every pre-drawn arrival: for each (kind, pairs) block and each
+        (payload, times) pair in it, an event of kind at each time, where
+        times is a list or an integer array.
 
         Seqs follow the order given, exactly as if each were scheduled in
-        turn. Arrivals are accepted only before any other event is queued
-        or any event fires; a time before now() raises and queues nothing.
+        turn. Arrivals are accepted only while no event is queued, so they
+        all go in one call and a later call raises; a time before now()
+        raises and queues nothing.
         """
-        if self._next_arrival or self.scheduled_count != len(self._arrival_times):
-            raise ValueError("arrivals must be added before any other event is queued")
-        payloads, times = [], [np.empty(0, dtype=np.int64)]
-        for payload, payload_times in times_per_payload:
-            payloads.append(payload)
-            times.append(np.asarray(payload_times, dtype=np.int64))
-        added = np.concatenate(times)
-        if added.size and added.min() < self._now:
-            fire_at = int(added[np.argmax(added < self._now)])
+        if self.scheduled_count:
+            raise ValueError("arrivals must be added in one call, before any other event")
+        kinds, payloads, times = [], [], [np.empty(0, dtype=np.int64)]
+        for kind, pairs in blocks:
+            for payload, payload_times in pairs:
+                kinds.append(kind)
+                payloads.append(payload)
+                times.append(np.asarray(payload_times, dtype=np.int64))
+        all_times = np.concatenate(times)
+        if all_times.size and all_times.min() < self._now:
+            fire_at = int(all_times[np.argmax(all_times < self._now)])
             raise ValueError(f"cannot schedule event at t={fire_at} before now={self._now}")
-        owners = np.repeat(np.arange(len(payloads)), [len(t) for t in times[1:]]).tolist()
-        # The queued arrivals come first and hold the smaller seqs, and each
-        # block is in seq order among equal times, so a stable sort on time
-        # is (time, seq) order.
-        all_times = np.concatenate([np.asarray(self._arrival_times, dtype=np.int64), added])
-        order = np.argsort(all_times, kind="stable").tolist()
-        kinds = self._arrival_kinds + [kind] * added.size
-        all_payloads = self._arrival_payloads + list(map(payloads.__getitem__, owners))
+        # An arrival's seq is its position in all_times, so a stable sort on
+        # time is (time, seq) order.
+        order = np.argsort(all_times, kind="stable")
+        owners = np.repeat(np.arange(len(payloads)), [len(t) for t in times[1:]])[order].tolist()
         self._arrival_times = all_times[order].tolist()
-        self._arrival_kinds = list(map(kinds.__getitem__, order))
-        self._arrival_payloads = list(map(all_payloads.__getitem__, order))
-        self.scheduled_count += added.size
+        self._arrival_kinds = list(map(kinds.__getitem__, owners))
+        self._arrival_payloads = list(map(payloads.__getitem__, owners))
+        self.scheduled_count = all_times.size
 
     def schedule(self, event: tuple[int, EventKind, Any]) -> int:
         """Queue a (fire_at, kind, payload) event: kind's handler receives the
@@ -230,7 +231,7 @@ class EventLoop:
                 fire_at, _, kind, payload = heappop(heap)
             elif next_arrival < limit:
                 fire_at, kind, payload = next_arrival, kinds[i], payloads[i]
-                # Stored before the handler runs, which may raise or add arrivals.
+                # Stored before the handler runs, which may raise.
                 i = self._next_arrival = i + 1
                 next_arrival = times[i] if i < n and times[i] < limit else limit
             else:

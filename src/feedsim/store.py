@@ -1,10 +1,10 @@
 """Simulated replicated key-value store with eventual consistency.
 
-Writes commit at one home replica and propagate to the others after a
-sampled lag; reads hit a uniformly random replica and may be stale.
-Conditional writes validate against the authoritative (highest committed)
-version, giving per-key strong write ordering on top of eventually
-consistent reads.
+Every write is conditional: it commits only if the key's authoritative
+(highest committed) value is the one the writer expected, which gives
+per-key strong write ordering. A write commits at one home replica and
+propagates to the others after a sampled lag; reads hit a uniformly random
+replica and may be stale.
 """
 
 from __future__ import annotations
@@ -58,25 +58,6 @@ class ReplicatedStore:
         self.cas_failure_count = 0
         loop.set_handler(EventKind.PROPAGATION_ARRIVAL, self._on_propagation)
 
-    def write(self, key: Any, value: Any) -> None:
-        """Unconditional write; always succeeds."""
-        self._commit(key, self._authoritative.get(key), value)
-
-    def _commit(self, key: Any, current: tuple[int, Any] | None, value: Any) -> None:
-        """Commit value over current, the key's authoritative entry."""
-        entry = (1 if current is None else current[0] + 1, value)
-        now = self._loop.now()
-        home = self._home_replica()
-        self._authoritative[key] = entry
-        # The new version is above every replica's, so the home takes it as is.
-        self._replicas[home][key] = entry
-        for replica in self._peers[home]:
-            lag = self._lag_sample()
-            if lag > self.max_lag_sample_us:
-                self.max_lag_sample_us = lag
-            self._loop.schedule((now + lag, EventKind.PROPAGATION_ARRIVAL, (replica, key, entry)))
-        self.write_count += 1
-
     def _on_propagation(self, payload: tuple[int, Any, tuple[int, Any]]) -> None:
         # Last writer by version wins; late lower-version arrivals are dropped.
         replica, key, entry = payload
@@ -96,14 +77,23 @@ class ReplicatedStore:
         if value != expected:
             self.cas_failure_count += 1
             return CasResult(False, value)
-        self._commit(key, current, new_value)
+        entry = (1 if current is None else current[0] + 1, new_value)
+        now = self._loop.now()
+        home = self._home_replica()
+        self._authoritative[key] = entry
+        # The new version is above every replica's, so the home takes it as is.
+        self._replicas[home][key] = entry
+        for replica in self._peers[home]:
+            lag = self._lag_sample()
+            if lag > self.max_lag_sample_us:
+                self.max_lag_sample_us = lag
+            self._loop.schedule((now + lag, EventKind.PROPAGATION_ARRIVAL, (replica, key, entry)))
+        self.write_count += 1
         return CasResult(True, new_value)
 
-    def read(self, key: Any) -> Any:
-        """Read from a uniformly random replica; may be stale or absent."""
-        return self.read_with_source(key)[1]
-
     def read_with_source(self, key: Any) -> tuple[int, Any]:
+        """Read from a uniformly random replica: (replica, value), where the
+        value may be stale, or None for a key the replica lacks."""
         replica = self._read_replica()
         entry = self._replicas[replica].get(key)
         return replica, None if entry is None else entry[1]

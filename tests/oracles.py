@@ -44,10 +44,11 @@ class ReferenceLoop:
         self.scheduled_count = seq + 1
         return seq
 
-    def add_arrivals(self, kind, times_per_payload):
-        for payload, times in times_per_payload:
-            for t in times:
-                self.schedule((t, kind, payload))
+    def add_arrivals(self, blocks):
+        for kind, times_per_payload in blocks:
+            for payload, times in times_per_payload:
+                for t in times:
+                    self.schedule((t, kind, payload))
 
     @property
     def pending_count(self):

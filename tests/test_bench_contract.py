@@ -66,6 +66,8 @@ def test_tracer_sees_every_layer_and_its_counts_match_the_program(tmp_path, repr
     assert metrics["sim.schedule_calls"][0] > 0
     assert metrics["sim.pending_peak"][0] > 0
     assert metrics["app.log_bytes"][0] > 0
+    # Every query reads through the wrapped read_with_source, once.
+    assert metrics["store.reads"][0] == trace["trace_stats"]["responses"]
     # repro hands each stage the products of the last: one detection pass,
     # and no log or network file read back.
     assert metrics["cli.detect_calls"][0] == 1

@@ -223,10 +223,15 @@ def test_config_rejects_invalid_populations(tmp_path):
     assert main(["gen", "--config", str(path)]) == 2
 
 
+# A JSON value nested deeper than the decoder recurses; json.dumps cannot write it.
+DEEPLY_NESTED = "[" * 100_000 + "]" * 100_000
+
+
 def test_malformed_config_file_is_usage_error(tmp_path):
     path = tmp_path / "broken.json"
-    path.write_text("{not json")
-    assert main(["run", "--config", str(path)]) == 2
+    for text in ("{not json", DEEPLY_NESTED):
+        path.write_text(text)
+        assert main(["run", "--config", str(path)]) == 2, text[:10]
 
 
 def gc_state():
@@ -407,6 +412,9 @@ def corrupt(text, name, fault):
     if fault == "truncated":
         line_no = len(lines)
         lines[-1] = lines[-1][:len(lines[-1]) // 2]
+    elif fault == "deeply_nested":
+        line_no = 1
+        lines[0] = DEEPLY_NESTED + "\n"
     else:
         if isinstance(fault, tuple):
             key, wrong = fault
@@ -448,7 +456,7 @@ BAD_IDS = [
     ("report", "detection_totals.json", "analyzed_responses", 572.9),
 ]
 STAGE_INPUT_FAULTS = [(stage, name, fault) for stage, name in STAGE_INPUTS
-                      for fault in ("truncated", "missing_key", "wrong_type")]
+                      for fault in ("truncated", "deeply_nested", "missing_key", "wrong_type")]
 STAGE_INPUT_FAULTS += [(stage, name, (key, value)) for stage, name, key, value in BAD_IDS]
 
 

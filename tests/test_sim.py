@@ -134,7 +134,7 @@ def test_trace_identical_across_reruns():
 
         loop.set_handler(EventKind.FANOUT_STEP, handler(EventKind.FANOUT_STEP))
         loop.set_handler(EventKind.TWEET_ARRIVAL, handler(EventKind.TWEET_ARRIVAL))
-        loop.add_arrivals(EventKind.TWEET_ARRIVAL, [("arrival", range(0, 200, 7))])
+        loop.add_arrivals([(EventKind.TWEET_ARRIVAL, [("arrival", range(0, 200, 7))])])
         loop.run_until(500)
         return trace, seqs
 
@@ -146,8 +146,8 @@ def test_trace_identical_across_reruns():
 
 def test_add_arrivals_fire_in_time_then_seq_order():
     loop, fired = collecting_loop()
-    loop.add_arrivals(EventKind.TWEET_ARRIVAL, [("a", [5, 1]), ("b", [1, 3])])
-    loop.add_arrivals(EventKind.TIMELINE_QUERY, [("q", [3, 0])])
+    loop.add_arrivals([(EventKind.TWEET_ARRIVAL, [("a", [5, 1]), ("b", [1, 3])]),
+                       (EventKind.TIMELINE_QUERY, [("q", [3, 0])])])
     assert loop.scheduled_count == loop.pending_count == 6
     assert at(loop, 3, EventKind.FANOUT_STEP, "step") == 6
     assert loop.run_until(3) == 6
@@ -159,13 +159,21 @@ def test_add_arrivals_fire_in_time_then_seq_order():
 
 def test_add_arrivals_after_another_event_raises():
     loop, _ = collecting_loop()
-    loop.add_arrivals(EventKind.TWEET_ARRIVAL, [("a", [4])])
     at(loop, 2)
     with pytest.raises(ValueError):
-        loop.add_arrivals(EventKind.TIMELINE_QUERY, [("q", [6])])
+        loop.add_arrivals([(EventKind.TIMELINE_QUERY, [("q", [6])])])
+    assert loop.scheduled_count == 1
+    # Every arrival goes in one call: a second call raises.
+    loop, _ = collecting_loop()
+    loop.add_arrivals([(EventKind.TWEET_ARRIVAL, [("a", [4])])])
+    with pytest.raises(ValueError):
+        loop.add_arrivals([(EventKind.TIMELINE_QUERY, [("q", [6])])])
+    at(loop, 2)
+    with pytest.raises(ValueError):
+        loop.add_arrivals([(EventKind.TIMELINE_QUERY, [("q", [6])])])
     loop.run_until(10)
     with pytest.raises(ValueError):
-        loop.add_arrivals(EventKind.TIMELINE_QUERY, [("q", [12])])
+        loop.add_arrivals([(EventKind.TIMELINE_QUERY, [("q", [12])])])
     assert loop.scheduled_count == loop.processed_count == 2
 
 
@@ -174,11 +182,11 @@ def test_add_arrivals_from_the_first_arrivals_handler_raises():
 
     def handle(payload):
         with pytest.raises(ValueError):
-            loop.add_arrivals(EventKind.TIMELINE_QUERY, [("q", [9])])
+            loop.add_arrivals([(EventKind.TIMELINE_QUERY, [("q", [9])])])
         refused.append(payload)
 
     loop.set_handler(EventKind.TWEET_ARRIVAL, handle)
-    loop.add_arrivals(EventKind.TWEET_ARRIVAL, [("a", [4])])
+    loop.add_arrivals([(EventKind.TWEET_ARRIVAL, [("a", [4])])])
     assert loop.run_until(10) == 1
     assert refused == ["a"] and loop.scheduled_count == 1
 
@@ -187,9 +195,9 @@ def test_add_arrivals_in_the_past_raises_and_queues_nothing():
     loop, _ = collecting_loop()
     loop.run_until(10)
     with pytest.raises(ValueError):
-        loop.add_arrivals(EventKind.TWEET_ARRIVAL, [("a", [12, 9])])
+        loop.add_arrivals([(EventKind.TWEET_ARRIVAL, [("a", [12, 9])])])
     assert loop.scheduled_count == loop.pending_count == 0
-    loop.add_arrivals(EventKind.TWEET_ARRIVAL, [("a", [12])])
+    loop.add_arrivals([(EventKind.TWEET_ARRIVAL, [("a", [12])])])
     assert loop.run_until(12) == 1
 
 
@@ -202,7 +210,8 @@ def test_arrival_whose_handler_raised_does_not_fire_again():
             raise RuntimeError("handler failed")
 
     loop.set_handler(EventKind.TWEET_ARRIVAL, handle)
-    loop.add_arrivals(EventKind.TWEET_ARRIVAL, [("a", np.array([1])), ("b", np.array([2]))])
+    loop.add_arrivals([(EventKind.TWEET_ARRIVAL,
+                        [("a", np.array([1])), ("b", np.array([2]))])])
     with pytest.raises(RuntimeError):
         loop.run_until(5)
     loop.run_until(5)
@@ -233,10 +242,10 @@ def drive(loop, seed):
 
     for kind in EventKind:
         loop.set_handler(kind, handler(kind))
-    for kind in (EventKind.TWEET_ARRIVAL, EventKind.TIMELINE_QUERY):
-        loop.add_arrivals(kind, [
-            ((kind.value, payload), rng.integers(0, 60, size=int(rng.integers(0, 8))).tolist())
-            for payload in range(int(rng.integers(0, 12)))])
+    loop.add_arrivals([(kind, [
+        ((kind.value, payload), rng.integers(0, 60, size=int(rng.integers(0, 8))).tolist())
+        for payload in range(int(rng.integers(0, 12)))])
+        for kind in (EventKind.TWEET_ARRIVAL, EventKind.TIMELINE_QUERY)])
     for t_end in sorted(rng.integers(0, 120, size=4).tolist()) + [10_000]:
         steps.append((loop.run_until(t_end), loop.pending_count))
     return fired, steps, seqs

@@ -35,17 +35,22 @@ def make_store(n_replicas=3, lag=("exponential", 500.0), seed=0, loop_cls=EventL
     return loop, store
 
 
+def write(store, key, value):
+    """Commit value over whatever the key holds; every write is a conditional one."""
+    assert store.conditional_write(key, store.authoritative_read(key), value).ok
+
+
 def test_single_replica_schedules_no_propagation():
     loop, store = make_store(n_replicas=1)
-    store.write("k", "v")
+    write(store, "k", "v")
     assert loop.scheduled_count == 0
-    assert store.read("k") == "v"
+    assert store.read_with_source("k")[1] == "v"
     assert store.is_converged()
 
 
 def test_constant_zero_lag_replicas_identical_after_events_fire():
     loop, store = make_store(lag=("constant", 0.0))
-    store.write("k", "v1")
+    write(store, "k", "v1")
     assert not store.is_converged() or store.config.n_replicas == 1
     loop.run_until(0)
     assert store.is_converged()
@@ -56,7 +61,7 @@ def test_constant_zero_lag_replicas_identical_after_events_fire():
 def test_propagation_delay_mean_within_5_percent():
     loop, store = make_store(lag=("exponential", 100.0), loop_cls=PropagationLoop)
     for i in range(10_000):
-        store.write(f"k{i}", i)
+        write(store, f"k{i}", i)
     assert len(loop.lags) == 20_000
     mean_ms = np.mean(loop.lags) / 1000
     assert abs(mean_ms - 100.0) <= 5.0
@@ -64,7 +69,7 @@ def test_propagation_delay_mean_within_5_percent():
 
 def test_conditional_write_success_bumps_version():
     loop, store = make_store(n_replicas=1)
-    store.write("k", "a")
+    write(store, "k", "a")
     result = store.conditional_write("k", "a", "b")
     assert result.ok
     assert store.authoritative_read("k") == "b"
@@ -72,7 +77,7 @@ def test_conditional_write_success_bumps_version():
 
 def test_conditional_write_stale_expectation_returns_current():
     loop, store = make_store()
-    store.write("k", "fresh")
+    write(store, "k", "fresh")
     result = store.conditional_write("k", "stale", "new")
     assert not result.ok
     assert result.current == "fresh"
@@ -115,26 +120,26 @@ def test_read_converges_to_authoritative_after_quiescence():
     for _ in range(200):
         t += int(rng.integers(0, 1000))
         loop.run_until(t)
-        store.write(f"k{rng.integers(10)}", int(rng.integers(1000)))
+        write(store, f"k{rng.integers(10)}", int(rng.integers(1000)))
     loop.run_until(t + 60_000_000)
     assert store.is_converged()
     for i in range(10):
         key = f"k{i}"
-        assert store.read(key) == store.authoritative_read(key)
+        assert store.read_with_source(key)[1] == store.authoritative_read(key)
 
 
 def test_stale_read_probability_one_third():
     loop, store = make_store(lag=("exponential", 1000.0), seed=3, loop_cls=PropagationLoop)
-    store.write("k", "old")
+    write(store, "k", "old")
     loop.run_until(60_000_000)
     loop.run_until(60_000_000)
     commit_time = loop.now()
-    store.write("k", "new")
+    write(store, "k", "new")
     lags = sorted(loop.lags[-2:])
     assert lags[0] != lags[1]
     # exactly one replica is still behind between the two arrivals
     loop.run_until(commit_time + lags[0] + (lags[1] - lags[0]) // 2)
-    stale = sum(store.read("k") == "old" for _ in range(10_000))
+    stale = sum(store.read_with_source("k")[1] == "old" for _ in range(10_000))
     assert abs(stale / 10_000 - 1 / 3) <= 1 / 3 * 0.05
 
 
@@ -148,14 +153,13 @@ def test_authoritative_read_absent_and_latest():
         t += int(rng.integers(0, 500))
         loop.run_until(t)
         last = int(rng.integers(10_000))
-        store.write("k", last)
+        write(store, "k", last)
     assert store.authoritative_read("k") == last
 
 
 def test_replica_version_sequences_strictly_increase():
     # Values grow with every write, so a replica going back to a smaller
-    # value went back to an older version of that key. Every other value
-    # commits through conditional_write, so its versions are checked too.
+    # value went back to an older version of that key.
     loop, store = make_store(seed=5, loop_cls=PropagationLoop)
     keys = [f"k{i}" for i in range(5)]
     seen: dict[tuple[int, str], int] = {}
@@ -180,11 +184,7 @@ def test_replica_version_sequences_strictly_increase():
     for value in range(300):
         t += int(rng.integers(0, 2000))
         step_to(t)
-        key = keys[rng.integers(5)]
-        if value % 2:
-            assert store.conditional_write(key, store.authoritative_read(key), value).ok
-        else:
-            store.write(key, value)
+        write(store, keys[rng.integers(5)], value)
     step_to(t + 10_000_000)
     assert store.is_converged()
     assert changes > 200  # values moved often enough for a step back to show
@@ -199,7 +199,7 @@ def test_eventual_convergence_property(ops, seed):
     for key, gap in ops:
         t += gap
         loop.run_until(t)
-        store.write(f"k{key}", (key, t))
+        write(store, f"k{key}", (key, t))
     loop.run_until(t + 600_000_000)
     assert store.is_converged()
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import accumulate, count
+from itertools import accumulate
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -378,11 +378,9 @@ def save_tweet_log(path: str | Path, tweets: list[tuple[int, int]]) -> None:
 
 def load_tweet_log(path: str | Path) -> list[tuple[int, int]]:
     """Read a tweet log's (producer_id, t) pairs; each record's seq must be its position."""
-    positions = count()
-
-    def tweet(record: dict) -> tuple[int, int]:
+    def tweet(record: dict, position: int) -> tuple[int, int]:
         pair = (record_decimal(record["producer_id"]), from_iso(record["t"]))
-        if (seq := record_int(record["seq"])) != (position := next(positions)):
+        if (seq := record_int(record["seq"])) != position:
             raise ValueError(f"seq {seq} is not the record's position {position}")
         return pair
 
@@ -433,7 +431,6 @@ def load_response_log(path: str | Path) -> list[TimelineResponse]:
     """Read a response log; each record's response_id must be its position, and
     each distinct (producer_id, t) string pair is parsed once."""
     pairs: dict[tuple[str, str], tuple[int, int]] = {}
-    positions = count()
 
     def entry(record: dict) -> tuple[int, int]:
         try:
@@ -445,10 +442,10 @@ def load_response_log(path: str | Path) -> list[TimelineResponse]:
                 record_decimal(record["producer_id"]), from_iso(record["t"]))
             return pair
 
-    def response(record: dict) -> TimelineResponse:
+    def response(record: dict, position: int) -> TimelineResponse:
         resp = TimelineResponse(record_decimal(record["consumer_id"]), from_iso(record["T"]),
                                 tuple(map(entry, record["entries"])))
-        if (response_id := record_int(record["response_id"])) != (position := next(positions)):
+        if (response_id := record_int(record["response_id"])) != position:
             raise ValueError(f"response_id {response_id} is not the record's position {position}")
         return resp
 

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 from .app import TimelineResponse
 from .netgen import FollowingNetwork
 from .sim import (MICROS_PER_SECOND, RECORD_ERRORS, IntegrityError, from_iso, read_jsonl,
-                  record_decimal, record_int, record_line, to_iso, write_jsonl)
+                  record_decimal, record_int, to_iso, write_jsonl)
 
 
 class ConflictType(Enum):
@@ -313,7 +313,7 @@ def _record_gap_us(seconds) -> int:
 
 
 def load_conflict_records(path: str | Path) -> list[ConflictRecord]:
-    return read_jsonl(path, lambda data: ConflictRecord(
+    return read_jsonl(path, lambda data, _: ConflictRecord(
         response_id=record_int(data["response_id"]),
         consumer_id=record_decimal(data["consumer_id"]),
         producer_id=record_decimal(data["producer_id"]),
@@ -426,5 +426,5 @@ def load_detection(records_path: str | Path, totals_path: str | Path,
     window = range(result.analyzed_start_id, result.total_count)
     for index, record in enumerate(records):
         if fault := _record_id_fault(record, window):
-            raise IntegrityError(f"{records_path}:{record_line(records_path, index)}: {fault}")
+            raise IntegrityError(f"{records_path}:{index + 1}: {fault}")
     return result

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import count, islice
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
-from .sim import IntegrityError, RngStreams, read_jsonl, record_int, record_line
+from .sim import IntegrityError, RngStreams, read_jsonl, record_int
 from .stats import rank_correlation, rank_size_slope, zipf_rank_mle
 
 MEAN_TOLERANCE = 0.10
@@ -406,40 +406,30 @@ def _network_record(record: dict) -> tuple[str, int, tuple[int, ...] | float]:
 
 def load_network_profile(path: str | Path) -> tuple[FollowingNetwork, WorkloadProfile]:
     """Read a file written by save_network_profile; IntegrityError names the file,
-    and the line of a record that is malformed, repeats an earlier record's id
-    or holds a follow list from_follows rejects."""
-    tables: dict[str, dict] = {"follows": {}, "producer": {}, "consumer": {}}
-    # Each consumer's follow record's position among the file's records.
-    follow_records: dict[int, int] = {}
-    positions = count()
+    and the line of a record that is malformed, whose id is not the count of
+    records of its kind before it, or that holds a follow list from_follows
+    rejects."""
+    tables: dict[str, list] = {"follows": [], "producer": [], "consumer": []}
+    # Each consumer's follow record's position in the file.
+    follow_positions: list[int] = []
 
-    def add(record: dict) -> None:
-        position = next(positions)
+    def add(record: dict, position: int) -> None:
         table, key, value = _network_record(record)
-        if key in tables[table]:
-            raise ValueError(f"a second {table} record for id {key}")
-        tables[table][key] = value
+        if key != (expected := len(tables[table])):
+            raise ValueError(f"{table} id {key} is not the record's position {expected} "
+                             f"among {table} records")
+        tables[table].append(value)
         if table == "follows":
-            follow_records[key] = position
+            follow_positions.append(position)
 
     read_jsonl(path, add)
     follows, producer_rates, consumer_rates = tables.values()
-
-    n_consumers = len(follows)
-    n_producers = len(producer_rates)
-    if set(follows) != set(range(n_consumers)):
-        raise IntegrityError(f"{path}: consumer ids are not a dense 0..N-1 range")
-    if set(producer_rates) != set(range(n_producers)):
-        raise IntegrityError(f"{path}: producer ids are not a dense 0..N-1 range")
-    if set(consumer_rates) != set(range(n_consumers)):
+    if len(consumer_rates) != len(follows):
         raise IntegrityError(f"{path}: consumer rate records do not match follow records")
     try:
-        network = FollowingNetwork.from_follows(n_producers, follows)
+        network = FollowingNetwork.from_follows(len(producer_rates), dict(enumerate(follows)))
     except FollowListError as exc:
-        line = record_line(path, follow_records[exc.consumer])
-        raise IntegrityError(f"{path}:{line}: {exc}") from exc
-    profile = WorkloadProfile(
-        producer_rate=np.array([producer_rates[p] for p in range(n_producers)]),
-        consumer_rate=np.array([consumer_rates[c] for c in range(n_consumers)]),
-    )
+        raise IntegrityError(f"{path}:{follow_positions[exc.consumer] + 1}: {exc}") from exc
+    profile = WorkloadProfile(producer_rate=np.array(producer_rates),
+                              consumer_rate=np.array(consumer_rates))
     return network, profile

@@ -92,29 +92,24 @@ def write_json(path: str | Path, document: Any, sort_keys: bool = False) -> None
         fh.write("\n")
 
 
-def read_jsonl(path: str | Path, parse: Callable[[Any], Any]) -> list:
-    """Decode each non-blank line and map it through parse.
+def read_jsonl(path: str | Path, parse: Callable[[Any, int], Any]) -> list:
+    """Decode each line and map it through parse(record, position), where a
+    record's position is its line number less one.
 
-    Any failure on one line, from undecodable bytes to a record parse
-    rejects, raises IntegrityError naming path:line.
+    Any failure on one line, from a blank line or undecodable bytes to a
+    record parse rejects, raises IntegrityError naming path:line.
     """
     parsed = []
     with open(path, "rb") as fh:
-        for line_no, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
+        for position, line in enumerate(fh):
             try:
-                parsed.append(parse(json.loads(line)))
+                if line.isspace():
+                    raise ValueError("blank line")
+                parsed.append(parse(json.loads(line), position))
             except RECORD_ERRORS as exc:
-                raise IntegrityError(
-                    f"{path}:{line_no}: corrupt record: {type(exc).__name__}: {exc}") from exc
+                raise IntegrityError(f"{path}:{position + 1}: corrupt record: "
+                                     f"{type(exc).__name__}: {exc}") from exc
     return parsed
-
-
-def record_line(path: str | Path, index: int) -> int:
-    """The line number of the index-th record that read_jsonl returns from path."""
-    with open(path, "rb") as fh:
-        return [line_no for line_no, line in enumerate(fh, 1) if line.strip()][index]
 
 
 class EventKind(str, Enum):

@@ -139,7 +139,7 @@ def test_insert_entry_equals_sorted_brute_force():
             assert value == tuple(expected), (trial, n_timeline)
 
 
-def test_apply_timeline_update_empty_then_full():
+def test_timeline_fills_then_keeps_the_newest_n():
     app, loop, store, _ = make_app({0: (0, 1)}, 2, n_timeline=2)
     t1 = app.post_tweet(0)
     assert store.authoritative_read(0) == (t1,)

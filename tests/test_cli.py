@@ -412,6 +412,9 @@ def corrupt(text, name, fault):
     if fault == "truncated":
         line_no = len(lines)
         lines[-1] = lines[-1][:len(lines[-1]) // 2]
+    elif fault == "blank_line":
+        line_no = 2
+        lines.insert(line_no - 1, "\n")
     elif fault == "deeply_nested":
         line_no = 1
         lines[0] = DEEPLY_NESTED + "\n"
@@ -457,6 +460,9 @@ BAD_IDS = [
 ]
 STAGE_INPUT_FAULTS = [(stage, name, fault) for stage, name in STAGE_INPUTS
                       for fault in ("truncated", "deeply_nested", "missing_key", "wrong_type")]
+# Whitespace around a JSON document is valid JSON, so only the logs have blank lines.
+STAGE_INPUT_FAULTS += [(stage, name, "blank_line") for stage, name in STAGE_INPUTS
+                       if name.endswith(".jsonl")]
 STAGE_INPUT_FAULTS += [(stage, name, (key, value)) for stage, name, key, value in BAD_IDS]
 
 
@@ -486,6 +492,8 @@ def test_corrupt_stage_input_exits_1_naming_the_file(tmp_path, capsys, staged_ou
     assert main([stage, "--config", str(cfg_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"{stage}: {where}"), err
+    if fault == "blank_line":
+        assert err == f"{stage}: {where} corrupt record: ValueError: blank line\n", err
 
 
 def _bump_first(table):
@@ -625,15 +633,15 @@ IMPOSSIBLE_TOTALS = {
 }
 
 
-def _edit_detection(out, edit, lead=""):
+def _edit_detection(out, edit):
     """Apply edit(totals, records) to the detection files in out and write them
-    back, conflicts.jsonl after the text lead; returns the two paths."""
+    back; returns the two paths."""
     path, conflicts = out / "detection_totals.json", out / "conflicts.jsonl"
     totals = json.loads(path.read_text())
     records = [json.loads(line) for line in conflicts.read_text().splitlines()]
     edit(totals, records)
     path.write_text(json.dumps(totals, indent=2, sort_keys=True) + "\n")
-    conflicts.write_text(lead + "".join(json.dumps(record) + "\n" for record in records))
+    conflicts.write_text("".join(json.dumps(record) + "\n" for record in records))
     return path, conflicts
 
 
@@ -719,12 +727,11 @@ def test_record_ids_no_detection_run_writes_exit_1(tmp_path, capsys, staged_outp
     out = tmp_path / "out"
     shutil.copytree(staged_outputs, out)
     cfg_path = write_config(tmp_path, tiny_config(out))
-    # The loader skips a blank line, and the message still counts it.
-    _, conflicts = _edit_detection(out, edit, lead="\n")
+    _, conflicts = _edit_detection(out, edit)
     capsys.readouterr()
     assert main(["report", "--config", str(cfg_path)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"report: {conflicts}:{line + 1}: {message}\n"), err
+    assert err.startswith(f"report: {conflicts}:{line}: {message}\n"), err
 
 
 @pytest.mark.parametrize("stage,name,key,unknown", [
@@ -816,20 +823,46 @@ def test_bad_network_record_values_exit_1(tmp_path, capsys, staged_outputs, tabl
     ("consumer", {"consumer": 5, "rate_per_hour": 500.0}),
 ], ids=["follows", "producer", "consumer"])
 def test_repeated_network_record_exits_1(tmp_path, capsys, staged_outputs, table, record):
-    # A second record for an id would otherwise overwrite the first one.
+    # A second record for an id is out of order, since ids count their kind's records.
     out = tmp_path / "out"
     shutil.copytree(staged_outputs, out)
     cfg_path = write_config(tmp_path, tiny_config(out))
     path = out / "network_profile.jsonl"
     lines = path.read_text().splitlines(keepends=True) + [json.dumps(record) + "\n"]
     path.write_text("".join(lines))
-    id_ = record.get("c", record.get(table))
+    key = next(iter(record))
+    id_, kind_count = record[key], sum(key in json.loads(line) for line in lines[:-1])
     for stage in ("run", "detect", "report"):
         capsys.readouterr()
         assert main([stage, "--config", str(cfg_path)]) == 1, stage
         err = capsys.readouterr().err
         assert err.startswith(f"{stage}: {path}:{len(lines)}: corrupt record: ValueError: "
-                              f"a second {table} record for id {id_}\n"), err
+                              f"{table} id {id_} is not the record's position {kind_count} "
+                              f"among {table} records\n"), err
+
+
+@pytest.mark.parametrize("key", ["c", "producer"], ids=["follows", "producer"])
+def test_network_id_gap_exits_1_at_the_next_record(tmp_path, capsys, staged_outputs, key):
+    # Deleting a record from the middle of its kind leaves the next record's
+    # id one past its position, and that record, now on the deleted line, is named.
+    out = tmp_path / "out"
+    shutil.copytree(staged_outputs, out)
+    cfg_path = write_config(tmp_path, tiny_config(out))
+    path = out / "network_profile.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    kind_lines = [i for i, line in enumerate(lines, 1) if key in json.loads(line)]
+    position = len(kind_lines) // 2
+    line_no = kind_lines[position]
+    del lines[line_no - 1]
+    path.write_text("".join(lines))
+    table = "follows" if key == "c" else key
+    for stage in ("run", "detect", "report"):
+        capsys.readouterr()
+        assert main([stage, "--config", str(cfg_path)]) == 1, stage
+        err = capsys.readouterr().err
+        assert err.startswith(f"{stage}: {path}:{line_no}: corrupt record: ValueError: "
+                              f"{table} id {position + 1} is not the record's position "
+                              f"{position} among {table} records\n"), err
 
 
 def _swap_tweets_2_and_3(records):

@@ -107,15 +107,17 @@ def cmd_detect(cfg: ExperimentConfig, network: FollowingNetwork | None = None,
         network, _ = _read("detect", netgen.load_network_profile, out / NETWORK_FILE)
         tweets = _read("detect", app.load_tweet_log, out / TWEETS_FILE)
         responses = _read("detect", app.load_response_log, out / RESPONSES_FILE)
+    # The log being checked: a fault names it, and the line of its one faulty record if any.
+    log = out / TWEETS_FILE
     try:
         index = detect.TweetIndex(tweets, network)
-    except IntegrityError as exc:
-        raise StageError("detect", f"{out / TWEETS_FILE}: {exc}") from exc
-    try:
+        log = out / RESPONSES_FILE
         result = detect.detect_all(responses, index, n_timeline=cfg.n_timeline,
                                    analysis_window_fraction=cfg.analysis_window_fraction)
     except ValueError as exc:
-        raise StageError("detect", f"{out / RESPONSES_FILE}: {exc}") from exc
+        position = getattr(exc, "position", None)
+        where = log if position is None else f"{log}:{position + 1}"
+        raise StageError("detect", f"{where}: {exc}") from exc
     detect.save_conflict_records(out / CONFLICTS_FILE, result)
     write_json(out / DETECTION_TOTALS_FILE, result.to_dict(), sort_keys=True)
     print(f"detect: {result.conflicting_count} conflicting of {result.analyzed_count} "

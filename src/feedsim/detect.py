@@ -63,13 +63,14 @@ class TweetIndex:
         for seq, key in enumerate(tweet_log):
             producer_id, t = key
             if last_t is not None and t < last_t:
-                raise IntegrityError(f"tweet log not strictly ordered at seq {seq}")
+                raise IntegrityError(f"tweet log not strictly ordered at seq {seq}", seq)
             last_t = t
             if key in self.rank:
-                raise IntegrityError(f"tweet seq {seq} repeats the identity {key}")
+                raise IntegrityError(f"tweet seq {seq} repeats the identity {key}", seq)
             followers = network.followers.get(producer_id)
             if followers is None:
-                raise IntegrityError(f"tweet seq {seq} names unknown producer {producer_id}")
+                raise IntegrityError(f"tweet seq {seq} names unknown producer {producer_id}",
+                                     seq)
             self.rank[key] = seq
             self.tweet_counts[producer_id] = self.tweet_counts.get(producer_id, 0) + 1
             for consumer in followers:
@@ -88,14 +89,16 @@ class TweetIndex:
             rank = self.rank.get((pid, t))
             if rank is None:
                 raise IntegrityError(f"response {response_id} contains a phantom tweet "
-                                     f"({pid}, {t}) that is not in the tweet log")
+                                     f"({pid}, {t}) that is not in the tweet log", response_id)
             if t > response.T:
-                raise IntegrityError(f"response {response_id} contains a future tweet ({pid}, {t})")
+                raise IntegrityError(f"response {response_id} contains a future tweet ({pid}, {t})",
+                                     response_id)
             if pid not in followed:
                 raise IntegrityError(f"response {response_id} contains an unfollowed "
-                                     f"producer's tweet ({pid}, {t})")
+                                     f"producer's tweet ({pid}, {t})", response_id)
             if rank >= prev:
-                raise IntegrityError(f"response {response_id} entries not strictly newest-first")
+                raise IntegrityError(f"response {response_id} entries not strictly newest-first",
+                                     response_id)
             prev = rank
 
 
@@ -174,8 +177,8 @@ def classify(response_id: int, response: TimelineResponse, missing: tuple[int, i
     gap_us = response.T - t
     if gap_us <= 0:
         raise IntegrityError(
-            f"non-positive gap for response {response_id}: tweet at {t} vs T={response.T}"
-        )
+            f"non-positive gap for response {response_id}: tweet at {t} vs T={response.T}",
+            response_id)
     return ConflictRecord(
         response_id=response_id,
         consumer_id=response.consumer_id,
@@ -262,10 +265,10 @@ def detect_all(responses: Sequence[TimelineResponse], index: TweetIndex, *,
     prev_T = None
     for i, resp in enumerate(responses):
         if prev_T is not None and resp.T < prev_T:
-            raise IntegrityError(f"response {i} is timestamped before the response before it")
+            raise IntegrityError(f"response {i} is timestamped before the response before it", i)
         prev_T = resp.T
         if resp.consumer_id not in index.feeds:
-            raise IntegrityError(f"response {i} names unknown consumer {resp.consumer_id}")
+            raise IntegrityError(f"response {i} names unknown consumer {resp.consumer_id}", i)
         if i < start:
             index.check(i, resp)
             continue

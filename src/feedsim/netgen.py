@@ -36,6 +36,12 @@ class ZipfPair:
     mean: float
     s: float
 
+    def __post_init__(self):
+        if self.s < 0:
+            raise ValueError(f"Zipf exponent s must be >= 0, not {self.s}")
+        if self.mean < 0:
+            raise ValueError(f"Zipf mean must be >= 0, not {self.mean}")
+
 
 @dataclass(frozen=True)
 class ZipfParams:

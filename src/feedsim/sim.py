@@ -56,7 +56,12 @@ def from_iso(text: str) -> int:
 
 
 class IntegrityError(ValueError):
-    """A file or log violates the format or an invariant the simulator guarantees."""
+    """A file or log violates the format or an invariant the simulator guarantees;
+    position is that of the one record at fault, when one is."""
+
+    def __init__(self, message: str, position: int | None = None):
+        super().__init__(message)
+        self.position = position
 
 
 # What decoding a record, or mapping one of the wrong shape to an object, can

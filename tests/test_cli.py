@@ -196,6 +196,9 @@ BAD_CONFIG_VALUES = [
     ('{"zipf": {"consumers_per_producer": {"s": NaN}}}',
      "config key 'zipf.consumers_per_producer.s' must be finite, not nan"),
     ('{"duration_hours": -Infinity}', "config key 'duration_hours' must be finite, not -inf"),
+    ('{"zipf": {"consumers_per_producer": {"mean": 13.38, "s": -1.0}}}',
+     "Zipf exponent s must be >= 0, not -1.0"),
+    ('{"zipf": {"producer_rate_per_hour": {"mean": -1}}}', "Zipf mean must be >= 0, not -1.0"),
     ('{"duration_hours": 1' + "0" * 309 + '}',
      "config key 'duration_hours' must be finite, not inf"),
     # Finite, but the horizon lies past the last timestamp; only loaded, never
@@ -912,15 +915,15 @@ def _unfollowed_producers_tweet_in_last(records):
     last["entries"].sort(key=lambda entry: entry["t"], reverse=True)
 
 
-# Each message follows the file name: after ": " when the whole log breaks an
-# invariant, after ":<line>: " when the loader rejects one record.
+# Each message follows the file name and the line of the one record at fault,
+# whether the loader rejects that record or detection finds it breaks an invariant.
 @pytest.mark.parametrize("name,edit,message", [
     ("responses.jsonl", lambda records: records[-1].update(consumer_id="99999"),
-     ": response {last} names unknown consumer 99999"),
+     ":{lines}: response {last} names unknown consumer 99999"),
     ("responses.jsonl",
      lambda records: records[-1].update(entries=[{"producer_id": "99999",
                                                   "t": records[-1]["T"]}]),
-     ": response {last} contains a phantom tweet (99999, "),
+     ":{lines}: response {last} contains a phantom tweet (99999, "),
     ("responses.jsonl", lambda records: records[-1].update(response_id=0),
      ":{lines}: corrupt record: ValueError: response_id 0 is not the record's position {last}"),
     ("responses.jsonl", _swap_last_two_response_ids,
@@ -931,21 +934,23 @@ def _unfollowed_producers_tweet_in_last(records):
      ":{lines}: corrupt record: ValueError: response_id {bumped} is not the record's position "
      "{last}"),
     ("responses.jsonl", lambda records: records[-1].update(T=records[0]["T"]),
-     ": response {last} is timestamped before the response before it"),
+     ":{lines}: response {last} is timestamped before the response before it"),
     ("tweets.jsonl", _swap_tweets_2_and_3,
      ":3: corrupt record: ValueError: seq 3 is not the record's position 2"),
-    ("tweets.jsonl", _swap_tweets_2_and_3_with_seqs, ": tweet log not strictly ordered at seq 3"),
+    ("tweets.jsonl", _swap_tweets_2_and_3_with_seqs,
+     ":4: tweet log not strictly ordered at seq 3"),
     ("tweets.jsonl", lambda records: records[-1].update(seq=records[-1]["seq"] + 1),
      ":{lines}: corrupt record: ValueError: seq {lines} is not the record's position {last}"),
     ("tweets.jsonl", lambda records: records[-1].update(producer_id="999999"),
-     ": tweet seq {last} names unknown producer 999999"),
+     ":{lines}: tweet seq {last} names unknown producer 999999"),
     ("responses.jsonl", _phantom_entry_in_warm_up,
-     ": response {warm} contains a phantom tweet (99999, "),
-    ("responses.jsonl", _future_entry_in_warm_up, ": response {warm} contains a future tweet ("),
+     ":{warm_line}: response {warm} contains a phantom tweet (99999, "),
+    ("responses.jsonl", _future_entry_in_warm_up,
+     ":{warm_line}: response {warm} contains a future tweet ("),
     ("responses.jsonl", lambda records: _warm_up(records)["entries"].reverse(),
-     ": response {warm} entries not strictly newest-first"),
+     ":{warm_line}: response {warm} entries not strictly newest-first"),
     ("responses.jsonl", _unfollowed_producers_tweet_in_last,
-     ": response {last} contains an unfollowed producer's tweet ("),
+     ":{lines}: response {last} contains an unfollowed producer's tweet ("),
 ], ids=["unknown_consumer", "phantom_entry", "duplicate_response_id",
         "decreasing_response_ids", "bumped_last_response_id", "disordered_T",
         "swapped_tweets", "swapped_tweets_and_seqs", "bumped_last_seq", "unknown_producer",
@@ -965,5 +970,5 @@ def test_detect_integrity_errors_name_the_log(tmp_path, capsys, staged_outputs,
     assert main(["detect", "--config", str(cfg_path)]) == 1
     err = capsys.readouterr().err
     expected = message.format(last=last, before=last - 1, bumped=last + 5, warm=warm,
-                              lines=len(records))
+                              warm_line=None if warm is None else warm + 1, lines=len(records))
     assert err.startswith(f"detect: {out / name}{expected}"), err

@@ -403,28 +403,42 @@ def save_response_log(path: str | Path, responses: list[TimelineResponse]) -> No
     Every value is an integer or an ISO timestamp, so nothing needs escaping.
     Responses share timeline tuples and a tweet shows up in many timelines,
     so each pair is rendered once, and each distinct entries tuple gets a
-    slot, hashed once per response, whose tail is encoded once, with the
+    slot, hashed once per response, whose tail is rendered once, with the
     line's end, and written by every line that serves it after its own header.
+    A tail is rendered in the chunk of its slot's first line and dropped after
+    the chunk of its last, so only the timelines that this or a later chunk
+    still serves are held.
     """
     slots: dict[tuple, int] = {}
     slot_of = array("i", [slots.setdefault(resp.entries, len(slots)) for resp in responses])
-    pairs = list({pair for entries in slots for pair in entries})
-    pair_json = {pair: '{"producer_id": "%d", "t": "%s"}' % (pair[0], t)
+    timelines = list(slots)
+    del slots
+    pairs = list({pair for entries in timelines for pair in entries})
+    pair_json = {pair: b'{"producer_id": "%d", "t": "%s"}' % (pair[0], t.encode())
                  for pair, t in zip(pairs, to_iso([t for _, t in pairs]))}
-    tails = [(", ".join([pair_json[pair] for pair in entries]) + "]}\n").encode()
-             for entries in slots]
-    # A desk repro reaches its peak memory in this write, so what only the
-    # rendering needs goes now, and slot_of is an array, not a list of ints.
-    del slots, pair_json
+    # Slots are numbered in first-use order, so the slots a chunk uses first
+    # are those past the tails rendered so far, up to its largest slot.
+    line_slots = np.frombuffer(slot_of, dtype=np.intc)
+    last_chunk = np.zeros(len(timelines), dtype=np.intp)
+    np.maximum.at(last_chunk, line_slots, np.arange(len(line_slots)) // RESPONSE_LOG_CHUNK)
+    # The slots whose last line falls in each chunk; the last chunk holds the
+    # last line of some slot, so there is one group per chunk.
+    last_used = np.split(np.argsort(last_chunk), np.cumsum(np.bincount(last_chunk))[:-1])
+    tails: list[bytes | None] = []
     with open(path, "wb", buffering=RESPONSE_LOG_BUFFER) as fh:
         write = fh.write
-        for start in range(0, len(responses), RESPONSE_LOG_CHUNK):
-            chunk = responses[start:start + RESPONSE_LOG_CHUNK]
+        for start, done in zip(range(0, len(responses), RESPONSE_LOG_CHUNK), last_used):
+            stop = start + RESPONSE_LOG_CHUNK
+            tails += [b", ".join(map(pair_json.__getitem__, entries)) + b"]}\n"
+                      for entries in timelines[len(tails):int(line_slots[start:stop].max()) + 1]]
+            chunk = responses[start:stop]
             for response_id, (resp, T) in enumerate(
                     zip(chunk, to_iso([resp.T for resp in chunk])), start):
                 write(b'{"response_id": %d, "consumer_id": "%d", "T": "%s", "entries": ['
                       % (response_id, resp.consumer_id, T.encode()))
                 write(tails[slot_of[response_id]])
+            for slot in done.tolist():
+                tails[slot] = None
 
 
 def load_response_log(path: str | Path) -> list[TimelineResponse]:

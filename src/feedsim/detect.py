@@ -16,6 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -278,15 +279,16 @@ def detect_all(responses: Sequence[TimelineResponse], index: TweetIndex, *,
             index.check(i, resp)
             incomplete.append((i, resp, find_missing(index, resp.entries, oracle)))
 
-    analyzed = responses[start:]
-    witness_index = build_witness_index(enumerate(analyzed, start) if incomplete else [])
+    # The window is walked in place: a slice would copy a pointer per response.
+    witness_index = build_witness_index(
+        enumerate(islice(responses, start, None), start) if incomplete else [])
     records = [record for i, resp, missing in incomplete for key, conflict_type in missing
                if (record := classify(i, resp, key, conflict_type, witness_index)) is not None]
     return DetectionResult(
         records=records,
         total_count=len(responses),
         tweet_counts=index.tweet_counts,
-        query_counts=dict(Counter(resp.consumer_id for resp in analyzed)),
+        query_counts=dict(Counter(resp.consumer_id for resp in islice(responses, start, None))),
         n_timeline=n_timeline,
         analysis_window_fraction=analysis_window_fraction,
     )
@@ -350,15 +352,15 @@ def _check_counts(result: DetectionResult) -> None:
 
 
 def _check_ids(result: DetectionResult, network: FollowingNetwork, network_path: str | Path,
-               totals_path: str | Path) -> None:
-    """Raise IntegrityError for an id the network lacks, against the network
-    when a record names it and against the totals file when a count table does."""
-    for record in result.records:
+               records_path: str | Path, totals_path: str | Path) -> None:
+    """Raise IntegrityError for an id the network lacks, against the record's
+    line when a record names it and against the totals file when a count table does."""
+    for index, record in enumerate(result.records):
         for kind, id_, known in (("producer", record.producer_id, network.followers),
                                  ("consumer", record.consumer_id, network.follows)):
             if id_ not in known:
-                raise IntegrityError(f"{network_path}: does not hold {kind} {id_}, which "
-                                     f"the record of response {record.response_id} names")
+                raise IntegrityError(f"{records_path}:{index + 1}: names {kind} {id_}, "
+                                     f"which {network_path} does not hold")
     for table, kind, known in (("tweet_counts", "producer", network.followers),
                                ("query_counts", "consumer", network.follows)):
         if unknown := getattr(result, table).keys() - known.keys():
@@ -420,7 +422,7 @@ def load_detection(records_path: str | Path, totals_path: str | Path,
         if key in _RECORD_KEYS:
             raise IntegrityError(f"{totals_path}: {key!r} does not match {records_path}")
         raise IntegrityError(f"{totals_path}: {key!r} is not written the way detect writes it")
-    _check_ids(result, network, network_path, totals_path)
+    _check_ids(result, network, network_path, records_path, totals_path)
     conflicting = Counter({r.response_id: r.consumer_id for r in records}.values())
     for consumer, count in conflicting.items():
         if count > (queries := result.query_counts.get(consumer, 0)):

@@ -583,6 +583,66 @@ def test_response_log_ids_are_positions(tmp_path_factory, responses, chunk, data
                                  f"response_id {wrong} is not the record's position {position}")
 
 
+
+# A few timelines, so that responses drawn from them reuse one across chunk
+# boundaries and often serve one for the last time on a chunk's first or last line.
+TIMELINE_POOLS = st.lists(
+    st.lists(st.tuples(st.integers(0, 2**40), st.integers(-DAY_US, 400 * DAY_US)),
+             max_size=3).map(tuple),
+    min_size=1, max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(TIMELINE_POOLS, st.integers(1, 5), st.data())
+def test_response_log_of_shared_timelines_equals_json_dumps(tmp_path_factory, pool, chunk, data):
+    """Responses that share entries tuples, the same object or an equal copy,
+    write what json.dumps writes at any chunk size."""
+    drawn = data.draw(st.lists(st.tuples(st.integers(0, 2**40),
+                                         st.integers(-DAY_US, 400 * DAY_US),
+                                         st.sampled_from(pool), st.booleans()),
+                               max_size=16))
+    responses = [TimelineResponse(consumer_id, T, tuple(list(entries)) if copy else entries)
+                 for consumer_id, T, entries, copy in drawn]
+    path = tmp_path_factory.mktemp("responses") / "responses.jsonl"
+    with patch.object(app_module, "RESPONSE_LOG_CHUNK", chunk):
+        save_response_log(path, responses)
+    assert path.read_text(encoding="utf-8").splitlines(keepends=True) == [
+        json_line(i, resp) for i, resp in enumerate(responses)]
+
+
+def test_response_log_writer_holds_about_one_chunk_of_timelines(tmp_path):
+    # Six chunks of 256 lines; each chunk serves its own 64 timelines four
+    # times each, and every timeline is 100 entries long. Rendering every
+    # timeline before the first line holds all six chunks' tails.
+    chunk, n_chunks, per_chunk = 256, 6, 64
+    rng = np.random.default_rng(14)
+    pool = list(zip(rng.integers(0, 2**40, 300).tolist(),
+                    rng.integers(0, 400 * DAY_US, 300).tolist()))
+    timelines = [tuple(pool[i] for i in rng.choice(len(pool), 100, replace=False).tolist())
+                 for _ in range(n_chunks * per_chunk)]
+    responses = [TimelineResponse(consumer_id=i, T=i,
+                                  entries=timelines[i // chunk * per_chunk + i % per_chunk])
+                 for i in range(n_chunks * chunk)]
+    # A tail is what a line writes after its header.
+    tails = [len(json_line(0, TimelineResponse(0, 0, entries)).split('"entries": [')[1])
+             for entries in timelines]
+    chunk_tails = max(sum(tails[c * per_chunk:(c + 1) * per_chunk]) for c in range(n_chunks))
+    path = tmp_path / "responses.jsonl"
+    with patch.object(app_module, "RESPONSE_LOG_CHUNK", chunk):
+        # A first call makes numpy's one-time allocations outside the trace.
+        save_response_log(path, responses[:1])
+        tracemalloc.start()
+        try:
+            save_response_log(path, responses)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert path.read_text(encoding="utf-8").splitlines(keepends=True) == [
+        json_line(i, resp) for i, resp in enumerate(responses)]
+    # Under the bound: one chunk's tails, the 64 KiB write buffer, one
+    # chunk's timestamps and the slot arrays.
+    assert peak < 2 * chunk_tails, (peak, chunk_tails)
+
 def test_load_tweet_log_rejects_corrupt(tmp_path):
     path = tmp_path / "tweets.jsonl"
     path.write_text('{"producer_id": "0", "t": "2020-01-01T00:00:00.000000", "seq": 0}\n'

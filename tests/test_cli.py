@@ -757,9 +757,13 @@ def test_ids_unknown_to_the_network_exit_1(tmp_path, capsys, staged_outputs,
     capsys.readouterr()
     assert main([stage, "--config", str(cfg_path)]) == 1
     err = capsys.readouterr().err
-    # A bad follow list is reported at its line, the edited first one.
-    where = ":1" if name == "network_profile.jsonl" else ""
-    assert err.startswith(f"{stage}: {out / 'network_profile.jsonl'}{where}: "), err
+    # A bad follow list, or a conflict record naming an id the network lacks,
+    # is reported at its line, the edited first one.
+    assert err.startswith(f"{stage}: {out / name}:1: "), err
+    if name == "conflicts.jsonl":
+        kind = key.removesuffix("_id")
+        assert err.startswith(f"{stage}: {out / name}:1: names {kind} {unknown}, which "
+                              f"{out / 'network_profile.jsonl'} does not hold\n"), err
 
 
 # A follow list as save_network_profile never writes it: (p, the message after

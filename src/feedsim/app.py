@@ -53,6 +53,26 @@ class TimelineResponse:
     entries: tuple[tuple[int, int], ...]
 
 
+class ResponseLog:
+    """The response log as columns: response i is consumer_ids[i] querying at
+    times[i] and served entries[i], a shared timeline tuple; log[i] is its row."""
+
+    def __init__(self):
+        self.consumer_ids, self.times = array("q"), array("q")
+        self.entries: list[tuple[tuple[int, int], ...]] = []
+
+    def append(self, consumer_id: int, T: int, entries: tuple[tuple[int, int], ...]) -> None:
+        self.consumer_ids.append(consumer_id)
+        self.times.append(T)
+        self.entries.append(entries)
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def __getitem__(self, i: int) -> TimelineResponse:
+        return TimelineResponse(self.consumer_ids[i], self.times[i], self.entries[i])
+
+
 @dataclass(frozen=True)
 class FanoutSettings:
     """How follower timeline updates are executed after a post.
@@ -109,7 +129,7 @@ class RunArtifacts:
     """The run stage's one record: its logs and the counters that audit them."""
 
     tweet_log: list[tuple[int, int]]
-    responses: list[TimelineResponse]
+    responses: ResponseLog
     duration_us: int
     max_propagation_lag_us: int
     fanout_completion_us: dict[tuple[int, int], int]
@@ -155,7 +175,7 @@ class FeedApp:
         # Each posted tweet's (producer_id, t) in the global order; its
         # position is its seq.
         self.tweet_log: list[tuple[int, int]] = []
-        self.responses: list[TimelineResponse] = []
+        self.responses = ResponseLog()
         # Each finished fan-out's delay from post to last commit; 0 for a
         # tweet with no followers. An unfinished fan-out has no entry.
         self.fanout_completion_us: dict[tuple[int, int], int] = {}
@@ -235,14 +255,12 @@ class FeedApp:
 
     # -- querying --------------------------------------------------------
 
-    def query_timeline(self, consumer_id: int) -> TimelineResponse:
+    def query_timeline(self, consumer_id: int) -> None:
         """Serve the materialized view from a random replica; no caching."""
         if consumer_id not in self.network.follows:
             raise ValueError(f"unknown consumer {consumer_id}")
-        response = TimelineResponse(consumer_id, self.loop.now(),
-                                    self.store.read_with_source(consumer_id)[1] or ())
-        self.responses.append(response)
-        return response
+        self.responses.append(consumer_id, self.loop.now(),
+                              self.store.read_with_source(consumer_id)[1] or ())
 
 
 def _chunk_size(expected: float) -> int:
@@ -384,7 +402,7 @@ def load_tweet_log(path: str | Path) -> list[tuple[int, int]]:
             raise ValueError(f"seq {seq} is not the record's position {position}")
         return pair
 
-    return read_jsonl(path, tweet)
+    return list(read_jsonl(path, tweet))
 
 
 # save_response_log renders the T of this many responses at a time, so only
@@ -396,7 +414,7 @@ RESPONSE_LOG_CHUNK = 1024
 RESPONSE_LOG_BUFFER = 1 << 16
 
 
-def save_response_log(path: str | Path, responses: list[TimelineResponse]) -> None:
+def save_response_log(path: str | Path, log: ResponseLog) -> None:
     """Write what json.dumps would write for each response's record, byte for byte,
     with its position in the log as its response_id.
 
@@ -410,7 +428,7 @@ def save_response_log(path: str | Path, responses: list[TimelineResponse]) -> No
     still serves are held.
     """
     slots: dict[tuple, int] = {}
-    slot_of = array("i", [slots.setdefault(resp.entries, len(slots)) for resp in responses])
+    slot_of = array("i", [slots.setdefault(entries, len(slots)) for entries in log.entries])
     timelines = list(slots)
     del slots
     pairs = list({pair for entries in timelines for pair in entries})
@@ -427,23 +445,23 @@ def save_response_log(path: str | Path, responses: list[TimelineResponse]) -> No
     tails: list[bytes | None] = []
     with open(path, "wb", buffering=RESPONSE_LOG_BUFFER) as fh:
         write = fh.write
-        for start, done in zip(range(0, len(responses), RESPONSE_LOG_CHUNK), last_used):
+        for start, done in zip(range(0, len(log), RESPONSE_LOG_CHUNK), last_used):
             stop = start + RESPONSE_LOG_CHUNK
             tails += [b", ".join(map(pair_json.__getitem__, entries)) + b"]}\n"
                       for entries in timelines[len(tails):int(line_slots[start:stop].max()) + 1]]
-            chunk = responses[start:stop]
-            for response_id, (resp, T) in enumerate(
-                    zip(chunk, to_iso([resp.T for resp in chunk])), start):
+            for response_id, (consumer_id, T) in enumerate(
+                    zip(log.consumer_ids[start:stop], to_iso(log.times[start:stop])), start):
                 write(b'{"response_id": %d, "consumer_id": "%d", "T": "%s", "entries": ['
-                      % (response_id, resp.consumer_id, T.encode()))
+                      % (response_id, consumer_id, T.encode()))
                 write(tails[slot_of[response_id]])
             for slot in done.tolist():
                 tails[slot] = None
 
 
-def load_response_log(path: str | Path) -> list[TimelineResponse]:
-    """Read a response log; each record's response_id must be its position, and
-    each distinct (producer_id, t) string pair is parsed once."""
+def load_response_log(path: str | Path) -> ResponseLog:
+    """Read a response log into its columns, record by record; each record's response_id
+    must be its position, and each distinct (producer_id, t) string pair is parsed once."""
+    log = ResponseLog()
     pairs: dict[tuple[str, str], tuple[int, int]] = {}
 
     def entry(record: dict) -> tuple[int, int]:
@@ -456,11 +474,11 @@ def load_response_log(path: str | Path) -> list[TimelineResponse]:
                 record_decimal(record["producer_id"]), from_iso(record["t"]))
             return pair
 
-    def response(record: dict, position: int) -> TimelineResponse:
-        resp = TimelineResponse(record_decimal(record["consumer_id"]), from_iso(record["T"]),
-                                tuple(map(entry, record["entries"])))
+    def response(record: dict, position: int) -> None:
         if (response_id := record_int(record["response_id"])) != position:
             raise ValueError(f"response_id {response_id} is not the record's position {position}")
-        return resp
+        log.append(record_decimal(record["consumer_id"]), from_iso(record["T"]),
+                   tuple(map(entry, record["entries"])))
 
-    return read_jsonl(path, response)
+    deque(read_jsonl(path, response), maxlen=0)
+    return log

@@ -100,7 +100,7 @@ def cmd_run(cfg: ExperimentConfig, network: FollowingNetwork | None = None,
 
 def cmd_detect(cfg: ExperimentConfig, network: FollowingNetwork | None = None,
                tweets: list[tuple[int, int]] | None = None,
-               responses: list[app.TimelineResponse] | None = None) -> detect.DetectionResult:
+               responses: app.ResponseLog | None = None) -> detect.DetectionResult:
     """Find observable conflicts; without a network, all inputs are read from file."""
     out = _out_dir(cfg)
     if network is None:

@@ -16,11 +16,11 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import islice
+from itertools import count, islice
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .app import TimelineResponse
+from .app import ResponseLog, TimelineResponse
 from .netgen import FollowingNetwork
 from .sim import (MICROS_PER_SECOND, RECORD_ERRORS, IntegrityError, from_iso, read_jsonl,
                   record_decimal, record_int, to_iso, write_jsonl)
@@ -80,18 +80,18 @@ class TweetIndex:
         self.feeds: dict[int, Feed] = {
             consumer: (times[consumer], tuple(reversed(pairs[consumer]))) for consumer in times}
 
-    def check(self, response_id: int, response: TimelineResponse) -> None:
-        """Raise IntegrityError unless every entry is in the tweet log, no later
-        than the response's T and from a producer the consumer follows, and the
-        entries are strictly newest-first."""
+    def check(self, response_id: int, consumer_id: int, T: int, entries: tuple) -> None:
+        """Raise IntegrityError unless every entry the response served is in the
+        tweet log, no later than its T and from a producer the consumer follows,
+        and the entries are strictly newest-first."""
         prev = len(self.rank)  # above every rank, so the first entry passes
-        followed = self.follows[response.consumer_id]
-        for pid, t in response.entries:
+        followed = self.follows[consumer_id]
+        for pid, t in entries:
             rank = self.rank.get((pid, t))
             if rank is None:
                 raise IntegrityError(f"response {response_id} contains a phantom tweet "
                                      f"({pid}, {t}) that is not in the tweet log", response_id)
-            if t > response.T:
+            if t > T:
                 raise IntegrityError(f"response {response_id} contains a future tweet ({pid}, {t})",
                                      response_id)
             if pid not in followed:
@@ -150,14 +150,14 @@ class WitnessIndex:
     containments: dict[tuple[int, int], tuple[int, int]]
 
 
-def build_witness_index(responses: Iterable[tuple[int, TimelineResponse]]) -> WitnessIndex:
-    """Index every served (producer_id, t) key of the (response_id, response)
-    pairs at its first sighting, which is its earliest witness when they come
+def build_witness_index(responses: Iterable[tuple[int, int, tuple]]) -> WitnessIndex:
+    """Index every served (producer_id, t) key of the (response_id, T, entries)
+    triples at its first sighting, which is its earliest witness when they come
     in (T, response_id) order."""
     containments: dict[tuple[int, int], tuple[int, int]] = {}
-    for response_id, resp in responses:
-        pair = (resp.T, response_id)
-        for key in resp.entries:
+    for response_id, T, entries in responses:
+        pair = (T, response_id)
+        for key in entries:
             containments.setdefault(key, pair)
     return WitnessIndex(containments)
 
@@ -248,11 +248,11 @@ class DetectionResult:
         }
 
 
-def detect_all(responses: Sequence[TimelineResponse], index: TweetIndex, *,
+def detect_all(log: ResponseLog, index: TweetIndex, *,
                n_timeline: int, analysis_window_fraction: float) -> DetectionResult:
     """Run the full pipeline over the configured analysis window.
 
-    A response's id is its position in responses. The warm-up prefix is
+    A response's id is its position in the log. The warm-up prefix is
     dropped: only the latter analysis_window_fraction of responses (by count)
     is analyzed, and witnesses are drawn from that same window. Every
     response, warm-up included, is validated, and T must not decrease, so
@@ -261,37 +261,32 @@ def detect_all(responses: Sequence[TimelineResponse], index: TweetIndex, *,
     """
     if not 0 < analysis_window_fraction <= 1:
         raise ValueError("analysis_window_fraction must be in (0, 1]")
-    start = len(responses) - int(round(len(responses) * analysis_window_fraction))
-    incomplete = []  # (id, response, what it misses) for analyzed responses unlike their oracle
+    start = len(log) - int(round(len(log) * analysis_window_fraction))
+    incomplete = []  # (id, row, what it misses) for analyzed responses unlike their oracle
     prev_T = None
-    for i, resp in enumerate(responses):
-        if prev_T is not None and resp.T < prev_T:
+    for i, (consumer_id, T, entries) in enumerate(zip(log.consumer_ids, log.times, log.entries)):
+        if prev_T is not None and T < prev_T:
             raise IntegrityError(f"response {i} is timestamped before the response before it", i)
-        prev_T = resp.T
-        if resp.consumer_id not in index.feeds:
-            raise IntegrityError(f"response {i} names unknown consumer {resp.consumer_id}", i)
+        prev_T = T
+        if consumer_id not in index.feeds:
+            raise IntegrityError(f"response {i} names unknown consumer {consumer_id}", i)
         if i < start:
-            index.check(i, resp)
+            index.check(i, consumer_id, T, entries)
             continue
-        oracle = consistent_timeline(index.feeds, resp.consumer_id, resp.T, n_timeline)
+        oracle = consistent_timeline(index.feeds, consumer_id, T, n_timeline)
         # Serving exactly the oracle proves the entries valid and complete.
-        if resp.entries != oracle:
-            index.check(i, resp)
-            incomplete.append((i, resp, find_missing(index, resp.entries, oracle)))
+        if entries != oracle:
+            index.check(i, consumer_id, T, entries)
+            incomplete.append((i, log[i], find_missing(index, entries, oracle)))
 
-    # The window is walked in place: a slice would copy a pointer per response.
-    witness_index = build_witness_index(
-        enumerate(islice(responses, start, None), start) if incomplete else [])
+    # The window's columns are walked in place: a slice would copy them.
+    window = zip(count(start), islice(log.times, start, None), islice(log.entries, start, None))
+    witness_index = build_witness_index(window if incomplete else [])
     records = [record for i, resp, missing in incomplete for key, conflict_type in missing
                if (record := classify(i, resp, key, conflict_type, witness_index)) is not None]
-    return DetectionResult(
-        records=records,
-        total_count=len(responses),
-        tweet_counts=index.tweet_counts,
-        query_counts=dict(Counter(resp.consumer_id for resp in islice(responses, start, None))),
-        n_timeline=n_timeline,
-        analysis_window_fraction=analysis_window_fraction,
-    )
+    return DetectionResult(records, len(log), index.tweet_counts,
+                           dict(Counter(islice(log.consumer_ids, start, None))),
+                           n_timeline, analysis_window_fraction)
 
 
 # -- serialization -----------------------------------------------------------
@@ -318,7 +313,7 @@ def _record_gap_us(seconds) -> int:
 
 
 def load_conflict_records(path: str | Path) -> list[ConflictRecord]:
-    return read_jsonl(path, lambda data, _: ConflictRecord(
+    return list(read_jsonl(path, lambda data, _: ConflictRecord(
         response_id=record_int(data["response_id"]),
         consumer_id=record_decimal(data["consumer_id"]),
         producer_id=record_decimal(data["producer_id"]),
@@ -326,7 +321,7 @@ def load_conflict_records(path: str | Path) -> list[ConflictRecord]:
         type=ConflictType(data["type"]),
         witness_response_id=record_int(data["witness_response_id"]),
         gap_us=_record_gap_us(data["G_seconds"]),
-    ))
+    )))
 
 
 def _counts(table: dict) -> dict[int, int]:

@@ -10,6 +10,7 @@ network bit for bit.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
@@ -428,7 +429,7 @@ def load_network_profile(path: str | Path) -> tuple[FollowingNetwork, WorkloadPr
         if table == "follows":
             follow_positions.append(position)
 
-    read_jsonl(path, add)
+    deque(read_jsonl(path, add), maxlen=0)
     follows, producer_rates, consumer_rates = tables.values()
     if len(consumer_rates) != len(follows):
         raise IntegrityError(f"{path}: consumer rate records do not match follow records")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from array import array
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from enum import Enum
@@ -17,7 +18,7 @@ from functools import partial
 from heapq import heappop, heappush
 from itertools import chain
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -97,24 +98,23 @@ def write_json(path: str | Path, document: Any, sort_keys: bool = False) -> None
         fh.write("\n")
 
 
-def read_jsonl(path: str | Path, parse: Callable[[Any, int], Any]) -> list:
-    """Decode each line and map it through parse(record, position), where a
-    record's position is its line number less one.
+def read_jsonl(path: str | Path, parse: Callable[[Any, int], Any]) -> Iterator:
+    """Decode each line and yield parse(record, position), where a record's
+    position is its line number less one; the file opens at the first next().
 
     Any failure on one line, from a blank line or undecodable bytes to a
     record parse rejects, raises IntegrityError naming path:line.
     """
-    parsed = []
     with open(path, "rb") as fh:
         for position, line in enumerate(fh):
             try:
                 if line.isspace():
                     raise ValueError("blank line")
-                parsed.append(parse(json.loads(line), position))
+                parsed = parse(json.loads(line), position)
             except RECORD_ERRORS as exc:
                 raise IntegrityError(f"{path}:{position + 1}: corrupt record: "
                                      f"{type(exc).__name__}: {exc}") from exc
-    return parsed
+            yield parsed
 
 
 class EventKind(str, Enum):
@@ -132,14 +132,14 @@ class EventLoop:
     an event is queued, so simultaneous events fire in the order they were
     queued. Pre-drawn arrivals, which make up most events, are kept apart
     from the heap of in-flight events as three columns in firing order
-    (times, kinds, payloads), and the loop walks them by index, merging
-    them with the heap as it runs.
+    (times, an int64 array, kinds and payloads), and the loop walks them by
+    index, merging them with the heap as it runs.
     """
 
     def __init__(self):
         # (fire_at, seq, kind, payload) of each in-flight event.
         self._heap: list[tuple[int, int, EventKind, Any]] = []
-        self._arrival_times: list[int] = []
+        self._arrival_times = array("q")
         self._arrival_kinds: list[EventKind] = []
         self._arrival_payloads: list[Any] = []
         # The position in the arrival columns of the next arrival to fire.
@@ -183,7 +183,7 @@ class EventLoop:
         # time is (time, seq) order.
         order = np.argsort(all_times, kind="stable")
         owners = np.repeat(np.arange(len(payloads)), [len(t) for t in times[1:]])[order].tolist()
-        self._arrival_times = all_times[order].tolist()
+        self._arrival_times = array("q", all_times[order].tobytes())
         self._arrival_kinds = list(map(kinds.__getitem__, owners))
         self._arrival_payloads = list(map(payloads.__getitem__, owners))
         self.scheduled_count = all_times.size

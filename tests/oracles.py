@@ -12,7 +12,7 @@ from datetime import timedelta
 
 import numpy as np
 
-from feedsim.app import TimelineResponse
+from feedsim.app import ResponseLog
 from feedsim.netgen import FollowingNetwork
 from feedsim.sim import EPOCH
 
@@ -116,6 +116,25 @@ def detector_conflict_set(result):
     return {(r.response_id, r.producer_id, r.t, r.type.value) for r in result.records}
 
 
+def response_log(rows) -> ResponseLog:
+    """The ResponseLog of TimelineResponse rows, in order."""
+    log = ResponseLog()
+    for row in rows:
+        log.append(row.consumer_id, row.T, row.entries)
+    return log
+
+
+def fields(row):
+    """A row's (consumer_id, T, entries), as TweetIndex.check takes them after the id."""
+    return row.consumer_id, row.T, row.entries
+
+
+def witness_triples(rows):
+    """The (response_id, T, entries) triple of each (response_id, row) pair, as
+    build_witness_index takes them."""
+    return [(response_id, row.T, row.entries) for response_id, row in rows]
+
+
 def make_network(follows: dict[int, tuple[int, ...]], n_producers: int) -> FollowingNetwork:
     """Hand-build a network from explicit follow lists."""
     return FollowingNetwork.from_follows(
@@ -124,7 +143,8 @@ def make_network(follows: dict[int, tuple[int, ...]], n_producers: int) -> Follo
 
 def random_instance(rng: np.random.Generator):
     """A small random corpus: (responses, tweets, network, n_timeline), where
-    tweets is the log of (producer_id, t) pairs and each position is its seq.
+    responses is a ResponseLog and tweets is the log of (producer_id, t)
+    pairs and each position is its seq.
 
     Times are drawn from a narrow range so cross-producer timestamp ties
     are common; response styles mix near-oracle views with entry drops,
@@ -148,7 +168,7 @@ def random_instance(rng: np.random.Generator):
     raw.sort()
     tweets = [(p, t) for t, p in raw][:50]
 
-    responses = []
+    responses = ResponseLog()
     n_responses = int(rng.integers(0, 60))
     Ts = sorted(int(t) for t in rng.integers(0, 100, size=n_responses))
     for T in Ts:
@@ -172,5 +192,5 @@ def random_instance(rng: np.random.Generator):
             size = int(rng.integers(0, min(n_timeline, len(eligible)) + 1)) if eligible else 0
             idx = sorted(rng.choice(len(eligible), size=size, replace=False).tolist())
             kept = [eligible[i] for i in idx]
-        responses.append(TimelineResponse(consumer_id=consumer, T=T, entries=tuple(kept)))
+        responses.append(consumer, T, tuple(kept))
     return responses, tweets, network, n_timeline

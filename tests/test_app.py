@@ -40,7 +40,7 @@ from feedsim.sim import (
     from_iso,
 )
 from feedsim.store import ReplicatedStore, StoreConfig
-from oracles import datetime_iso, make_network
+from oracles import datetime_iso, make_network, response_log
 from test_cli import tiny_config, write_config
 
 
@@ -197,9 +197,8 @@ def test_query_unknown_consumer_raises():
 
 def test_query_before_any_tweet_is_empty():
     app, *_ = make_app({0: (0,)}, 1)
-    response = app.query_timeline(0)
-    assert response.entries == ()
-    assert app.responses == [response]  # response id 0 is its position
+    assert app.query_timeline(0) is None
+    assert list(app.responses) == [TimelineResponse(0, 0, ())]
 
 
 def tiny_run(fanout, lag, seed=1, hours=1.0, n_replicas=3):
@@ -252,7 +251,7 @@ def test_run_duration_zero_produces_empty_logs():
     network, artifacts = tiny_run(FanoutSettings(mode="synchronous"), ("constant", 0.0),
                                   hours=0.0)
     assert artifacts.tweet_log == []
-    assert artifacts.responses == []
+    assert len(artifacts.responses) == 0
 
 
 def test_poisson_tweet_count_within_three_sigma():
@@ -349,8 +348,53 @@ def test_run_is_seed_deterministic():
     _, b = tiny_run(FanoutSettings(service=DistributionSpec("exponential", 30.0)),
                     ("exponential", 500.0), seed=5)
     assert a.tweet_log == b.tweet_log
-    assert a.responses == b.responses
+    assert list(a.responses) == list(b.responses)
     assert a.to_dict() == b.to_dict()
+
+
+def test_fanout_and_store_settings_keep_the_workload():
+    """Common random numbers: at one seed, configs that differ only in fan-out
+    mode, concurrency cap or store lag post the same tweets and make the same
+    queries, consumer for consumer and instant for instant, so a paired
+    difference between two such runs measures the setting alone."""
+    service = DistributionSpec("exponential", 30.0)
+    runs = [tiny_run(fanout, lag, seed=5)[1] for fanout, lag in (
+        (FanoutSettings(service=service), ("exponential", 500.0)),
+        (FanoutSettings(service=service, concurrency_cap=1), ("exponential", 500.0)),
+        (FanoutSettings(service=service, concurrency_cap=2), ("exponential", 500.0)),
+        (FanoutSettings(mode="synchronous"), ("exponential", 500.0)),
+        (FanoutSettings(service=service), ("constant", 0.0)),
+        (FanoutSettings(service=service), ("exponential", 20_000.0)),
+    )]
+    first = runs[0]
+    for run in runs[1:]:
+        assert run.tweet_log == first.tweet_log
+        assert run.responses.consumer_ids == first.responses.consumer_ids
+        assert run.responses.times == first.responses.times
+    # The settings do change what the queries see.
+    assert len({tuple(run.responses.entries) for run in runs}) > 1
+
+
+def test_response_log_holds_24_bytes_per_response_beyond_its_timelines():
+    """A response costs the log an int64 consumer id, an int64 T and a pointer
+    to its timeline tuple, which responses share: 24 B, and under 28 B with the
+    columns' growth headroom. A row object per response would add 56 B, and a
+    T kept as an int object another 32 B."""
+    tiny_run(FanoutSettings(mode="synchronous"), ("constant", 0.0), hours=0.1)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        _, artifacts = tiny_run(FanoutSettings(service=DistributionSpec("exponential", 30.0)),
+                                ("exponential", 500.0))
+        n = len(artifacts.responses)
+        timelines = list({id(resp.entries): resp.entries for resp in artifacts.responses}.values())
+        held = tracemalloc.get_traced_memory()[0]
+        artifacts.responses = None
+        freed = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert n > 500 and len(timelines) < n
+    assert freed / n < 28, (freed, n)
 
 
 def test_run_leaves_no_loop_for_the_garbage_collector(tmp_path):
@@ -454,7 +498,7 @@ def test_log_files_roundtrip(tmp_path):
     save_tweet_log(tweet_path, artifacts.tweet_log)
     save_response_log(resp_path, artifacts.responses)
     assert load_tweet_log(tweet_path) == artifacts.tweet_log
-    assert load_response_log(resp_path) == artifacts.responses
+    assert list(load_response_log(resp_path)) == list(artifacts.responses)
 
 
 def test_log_wire_format_is_pinned(tmp_path):
@@ -468,9 +512,9 @@ def test_log_wire_format_is_pinned(tmp_path):
          '{"producer_id": "4", "t": "2020-01-01T00:00:32.256645", "seq": 0}\n'
          '{"producer_id": "1353955", "t": "2020-01-01T00:00:32.256646", "seq": 1}\n'
          '{"producer_id": "1353955", "t": "2020-01-01T00:00:32.256647", "seq": 2}\n'),
-        (save_response_log, ([TimelineResponse(consumer_id=9, T=40_000_000,
-                                               entries=((1353955, 32_256_647),)),
-                              TimelineResponse(consumer_id=4, T=40_000_001, entries=())],),
+        (save_response_log, (response_log([
+            TimelineResponse(consumer_id=9, T=40_000_000, entries=((1353955, 32_256_647),)),
+            TimelineResponse(consumer_id=4, T=40_000_001, entries=())]),),
          '{"response_id": 0, "consumer_id": "9", "T": "2020-01-01T00:00:40.000000", '
          '"entries": [{"producer_id": "1353955", "t": "2020-01-01T00:00:32.256647"}]}\n'
          '{"response_id": 1, "consumer_id": "4", "T": "2020-01-01T00:00:40.000001", '
@@ -521,7 +565,7 @@ def test_response_log_equals_json_dumps_of_each_record(tmp_path):
         assert copy == shared and copy is not shared
         reused = [TimelineResponse(consumer_id=i, T=i, entries=entries)
                   for i, entries in enumerate((shared, (), shared, copy, ()))]
-        responses = artifacts.responses + extra + reused
+        responses = response_log([*artifacts.responses, *extra, *reused])
         assert any(not r.entries for r in responses) and any(r.entries for r in responses)
         path = tmp_path / f"responses{seed}.jsonl"
         save_response_log(path, responses)
@@ -540,16 +584,17 @@ def test_response_log_across_chunks_equals_json_dumps(tmp_path):
                  for _ in range(40)]
     n = 2 * app_module.RESPONSE_LOG_CHUNK + 77
     Ts = np.sort(rng.integers(-day, 400 * day, size=n)).tolist()
-    responses = [TimelineResponse(consumer_id=int(rng.integers(0, 2**40)), T=T,
-                                  entries=timelines[int(rng.integers(0, len(timelines)))])
-                 for T in Ts]
+    responses = response_log(
+        TimelineResponse(consumer_id=int(rng.integers(0, 2**40)), T=T,
+                         entries=timelines[int(rng.integers(0, len(timelines)))])
+        for T in Ts)
     path = tmp_path / "responses.jsonl"
     save_response_log(path, responses)
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
     expected = [json_line(i, resp) for i, resp in enumerate(responses)]
     assert len(lines) == len(expected) == n
     assert [i for i, (got, want) in enumerate(zip(lines, expected)) if got != want] == []
-    assert load_response_log(path) == responses
+    assert list(load_response_log(path)) == list(responses)
 
 
 DAY_US = 86_400_000_000
@@ -567,9 +612,10 @@ def test_response_log_ids_are_positions(tmp_path_factory, responses, chunk, data
     """A response log round-trips, chunk boundaries included, and a record whose
     response_id is not its position is rejected naming its line."""
     path = tmp_path_factory.mktemp("responses") / "responses.jsonl"
+    responses = response_log(responses)
     with patch.object(app_module, "RESPONSE_LOG_CHUNK", chunk):
         save_response_log(path, responses)
-    assert load_response_log(path) == responses
+    assert list(load_response_log(path)) == list(responses)
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
     position = data.draw(st.integers(0, len(lines) - 1))
     wrong = data.draw(st.integers(-2**40, 2**40).filter(lambda id_: id_ != position))
@@ -601,8 +647,9 @@ def test_response_log_of_shared_timelines_equals_json_dumps(tmp_path_factory, po
                                          st.integers(-DAY_US, 400 * DAY_US),
                                          st.sampled_from(pool), st.booleans()),
                                max_size=16))
-    responses = [TimelineResponse(consumer_id, T, tuple(list(entries)) if copy else entries)
-                 for consumer_id, T, entries, copy in drawn]
+    responses = response_log(
+        TimelineResponse(consumer_id, T, tuple(list(entries)) if copy else entries)
+        for consumer_id, T, entries, copy in drawn)
     path = tmp_path_factory.mktemp("responses") / "responses.jsonl"
     with patch.object(app_module, "RESPONSE_LOG_CHUNK", chunk):
         save_response_log(path, responses)
@@ -620,9 +667,10 @@ def test_response_log_writer_holds_about_one_chunk_of_timelines(tmp_path):
                     rng.integers(0, 400 * DAY_US, 300).tolist()))
     timelines = [tuple(pool[i] for i in rng.choice(len(pool), 100, replace=False).tolist())
                  for _ in range(n_chunks * per_chunk)]
-    responses = [TimelineResponse(consumer_id=i, T=i,
-                                  entries=timelines[i // chunk * per_chunk + i % per_chunk])
-                 for i in range(n_chunks * chunk)]
+    responses = response_log(
+        TimelineResponse(consumer_id=i, T=i,
+                         entries=timelines[i // chunk * per_chunk + i % per_chunk])
+        for i in range(n_chunks * chunk))
     # A tail is what a line writes after its header.
     tails = [len(json_line(0, TimelineResponse(0, 0, entries)).split('"entries": [')[1])
              for entries in timelines]
@@ -630,7 +678,7 @@ def test_response_log_writer_holds_about_one_chunk_of_timelines(tmp_path):
     path = tmp_path / "responses.jsonl"
     with patch.object(app_module, "RESPONSE_LOG_CHUNK", chunk):
         # A first call makes numpy's one-time allocations outside the trace.
-        save_response_log(path, responses[:1])
+        save_response_log(path, response_log([responses[0]]))
         tracemalloc.start()
         try:
             save_response_log(path, responses)

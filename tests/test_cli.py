@@ -924,6 +924,9 @@ def _unfollowed_producers_tweet_in_last(records):
 @pytest.mark.parametrize("name,edit,message", [
     ("responses.jsonl", lambda records: records[-1].update(consumer_id="99999"),
      ":{lines}: response {last} names unknown consumer 99999"),
+    # The log keeps consumer ids in a signed 64-bit column.
+    ("responses.jsonl", lambda records: records[-1].update(consumer_id=str(2**63)),
+     ":{lines}: corrupt record: OverflowError: "),
     ("responses.jsonl",
      lambda records: records[-1].update(entries=[{"producer_id": "99999",
                                                   "t": records[-1]["T"]}]),
@@ -955,11 +958,11 @@ def _unfollowed_producers_tweet_in_last(records):
      ":{warm_line}: response {warm} entries not strictly newest-first"),
     ("responses.jsonl", _unfollowed_producers_tweet_in_last,
      ":{lines}: response {last} contains an unfollowed producer's tweet ("),
-], ids=["unknown_consumer", "phantom_entry", "duplicate_response_id",
-        "decreasing_response_ids", "bumped_last_response_id", "disordered_T",
-        "swapped_tweets", "swapped_tweets_and_seqs", "bumped_last_seq", "unknown_producer",
-        "warm_up_phantom_entry", "warm_up_future_entry", "warm_up_reversed_entries",
-        "unfollowed_producers_tweet"])
+], ids=["unknown_consumer", "consumer_id_beyond_64_bits", "phantom_entry",
+        "duplicate_response_id", "decreasing_response_ids", "bumped_last_response_id",
+        "disordered_T", "swapped_tweets", "swapped_tweets_and_seqs", "bumped_last_seq",
+        "unknown_producer", "warm_up_phantom_entry", "warm_up_future_entry",
+        "warm_up_reversed_entries", "unfollowed_producers_tweet"])
 def test_detect_integrity_errors_name_the_log(tmp_path, capsys, staged_outputs,
                                               name, edit, message):
     out = tmp_path / "out"

@@ -3,8 +3,11 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from feedsim.app import FanoutSettings, TimelineResponse, load_response_log, save_response_log
+from feedsim.app import (FanoutSettings, ResponseLog, TimelineResponse, load_response_log,
+                         save_response_log)
 from feedsim.detect import (
     ConflictRecord,
     ConflictType,
@@ -27,8 +30,11 @@ from oracles import (
     brute_force_conflicts,
     brute_timeline,
     detector_conflict_set,
+    fields,
     make_network,
     random_instance,
+    response_log,
+    witness_triples,
 )
 
 SEC = 1_000_000
@@ -43,7 +49,7 @@ def two_user_scenario():
                              entries=(D, C, A))          # missing B mid-stream
     r_head = TimelineResponse(consumer_id=1, T=47 * SEC,
                               entries=(C, B, A))         # missing newest D
-    return tweets, network, [r_gap, r_head], (A, B, C, D, E)
+    return tweets, network, response_log([r_gap, r_head]), (A, B, C, D, E)
 
 
 def test_consistent_timeline_five_tweet_window():
@@ -80,10 +86,10 @@ def test_find_missing_positions():
     tweets, network, (r_gap, r_head), (A, B, C, D, E) = two_user_scenario()
     index = TweetIndex(tweets, network)
     oracle_gap = consistent_timeline(index.feeds, 0, r_gap.T, 4)
-    index.check(0, r_gap)
+    index.check(0, *fields(r_gap))
     assert find_missing(index, r_gap.entries, oracle_gap) == [(B, ConflictType.GAP)]
     oracle_head = consistent_timeline(index.feeds, 1, r_head.T, 4)
-    index.check(1, r_head)
+    index.check(1, *fields(r_head))
     assert find_missing(index, r_head.entries, oracle_head) == \
            [(D, ConflictType.NEWER_EARLIER)]
 
@@ -93,7 +99,7 @@ def test_find_missing_exact_match_is_empty():
     index = TweetIndex(tweets, network)
     response = TimelineResponse(consumer_id=0, T=45 * SEC, entries=(D, C, B, A))
     oracle = consistent_timeline(index.feeds, 0, 45 * SEC, 4)
-    index.check(9, response)
+    index.check(9, *fields(response))
     assert find_missing(index, response.entries, oracle) == []
 
 
@@ -102,7 +108,7 @@ def test_phantom_entry_raises_integrity_error():
     index = TweetIndex(tweets, network)
     response = TimelineResponse(consumer_id=0, T=45 * SEC, entries=((0, 123456),))
     with pytest.raises(IntegrityError, match="phantom"):
-        index.check(0, response)
+        index.check(0, *fields(response))
 
 
 def test_future_entry_raises_integrity_error():
@@ -110,17 +116,17 @@ def test_future_entry_raises_integrity_error():
     index = TweetIndex(tweets, network)
     response = TimelineResponse(consumer_id=0, T=15 * SEC, entries=(C,))
     with pytest.raises(IntegrityError, match="future"):
-        index.check(0, response)
+        index.check(0, *fields(response))
 
 
 def test_unfollowed_producer_entry_raises_integrity_error():
     network = make_network({0: (0,), 1: (1,)}, 2)
     index = TweetIndex([(0, 10), (1, 20)], network)
-    index.check(1, TimelineResponse(consumer_id=1, T=30, entries=((1, 20),)))
+    index.check(1, 1, 30, ((1, 20),))
     response = TimelineResponse(consumer_id=0, T=30, entries=((1, 20), (0, 10)))
     with pytest.raises(IntegrityError, match=r"response 4 contains an unfollowed producer's "
                                              r"tweet \(1, 20\)"):
-        index.check(4, response)
+        index.check(4, *fields(response))
 
 
 def test_tweet_index_rejects_duplicate_identity_and_disorder():
@@ -136,13 +142,13 @@ def test_tweet_index_rejects_duplicate_identity_and_disorder():
 def test_witness_index_shapes():
     tweets, network, responses, (A, B, C, D, E) = two_user_scenario()
     assert build_witness_index([]).containments == {}
-    index = build_witness_index(enumerate(responses[:1]))
+    index = build_witness_index(witness_triples([(0, responses[0])]))
     assert len(index.containments) == 3
     assert index.containments[D] == (responses[0].T, 0)
     assert B not in index.containments
     # each key keeps its first sighting: C and A stay with response 0
     first = (responses[0].T, 0)
-    assert build_witness_index(enumerate(responses)).containments == \
+    assert build_witness_index(witness_triples(enumerate(responses))).containments == \
         {D: first, C: first, A: first, B: (responses[1].T, 1)}
 
 
@@ -151,7 +157,7 @@ def test_witness_index_matches_linear_scan():
     checked = 0
     for _ in range(20):
         responses, tweets, network, n = random_instance(rng)
-        index = build_witness_index(enumerate(responses))
+        index = build_witness_index(witness_triples(enumerate(responses)))
         served = {pair for r in responses for pair in r.entries}
         assert index.containments.keys() == served
         for pair in served:
@@ -215,9 +221,9 @@ def test_head_missing_needs_strictly_earlier_witness():
     index = TweetIndex(tweets, network)
     flagged = TimelineResponse(consumer_id=1, T=45 * SEC, entries=(C, B, A))
     same_time_witness = TimelineResponse(consumer_id=0, T=45 * SEC, entries=(D, C, B, A))
-    witness_index = build_witness_index(enumerate([same_time_witness, flagged]))
+    witness_index = build_witness_index(witness_triples(enumerate([same_time_witness, flagged])))
     oracle = consistent_timeline(index.feeds, 1, flagged.T, 4)
-    index.check(1, flagged)
+    index.check(1, *fields(flagged))
     [(key, position)] = find_missing(index, flagged.entries, oracle)
     assert position is ConflictType.NEWER_EARLIER
     assert classify(1, flagged, key, position, witness_index) is None
@@ -228,7 +234,7 @@ def test_tail_missing_is_never_observable():
     index = TweetIndex(tweets, network)
     flagged = TimelineResponse(consumer_id=1, T=45 * SEC, entries=(D, C, B))
     oracle = consistent_timeline(index.feeds, 1, flagged.T, 4)
-    index.check(1, flagged)
+    index.check(1, *fields(flagged))
     assert find_missing(index, flagged.entries, oracle) == []
 
 
@@ -237,9 +243,9 @@ def test_unwitnessed_interior_gap_is_not_observable():
     index = TweetIndex(tweets, network)
     flagged = TimelineResponse(consumer_id=0, T=45 * SEC, entries=(D, C, A))
     oracle = consistent_timeline(index.feeds, 0, flagged.T, 4)
-    index.check(0, flagged)
+    index.check(0, *fields(flagged))
     [(key, position)] = find_missing(index, flagged.entries, oracle)
-    witness_index = build_witness_index([(0, flagged)])
+    witness_index = build_witness_index(witness_triples([(0, flagged)]))
     assert classify(0, flagged, key, position, witness_index) is None
 
 
@@ -251,7 +257,7 @@ def test_classify_rejects_non_positive_gap():
     assert missing in index.rank
     flagged = TimelineResponse(consumer_id=0, T=10, entries=((1, 10), (0, 5)))
     witness = TimelineResponse(consumer_id=1, T=10, entries=((0, 10),))
-    witness_index = build_witness_index(enumerate([witness, flagged]))
+    witness_index = build_witness_index(witness_triples(enumerate([witness, flagged])))
     with pytest.raises(IntegrityError, match="non-positive gap for response 1"):
         classify(1, flagged, missing, ConflictType.GAP, witness_index)
 
@@ -308,13 +314,13 @@ def test_detect_all_empty_window_still_validates_warm_up():
     assert result.query_counts == {}
     phantom = TimelineResponse(consumer_id=0, T=45 * SEC, entries=(D, (0, 35 * SEC), A))
     with pytest.raises(IntegrityError, match="phantom"):
-        detect_all([phantom, responses[1]], TweetIndex(tweets, network), n_timeline=4,
+        detect_all(response_log([phantom, responses[1]]), TweetIndex(tweets, network), n_timeline=4,
                    analysis_window_fraction=0.1)
 
 
 def test_detect_all_rejects_disordered_or_duplicate_responses(tmp_path):
     tweets, network, responses, _ = two_user_scenario()
-    swapped = [responses[1], responses[0]]
+    swapped = response_log([responses[1], responses[0]])
     with pytest.raises(IntegrityError, match="response 1 is timestamped before"):
         detect_all(swapped, TweetIndex(tweets, network), n_timeline=4,
                    analysis_window_fraction=0.5)
@@ -376,7 +382,7 @@ def oracle_heavy_instance(rng: np.random.Generator):
     def view(consumer, T, n):
         return brute_timeline(consumer, T, tweets, network, n)
 
-    responses = []
+    responses = ResponseLog()
     for T in sorted(2 * rng.integers(0, 11, size=int(rng.integers(0, 40))) + 1):
         consumer, style = int(rng.integers(0, n_consumers)), rng.random()
         if style < 0.6:
@@ -388,7 +394,7 @@ def oracle_heavy_instance(rng: np.random.Generator):
             entries = entries[:n_timeline]
         else:
             entries = view(consumer, int(rng.integers(0, T + 1)), n_timeline)
-        responses.append(TimelineResponse(consumer_id=consumer, T=int(T), entries=tuple(entries)))
+        responses.append(consumer, int(T), tuple(entries))
     return responses, tweets, network, n_timeline
 
 
@@ -464,7 +470,7 @@ def test_observable_subset_of_missing():
                 per_response_records.get(record.response_id, 0) + 1
         for response_id, response in enumerate(responses):
             oracle = consistent_timeline(feeds, response.consumer_id, response.T, n)
-            index.check(response_id, response)
+            index.check(response_id, *fields(response))
             missing = find_missing(index, response.entries, oracle)
             assert per_response_records.get(response_id, 0) <= len(missing)
 
@@ -478,14 +484,14 @@ def test_enlarging_witness_corpus_never_removes_conflicts():
         index = TweetIndex(tweets, network)
         feeds = index.feeds
         later = list(enumerate(responses))[len(responses) // 2:]
-        half = build_witness_index(later)
-        full = build_witness_index(enumerate(responses))
+        half = build_witness_index(witness_triples(later))
+        full = build_witness_index(witness_triples(enumerate(responses)))
 
         def records_with(witness_index):
             found = set()
             for response_id, response in later:
                 oracle = consistent_timeline(feeds, response.consumer_id, response.T, n)
-                index.check(response_id, response)
+                index.check(response_id, *fields(response))
                 for key, position in find_missing(index, response.entries, oracle):
                     record = classify(response_id, response, key, position, witness_index)
                     if record is not None:
@@ -494,6 +500,20 @@ def test_enlarging_witness_corpus_never_removes_conflicts():
             return found
 
         assert records_with(half) <= records_with(full)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(0.01, 1.0), st.floats(0.01, 1.0))
+def test_wider_window_keeps_every_conflict(seed, f, g):
+    """Over the same logs, the conflicts found at a window fraction are a subset
+    of those found at a larger one: a wider window analyzes every response the
+    narrower one does and only adds witnesses, all of them earlier."""
+    narrow, wide = sorted((f, g))
+    responses, tweets, network, n = random_instance(np.random.default_rng(seed))
+    found = [detector_conflict_set(detect_all(responses, TweetIndex(tweets, network),
+                                              n_timeline=n, analysis_window_fraction=fraction))
+             for fraction in (narrow, wide)]
+    assert found[0] <= found[1]
 
 
 def test_detection_result_files_roundtrip(tmp_path):

@@ -55,21 +55,36 @@ class TimelineResponse:
 
 class ResponseLog:
     """The response log as columns: response i is consumer_ids[i] querying at
-    times[i] and served entries[i], a shared timeline tuple; log[i] is its row."""
+    times[i] and served entries[i], a shared timeline tuple; log[i] is its row.
 
-    def __init__(self):
-        self.consumer_ids, self.times = array("q"), array("q")
-        self.entries: list[tuple[tuple[int, int], ...]] = []
+    The columns are allocated once, with size slots, and append fills the
+    slots in order, so a log made for the responses a run will serve never
+    regrows; past size, append grows the columns. The slots past len(log)
+    are not yet filled.
+    """
+
+    def __init__(self, size: int = 0):
+        self.consumer_ids, self.times = array("q", [0]) * size, array("q", [0]) * size
+        self.entries: list[tuple[tuple[int, int], ...]] = [()] * size
+        self._filled = 0
 
     def append(self, consumer_id: int, T: int, entries: tuple[tuple[int, int], ...]) -> None:
-        self.consumer_ids.append(consumer_id)
-        self.times.append(T)
-        self.entries.append(entries)
+        i = self._filled
+        if i < len(self.entries):
+            self.consumer_ids[i] = consumer_id
+            self.times[i] = T
+            self.entries[i] = entries
+        else:
+            self.consumer_ids.append(consumer_id)
+            self.times.append(T)
+            self.entries.append(entries)
+        self._filled = i + 1
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self._filled
 
     def __getitem__(self, i: int) -> TimelineResponse:
+        i = range(self._filled)[i]
         return TimelineResponse(self.consumer_ids[i], self.times[i], self.entries[i])
 
 
@@ -161,10 +176,11 @@ class RunArtifacts:
 
 
 class FeedApp:
-    """Application layer bound to one event loop and one store."""
+    """Application layer bound to one event loop and one store; its response
+    log is allocated for n_queries responses."""
 
     def __init__(self, network: FollowingNetwork, loop: EventLoop, store: ReplicatedStore,
-                 rng: RngStreams, fanout: FanoutSettings, n_timeline: int):
+                 rng: RngStreams, fanout: FanoutSettings, n_timeline: int, n_queries: int = 0):
         if n_timeline < 1:
             raise ValueError("n_timeline must be >= 1")
         self.network = network
@@ -175,7 +191,7 @@ class FeedApp:
         # Each posted tweet's (producer_id, t) in the global order; its
         # position is its seq.
         self.tweet_log: list[tuple[int, int]] = []
-        self.responses = ResponseLog()
+        self.responses = ResponseLog(n_queries)
         # Each finished fan-out's delay from post to last commit; 0 for a
         # tweet with no followers. An unfinished fan-out has no entry.
         self.fanout_completion_us: dict[tuple[int, int], int] = {}
@@ -351,19 +367,23 @@ def run_experiment(network: FollowingNetwork, profile: WorkloadProfile,
     """
     duration_us = round(cfg.duration_hours * MICROS_PER_HOUR)
     rng = RngStreams(cfg.seed)
-    loop = EventLoop()
-    store = ReplicatedStore(cfg.store, loop, rng)
-    app = FeedApp(network, loop, store, rng, cfg.fanout, cfg.n_timeline)
-
     tweet_times = _poisson_arrivals_us(profile.producer_rate, duration_us,
                                        rng.stream("workload.tweet_times"))
     query_times = _poisson_arrivals_us(profile.consumer_rate, duration_us,
                                        rng.stream("workload.query_times"))
+    loop = EventLoop()
+    store = ReplicatedStore(cfg.store, loop, rng)
+    # Each query arrival serves one response.
+    app = FeedApp(network, loop, store, rng, cfg.fanout, cfg.n_timeline,
+                  n_queries=sum(map(len, query_times)))
     loop.add_arrivals([
         (EventKind.TWEET_ARRIVAL, zip(range(network.n_producers),
                                       map(_strictly_increasing, tweet_times))),
         (EventKind.TIMELINE_QUERY, zip(range(network.n_consumers), query_times)),
     ])
+    # The loop's schedule holds every arrival now, so the per-producer and
+    # per-consumer time arrays are not kept through the run.
+    del tweet_times, query_times
 
     loop.run_until(duration_us)
     loop.close()
@@ -460,9 +480,11 @@ def save_response_log(path: str | Path, log: ResponseLog) -> None:
 
 def load_response_log(path: str | Path) -> ResponseLog:
     """Read a response log into its columns, record by record; each record's response_id
-    must be its position, and each distinct (producer_id, t) string pair is parsed once."""
+    must be its position, each distinct (producer_id, t) string pair is parsed once, and
+    records that serve equal timelines share one tuple, as the run's responses do."""
     log = ResponseLog()
     pairs: dict[tuple[str, str], tuple[int, int]] = {}
+    timelines: dict[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]] = {}
 
     def entry(record: dict) -> tuple[int, int]:
         try:
@@ -477,8 +499,9 @@ def load_response_log(path: str | Path) -> ResponseLog:
     def response(record: dict, position: int) -> None:
         if (response_id := record_int(record["response_id"])) != position:
             raise ValueError(f"response_id {response_id} is not the record's position {position}")
+        entries = tuple(map(entry, record["entries"]))
         log.append(record_decimal(record["consumer_id"]), from_iso(record["T"]),
-                   tuple(map(entry, record["entries"])))
+                   timelines.setdefault(entries, entries))
 
     deque(read_jsonl(path, response), maxlen=0)
     return log

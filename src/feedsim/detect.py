@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import count, islice
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -42,9 +43,11 @@ class ConflictRecord:
     gap_us: int
 
 
-# A consumer's feed: the times of its followed producers' tweets in global
-# order, and their (producer_id, t) pairs newest-first.
-Feed = tuple[list[int], tuple[tuple[int, int], ...]]
+# A consumer's feed: the (producer_id, t) pairs of its followed producers'
+# tweets in global order.
+Feed = tuple[tuple[int, int], ...]
+# A pair's t; made once, since building an itemgetter costs more than a bisect's calls of it.
+_pair_t = itemgetter(1)
 
 
 class TweetIndex:
@@ -58,8 +61,8 @@ class TweetIndex:
         self.rank: dict[tuple[int, int], int] = {}
         self.follows = network.follows
         self.tweet_counts: dict[int, int] = {}
-        times: dict[int, list[int]] = {consumer: [] for consumer in network.follows}
-        pairs: dict[int, list[tuple[int, int]]] = {consumer: [] for consumer in network.follows}
+        feeds: dict[int, list[tuple[int, int]] | Feed] = {
+            consumer: [] for consumer in network.follows}
         last_t = None
         for seq, key in enumerate(tweet_log):
             producer_id, t = key
@@ -75,10 +78,11 @@ class TweetIndex:
             self.rank[key] = seq
             self.tweet_counts[producer_id] = self.tweet_counts.get(producer_id, 0) + 1
             for consumer in followers:
-                times[consumer].append(t)
-                pairs[consumer].append(key)
-        self.feeds: dict[int, Feed] = {
-            consumer: (times[consumer], tuple(reversed(pairs[consumer]))) for consumer in times}
+                feeds[consumer].append(key)
+        # Each list is dropped as its tuple replaces it.
+        for consumer, feed in feeds.items():
+            feeds[consumer] = tuple(feed)
+        self.feeds: dict[int, Feed] = feeds
 
     def check(self, response_id: int, consumer_id: int, T: int, entries: tuple) -> None:
         """Raise IntegrityError unless every entry the response served is in the
@@ -110,10 +114,10 @@ def consistent_timeline(feeds: dict[int, Feed], consumer_id: int, T: int,
     feed = feeds.get(consumer_id)
     if feed is None:
         raise ValueError(f"unknown consumer {consumer_id}")
-    times, pairs = feed
-    # pairs is newest-first, so the tweets with t <= T start here.
-    start = len(times) - bisect_right(times, T)
-    return pairs[start:start + n_timeline]
+    # The newest tweet with t <= T, counted from the end of the feed, so that a
+    # bound of the reversed slice that falls before the first pair clamps to it.
+    newest = bisect_right(feed, T, key=_pair_t) - 1 - len(feed)
+    return feed[newest:newest - n_timeline:-1]
 
 
 def find_missing(index: TweetIndex, entries: Sequence[tuple[int, int]],

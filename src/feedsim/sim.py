@@ -117,6 +117,14 @@ def read_jsonl(path: str | Path, parse: Callable[[Any, int], Any]) -> Iterator:
             yield parsed
 
 
+def _column(typecode: str, values: np.ndarray) -> array:
+    """values as an array of typecode, allocated at exactly their length:
+    array(typecode, values.tobytes()) would allocate a sixteenth more."""
+    column = array(typecode, [0]) * len(values)
+    np.frombuffer(column, dtype=typecode)[:] = values
+    return column
+
+
 class EventKind(str, Enum):
     TWEET_ARRIVAL = "tweet_arrival"
     FANOUT_STEP = "fanout_step"
@@ -131,15 +139,18 @@ class EventLoop:
     Events fire in ascending (fire_at, seq) order, and seq is assigned when
     an event is queued, so simultaneous events fire in the order they were
     queued. Pre-drawn arrivals, which make up most events, are kept apart
-    from the heap of in-flight events as three columns in firing order
-    (times, an int64 array, kinds and payloads), and the loop walks them by
-    index, merging them with the heap as it runs.
+    from the heap of in-flight events as two columns in firing order: their
+    times (int64) and their owners (C int), where an owner indexes the kind
+    and payload of one (kind, payload) pair that add_arrivals was given. The
+    loop walks the columns by index, merging them with the heap as it runs.
     """
 
     def __init__(self):
         # (fire_at, seq, kind, payload) of each in-flight event.
         self._heap: list[tuple[int, int, EventKind, Any]] = []
         self._arrival_times = array("q")
+        self._arrival_owners = array("i")
+        # Each owner's kind and payload.
         self._arrival_kinds: list[EventKind] = []
         self._arrival_payloads: list[Any] = []
         # The position in the arrival columns of the next arrival to fire.
@@ -182,10 +193,10 @@ class EventLoop:
         # An arrival's seq is its position in all_times, so a stable sort on
         # time is (time, seq) order.
         order = np.argsort(all_times, kind="stable")
-        owners = np.repeat(np.arange(len(payloads)), [len(t) for t in times[1:]])[order].tolist()
-        self._arrival_times = array("q", all_times[order].tobytes())
-        self._arrival_kinds = list(map(kinds.__getitem__, owners))
-        self._arrival_payloads = list(map(payloads.__getitem__, owners))
+        owners = np.repeat(np.arange(len(payloads), dtype=np.intc), [len(t) for t in times[1:]])
+        self._arrival_times = _column("q", all_times[order])
+        self._arrival_owners = _column("i", owners[order])
+        self._arrival_kinds, self._arrival_payloads = kinds, payloads
         self.scheduled_count = all_times.size
 
     def schedule(self, event: tuple[int, EventKind, Any]) -> int:
@@ -216,7 +227,8 @@ class EventLoop:
         if t_end < self._now:
             raise ValueError(f"cannot run to t={t_end} before now={self._now}")
         heap, handlers = self._heap, self._handlers
-        times, kinds, payloads = self._arrival_times, self._arrival_kinds, self._arrival_payloads
+        times, owners = self._arrival_times, self._arrival_owners
+        kinds, payloads = self._arrival_kinds, self._arrival_payloads
         start = self.processed_count
         # next_arrival is the time of arrival i when it fires by t_end, else
         # t_end + 1; only firing an arrival changes it, since no arrival is
@@ -230,7 +242,8 @@ class EventLoop:
             if heap and heap[0][0] < next_arrival:
                 fire_at, _, kind, payload = heappop(heap)
             elif next_arrival < limit:
-                fire_at, kind, payload = next_arrival, kinds[i], payloads[i]
+                owner = owners[i]
+                fire_at, kind, payload = next_arrival, kinds[owner], payloads[owner]
                 # Stored before the handler runs, which may raise.
                 i = self._next_arrival = i + 1
                 next_arrival = times[i] if i < n and times[i] < limit else limit

@@ -1,6 +1,8 @@
 import gc
 import json
+import sys
 import tracemalloc
+from array import array
 from unittest.mock import patch
 
 import numpy as np
@@ -378,8 +380,8 @@ def test_fanout_and_store_settings_keep_the_workload():
 def test_response_log_holds_24_bytes_per_response_beyond_its_timelines():
     """A response costs the log an int64 consumer id, an int64 T and a pointer
     to its timeline tuple, which responses share: 24 B, and under 28 B with the
-    columns' growth headroom. A row object per response would add 56 B, and a
-    T kept as an int object another 32 B."""
+    log object and its columns' headers. A row object per response would add
+    56 B, and a T kept as an int object another 32 B."""
     tiny_run(FanoutSettings(mode="synchronous"), ("constant", 0.0), hours=0.1)
     gc.collect()
     tracemalloc.start()
@@ -395,6 +397,18 @@ def test_response_log_holds_24_bytes_per_response_beyond_its_timelines():
         tracemalloc.stop()
     assert n > 500 and len(timelines) < n
     assert freed / n < 28, (freed, n)
+
+
+def test_run_allocates_each_response_log_column_at_its_length():
+    """A run sizes its response log once, from its query arrivals, so the
+    columns never regrow and hold no growth headroom at the end."""
+    _, artifacts = tiny_run(FanoutSettings(service=DistributionSpec("exponential", 30.0)),
+                            ("exponential", 500.0))
+    log = artifacts.responses
+    assert len(log) > 500
+    assert sys.getsizeof(log.consumer_ids) == sys.getsizeof(array("q")) + 8 * len(log)
+    assert sys.getsizeof(log.times) == sys.getsizeof(array("q")) + 8 * len(log)
+    assert sys.getsizeof(log.entries) == sys.getsizeof([]) + 8 * len(log)
 
 
 def test_run_leaves_no_loop_for_the_garbage_collector(tmp_path):
@@ -499,6 +513,20 @@ def test_log_files_roundtrip(tmp_path):
     save_response_log(resp_path, artifacts.responses)
     assert load_tweet_log(tweet_path) == artifacts.tweet_log
     assert list(load_response_log(resp_path)) == list(artifacts.responses)
+
+
+def test_loaded_log_holds_one_tuple_per_distinct_timeline(tmp_path):
+    """Records that serve equal timelines share one tuple once loaded, as the
+    run's responses shared the store's values."""
+    _, artifacts = tiny_run(FanoutSettings(service=DistributionSpec("exponential", 30.0)),
+                            ("exponential", 500.0))
+    path = tmp_path / "responses.jsonl"
+    save_response_log(path, artifacts.responses)
+    log = load_response_log(path)
+    assert list(log) == list(artifacts.responses)
+    served = [entries for entries in log.entries if entries]
+    assert len(set(served)) < len(served)  # equal non-empty timelines recur
+    assert len({id(entries) for entries in served}) == len(set(served))
 
 
 def test_log_wire_format_is_pinned(tmp_path):

@@ -176,7 +176,7 @@ def test_tweet_index_views_equal_brute_force():
         assert index.feeds.keys() == network.follows.keys()
         for consumer, producers in network.follows.items():
             followed = [(pid, t) for pid, t in tweets if pid in producers]
-            assert index.feeds[consumer] == ([t for _, t in followed], tuple(followed[::-1]))
+            assert index.feeds[consumer] == tuple(followed)
         assert index.tweet_counts == dict(Counter(pid for pid, _ in tweets))
 
 

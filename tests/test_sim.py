@@ -1,3 +1,5 @@
+import gc
+import tracemalloc
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -222,7 +224,10 @@ def drive(loop, seed):
     """Random arrivals whose handlers schedule follow-ups with random delays.
 
     Times and delays come from narrow ranges and include zero delays, so
-    arrivals and in-flight events often tie on fire_at. Returns every
+    arrivals and in-flight events often tie on fire_at. One payload object,
+    a list and so unhashable, is given under both arrival kinds, and a block
+    with no pairs sits between them, so an arrival's kind and payload must
+    follow its (kind, payload) pair, not the payload's value. Returns every
     (now, kind, payload) fired, each step's run_until count and pending
     count, and the seqs schedule returned.
     """
@@ -242,10 +247,17 @@ def drive(loop, seed):
 
     for kind in EventKind:
         loop.set_handler(kind, handler(kind))
-    loop.add_arrivals([(kind, [
-        ((kind.value, payload), rng.integers(0, 60, size=int(rng.integers(0, 8))).tolist())
-        for payload in range(int(rng.integers(0, 12)))])
-        for kind in (EventKind.TWEET_ARRIVAL, EventKind.TIMELINE_QUERY)])
+    shared = ["shared"]
+
+    def block(kind):
+        pairs = [((kind.value, payload), rng.integers(0, 60, size=int(rng.integers(0, 8))).tolist())
+                 for payload in range(int(rng.integers(0, 12)))]
+        pairs.insert(int(rng.integers(0, len(pairs) + 1)),
+                     (shared, rng.integers(0, 60, size=int(rng.integers(1, 4))).tolist()))
+        return kind, pairs
+
+    loop.add_arrivals([block(EventKind.TWEET_ARRIVAL), (EventKind.PROPAGATION_ARRIVAL, []),
+                       block(EventKind.TIMELINE_QUERY)])
     for t_end in sorted(rng.integers(0, 120, size=4).tolist()) + [10_000]:
         steps.append((loop.run_until(t_end), loop.pending_count))
     return fired, steps, seqs
@@ -257,6 +269,34 @@ def test_event_loop_matches_single_heap_reference():
     assert mismatched == []
     fired, _, seqs = drive(EventLoop(), 3)
     assert len(seqs) > 20 and len({t for t, _, _ in fired}) < len(fired)  # ties happen
+    # The shared payload fires under both kinds.
+    assert {kind for _, kind, payload in fired if payload == ["shared"]} == {
+        EventKind.TWEET_ARRIVAL, EventKind.TIMELINE_QUERY}
+
+
+def test_arrival_schedule_holds_12_bytes_per_arrival():
+    """An arrival costs the loop its int64 time and a C-int index of its
+    (kind, payload) pair; the kinds and payloads are held once per pair. A
+    kind and a payload pointer per arrival would add 16 B."""
+    rng = np.random.default_rng(0)
+    blocks = [(kind, [(payload, np.sort(rng.integers(0, 10**9, size=500)))
+                      for payload in range(20)])
+              for kind in (EventKind.TWEET_ARRIVAL, EventKind.TIMELINE_QUERY)]
+    n, owners = 2 * 20 * 500, 2 * 20
+    gc.collect()
+    tracemalloc.start()
+    try:
+        loop = EventLoop()
+        loop.add_arrivals(blocks)
+        held = tracemalloc.get_traced_memory()[0]
+        del loop
+        freed = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # Two lists of one pointer per pair, with their growth headroom, and the
+    # loop object's own fields.
+    per_owner = 2 * 8 * 1.25 * owners + 2048
+    assert freed - per_owner <= 12 * n, (freed, n)
 
 
 def test_rng_same_label_restarts_stream():

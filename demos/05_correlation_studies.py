@@ -23,7 +23,7 @@ result = detect_all(artifacts.responses, TweetIndex(artifacts.tweet_log, network
                     analysis_window_fraction=cfg.analysis_window_fraction)
 
 print("top offenders (records attributed to the missing tweet's producer):")
-attribution = attribute_to_producers(result, network)
+attribution = attribute_to_producers(result)
 for producer, count in sorted(attribution.items(), key=lambda kv: -kv[1])[:5]:
     print(f"  producer {producer:>4}: {count:>3} records, "
           f"{len(network.followers[producer])} followers, "

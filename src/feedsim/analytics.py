@@ -58,13 +58,10 @@ def summarize_gaps(result: DetectionResult) -> GapSummary:
     )
 
 
-def attribute_to_producers(result: DetectionResult,
-                           network: FollowingNetwork) -> dict[int, int]:
+def attribute_to_producers(result: DetectionResult) -> dict[int, int]:
     """Conflict records per offending producer (producers with none omitted)."""
     counts: dict[int, int] = {}
     for record in result.records:
-        if record.producer_id not in network.followers:
-            raise ValueError(f"record references unknown producer {record.producer_id}")
         counts[record.producer_id] = counts.get(record.producer_id, 0) + 1
     return dict(sorted(counts.items()))
 
@@ -156,7 +153,7 @@ def build_report(result: DetectionResult, network: FollowingNetwork) -> Analytic
         rate=inconsistency_rate(result),
         histogram=gap_histogram(result),
         gaps=summarize_gaps(result),
-        attribution=attribute_to_producers(result, network),
+        attribution=attribute_to_producers(result),
         studies=correlation_studies(result, network),
     )
 

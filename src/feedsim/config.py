@@ -149,16 +149,6 @@ def zero_delay_config(seed: int = 1, duration_hours: float = 9.0,
     )
 
 
-def lag_probe_config(seed: int, lag_mean_ms: float, out_dir: str = "out") -> ExperimentConfig:
-    """Synchronous fan-out with a dominant replication lag, for lag sweeps."""
-    return ExperimentConfig(
-        seed=seed,
-        store=StoreConfig(n_replicas=3, lag=DistributionSpec("exponential", lag_mean_ms)),
-        fanout=FanoutSettings(mode="synchronous"),
-        out_dir=out_dir,
-    )
-
-
 def is_zero_delay(config: ExperimentConfig) -> bool:
     """True when the configuration cannot produce any inconsistency."""
     return config.store.lag.mean_ms == 0 and config.fanout.mode == "synchronous"

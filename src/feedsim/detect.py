@@ -351,15 +351,9 @@ def _check_counts(result: DetectionResult) -> None:
 
 
 def _check_ids(result: DetectionResult, network: FollowingNetwork, network_path: str | Path,
-               records_path: str | Path, totals_path: str | Path) -> None:
-    """Raise IntegrityError for an id the network lacks, against the record's
-    line when a record names it and against the totals file when a count table does."""
-    for index, record in enumerate(result.records):
-        for kind, id_, known in (("producer", record.producer_id, network.followers),
-                                 ("consumer", record.consumer_id, network.follows)):
-            if id_ not in known:
-                raise IntegrityError(f"{records_path}:{index + 1}: names {kind} {id_}, "
-                                     f"which {network_path} does not hold")
+               totals_path: str | Path) -> None:
+    """Raise IntegrityError, against the totals file, for an id in a count
+    table that the network lacks."""
     for table, kind, known in (("tweet_counts", "producer", network.followers),
                                ("query_counts", "consumer", network.follows)):
         if unknown := getattr(result, table).keys() - known.keys():
@@ -367,10 +361,16 @@ def _check_ids(result: DetectionResult, network: FollowingNetwork, network_path:
                                  f"which {network_path} does not hold")
 
 
-def _record_id_fault(record: ConflictRecord, window: range) -> str | None:
-    """Why detect_all cannot have written the record's ids, or None: both lie
-    in the analysis window, a response never witnesses its own hole, and a
+def _record_id_fault(record: ConflictRecord, window: range, network: FollowingNetwork,
+                     network_path: str | Path) -> str | None:
+    """Why detect_all cannot have written the record's ids, or None: the
+    network holds its producer and consumer, both response ids lie in the
+    analysis window, a response never witnesses its own hole, and a
     newer-earlier witness has a strictly earlier T, so a smaller id."""
+    for kind, id_, known in (("producer", record.producer_id, network.followers),
+                             ("consumer", record.consumer_id, network.follows)):
+        if id_ not in known:
+            return f"names {kind} {id_}, which {network_path} does not hold"
     for name in ("response_id", "witness_response_id"):
         if (id_ := getattr(record, name)) not in window:
             return f"{name} {id_} is outside the analysis window [{window.start}, {window.stop})"
@@ -421,14 +421,14 @@ def load_detection(records_path: str | Path, totals_path: str | Path,
         if key in _RECORD_KEYS:
             raise IntegrityError(f"{totals_path}: {key!r} does not match {records_path}")
         raise IntegrityError(f"{totals_path}: {key!r} is not written the way detect writes it")
-    _check_ids(result, network, network_path, records_path, totals_path)
+    _check_ids(result, network, network_path, totals_path)
+    window = range(result.analyzed_start_id, result.total_count)
+    for index, record in enumerate(records):
+        if fault := _record_id_fault(record, window, network, network_path):
+            raise IntegrityError(f"{records_path}:{index + 1}: {fault}")
     conflicting = Counter({r.response_id: r.consumer_id for r in records}.values())
     for consumer, count in conflicting.items():
         if count > (queries := result.query_counts.get(consumer, 0)):
             raise IntegrityError(f"{totals_path}: consumer {consumer} has {count} conflicting "
                                  f"responses but {queries} queries")
-    window = range(result.analyzed_start_id, result.total_count)
-    for index, record in enumerate(records):
-        if fault := _record_id_fault(record, window):
-            raise IntegrityError(f"{records_path}:{index + 1}: {fault}")
     return result

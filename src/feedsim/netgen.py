@@ -103,33 +103,26 @@ class FollowingNetwork:
                      out_degree_ranks: np.ndarray | None = None) -> FollowingNetwork:
         """The network of these follow lists, with each producer's followers sorted.
 
-        Raises FollowListError naming the first consumer, by id, whose follow
-        list is empty, repeats a producer, is unsorted or names an unknown
-        producer.
+        Raises IntegrityError, with the consumer's id as its position, for the
+        first consumer by id whose follow list is empty, repeats a producer, is
+        unsorted or names an unknown producer.
         """
         follower_lists: list[list[int]] = [[] for _ in range(n_producers)]
         for consumer, producers in sorted(follows.items()):
             if len(producers) == 0:
-                raise FollowListError(consumer, "follows nobody")
+                raise IntegrityError(f"consumer {consumer} follows nobody", consumer)
             if len(set(producers)) != len(producers):
-                raise FollowListError(consumer, "has duplicate follows")
+                raise IntegrityError(f"consumer {consumer} has duplicate follows", consumer)
             if tuple(sorted(producers)) != tuple(producers):
-                raise FollowListError(consumer, "follow list not sorted")
+                raise IntegrityError(f"consumer {consumer} follow list not sorted", consumer)
             for p in producers:
                 if not 0 <= p < n_producers:
-                    raise FollowListError(consumer, f"follows unknown producer {p}")
+                    raise IntegrityError(f"consumer {consumer} follows unknown producer {p}",
+                                         consumer)
                 follower_lists[p].append(consumer)
         return cls(n_producers, len(follows), follows,
                    {p: tuple(consumers) for p, consumers in enumerate(follower_lists)},
                    out_degree_ranks)
-
-
-class FollowListError(ValueError):
-    """A follow list FollowingNetwork.from_follows rejects, and its consumer's id."""
-
-    def __init__(self, consumer: int, problem: str):
-        super().__init__(f"consumer {consumer} {problem}")
-        self.consumer = consumer
 
 
 @dataclass
@@ -413,30 +406,34 @@ def _network_record(record: dict) -> tuple[str, int, tuple[int, ...] | float]:
 
 def load_network_profile(path: str | Path) -> tuple[FollowingNetwork, WorkloadProfile]:
     """Read a file written by save_network_profile; IntegrityError names the file,
-    and the line of a record that is malformed, whose id is not the count of
-    records of its kind before it, or that holds a follow list from_follows
-    rejects."""
+    and the line of a record that is malformed, whose kind comes before one the
+    file has already reached, whose id is not the count of records of its kind
+    before it, or that holds a follow list from_follows rejects."""
+    # The kinds in the order save_network_profile writes them.
     tables: dict[str, list] = {"follows": [], "producer": [], "consumer": []}
-    # Each consumer's follow record's position in the file.
-    follow_positions: list[int] = []
+    kinds = list(tables)
+    reached = 0  # the index in kinds of the last record's kind
 
-    def add(record: dict, position: int) -> None:
+    def add(record: dict, _) -> None:
+        nonlocal reached
         table, key, value = _network_record(record)
+        if (kind := kinds.index(table)) < reached:
+            raise ValueError(f"a {table} record after the {kinds[reached]} records")
+        reached = kind
         if key != (expected := len(tables[table])):
             raise ValueError(f"{table} id {key} is not the record's position {expected} "
                              f"among {table} records")
         tables[table].append(value)
-        if table == "follows":
-            follow_positions.append(position)
 
     deque(read_jsonl(path, add), maxlen=0)
     follows, producer_rates, consumer_rates = tables.values()
     if len(consumer_rates) != len(follows):
         raise IntegrityError(f"{path}: consumer rate records do not match follow records")
+    # The follow records come first and their ids count them, so consumer c's is on line c + 1.
     try:
         network = FollowingNetwork.from_follows(len(producer_rates), dict(enumerate(follows)))
-    except FollowListError as exc:
-        raise IntegrityError(f"{path}:{follow_positions[exc.consumer] + 1}: {exc}") from exc
+    except IntegrityError as exc:
+        raise IntegrityError(f"{path}:{exc.position + 1}: {exc}") from exc
     profile = WorkloadProfile(producer_rate=np.array(producer_rates),
                               consumer_rate=np.array(consumer_rates))
     return network, profile

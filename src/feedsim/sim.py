@@ -275,6 +275,14 @@ class RngStreams:
         return np.random.default_rng(np.random.SeedSequence([self.master_seed, key]))
 
 
+# mean_ms stays below this, or one delay draw could pass 2**63 microseconds
+# and make_sampler's cast of it to int64 would wrap: numpy's exponential draws
+# stay below 44.5 times their scale (its ziggurat's tail draw is r - log1p(-U),
+# with r about 7.7 and -log1p(-U) at most 53 ln 2). A constant delay is held
+# to the same bound, so one rule covers both distributions.
+MAX_DELAY_MEAN_MS = 2**63 / 44.5 / MICROS_PER_MS
+
+
 @dataclass(frozen=True)
 class DistributionSpec:
     """A named non-negative delay distribution.
@@ -291,6 +299,9 @@ class DistributionSpec:
             raise ValueError(f"unknown distribution kind: {self.distribution!r}")
         if self.mean_ms < 0:
             raise ValueError("mean_ms must be non-negative")
+        if self.mean_ms >= MAX_DELAY_MEAN_MS:
+            raise ValueError(f"mean_ms must be below {MAX_DELAY_MEAN_MS:.4g}, past which "
+                             "a delay in microseconds overflows a 64-bit integer")
 
 
 # Samplers draw this many values per numpy call. numpy's block draws equal

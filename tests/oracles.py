@@ -1,5 +1,5 @@
 """Independent reference implementations used to cross-check the detector
-and the event loop.
+and the event loop, and the corpora and configs the tests share.
 
 Everything here is deliberately written from the definitions (filter,
 sort, truncate, all-pairs scans) without reusing feedsim.detect internals.
@@ -12,9 +12,11 @@ from datetime import timedelta
 
 import numpy as np
 
-from feedsim.app import ResponseLog
+from feedsim.app import FanoutSettings, ResponseLog
+from feedsim.config import ExperimentConfig
 from feedsim.netgen import FollowingNetwork
-from feedsim.sim import EPOCH
+from feedsim.sim import EPOCH, DistributionSpec
+from feedsim.store import StoreConfig
 
 
 class ReferenceLoop:
@@ -194,3 +196,13 @@ def random_instance(rng: np.random.Generator):
             kept = [eligible[i] for i in idx]
         responses.append(consumer, T, tuple(kept))
     return responses, tweets, network, n_timeline
+
+
+def lag_probe_config(seed: int, lag_mean_ms: float, out_dir: str = "out") -> ExperimentConfig:
+    """Synchronous fan-out with a dominant replication lag, for lag sweeps."""
+    return ExperimentConfig(
+        seed=seed,
+        store=StoreConfig(n_replicas=3, lag=DistributionSpec("exponential", lag_mean_ms)),
+        fanout=FanoutSettings(mode="synchronous"),
+        out_dir=out_dir,
+    )

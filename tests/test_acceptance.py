@@ -19,10 +19,11 @@ from feedsim.checks import (
     check_rate_positive,
 )
 from feedsim.cli import main
-from feedsim.config import ExperimentConfig, lag_probe_config, zero_delay_config
+from feedsim.config import ExperimentConfig, zero_delay_config
 from feedsim.sim import RngStreams
 from feedsim.stats import rank_correlation
-from oracles import brute_force_conflicts, detector_conflict_set, random_instance
+from oracles import (brute_force_conflicts, detector_conflict_set, lag_probe_config,
+                     random_instance)
 
 
 def report_criterion(number, name, passed, detail):

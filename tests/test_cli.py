@@ -14,15 +14,11 @@ import pytest
 import feedsim.cli as cli
 from feedsim.app import FanoutSettings
 from feedsim.cli import _resolve_config, build_parser, main
-from feedsim.config import (
-    ExperimentConfig,
-    is_zero_delay,
-    lag_probe_config,
-    zero_delay_config,
-)
+from feedsim.config import ExperimentConfig, is_zero_delay, zero_delay_config
 from feedsim.netgen import ZipfPair, ZipfParams
 from feedsim.sim import DistributionSpec
 from feedsim.store import StoreConfig
+from oracles import lag_probe_config
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -169,6 +165,8 @@ def test_is_zero_delay(lag, mode, expected):
 
 DURATION_PAST_TIMESTAMPS = ("duration_hours must be below 69951240, past which event times "
                             "cannot be written as timestamps")
+DELAY_PAST_INT64 = ("mean_ms must be below 2.073e+14, past which a delay in microseconds "
+                    "overflows a 64-bit integer")
 BAD_CONFIG_VALUES = [
     ('{"seed": "x"}', "config key 'seed' must be an integer, not a string"),
     ('{"seed": 1.5}', "config key 'seed' must be an integer, not a number"),
@@ -205,6 +203,9 @@ BAD_CONFIG_VALUES = [
     # run, since a run would draw that many hours of arrivals.
     ('{"duration_hours": 1e300}', DURATION_PAST_TIMESTAMPS),
     ('{"duration_hours": 69951241}', DURATION_PAST_TIMESTAMPS),
+    # Finite, but one delay draw could overflow the int64 microseconds it is cast to.
+    ('{"fanout": {"service": {"mean_ms": 1e16}}, "duration_hours": 0.05}', DELAY_PAST_INT64),
+    ('{"store": {"lag": {"mean_ms": 1e300}}}', DELAY_PAST_INT64),
 ]
 
 
@@ -824,13 +825,16 @@ def test_bad_network_record_values_exit_1(tmp_path, capsys, staged_outputs, tabl
         assert err.startswith(f"{stage}: {path}:{line_no}: corrupt record: ValueError: "), err
 
 
-@pytest.mark.parametrize("table,record", [
-    ("follows", {"c": 5, "p": [0, 1, 2]}),
-    ("producer", {"producer": 3, "rate_per_hour": 500.0}),
-    ("consumer", {"consumer": 5, "rate_per_hour": 500.0}),
+@pytest.mark.parametrize("record,message", [
+    ({"c": 5, "p": [0, 1, 2]}, "a follows record after the consumer records"),
+    ({"producer": 3, "rate_per_hour": 500.0}, "a producer record after the consumer records"),
+    ({"consumer": 5, "rate_per_hour": 500.0},
+     "consumer id 5 is not the record's position {kind_count} among consumer records"),
 ], ids=["follows", "producer", "consumer"])
-def test_repeated_network_record_exits_1(tmp_path, capsys, staged_outputs, table, record):
-    # A second record for an id is out of order, since ids count their kind's records.
+def test_repeated_network_record_exits_1(tmp_path, capsys, staged_outputs, record, message):
+    # A second record for an id, appended after the consumer records, is out of
+    # order: by kind, unless it is a consumer record, and then by id, since
+    # ids count their kind's records.
     out = tmp_path / "out"
     shutil.copytree(staged_outputs, out)
     cfg_path = write_config(tmp_path, tiny_config(out))
@@ -838,14 +842,35 @@ def test_repeated_network_record_exits_1(tmp_path, capsys, staged_outputs, table
     lines = path.read_text().splitlines(keepends=True) + [json.dumps(record) + "\n"]
     path.write_text("".join(lines))
     key = next(iter(record))
-    id_, kind_count = record[key], sum(key in json.loads(line) for line in lines[:-1])
+    message = message.format(kind_count=sum(key in json.loads(line) for line in lines[:-1]))
     for stage in ("run", "detect", "report"):
         capsys.readouterr()
         assert main([stage, "--config", str(cfg_path)]) == 1, stage
         err = capsys.readouterr().err
         assert err.startswith(f"{stage}: {path}:{len(lines)}: corrupt record: ValueError: "
-                              f"{table} id {id_} is not the record's position {kind_count} "
-                              f"among {table} records\n"), err
+                              f"{message}\n"), err
+
+
+def test_producer_record_among_the_follow_records_exits_1(tmp_path, capsys, staged_outputs):
+    # The network file holds its kinds in the order save_network_profile
+    # writes them. Producer 0's rate record, moved up to line 6 among the
+    # follow records, keeps every id at its position among its kind, so it is
+    # the follow record after it, consumer 5's on line 7, that comes too late.
+    out = tmp_path / "out"
+    shutil.copytree(staged_outputs, out)
+    cfg_path = write_config(tmp_path, tiny_config(out))
+    path = out / "network_profile.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    first_rate = next(i for i, line in enumerate(lines) if "producer" in json.loads(line))
+    lines.insert(5, lines.pop(first_rate))
+    assert json.loads(lines[5])["producer"] == 0 and json.loads(lines[6])["c"] == 5
+    path.write_text("".join(lines))
+    for stage in ("run", "detect", "report"):
+        capsys.readouterr()
+        assert main([stage, "--config", str(cfg_path)]) == 1, stage
+        assert capsys.readouterr().err.startswith(
+            f"{stage}: {path}:7: corrupt record: ValueError: a follows record after the "
+            f"producer records\n"), stage
 
 
 @pytest.mark.parametrize("key", ["c", "producer"], ids=["follows", "producer"])

@@ -1,5 +1,6 @@
 import json
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -514,6 +515,32 @@ def test_wider_window_keeps_every_conflict(seed, f, g):
                                               n_timeline=n, analysis_window_fraction=fraction))
              for fraction in (narrow, wide)]
     assert found[0] <= found[1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.data())
+def test_relabelling_consumers_relabels_only_the_consumers(seed, data):
+    """Renaming the consumers through a permutation, in the network and in the
+    log's consumer column, renames them in the records and the query counts and
+    changes nothing else: not the records' order, the tweet counts or any count."""
+    responses, tweets, network, n = random_instance(np.random.default_rng(seed))
+    relabel = data.draw(st.permutations(range(network.n_consumers)))
+    renamed_network = make_network({relabel[c]: producers
+                                    for c, producers in network.follows.items()},
+                                   network.n_producers)
+    renamed = ResponseLog()
+    for consumer_id, T, entries in zip(responses.consumer_ids, responses.times,
+                                       responses.entries):
+        renamed.append(relabel[consumer_id], T, entries)
+    for fraction in (0.25, 0.5, 1.0):
+        found, found_renamed = (
+            detect_all(log, TweetIndex(tweets, net), n_timeline=n,
+                       analysis_window_fraction=fraction)
+            for log, net in ((responses, network), (renamed, renamed_network)))
+        assert found_renamed == replace(
+            found, records=[replace(record, consumer_id=relabel[record.consumer_id])
+                            for record in found.records],
+            query_counts={relabel[c]: count for c, count in found.query_counts.items()})
 
 
 def test_detection_result_files_roundtrip(tmp_path):

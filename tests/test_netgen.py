@@ -20,7 +20,7 @@ from feedsim.netgen import (
     save_network_profile,
     validate_profile,
 )
-from feedsim.sim import RngStreams
+from feedsim.sim import IntegrityError, RngStreams
 from feedsim.stats import rank_correlation
 
 DESK = dict(n_producers=679, n_consumers=1963)
@@ -97,10 +97,13 @@ def test_from_follows_derives_sorted_followers():
     ({0: (1, 0)}, "consumer 0 follow list not sorted"),
     ({0: (0, 2)}, "consumer 0 follows unknown producer 2"),
     ({0: (-1, 0)}, "consumer 0 follows unknown producer -1"),
+    ({2: (0, 2), 1: (0,), 3: ()}, "consumer 2 follows unknown producer 2"),
 ])
 def test_from_follows_rejects_bad_follow_lists(follows, message):
-    with pytest.raises(ValueError, match=f"^{message}$"):
+    # The first consumer at fault by id is named, and its id is the error's position.
+    with pytest.raises(IntegrityError, match=f"^{message}$") as excinfo:
         FollowingNetwork.from_follows(2, follows)
+    assert message.startswith(f"consumer {excinfo.value.position} ")
 
 
 def test_build_network_rejects_imbalanced_means():

@@ -43,19 +43,10 @@ if TYPE_CHECKING:
 RETRY_BACKOFF_US = 10 * MICROS_PER_MS
 
 
-@dataclass(slots=True)
-class TimelineResponse:
-    """One served timeline query; entries are (producer_id, t) newest-first.
-    Its response id is its position in the response log."""
-
-    consumer_id: int
-    T: int
-    entries: tuple[tuple[int, int], ...]
-
-
 class ResponseLog:
     """The response log as columns: response i is consumer_ids[i] querying at
-    times[i] and served entries[i], a shared timeline tuple; log[i] is its row.
+    times[i] and served entries[i], a shared timeline tuple of (producer_id, t)
+    pairs, newest-first; its response id is its position i.
 
     The columns are allocated once, with size slots, and append fills the
     slots in order, so a log made for the responses a run will serve never
@@ -82,10 +73,6 @@ class ResponseLog:
 
     def __len__(self) -> int:
         return self._filled
-
-    def __getitem__(self, i: int) -> TimelineResponse:
-        i = range(self._filled)[i]
-        return TimelineResponse(self.consumer_ids[i], self.times[i], self.entries[i])
 
 
 @dataclass(frozen=True)

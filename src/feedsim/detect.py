@@ -21,7 +21,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .app import ResponseLog, TimelineResponse
+from .app import ResponseLog
 from .netgen import FollowingNetwork
 from .sim import (MICROS_PER_SECOND, RECORD_ERRORS, IntegrityError, from_iso, read_jsonl,
                   record_decimal, record_int, to_iso, write_jsonl)
@@ -166,9 +166,10 @@ def build_witness_index(responses: Iterable[tuple[int, int, tuple]]) -> WitnessI
     return WitnessIndex(containments)
 
 
-def classify(response_id: int, response: TimelineResponse, missing: tuple[int, int],
+def classify(response_id: int, consumer_id: int, T: int, missing: tuple[int, int],
              conflict_type: ConflictType, witness_index: WitnessIndex) -> ConflictRecord | None:
-    """Decide whether one missing tweet is an observable conflict.
+    """Decide whether one tweet missing from the response that consumer_id
+    was served at T is an observable conflict.
 
     A gap is a conflict as soon as any response contains the tweet; a
     newer-earlier hole needs a witness timestamped strictly earlier than
@@ -176,17 +177,15 @@ def classify(response_id: int, response: TimelineResponse, missing: tuple[int, i
     """
     producer_id, t = missing
     earliest = witness_index.containments.get(missing)
-    if earliest is None or (conflict_type is ConflictType.NEWER_EARLIER
-                            and earliest[0] >= response.T):
+    if earliest is None or (conflict_type is ConflictType.NEWER_EARLIER and earliest[0] >= T):
         return None
-    gap_us = response.T - t
+    gap_us = T - t
     if gap_us <= 0:
         raise IntegrityError(
-            f"non-positive gap for response {response_id}: tweet at {t} vs T={response.T}",
-            response_id)
+            f"non-positive gap for response {response_id}: tweet at {t} vs T={T}", response_id)
     return ConflictRecord(
         response_id=response_id,
-        consumer_id=response.consumer_id,
+        consumer_id=consumer_id,
         producer_id=producer_id,
         t=t,
         type=conflict_type,
@@ -266,7 +265,7 @@ def detect_all(log: ResponseLog, index: TweetIndex, *,
     if not 0 < analysis_window_fraction <= 1:
         raise ValueError("analysis_window_fraction must be in (0, 1]")
     start = len(log) - int(round(len(log) * analysis_window_fraction))
-    incomplete = []  # (id, row, what it misses) for analyzed responses unlike their oracle
+    incomplete = []  # (id, consumer, T, what it misses) per analyzed response unlike its oracle
     prev_T = None
     for i, (consumer_id, T, entries) in enumerate(zip(log.consumer_ids, log.times, log.entries)):
         if prev_T is not None and T < prev_T:
@@ -281,13 +280,13 @@ def detect_all(log: ResponseLog, index: TweetIndex, *,
         # Serving exactly the oracle proves the entries valid and complete.
         if entries != oracle:
             index.check(i, consumer_id, T, entries)
-            incomplete.append((i, log[i], find_missing(index, entries, oracle)))
+            incomplete.append((i, consumer_id, T, find_missing(index, entries, oracle)))
 
     # The window's columns are walked in place: a slice would copy them.
     window = zip(count(start), islice(log.times, start, None), islice(log.entries, start, None))
     witness_index = build_witness_index(window if incomplete else [])
-    records = [record for i, resp, missing in incomplete for key, conflict_type in missing
-               if (record := classify(i, resp, key, conflict_type, witness_index)) is not None]
+    records = [record for i, consumer_id, T, missing in incomplete for key, kind in missing
+               if (record := classify(i, consumer_id, T, key, kind, witness_index)) is not None]
     return DetectionResult(records, len(log), index.tweet_counts,
                            dict(Counter(islice(log.consumer_ids, start, None))),
                            n_timeline, analysis_window_fraction)

@@ -408,7 +408,8 @@ def load_network_profile(path: str | Path) -> tuple[FollowingNetwork, WorkloadPr
     """Read a file written by save_network_profile; IntegrityError names the file,
     and the line of a record that is malformed, whose kind comes before one the
     file has already reached, whose id is not the count of records of its kind
-    before it, or that holds a follow list from_follows rejects."""
+    before it, or that holds a follow list from_follows rejects. A file with no
+    follow records or no producer rate records holds no network to run."""
     # The kinds in the order save_network_profile writes them.
     tables: dict[str, list] = {"follows": [], "producer": [], "consumer": []}
     kinds = list(tables)
@@ -427,6 +428,9 @@ def load_network_profile(path: str | Path) -> tuple[FollowingNetwork, WorkloadPr
 
     deque(read_jsonl(path, add), maxlen=0)
     follows, producer_rates, consumer_rates = tables.values()
+    for records, kind in ((follows, "follow"), (producer_rates, "producer rate")):
+        if not records:
+            raise IntegrityError(f"{path}: no {kind} records")
     if len(consumer_rates) != len(follows):
         raise IntegrityError(f"{path}: consumer rate records do not match follow records")
     # The follow records come first and their ids count them, so consumer c's is on line c + 1.

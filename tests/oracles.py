@@ -84,32 +84,33 @@ def brute_timeline(consumer_id, T, tweets, network, n_timeline):
 
 def brute_force_conflicts(responses, tweets, network, n_timeline,
                           window_fraction=1.0):
-    """All-pairs crosschecking: returns {(response_id, producer, t, type)}, where
-    a response's id is its position in responses."""
+    """All-pairs crosschecking over (consumer_id, T, entries) triples: returns
+    {(response_id, producer, t, type)}, where a response's id is its position
+    in responses."""
     seq_of = {pair: seq for seq, pair in enumerate(tweets)}
     start = len(responses) - int(round(len(responses) * window_fraction))
     analyzed = list(enumerate(responses))[start:]
     found = set()
-    for response_id, resp in analyzed:
-        oracle = brute_timeline(resp.consumer_id, resp.T, tweets, network, n_timeline)
-        served_pairs = set(resp.entries)
-        served_keys = [(t, seq_of[(pid, t)]) for pid, t in resp.entries]
+    for response_id, (consumer_id, T, entries) in analyzed:
+        oracle = brute_timeline(consumer_id, T, tweets, network, n_timeline)
+        served_pairs = set(entries)
+        served_keys = [(t, seq_of[(pid, t)]) for pid, t in entries]
         for pid, t in oracle:
             if (pid, t) in served_pairs:
                 continue
             key = (t, seq_of[(pid, t)])
             newer = any(k > key for k in served_keys)
             older = any(k < key for k in served_keys)
-            witnesses = [
-                other for other_id, other in analyzed
+            witness_Ts = [
+                other_T for other_id, (_, other_T, other_entries) in analyzed
                 if other_id != response_id
-                and (pid, t) in set(other.entries)
+                and (pid, t) in set(other_entries)
             ]
             if newer and older:
-                if witnesses:
+                if witness_Ts:
                     found.add((response_id, pid, t, "gap"))
             elif not newer:
-                if any(other.T < resp.T for other in witnesses):
+                if any(other_T < T for other_T in witness_Ts):
                     found.add((response_id, pid, t, "newer_earlier"))
     return found
 
@@ -118,23 +119,25 @@ def detector_conflict_set(result):
     return {(r.response_id, r.producer_id, r.t, r.type.value) for r in result.records}
 
 
-def response_log(rows) -> ResponseLog:
-    """The ResponseLog of TimelineResponse rows, in order."""
+def response_log(triples) -> ResponseLog:
+    """The ResponseLog of (consumer_id, T, entries) triples, in order."""
     log = ResponseLog()
-    for row in rows:
-        log.append(row.consumer_id, row.T, row.entries)
+    for consumer_id, T, entries in triples:
+        log.append(consumer_id, T, entries)
     return log
 
 
-def fields(row):
-    """A row's (consumer_id, T, entries), as TweetIndex.check takes them after the id."""
-    return row.consumer_id, row.T, row.entries
+def rows(log: ResponseLog):
+    """A log's responses as (consumer_id, T, entries) triples, in order; each
+    is what TweetIndex.check takes after the response id."""
+    n = len(log)
+    return list(zip(log.consumer_ids[:n], log.times[:n], log.entries[:n]))
 
 
-def witness_triples(rows):
-    """The (response_id, T, entries) triple of each (response_id, row) pair, as
-    build_witness_index takes them."""
-    return [(response_id, row.T, row.entries) for response_id, row in rows]
+def witness_triples(responses):
+    """The (response_id, T, entries) triple of each (response_id, (consumer_id,
+    T, entries)) pair, as build_witness_index takes them."""
+    return [(response_id, T, entries) for response_id, (_, T, entries) in responses]
 
 
 def make_network(follows: dict[int, tuple[int, ...]], n_producers: int) -> FollowingNetwork:

@@ -23,7 +23,7 @@ from feedsim.config import ExperimentConfig, zero_delay_config
 from feedsim.sim import RngStreams
 from feedsim.stats import rank_correlation
 from oracles import (brute_force_conflicts, detector_conflict_set, lag_probe_config,
-                     random_instance)
+                     random_instance, rows)
 
 
 def report_criterion(number, name, passed, detail):
@@ -84,7 +84,8 @@ def test_criterion_2_bruteforce_equivalence():
         result = detect.detect_all(responses, detect.TweetIndex(tweets, network),
                                    n_timeline=n_timeline,
                                    analysis_window_fraction=fraction)
-        expected = brute_force_conflicts(responses, tweets, network, n_timeline, fraction)
+        expected = brute_force_conflicts(rows(responses), tweets, network, n_timeline,
+                                         fraction)
         if detector_conflict_set(result) != expected:
             mismatches += 1
         conflicts_seen += len(expected)

@@ -14,7 +14,6 @@ import feedsim.app as app_module
 from feedsim.app import (
     FanoutSettings,
     FeedApp,
-    TimelineResponse,
     insert_entry,
     load_response_log,
     load_tweet_log,
@@ -42,7 +41,7 @@ from feedsim.sim import (
     from_iso,
 )
 from feedsim.store import ReplicatedStore, StoreConfig
-from oracles import datetime_iso, make_network, response_log
+from oracles import datetime_iso, make_network, response_log, rows
 from test_cli import tiny_config, write_config
 
 
@@ -200,7 +199,7 @@ def test_query_unknown_consumer_raises():
 def test_query_before_any_tweet_is_empty():
     app, *_ = make_app({0: (0,)}, 1)
     assert app.query_timeline(0) is None
-    assert list(app.responses) == [TimelineResponse(0, 0, ())]
+    assert rows(app.responses) == [(0, 0, ())]
 
 
 def tiny_run(fanout, lag, seed=1, hours=1.0, n_replicas=3):
@@ -218,8 +217,8 @@ def tiny_run(fanout, lag, seed=1, hours=1.0, n_replicas=3):
 def test_zero_delay_synchronous_responses_equal_oracle():
     network, artifacts = tiny_run(FanoutSettings(mode="synchronous"), ("constant", 0.0))
     feeds = TweetIndex(artifacts.tweet_log, network).feeds
-    for response in artifacts.responses:
-        assert response.entries == consistent_timeline(feeds, response.consumer_id, response.T, 5)
+    for consumer_id, T, entries in rows(artifacts.responses):
+        assert entries == consistent_timeline(feeds, consumer_id, T, 5)
 
 
 def test_lagged_run_responses_never_contain_future_or_phantom_tweets():
@@ -227,9 +226,8 @@ def test_lagged_run_responses_never_contain_future_or_phantom_tweets():
         FanoutSettings(service=DistributionSpec("exponential", 50.0)),
         ("exponential", 2000.0))
     known = set(artifacts.tweet_log)
-    for response in artifacts.responses:
-        entries = list(response.entries)
-        assert all(t <= response.T for _, t in entries)
+    for _, T, entries in rows(artifacts.responses):
+        assert all(t <= T for _, t in entries)
         assert all(pair in known for pair in entries)
         times = [t for _, t in entries]
         assert times == sorted(times, reverse=True)
@@ -350,7 +348,7 @@ def test_run_is_seed_deterministic():
     _, b = tiny_run(FanoutSettings(service=DistributionSpec("exponential", 30.0)),
                     ("exponential", 500.0), seed=5)
     assert a.tweet_log == b.tweet_log
-    assert list(a.responses) == list(b.responses)
+    assert rows(a.responses) == rows(b.responses)
     assert a.to_dict() == b.to_dict()
 
 
@@ -389,7 +387,8 @@ def test_response_log_holds_24_bytes_per_response_beyond_its_timelines():
         _, artifacts = tiny_run(FanoutSettings(service=DistributionSpec("exponential", 30.0)),
                                 ("exponential", 500.0))
         n = len(artifacts.responses)
-        timelines = list({id(resp.entries): resp.entries for resp in artifacts.responses}.values())
+        timelines = list({id(entries): entries
+                          for _, _, entries in rows(artifacts.responses)}.values())
         held = tracemalloc.get_traced_memory()[0]
         artifacts.responses = None
         freed = held - tracemalloc.get_traced_memory()[0]
@@ -512,7 +511,7 @@ def test_log_files_roundtrip(tmp_path):
     save_tweet_log(tweet_path, artifacts.tweet_log)
     save_response_log(resp_path, artifacts.responses)
     assert load_tweet_log(tweet_path) == artifacts.tweet_log
-    assert list(load_response_log(resp_path)) == list(artifacts.responses)
+    assert rows(load_response_log(resp_path)) == rows(artifacts.responses)
 
 
 def test_loaded_log_holds_one_tuple_per_distinct_timeline(tmp_path):
@@ -523,7 +522,7 @@ def test_loaded_log_holds_one_tuple_per_distinct_timeline(tmp_path):
     path = tmp_path / "responses.jsonl"
     save_response_log(path, artifacts.responses)
     log = load_response_log(path)
-    assert list(log) == list(artifacts.responses)
+    assert rows(log) == rows(artifacts.responses)
     served = [entries for entries in log.entries if entries]
     assert len(set(served)) < len(served)  # equal non-empty timelines recur
     assert len({id(entries) for entries in served}) == len(set(served))
@@ -540,9 +539,8 @@ def test_log_wire_format_is_pinned(tmp_path):
          '{"producer_id": "4", "t": "2020-01-01T00:00:32.256645", "seq": 0}\n'
          '{"producer_id": "1353955", "t": "2020-01-01T00:00:32.256646", "seq": 1}\n'
          '{"producer_id": "1353955", "t": "2020-01-01T00:00:32.256647", "seq": 2}\n'),
-        (save_response_log, (response_log([
-            TimelineResponse(consumer_id=9, T=40_000_000, entries=((1353955, 32_256_647),)),
-            TimelineResponse(consumer_id=4, T=40_000_001, entries=())]),),
+        (save_response_log, (response_log([(9, 40_000_000, ((1353955, 32_256_647),)),
+                                           (4, 40_000_001, ())]),),
          '{"response_id": 0, "consumer_id": "9", "T": "2020-01-01T00:00:40.000000", '
          '"entries": [{"producer_id": "1353955", "t": "2020-01-01T00:00:32.256647"}]}\n'
          '{"response_id": 1, "consumer_id": "4", "T": "2020-01-01T00:00:40.000001", '
@@ -565,13 +563,18 @@ def test_log_wire_format_is_pinned(tmp_path):
         assert path.read_text() == expected, save.__name__
 
 
-def json_line(response_id, resp):
+def json_line(response_id, consumer_id, T, entries):
     """The log line of the response at this position as json.dumps renders its record."""
     return json.dumps({
-        "response_id": response_id, "consumer_id": str(resp.consumer_id),
-        "T": datetime_iso(resp.T),
-        "entries": [{"producer_id": str(pid), "t": datetime_iso(t)} for pid, t in resp.entries],
+        "response_id": response_id, "consumer_id": str(consumer_id),
+        "T": datetime_iso(T),
+        "entries": [{"producer_id": str(pid), "t": datetime_iso(t)} for pid, t in entries],
     }) + "\n"
+
+
+def json_lines(log):
+    """The log lines of each response in log, as json_line renders them."""
+    return [json_line(i, *response) for i, response in enumerate(rows(log))]
 
 
 def test_response_log_equals_json_dumps_of_each_record(tmp_path):
@@ -581,24 +584,21 @@ def test_response_log_equals_json_dumps_of_each_record(tmp_path):
             FanoutSettings(service=DistributionSpec("exponential", float(rng.integers(1, 90_000)))),
             ("exponential", float(rng.integers(0, 5000))), seed=seed, hours=0.5)
         # Ids and times far from the run's: wide integers, days into the year.
-        extra = [TimelineResponse(consumer_id=int(rng.integers(0, 2**40)),
-                                  T=int(rng.integers(0, 400 * 86_400_000_000)),
-                                  entries=tuple((int(rng.integers(0, 2**40)),
-                                                 int(rng.integers(0, 400 * 86_400_000_000)))
-                                                for _ in range(int(rng.integers(0, 4)))))
+        extra = [(int(rng.integers(0, 2**40)), int(rng.integers(0, 400 * 86_400_000_000)),
+                  tuple((int(rng.integers(0, 2**40)), int(rng.integers(0, 400 * 86_400_000_000)))
+                        for _ in range(int(rng.integers(0, 4)))))
                  for _ in range(50)]
         # One entries tuple served twice, an equal copy of it, and empty ones.
         shared = ((7, 86_400_000_001), (3, 5))
         copy = tuple(list(shared))
         assert copy == shared and copy is not shared
-        reused = [TimelineResponse(consumer_id=i, T=i, entries=entries)
-                  for i, entries in enumerate((shared, (), shared, copy, ()))]
-        responses = response_log([*artifacts.responses, *extra, *reused])
-        assert any(not r.entries for r in responses) and any(r.entries for r in responses)
+        reused = [(i, i, entries) for i, entries in enumerate((shared, (), shared, copy, ()))]
+        responses = response_log([*rows(artifacts.responses), *extra, *reused])
+        assert not all(responses.entries) and any(responses.entries)
         path = tmp_path / f"responses{seed}.jsonl"
         save_response_log(path, responses)
         lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-        expected = [json_line(i, resp) for i, resp in enumerate(responses)]
+        expected = json_lines(responses)
         assert len(lines) == len(expected)
         assert [i for i, (got, want) in enumerate(zip(lines, expected)) if got != want] == []
 
@@ -613,25 +613,23 @@ def test_response_log_across_chunks_equals_json_dumps(tmp_path):
     n = 2 * app_module.RESPONSE_LOG_CHUNK + 77
     Ts = np.sort(rng.integers(-day, 400 * day, size=n)).tolist()
     responses = response_log(
-        TimelineResponse(consumer_id=int(rng.integers(0, 2**40)), T=T,
-                         entries=timelines[int(rng.integers(0, len(timelines)))])
+        (int(rng.integers(0, 2**40)), T, timelines[int(rng.integers(0, len(timelines)))])
         for T in Ts)
     path = tmp_path / "responses.jsonl"
     save_response_log(path, responses)
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-    expected = [json_line(i, resp) for i, resp in enumerate(responses)]
+    expected = json_lines(responses)
     assert len(lines) == len(expected) == n
     assert [i for i, (got, want) in enumerate(zip(lines, expected)) if got != want] == []
-    assert list(load_response_log(path)) == list(responses)
+    assert rows(load_response_log(path)) == rows(responses)
 
 
 DAY_US = 86_400_000_000
-LOGGED_RESPONSES = st.builds(
-    TimelineResponse,
-    consumer_id=st.integers(0, 2**40),
-    T=st.integers(-DAY_US, 400 * DAY_US),
-    entries=st.lists(st.tuples(st.integers(0, 2**40), st.integers(-DAY_US, 400 * DAY_US)),
-                     max_size=3).map(tuple))
+LOGGED_RESPONSES = st.tuples(
+    st.integers(0, 2**40),
+    st.integers(-DAY_US, 400 * DAY_US),
+    st.lists(st.tuples(st.integers(0, 2**40), st.integers(-DAY_US, 400 * DAY_US)),
+             max_size=3).map(tuple))
 
 
 @settings(max_examples=60, deadline=None)
@@ -643,7 +641,7 @@ def test_response_log_ids_are_positions(tmp_path_factory, responses, chunk, data
     responses = response_log(responses)
     with patch.object(app_module, "RESPONSE_LOG_CHUNK", chunk):
         save_response_log(path, responses)
-    assert list(load_response_log(path)) == list(responses)
+    assert rows(load_response_log(path)) == rows(responses)
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
     position = data.draw(st.integers(0, len(lines) - 1))
     wrong = data.draw(st.integers(-2**40, 2**40).filter(lambda id_: id_ != position))
@@ -676,13 +674,12 @@ def test_response_log_of_shared_timelines_equals_json_dumps(tmp_path_factory, po
                                          st.sampled_from(pool), st.booleans()),
                                max_size=16))
     responses = response_log(
-        TimelineResponse(consumer_id, T, tuple(list(entries)) if copy else entries)
+        (consumer_id, T, tuple(list(entries)) if copy else entries)
         for consumer_id, T, entries, copy in drawn)
     path = tmp_path_factory.mktemp("responses") / "responses.jsonl"
     with patch.object(app_module, "RESPONSE_LOG_CHUNK", chunk):
         save_response_log(path, responses)
-    assert path.read_text(encoding="utf-8").splitlines(keepends=True) == [
-        json_line(i, resp) for i, resp in enumerate(responses)]
+    assert path.read_text(encoding="utf-8").splitlines(keepends=True) == json_lines(responses)
 
 
 def test_response_log_writer_holds_about_one_chunk_of_timelines(tmp_path):
@@ -695,26 +692,23 @@ def test_response_log_writer_holds_about_one_chunk_of_timelines(tmp_path):
                     rng.integers(0, 400 * DAY_US, 300).tolist()))
     timelines = [tuple(pool[i] for i in rng.choice(len(pool), 100, replace=False).tolist())
                  for _ in range(n_chunks * per_chunk)]
-    responses = response_log(
-        TimelineResponse(consumer_id=i, T=i,
-                         entries=timelines[i // chunk * per_chunk + i % per_chunk])
-        for i in range(n_chunks * chunk))
+    responses = response_log((i, i, timelines[i // chunk * per_chunk + i % per_chunk])
+                             for i in range(n_chunks * chunk))
     # A tail is what a line writes after its header.
-    tails = [len(json_line(0, TimelineResponse(0, 0, entries)).split('"entries": [')[1])
+    tails = [len(json_line(0, 0, 0, entries).split('"entries": [')[1])
              for entries in timelines]
     chunk_tails = max(sum(tails[c * per_chunk:(c + 1) * per_chunk]) for c in range(n_chunks))
     path = tmp_path / "responses.jsonl"
     with patch.object(app_module, "RESPONSE_LOG_CHUNK", chunk):
         # A first call makes numpy's one-time allocations outside the trace.
-        save_response_log(path, response_log([responses[0]]))
+        save_response_log(path, response_log(rows(responses)[:1]))
         tracemalloc.start()
         try:
             save_response_log(path, responses)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert path.read_text(encoding="utf-8").splitlines(keepends=True) == [
-        json_line(i, resp) for i, resp in enumerate(responses)]
+    assert path.read_text(encoding="utf-8").splitlines(keepends=True) == json_lines(responses)
     # Under the bound: one chunk's tails, the 64 KiB write buffer, one
     # chunk's timestamps and the slot arrays.
     assert peak < 2 * chunk_tails, (peak, chunk_tails)

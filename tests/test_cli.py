@@ -796,6 +796,32 @@ def test_bad_follow_list_exits_1_naming_its_line(tmp_path, capsys, staged_output
         assert capsys.readouterr().err.startswith(f"{stage}: {path}:6: {message}\n"), stage
 
 
+# A network file with no network in it: (its records, the message after the file name).
+# Follow records come first, so a file with none is named for them.
+EMPTY_NETWORKS = {
+    "empty": (lambda records: [], "no follow records"),
+    "producer_only": (lambda records: [{"producer": 0, "rate_per_hour": 1.0}],
+                      "no follow records"),
+    "no_producers": (lambda records: [r for r in records if "producer" not in r],
+                     "no producer rate records"),
+}
+
+
+@pytest.mark.parametrize("keep,message", EMPTY_NETWORKS.values(), ids=EMPTY_NETWORKS)
+def test_network_without_follows_or_producers_exits_1(tmp_path, capsys, staged_outputs,
+                                                      keep, message):
+    out = tmp_path / "out"
+    shutil.copytree(staged_outputs, out)
+    cfg_path = write_config(tmp_path, tiny_config(out))
+    path = out / "network_profile.jsonl"
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    path.write_text("".join(json.dumps(record) + "\n" for record in keep(records)))
+    for stage in ("run", "detect", "report"):
+        capsys.readouterr()
+        assert main([stage, "--config", str(cfg_path)]) == 1, stage
+        assert capsys.readouterr().err == f"{stage}: {path}: {message}\n", stage
+
+
 @pytest.mark.parametrize("table,key,value", [
     ("producer", "rate_per_hour", math.nan),
     ("producer", "rate_per_hour", math.inf),

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from feedsim.app import (FanoutSettings, ResponseLog, TimelineResponse, load_response_log,
-                         save_response_log)
+from feedsim.app import FanoutSettings, ResponseLog, load_response_log, save_response_log
 from feedsim.detect import (
     ConflictRecord,
     ConflictType,
@@ -31,10 +30,10 @@ from oracles import (
     brute_force_conflicts,
     brute_timeline,
     detector_conflict_set,
-    fields,
     make_network,
     random_instance,
     response_log,
+    rows,
     witness_triples,
 )
 
@@ -46,10 +45,8 @@ def two_user_scenario():
     tweets = [(0, (i + 1) * 10 * SEC) for i in range(5)]  # A..E
     A, B, C, D, E = tweets
     network = make_network({0: (0,), 1: (0,)}, 1)
-    r_gap = TimelineResponse(consumer_id=0, T=45 * SEC,
-                             entries=(D, C, A))          # missing B mid-stream
-    r_head = TimelineResponse(consumer_id=1, T=47 * SEC,
-                              entries=(C, B, A))         # missing newest D
+    r_gap = (0, 45 * SEC, (D, C, A))   # missing B mid-stream
+    r_head = (1, 47 * SEC, (C, B, A))  # missing newest D
     return tweets, network, response_log([r_gap, r_head]), (A, B, C, D, E)
 
 
@@ -84,50 +81,48 @@ def test_consistent_timeline_matches_bruteforce_merge():
 
 
 def test_find_missing_positions():
-    tweets, network, (r_gap, r_head), (A, B, C, D, E) = two_user_scenario()
+    tweets, network, responses, (A, B, C, D, E) = two_user_scenario()
+    (_, gap_T, gap_entries), (_, head_T, head_entries) = rows(responses)
     index = TweetIndex(tweets, network)
-    oracle_gap = consistent_timeline(index.feeds, 0, r_gap.T, 4)
-    index.check(0, *fields(r_gap))
-    assert find_missing(index, r_gap.entries, oracle_gap) == [(B, ConflictType.GAP)]
-    oracle_head = consistent_timeline(index.feeds, 1, r_head.T, 4)
-    index.check(1, *fields(r_head))
-    assert find_missing(index, r_head.entries, oracle_head) == \
+    oracle_gap = consistent_timeline(index.feeds, 0, gap_T, 4)
+    index.check(0, 0, gap_T, gap_entries)
+    assert find_missing(index, gap_entries, oracle_gap) == [(B, ConflictType.GAP)]
+    oracle_head = consistent_timeline(index.feeds, 1, head_T, 4)
+    index.check(1, 1, head_T, head_entries)
+    assert find_missing(index, head_entries, oracle_head) == \
            [(D, ConflictType.NEWER_EARLIER)]
 
 
 def test_find_missing_exact_match_is_empty():
     tweets, network, _, (A, B, C, D, E) = two_user_scenario()
     index = TweetIndex(tweets, network)
-    response = TimelineResponse(consumer_id=0, T=45 * SEC, entries=(D, C, B, A))
+    entries = (D, C, B, A)
     oracle = consistent_timeline(index.feeds, 0, 45 * SEC, 4)
-    index.check(9, *fields(response))
-    assert find_missing(index, response.entries, oracle) == []
+    index.check(9, 0, 45 * SEC, entries)
+    assert find_missing(index, entries, oracle) == []
 
 
 def test_phantom_entry_raises_integrity_error():
     tweets, network, _, _ = two_user_scenario()
     index = TweetIndex(tweets, network)
-    response = TimelineResponse(consumer_id=0, T=45 * SEC, entries=((0, 123456),))
     with pytest.raises(IntegrityError, match="phantom"):
-        index.check(0, *fields(response))
+        index.check(0, 0, 45 * SEC, ((0, 123456),))
 
 
 def test_future_entry_raises_integrity_error():
     tweets, network, _, (A, B, C, D, E) = two_user_scenario()
     index = TweetIndex(tweets, network)
-    response = TimelineResponse(consumer_id=0, T=15 * SEC, entries=(C,))
     with pytest.raises(IntegrityError, match="future"):
-        index.check(0, *fields(response))
+        index.check(0, 0, 15 * SEC, (C,))
 
 
 def test_unfollowed_producer_entry_raises_integrity_error():
     network = make_network({0: (0,), 1: (1,)}, 2)
     index = TweetIndex([(0, 10), (1, 20)], network)
     index.check(1, 1, 30, ((1, 20),))
-    response = TimelineResponse(consumer_id=0, T=30, entries=((1, 20), (0, 10)))
     with pytest.raises(IntegrityError, match=r"response 4 contains an unfollowed producer's "
                                              r"tweet \(1, 20\)"):
-        index.check(4, *fields(response))
+        index.check(4, 0, 30, ((1, 20), (0, 10)))
 
 
 def test_tweet_index_rejects_duplicate_identity_and_disorder():
@@ -142,15 +137,17 @@ def test_tweet_index_rejects_duplicate_identity_and_disorder():
 
 def test_witness_index_shapes():
     tweets, network, responses, (A, B, C, D, E) = two_user_scenario()
+    triples = rows(responses)
+    (_, T0, _), (_, T1, _) = triples
     assert build_witness_index([]).containments == {}
-    index = build_witness_index(witness_triples([(0, responses[0])]))
+    index = build_witness_index(witness_triples([(0, triples[0])]))
     assert len(index.containments) == 3
-    assert index.containments[D] == (responses[0].T, 0)
+    assert index.containments[D] == (T0, 0)
     assert B not in index.containments
     # each key keeps its first sighting: C and A stay with response 0
-    first = (responses[0].T, 0)
-    assert build_witness_index(witness_triples(enumerate(responses))).containments == \
-        {D: first, C: first, A: first, B: (responses[1].T, 1)}
+    first = (T0, 0)
+    assert build_witness_index(witness_triples(enumerate(triples))).containments == \
+        {D: first, C: first, A: first, B: (T1, 1)}
 
 
 def test_witness_index_matches_linear_scan():
@@ -158,11 +155,12 @@ def test_witness_index_matches_linear_scan():
     checked = 0
     for _ in range(20):
         responses, tweets, network, n = random_instance(rng)
-        index = build_witness_index(witness_triples(enumerate(responses)))
-        served = {pair for r in responses for pair in r.entries}
+        triples = rows(responses)
+        index = build_witness_index(witness_triples(enumerate(triples)))
+        served = {pair for _, _, entries in triples for pair in entries}
         assert index.containments.keys() == served
         for pair in served:
-            scan = [(r.T, i) for i, r in enumerate(responses) if pair in r.entries]
+            scan = [(T, i) for i, (_, T, entries) in enumerate(triples) if pair in entries]
             assert index.containments[pair] == min(scan)
             checked += 1
     assert checked > 0
@@ -220,34 +218,36 @@ def test_two_user_scenario_classification():
 def test_head_missing_needs_strictly_earlier_witness():
     tweets, network, _, (A, B, C, D, E) = two_user_scenario()
     index = TweetIndex(tweets, network)
-    flagged = TimelineResponse(consumer_id=1, T=45 * SEC, entries=(C, B, A))
-    same_time_witness = TimelineResponse(consumer_id=0, T=45 * SEC, entries=(D, C, B, A))
+    flagged = (1, 45 * SEC, (C, B, A))
+    consumer_id, T, entries = flagged
+    same_time_witness = (0, 45 * SEC, (D, C, B, A))
     witness_index = build_witness_index(witness_triples(enumerate([same_time_witness, flagged])))
-    oracle = consistent_timeline(index.feeds, 1, flagged.T, 4)
-    index.check(1, *fields(flagged))
-    [(key, position)] = find_missing(index, flagged.entries, oracle)
+    oracle = consistent_timeline(index.feeds, 1, T, 4)
+    index.check(1, *flagged)
+    [(key, position)] = find_missing(index, entries, oracle)
     assert position is ConflictType.NEWER_EARLIER
-    assert classify(1, flagged, key, position, witness_index) is None
+    assert classify(1, consumer_id, T, key, position, witness_index) is None
 
 
 def test_tail_missing_is_never_observable():
     tweets, network, _, (A, B, C, D, E) = two_user_scenario()
     index = TweetIndex(tweets, network)
-    flagged = TimelineResponse(consumer_id=1, T=45 * SEC, entries=(D, C, B))
-    oracle = consistent_timeline(index.feeds, 1, flagged.T, 4)
-    index.check(1, *fields(flagged))
-    assert find_missing(index, flagged.entries, oracle) == []
+    T, entries = 45 * SEC, (D, C, B)
+    oracle = consistent_timeline(index.feeds, 1, T, 4)
+    index.check(1, 1, T, entries)
+    assert find_missing(index, entries, oracle) == []
 
 
 def test_unwitnessed_interior_gap_is_not_observable():
     tweets, network, _, (A, B, C, D, E) = two_user_scenario()
     index = TweetIndex(tweets, network)
-    flagged = TimelineResponse(consumer_id=0, T=45 * SEC, entries=(D, C, A))
-    oracle = consistent_timeline(index.feeds, 0, flagged.T, 4)
-    index.check(0, *fields(flagged))
-    [(key, position)] = find_missing(index, flagged.entries, oracle)
+    flagged = (0, 45 * SEC, (D, C, A))
+    consumer_id, T, entries = flagged
+    oracle = consistent_timeline(index.feeds, 0, T, 4)
+    index.check(0, *flagged)
+    [(key, position)] = find_missing(index, entries, oracle)
     witness_index = build_witness_index(witness_triples([(0, flagged)]))
-    assert classify(0, flagged, key, position, witness_index) is None
+    assert classify(0, consumer_id, T, key, position, witness_index) is None
 
 
 def test_classify_rejects_non_positive_gap():
@@ -256,11 +256,11 @@ def test_classify_rejects_non_positive_gap():
     index = TweetIndex(tweets, network)
     missing = (0, 10)
     assert missing in index.rank
-    flagged = TimelineResponse(consumer_id=0, T=10, entries=((1, 10), (0, 5)))
-    witness = TimelineResponse(consumer_id=1, T=10, entries=((0, 10),))
+    flagged = (0, 10, ((1, 10), (0, 5)))
+    witness = (1, 10, ((0, 10),))
     witness_index = build_witness_index(witness_triples(enumerate([witness, flagged])))
     with pytest.raises(IntegrityError, match="non-positive gap for response 1"):
-        classify(1, flagged, missing, ConflictType.GAP, witness_index)
+        classify(1, 0, 10, missing, ConflictType.GAP, witness_index)
 
 
 def result_of(records):
@@ -313,15 +313,16 @@ def test_detect_all_empty_window_still_validates_warm_up():
     assert result.records == []
     assert result.per_response_G == {}
     assert result.query_counts == {}
-    phantom = TimelineResponse(consumer_id=0, T=45 * SEC, entries=(D, (0, 35 * SEC), A))
+    phantom = (0, 45 * SEC, (D, (0, 35 * SEC), A))
     with pytest.raises(IntegrityError, match="phantom"):
-        detect_all(response_log([phantom, responses[1]]), TweetIndex(tweets, network), n_timeline=4,
-                   analysis_window_fraction=0.1)
+        detect_all(response_log([phantom, rows(responses)[1]]), TweetIndex(tweets, network),
+                   n_timeline=4, analysis_window_fraction=0.1)
 
 
 def test_detect_all_rejects_disordered_or_duplicate_responses(tmp_path):
     tweets, network, responses, _ = two_user_scenario()
-    swapped = response_log([responses[1], responses[0]])
+    first, second = rows(responses)
+    swapped = response_log([second, first])
     with pytest.raises(IntegrityError, match="response 1 is timestamped before"):
         detect_all(swapped, TweetIndex(tweets, network), n_timeline=4,
                    analysis_window_fraction=0.5)
@@ -409,17 +410,18 @@ def test_detector_fast_paths_equal_bruteforce():
         fraction = float(rng.choice([1.0, 0.6, 0.3]))
         result = detect_all(responses, TweetIndex(tweets, network), n_timeline=n,
                             analysis_window_fraction=fraction)
+        triples = rows(responses)
         assert detector_conflict_set(result) == \
-            brute_force_conflicts(responses, tweets, network, n, fraction)
-        analyzed = list(enumerate(responses))[result.total_count - result.analyzed_count:]
+            brute_force_conflicts(triples, tweets, network, n, fraction)
+        analyzed = list(enumerate(triples))[result.total_count - result.analyzed_count:]
         for record in result.records:
             pair = (record.producer_id, record.t)
-            earliest = min((r.T, i) for i, r in analyzed if pair in r.entries)
+            earliest = min((T, i) for i, (_, T, entries) in analyzed if pair in entries)
             assert record.witness_response_id == earliest[1]
             seen_types.add(record.type)
-        for _, r in analyzed:
-            oracle = brute_timeline(r.consumer_id, r.T, tweets, network, n)
-            exact += list(r.entries) == oracle
+        for _, (consumer_id, T, entries) in analyzed:
+            oracle = brute_timeline(consumer_id, T, tweets, network, n)
+            exact += list(entries) == oracle
     assert exact > 1000
     assert seen_types == set(ConflictType)
 
@@ -432,7 +434,7 @@ def test_detector_equals_bruteforce_on_random_instances():
         fraction = 1.0 if rng.random() < 0.7 else 0.6
         result = detect_all(responses, TweetIndex(tweets, network), n_timeline=n,
                             analysis_window_fraction=fraction)
-        brute = brute_force_conflicts(responses, tweets, network, n, fraction)
+        brute = brute_force_conflicts(rows(responses), tweets, network, n, fraction)
         assert detector_conflict_set(result) == brute
         checked += len(brute)
     assert checked > 0
@@ -445,14 +447,15 @@ def test_records_are_sound_by_direct_scan():
         responses, tweets, network, n = random_instance(rng)
         result = detect_all(responses, TweetIndex(tweets, network), n_timeline=n,
                             analysis_window_fraction=1.0)
+        triples = rows(responses)
         for record in result.records:
-            flagged = responses[record.response_id]
-            witness = responses[record.witness_response_id]
+            consumer_id, T, entries = triples[record.response_id]
+            witness_entries = triples[record.witness_response_id][2]
             pair = (record.producer_id, record.t)
-            assert pair in set(witness.entries)
-            assert pair not in set(flagged.entries)
-            assert record.gap_us == flagged.T - record.t > 0
-            assert record.producer_id in network.follows[flagged.consumer_id]
+            assert pair in set(witness_entries)
+            assert pair not in set(entries)
+            assert record.gap_us == T - record.t > 0
+            assert record.producer_id in network.follows[consumer_id]
             total += 1
     assert total > 0
 
@@ -469,10 +472,10 @@ def test_observable_subset_of_missing():
         for record in result.records:
             per_response_records[record.response_id] = \
                 per_response_records.get(record.response_id, 0) + 1
-        for response_id, response in enumerate(responses):
-            oracle = consistent_timeline(feeds, response.consumer_id, response.T, n)
-            index.check(response_id, *fields(response))
-            missing = find_missing(index, response.entries, oracle)
+        for response_id, (consumer_id, T, entries) in enumerate(rows(responses)):
+            oracle = consistent_timeline(feeds, consumer_id, T, n)
+            index.check(response_id, consumer_id, T, entries)
+            missing = find_missing(index, entries, oracle)
             assert per_response_records.get(response_id, 0) <= len(missing)
 
 
@@ -484,17 +487,18 @@ def test_enlarging_witness_corpus_never_removes_conflicts():
             continue
         index = TweetIndex(tweets, network)
         feeds = index.feeds
-        later = list(enumerate(responses))[len(responses) // 2:]
+        triples = rows(responses)
+        later = list(enumerate(triples))[len(triples) // 2:]
         half = build_witness_index(witness_triples(later))
-        full = build_witness_index(witness_triples(enumerate(responses)))
+        full = build_witness_index(witness_triples(enumerate(triples)))
 
         def records_with(witness_index):
             found = set()
-            for response_id, response in later:
-                oracle = consistent_timeline(feeds, response.consumer_id, response.T, n)
-                index.check(response_id, *fields(response))
-                for key, position in find_missing(index, response.entries, oracle):
-                    record = classify(response_id, response, key, position, witness_index)
+            for response_id, (consumer_id, T, entries) in later:
+                oracle = consistent_timeline(feeds, consumer_id, T, n)
+                index.check(response_id, consumer_id, T, entries)
+                for key, position in find_missing(index, entries, oracle):
+                    record = classify(response_id, consumer_id, T, key, position, witness_index)
                     if record is not None:
                         found.add((record.response_id, record.producer_id,
                                    record.t, record.type.value))
@@ -528,10 +532,8 @@ def test_relabelling_consumers_relabels_only_the_consumers(seed, data):
     renamed_network = make_network({relabel[c]: producers
                                     for c, producers in network.follows.items()},
                                    network.n_producers)
-    renamed = ResponseLog()
-    for consumer_id, T, entries in zip(responses.consumer_ids, responses.times,
-                                       responses.entries):
-        renamed.append(relabel[consumer_id], T, entries)
+    renamed = response_log((relabel[consumer_id], T, entries)
+                           for consumer_id, T, entries in rows(responses))
     for fraction in (0.25, 0.5, 1.0):
         found, found_renamed = (
             detect_all(log, TweetIndex(tweets, net), n_timeline=n,
@@ -541,6 +543,36 @@ def test_relabelling_consumers_relabels_only_the_consumers(seed, data):
             found, records=[replace(record, consumer_id=relabel[record.consumer_id])
                             for record in found.records],
             query_counts={relabel[c]: count for c, count in found.query_counts.items()})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_dropping_one_of_several_served_tweets_adds_at_most_that_tweet(seed):
+    """Dropping one entry from a response that serves two or more adds at most
+    that tweet to find_missing's keys. An entry stays, so the oldest served rank
+    can only rise, and a tweet older than everything served before stays older
+    than everything served after."""
+    responses, tweets, network, n = random_instance(np.random.default_rng(seed))
+    index = TweetIndex(tweets, network)
+    for consumer_id, T, entries in rows(responses):
+        if len(entries) < 2:
+            continue
+        oracle = consistent_timeline(index.feeds, consumer_id, T, n)
+        before = {key for key, _ in find_missing(index, entries, oracle)}
+        for i, dropped in enumerate(entries):
+            after = find_missing(index, entries[:i] + entries[i + 1:], oracle)
+            assert {key for key, _ in after} <= before | {dropped}
+
+
+def test_dropping_the_only_served_tweet_can_add_an_older_one():
+    """The drop relation needs two served entries. Serving (0, 10) alone misses
+    nothing, since (0, 5) is older than everything served; serving nothing
+    makes both tweets newer_earlier."""
+    index = TweetIndex([(0, 5), (0, 10)], make_network({0: (0,)}, 1))
+    oracle = consistent_timeline(index.feeds, 0, 20, 4)
+    assert find_missing(index, ((0, 10),), oracle) == []
+    assert find_missing(index, (), oracle) == [((0, 10), ConflictType.NEWER_EARLIER),
+                                               ((0, 5), ConflictType.NEWER_EARLIER)]
 
 
 def test_detection_result_files_roundtrip(tmp_path):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -162,6 +162,11 @@ class RunArtifacts:
         }
 
 
+# Event kinds, read once: an Enum member read from its class costs a
+# metaclass lookup per use.
+_FANOUT_STEP, _RETRY_WRITE = EventKind.FANOUT_STEP, EventKind.RETRY_WRITE
+
+
 class FeedApp:
     """Application layer bound to one event loop and one store; its response
     log is allocated for n_queries responses."""
@@ -186,10 +191,14 @@ class FeedApp:
         self._order_rng = rng.stream("app.fanout_order")
         # The seq of each posted tweet's pair, which orders timeline values.
         self._seqs: dict[tuple[int, int], int] = {}
+        # The loop's, store's and log's methods each event calls, bound once.
+        self._now, self._schedule = loop.now, loop.schedule
+        self._cas, self._read_latest = store.conditional_write, store.authoritative_read
+        self._read_replica, self._respond = store.read_with_source, self.responses.append
         loop.set_handler(EventKind.TWEET_ARRIVAL, self.post_tweet)
         loop.set_handler(EventKind.TIMELINE_QUERY, self.query_timeline)
-        loop.set_handler(EventKind.FANOUT_STEP, self._on_fanout_step)
-        loop.set_handler(EventKind.RETRY_WRITE, self._write)
+        loop.set_handler(_FANOUT_STEP, self._on_fanout_step)
+        loop.set_handler(_RETRY_WRITE, self._write)
 
     # -- posting ---------------------------------------------------------
 
@@ -197,7 +206,7 @@ class FeedApp:
         """Timestamp a new tweet, kick off its per-follower fan-out and return its pair."""
         if producer_id not in self.network.followers:
             raise ValueError(f"unknown producer {producer_id}")
-        pair = (producer_id, self.loop.now())
+        pair = (producer_id, self._now())
         if pair in self._seqs:
             raise ValueError(f"producer {producer_id} already posted at t={pair[1]}")
         self._seqs[pair] = len(self.tweet_log)
@@ -209,8 +218,9 @@ class FeedApp:
         fanout = _Fanout(pair, len(followers))
         if self.fanout.mode == "synchronous":
             # Nothing runs between the read and the write, so each write lands.
+            write, read_latest = self._write, self._read_latest
             for consumer_id in followers:
-                self._write((fanout, consumer_id, self.store.authoritative_read(consumer_id)))
+                write((fanout, consumer_id, read_latest(consumer_id)))
             return pair
         order = self._order_rng.permutation(len(followers))
         fanout.queue = deque(followers[i] for i in order)
@@ -226,9 +236,9 @@ class FeedApp:
             fanout.lanes += 1
             # The update task reads the timeline when it starts service; the
             # conditional write lands when service completes.
-            expected = self.store.authoritative_read(consumer_id)
-            self.loop.schedule((self.loop.now() + self._service_sample(),
-                                EventKind.FANOUT_STEP, (fanout, consumer_id, expected)))
+            expected = self._read_latest(consumer_id)
+            self._schedule((self._now() + self._service_sample(), _FANOUT_STEP,
+                            (fanout, consumer_id, expected)))
 
     def _write(self, update: tuple[_Fanout, int, tuple | None]) -> None:
         """Try one conditional write of a tweet into a follower's timeline.
@@ -238,15 +248,15 @@ class FeedApp:
         """
         fanout, consumer_id, expected = update
         new_value = insert_entry(expected, fanout.pair, self._seqs, self.n_timeline)
-        result = self.store.conditional_write(consumer_id, expected, new_value)
+        result = self._cas(consumer_id, expected, new_value)
         if not result.ok:
-            self.loop.schedule((self.loop.now() + RETRY_BACKOFF_US, EventKind.RETRY_WRITE,
-                                (fanout, consumer_id, result.current)))
+            self._schedule((self._now() + RETRY_BACKOFF_US, _RETRY_WRITE,
+                            (fanout, consumer_id, result.current)))
             return
         fanout.pending -= 1
         if fanout.pending == 0:
             # Commits come in clock order, so the last one is the latest.
-            self.fanout_completion_us[fanout.pair] = self.loop.now() - fanout.pair[1]
+            self.fanout_completion_us[fanout.pair] = self._now() - fanout.pair[1]
 
     def _on_fanout_step(self, update: tuple[_Fanout, int, tuple | None]) -> None:
         self._write(update)
@@ -254,7 +264,8 @@ class FeedApp:
         # retries run off-lane.
         fanout = update[0]
         fanout.lanes -= 1
-        self._fill_lanes(fanout)
+        if fanout.queue:
+            self._fill_lanes(fanout)
 
     # -- querying --------------------------------------------------------
 
@@ -262,14 +273,15 @@ class FeedApp:
         """Serve the materialized view from a random replica; no caching."""
         if consumer_id not in self.network.follows:
             raise ValueError(f"unknown consumer {consumer_id}")
-        self.responses.append(consumer_id, self.loop.now(),
-                              self.store.read_with_source(consumer_id)[1] or ())
+        self._respond(consumer_id, self._now(), self._read_replica(consumer_id)[1] or ())
 
 
-def _chunk_size(expected: float) -> int:
+def _chunk_size(expected: float | np.ndarray) -> int | np.ndarray:
     """Gaps a Poisson draw takes at once when expected arrivals fall in the
-    horizon: enough that the first chunk nearly always passes it."""
-    return max(16, int(expected * 1.5) + 8)
+    horizon, for one expected count or an array of them: enough that the
+    first chunk nearly always passes it."""
+    # astype truncates toward zero, as int() does.
+    return np.maximum(16, (np.asarray(expected) * 1.5).astype(np.int64) + 8)
 
 
 def _poisson_times_us(rate_per_hour: float, duration_us: int,
@@ -297,10 +309,42 @@ def _poisson_times_us(rate_per_hour: float, duration_us: int,
 _RATES_PER_DRAW = 1024
 
 
+def _running_sums(gaps: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Each rate's running sums of its own gaps, where gaps holds the first
+    rate's sizes[0] gaps, then the next rate's sizes[1], and so on.
+
+    np.cumsum(axis=1) adds each row left to right, as _poisson_times_us's
+    1-D cumsum does, so one call sums rows of one width. Sizes within a
+    factor 2**0.25 share a bin, whose rows are padded with zeros to its
+    longest, so the padding stays below a fifth of the gaps.
+    """
+    bins = (np.log2(sizes) * 4).astype(np.intp)
+    order = np.argsort(bins, kind="stable")
+    bin_first = np.flatnonzero(np.diff(bins[order], prepend=-1))
+    widths = np.maximum.reduceat(sizes[order], bin_first)
+    rows = np.diff(bin_first, append=len(sizes))
+    row_widths = np.repeat(widths, rows)
+    ends = np.cumsum(row_widths)
+    # Where each rate's padded row starts, and so where each gap goes.
+    row_start = np.empty(len(sizes), dtype=np.int64)
+    row_start[order] = ends - row_widths
+    slot = np.repeat(row_start - (np.cumsum(sizes) - sizes), sizes)
+    slot += np.arange(len(gaps))
+    padded = np.zeros(int(ends[-1]))
+    padded[slot] = gaps
+    del gaps
+    for start, n_rows, width in zip((ends[bin_first] - row_widths[bin_first]).tolist(),
+                                    rows.tolist(), widths.tolist()):
+        block = padded[start:start + n_rows * width].reshape(n_rows, width)
+        np.cumsum(block, axis=1, out=block)
+    return padded[slot]
+
+
 def _poisson_arrivals_us(rates_per_hour: np.ndarray, duration_us: int,
-                         stream: np.random.Generator) -> list[np.ndarray]:
+                         stream: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """_poisson_times_us of each rate in turn on stream, value for value and
-    leaving stream where those calls would.
+    leaving stream where those calls would: each rate's arrival count, and
+    every rate's times in rate order as one int64 array.
 
     The first chunks of up to _RATES_PER_DRAW rates come from one draw: an
     array of scales draws what the per-rate calls draw, in the same order.
@@ -309,32 +353,38 @@ def _poisson_arrivals_us(rates_per_hour: np.ndarray, duration_us: int,
     rate runs through _poisson_times_us alone, and the rates after it are
     drawn together again. Memory stays proportional to the draws.
     """
-    times = [np.empty(0, dtype=np.int64)] * len(rates_per_hour)
-    if duration_us <= 0:
-        return times
-    active = np.flatnonzero(rates_per_hour > 0)
+    counts = np.zeros(len(rates_per_hour), dtype=np.int64)
+    times = [np.empty(0, dtype=np.int64)]
+    active = np.flatnonzero(rates_per_hour > 0) if duration_us > 0 else np.empty(0, np.intp)
     mean_gaps = MICROS_PER_HOUR / rates_per_hour[active]
-    sizes = [_chunk_size(expected) for expected in (duration_us / mean_gaps).tolist()]
-    # Rate j's first chunk is draws bounds[j]:bounds[j + 1] of the whole stream.
-    bounds = [0, *accumulate(sizes)]
+    sizes = _chunk_size(duration_us / mean_gaps)
     first = 0
-    while first < len(sizes):
-        last = min(first + _RATES_PER_DRAW, len(sizes))
+    while first < len(active):
+        last = min(first + _RATES_PER_DRAW, len(active))
         state = stream.bit_generator.state
-        gaps = stream.exponential(np.repeat(mean_gaps[first:last], sizes[first:last]))
-        offset = bounds[first]
-        for j in range(first, last):
-            # A rate's own cumsum adds in the order _poisson_times_us does.
-            cum = np.cumsum(gaps[bounds[j] - offset:bounds[j + 1] - offset])
-            if cum[-1] <= duration_us:
-                stream.bit_generator.state = state
-                stream.exponential(np.repeat(mean_gaps[first:j], sizes[first:j]))
-                times[active[j]] = _poisson_times_us(
-                    float(rates_per_hour[active[j]]), duration_us, stream)
-                break
-            times[active[j]] = cum[cum < duration_us].astype(np.int64)
-        first = j + 1
-    return times
+        sums = _running_sums(stream.exponential(np.repeat(mean_gaps[first:last],
+                                                          sizes[first:last])), sizes[first:last])
+        ends = np.cumsum(sizes[first:last])
+        starts = ends - sizes[first:last]
+        short = np.flatnonzero(sums[ends - 1] <= duration_us)
+        if short.size:
+            # The rates before the short one keep their sums.
+            last = first + int(short[0])
+            sums, starts = sums[:starts[short[0]]], starts[:short[0]]
+            stream.bit_generator.state = state
+            stream.exponential(np.repeat(mean_gaps[first:last], sizes[first:last]))
+        if last > first:
+            # Each rate's times are the prefix of its sums below the horizon.
+            kept = sums < duration_us
+            counts[active[first:last]] = np.add.reduceat(kept, starts, dtype=np.int64)
+            times.append(sums[kept].astype(np.int64))
+        if short.size:
+            rate = float(rates_per_hour[active[last]])
+            times.append(_poisson_times_us(rate, duration_us, stream))
+            counts[active[last]] = len(times[-1])
+            last += 1
+        first = last
+    return counts, np.concatenate(times)
 
 
 def _strictly_increasing(times: np.ndarray) -> np.ndarray:
@@ -342,6 +392,18 @@ def _strictly_increasing(times: np.ndarray) -> np.ndarray:
     # t'[i] = max(t[i], t'[i-1] + 1), so t'[i] - i is the running max of t[i] - i.
     steps = np.arange(len(times))
     return np.maximum.accumulate(times - steps) + steps
+
+
+def _nudge_collisions(counts: np.ndarray, times: np.ndarray) -> None:
+    """Apply _strictly_increasing, in place, to each producer's times, where
+    producer j's are the counts[j] after those of the producers before it;
+    only a producer whose times fail to strictly increase is touched."""
+    producer = np.repeat(np.arange(len(counts)), counts)
+    repeats = (times[1:] <= times[:-1]) & (producer[1:] == producer[:-1])
+    starts = np.cumsum(counts) - counts
+    for j in dict.fromkeys(producer[1:][repeats].tolist()):
+        span = slice(starts[j], starts[j] + counts[j])
+        times[span] = _strictly_increasing(times[span])
 
 
 def run_experiment(network: FollowingNetwork, profile: WorkloadProfile,
@@ -354,23 +416,23 @@ def run_experiment(network: FollowingNetwork, profile: WorkloadProfile,
     """
     duration_us = round(cfg.duration_hours * MICROS_PER_HOUR)
     rng = RngStreams(cfg.seed)
-    tweet_times = _poisson_arrivals_us(profile.producer_rate, duration_us,
-                                       rng.stream("workload.tweet_times"))
-    query_times = _poisson_arrivals_us(profile.consumer_rate, duration_us,
-                                       rng.stream("workload.query_times"))
+    tweet_counts, tweet_times = _poisson_arrivals_us(profile.producer_rate, duration_us,
+                                                     rng.stream("workload.tweet_times"))
+    _nudge_collisions(tweet_counts, tweet_times)
+    query_counts, query_times = _poisson_arrivals_us(profile.consumer_rate, duration_us,
+                                                     rng.stream("workload.query_times"))
     loop = EventLoop()
     store = ReplicatedStore(cfg.store, loop, rng)
     # Each query arrival serves one response.
     app = FeedApp(network, loop, store, rng, cfg.fanout, cfg.n_timeline,
-                  n_queries=sum(map(len, query_times)))
+                  n_queries=len(query_times))
     loop.add_arrivals([
-        (EventKind.TWEET_ARRIVAL, zip(range(network.n_producers),
-                                      map(_strictly_increasing, tweet_times))),
-        (EventKind.TIMELINE_QUERY, zip(range(network.n_consumers), query_times)),
+        (EventKind.TWEET_ARRIVAL, range(network.n_producers), tweet_counts, tweet_times),
+        (EventKind.TIMELINE_QUERY, range(network.n_consumers), query_counts, query_times),
     ])
-    # The loop's schedule holds every arrival now, so the per-producer and
-    # per-consumer time arrays are not kept through the run.
-    del tweet_times, query_times
+    # The loop's schedule holds every arrival now, so the drawn arrays are
+    # not kept through the run.
+    del tweet_counts, tweet_times, query_counts, query_times
 
     loop.run_until(duration_us)
     loop.close()
@@ -434,8 +496,11 @@ def save_response_log(path: str | Path, log: ResponseLog) -> None:
     the chunk of its last, so only the timelines that this or a later chunk
     still serves are held.
     """
+    n = len(log)
     slots: dict[tuple, int] = {}
-    slot_of = array("i", [slots.setdefault(entries, len(slots)) for entries in log.entries])
+    # The columns may hold unfilled slots past the log's n responses.
+    slot_of = array("i", [slots.setdefault(entries, len(slots))
+                          for entries in islice(log.entries, n)])
     timelines = list(slots)
     del slots
     pairs = list({pair for entries in timelines for pair in entries})
@@ -452,8 +517,8 @@ def save_response_log(path: str | Path, log: ResponseLog) -> None:
     tails: list[bytes | None] = []
     with open(path, "wb", buffering=RESPONSE_LOG_BUFFER) as fh:
         write = fh.write
-        for start, done in zip(range(0, len(log), RESPONSE_LOG_CHUNK), last_used):
-            stop = start + RESPONSE_LOG_CHUNK
+        for start, done in zip(range(0, n, RESPONSE_LOG_CHUNK), last_used):
+            stop = min(start + RESPONSE_LOG_CHUNK, n)
             tails += [b", ".join(map(pair_json.__getitem__, entries)) + b"]}\n"
                       for entries in timelines[len(tails):int(line_slots[start:stop].max()) + 1]]
             for response_id, (consumer_id, T) in enumerate(

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import argparse
 import gc
+import os
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, NoReturn
 
 from . import analytics, app, checks, detect, netgen
 from .config import ExperimentConfig, is_zero_delay
@@ -230,21 +231,29 @@ def main(argv: list[str] | None = None) -> int:
 GC_GEN0_THRESHOLD = 100_000
 
 
-def entry() -> int:
+def entry() -> NoReturn:
     """Process entry of `python -m feedsim.cli` and the `feedsim` script: main()
-    with the garbage collector set for a process that runs one pipeline.
+    with the garbage collector set for a process that runs one pipeline, then
+    the end of the process with main()'s exit code.
 
     The start-up heap (numpy and the stdlib) lives until exit, and a run
     makes no cyclic garbage of its own (argparse leaves a few hundred small
     objects), so a collection walks live objects to free next to nothing. The
-    heap is frozen out of the collector's sight, which also shortens the
-    final collection at exit, and young collections are made rare. main()
-    itself leaves the collector alone, for callers that share the process.
+    heap is frozen out of the collector's sight and young collections are
+    made rare. Every output file is closed by the time main() returns, so
+    once stdout and stderr are flushed the process ends at os._exit, without
+    freeing its heap object by object. An exception, or argparse's
+    SystemExit, leaves as it would from main(), through the normal exit.
+    main() itself leaves the collector and the exit alone, for callers that
+    share the process.
     """
     gc.freeze()
     gc.set_threshold(GC_GEN0_THRESHOLD, *gc.get_threshold()[1:])
-    return main()
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(entry())
+    entry()

@@ -264,10 +264,12 @@ def detect_all(log: ResponseLog, index: TweetIndex, *,
     """
     if not 0 < analysis_window_fraction <= 1:
         raise ValueError("analysis_window_fraction must be in (0, 1]")
-    start = len(log) - int(round(len(log) * analysis_window_fraction))
+    # The columns may hold unfilled slots past the log's n responses.
+    n = len(log)
+    start = n - int(round(n * analysis_window_fraction))
     incomplete = []  # (id, consumer, T, what it misses) per analyzed response unlike its oracle
     prev_T = None
-    for i, (consumer_id, T, entries) in enumerate(zip(log.consumer_ids, log.times, log.entries)):
+    for i, consumer_id, T, entries in zip(range(n), log.consumer_ids, log.times, log.entries):
         if prev_T is not None and T < prev_T:
             raise IntegrityError(f"response {i} is timestamped before the response before it", i)
         prev_T = T
@@ -283,12 +285,12 @@ def detect_all(log: ResponseLog, index: TweetIndex, *,
             incomplete.append((i, consumer_id, T, find_missing(index, entries, oracle)))
 
     # The window's columns are walked in place: a slice would copy them.
-    window = zip(count(start), islice(log.times, start, None), islice(log.entries, start, None))
+    window = zip(count(start), islice(log.times, start, n), islice(log.entries, start, n))
     witness_index = build_witness_index(window if incomplete else [])
     records = [record for i, consumer_id, T, missing in incomplete for key, kind in missing
                if (record := classify(i, consumer_id, T, key, kind, witness_index)) is not None]
-    return DetectionResult(records, len(log), index.tweet_counts,
-                           dict(Counter(islice(log.consumer_ids, start, None))),
+    return DetectionResult(records, n, index.tweet_counts,
+                           dict(Counter(islice(log.consumer_ids, start, n))),
                            n_timeline, analysis_window_fraction)
 
 

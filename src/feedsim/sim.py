@@ -16,7 +16,7 @@ from datetime import datetime, timedelta
 from enum import Enum
 from functools import partial
 from heapq import heappop, heappush
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -133,6 +133,10 @@ class EventKind(str, Enum):
     RETRY_WRITE = "retry_write"
 
 
+def _no_handler(kind: EventKind, payload: Any) -> None:
+    raise KeyError(kind)
+
+
 class EventLoop:
     """Single-threaded virtual-time event queue.
 
@@ -141,8 +145,8 @@ class EventLoop:
     queued. Pre-drawn arrivals, which make up most events, are kept apart
     from the heap of in-flight events as two columns in firing order: their
     times (int64) and their owners (C int), where an owner indexes the kind
-    and payload of one (kind, payload) pair that add_arrivals was given. The
-    loop walks the columns by index, merging them with the heap as it runs.
+    and payload of one payload that add_arrivals was given. The loop walks
+    the columns by index, merging them with the heap as it runs.
     """
 
     def __init__(self):
@@ -167,11 +171,11 @@ class EventLoop:
     def set_handler(self, kind: EventKind, handler: Callable[[Any], None]) -> None:
         self._handlers[kind] = handler
 
-    def add_arrivals(
-            self, blocks: Iterable[tuple[EventKind, Iterable[tuple[Any, Sequence[int]]]]]) -> None:
-        """Queue every pre-drawn arrival: for each (kind, pairs) block and each
-        (payload, times) pair in it, an event of kind at each time, where
-        times is a list or an integer array.
+    def add_arrivals(self, blocks: Iterable[tuple[EventKind, Sequence[Any], Sequence[int],
+                                                  Sequence[int]]]) -> None:
+        """Queue every pre-drawn arrival: for each (kind, payloads, counts, times)
+        block, counts[j] events of kind for payloads[j], where times holds
+        every payload's times in turn, counts[0] for payloads[0] first.
 
         Seqs follow the order given, exactly as if each were scheduled in
         turn. Arrivals are accepted only while no event is queued, so they
@@ -180,21 +184,31 @@ class EventLoop:
         """
         if self.scheduled_count:
             raise ValueError("arrivals must be added in one call, before any other event")
-        kinds, payloads, times = [], [], [np.empty(0, dtype=np.int64)]
-        for kind, pairs in blocks:
-            for payload, payload_times in pairs:
-                kinds.append(kind)
-                payloads.append(payload)
-                times.append(np.asarray(payload_times, dtype=np.int64))
+        kinds, payloads = [], []
+        counts, times = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.int64)]
+        for kind, block_payloads, block_counts, block_times in blocks:
+            block_counts = np.asarray(block_counts, dtype=np.intp)
+            block_times = np.asarray(block_times, dtype=np.int64)
+            if len(block_counts) != len(block_payloads) or block_counts.sum() != len(block_times):
+                raise ValueError("a block needs one count per payload, and one time per count")
+            kinds += [kind] * len(block_payloads)
+            payloads += block_payloads
+            counts.append(block_counts)
+            times.append(block_times)
         all_times = np.concatenate(times)
         if all_times.size and all_times.min() < self._now:
             fire_at = int(all_times[np.argmax(all_times < self._now)])
             raise ValueError(f"cannot schedule event at t={fire_at} before now={self._now}")
-        # An arrival's seq is its position in all_times, so a stable sort on
-        # time is (time, seq) order.
-        order = np.argsort(all_times, kind="stable")
-        owners = np.repeat(np.arange(len(payloads), dtype=np.intc), [len(t) for t in times[1:]])
-        self._arrival_times = _column("q", all_times[order])
+        # An arrival's seq is its position in all_times, so in (time, seq)
+        # order the arrivals of one time keep their order in all_times.
+        order = np.argsort(all_times)
+        fire_at = all_times[order]
+        tie = fire_at[1:] == fire_at[:-1]
+        if tie.any():
+            tied = np.flatnonzero(np.append(False, tie) | np.append(tie, False))
+            order[tied] = order[tied][np.lexsort((order[tied], fire_at[tied]))]
+        owners = np.repeat(np.arange(len(payloads), dtype=np.intc), np.concatenate(counts))
+        self._arrival_times = _column("q", fire_at)
         self._arrival_owners = _column("i", owners[order])
         self._arrival_kinds, self._arrival_payloads = kinds, payloads
         self.scheduled_count = all_times.size
@@ -228,7 +242,11 @@ class EventLoop:
             raise ValueError(f"cannot run to t={t_end} before now={self._now}")
         heap, handlers = self._heap, self._handlers
         times, owners = self._arrival_times, self._arrival_owners
-        kinds, payloads = self._arrival_kinds, self._arrival_payloads
+        payloads = self._arrival_payloads
+        # Each owner's handler; a kind with none raises KeyError when its
+        # first arrival fires, as a queued event's does.
+        owner_handlers = [handlers.get(kind) or partial(_no_handler, kind)
+                          for kind in self._arrival_kinds]
         start = self.processed_count
         # next_arrival is the time of arrival i when it fires by t_end, else
         # t_end + 1; only firing an arrival changes it, since no arrival is
@@ -241,16 +259,17 @@ class EventLoop:
             # smaller and it fires first on a tie.
             if heap and heap[0][0] < next_arrival:
                 fire_at, _, kind, payload = heappop(heap)
+                handler = handlers[kind]
             elif next_arrival < limit:
                 owner = owners[i]
-                fire_at, kind, payload = next_arrival, kinds[owner], payloads[owner]
+                fire_at, handler, payload = next_arrival, owner_handlers[owner], payloads[owner]
                 # Stored before the handler runs, which may raise.
                 i = self._next_arrival = i + 1
                 next_arrival = times[i] if i < n and times[i] < limit else limit
             else:
                 break
             self._now = fire_at
-            handlers[kind](payload)
+            handler(payload)
             self.processed_count += 1
         self._now = t_end
         return self.processed_count - start
@@ -318,8 +337,7 @@ def _block_sampler(draw_block: Callable[[], list[int]]) -> Callable[[], int]:
 def make_sampler(spec: DistributionSpec, stream: np.random.Generator) -> Callable[[], int]:
     """Build a () -> microseconds sampler for a delay distribution."""
     if spec.distribution == "constant":
-        value = round(spec.mean_ms * MICROS_PER_MS)
-        return lambda: value
+        return repeat(round(spec.mean_ms * MICROS_PER_MS)).__next__
     scale = spec.mean_ms * MICROS_PER_MS
     # int() of each scalar draw truncates toward zero, as astype does.
     return _block_sampler(

@@ -10,6 +10,7 @@ replica and may be stale.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, NamedTuple
 
 from .sim import (
@@ -37,6 +38,12 @@ class CasResult(NamedTuple):
     current: Any  # the authoritative value after the call
 
 
+# CasResult of an (ok, current) tuple, without the namedtuple's Python-level __new__.
+_cas_result = partial(tuple.__new__, CasResult)
+# An Enum member read from its class costs a metaclass lookup per use.
+_PROPAGATION_ARRIVAL = EventKind.PROPAGATION_ARRIVAL
+
+
 class ReplicatedStore:
     """All mutation happens inside the owning event loop; never share across threads."""
 
@@ -47,9 +54,11 @@ class ReplicatedStore:
             {} for _ in range(config.n_replicas)
         ]
         self._authoritative: dict[Any, tuple[int, Any]] = {}
-        # The replicas a write committed at each home propagates to, in order.
-        self._peers = [tuple(r for r in range(config.n_replicas) if r != home)
+        # The values of the replicas a write committed at each home propagates
+        # to, in order.
+        self._peers = [tuple(values for r, values in enumerate(self._replicas) if r != home)
                        for home in range(config.n_replicas)]
+        self._now, self._schedule = loop.now, loop.schedule
         self._lag_sample = make_sampler(config.lag, rng.stream("store.lag"))
         self._read_replica = choice_sampler(config.n_replicas, rng.stream("store.read"))
         self._home_replica = choice_sampler(config.n_replicas, rng.stream("store.home"))
@@ -58,10 +67,10 @@ class ReplicatedStore:
         self.cas_failure_count = 0
         loop.set_handler(EventKind.PROPAGATION_ARRIVAL, self._on_propagation)
 
-    def _on_propagation(self, payload: tuple[int, Any, tuple[int, Any]]) -> None:
+    def _on_propagation(self, payload: tuple[dict, Any, tuple[int, Any]]) -> None:
+        # payload is the target replica's values, the key and the entry.
         # Last writer by version wins; late lower-version arrivals are dropped.
-        replica, key, entry = payload
-        values = self._replicas[replica]
+        values, key, entry = payload
         current = values.get(key)
         if current is None or entry[0] > current[0]:
             values[key] = entry
@@ -74,22 +83,23 @@ class ReplicatedStore:
         """
         current = self._authoritative.get(key)
         value = None if current is None else current[1]
-        if value != expected:
+        # A writer usually expects the very tuple the store holds.
+        if value is not expected and value != expected:
             self.cas_failure_count += 1
-            return CasResult(False, value)
+            return _cas_result((False, value))
         entry = (1 if current is None else current[0] + 1, new_value)
-        now = self._loop.now()
+        now = self._now()
         home = self._home_replica()
         self._authoritative[key] = entry
         # The new version is above every replica's, so the home takes it as is.
         self._replicas[home][key] = entry
-        for replica in self._peers[home]:
+        for values in self._peers[home]:
             lag = self._lag_sample()
             if lag > self.max_lag_sample_us:
                 self.max_lag_sample_us = lag
-            self._loop.schedule((now + lag, EventKind.PROPAGATION_ARRIVAL, (replica, key, entry)))
+            self._schedule((now + lag, _PROPAGATION_ARRIVAL, (values, key, entry)))
         self.write_count += 1
-        return CasResult(True, new_value)
+        return _cas_result((True, new_value))
 
     def read_with_source(self, key: Any) -> tuple[int, Any]:
         """Read from a uniformly random replica: (replica, value), where the

@@ -47,10 +47,11 @@ class ReferenceLoop:
         return seq
 
     def add_arrivals(self, blocks):
-        for kind, times_per_payload in blocks:
-            for payload, times in times_per_payload:
-                for t in times:
-                    self.schedule((t, kind, payload))
+        for kind, payloads, counts, times in blocks:
+            times = iter(times)
+            for payload, count in zip(payloads, counts):
+                for _ in range(count):
+                    self.schedule((int(next(times)), kind, payload))
 
     @property
     def pending_count(self):

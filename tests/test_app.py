@@ -14,6 +14,7 @@ import feedsim.app as app_module
 from feedsim.app import (
     FanoutSettings,
     FeedApp,
+    ResponseLog,
     insert_entry,
     load_response_log,
     load_tweet_log,
@@ -272,18 +273,23 @@ POISSON_TIMES_US = app_module._poisson_times_us
 def short_chunks(expected):
     """A chunk-size rule whose first chunk falls short of the horizon about
     half the time, so the bulk draw must replay those rates."""
-    return max(1, int(expected))
+    return np.maximum(1, np.asarray(expected).astype(np.int64))
 
 
 def assert_bulk_poisson_equals_per_rate(rates, duration_us, seed):
     bulk, reference = RngStreams(seed).stream("t"), RngStreams(seed).stream("t")
-    drawn = app_module._poisson_arrivals_us(np.array(rates, dtype=float), duration_us, bulk)
+    counts, times = app_module._poisson_arrivals_us(np.array(rates, dtype=float), duration_us,
+                                                    bulk)
     expected = [POISSON_TIMES_US(float(rate), duration_us, reference) for rate in rates]
-    assert len(drawn) == len(expected)
-    for times, want in zip(drawn, expected):
-        assert times.dtype == np.int64 and times.tolist() == want.tolist()
+    assert times.dtype == np.int64
+    assert counts.tolist() == [len(want) for want in expected]
+    assert len(times) == sum(counts)
+    # Each rate's slice of the flat times is its own draw.
+    for rate_times, want in zip(np.split(times, np.cumsum(counts)[:-1]), expected):
+        assert rate_times.tolist() == want.tolist()
     # Both streams end in the same state, so the next draw is equal too.
     assert bulk.random() == reference.random()
+    return expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -308,9 +314,12 @@ def test_bulk_poisson_replays_each_rate_whose_first_chunk_falls_short():
 
     with patch.object(app_module, "_chunk_size", short_chunks), \
             patch.object(app_module, "_poisson_times_us", replay):
-        assert_bulk_poisson_equals_per_rate(rates, MICROS_PER_HOUR, 3)
-    # Some rates were replayed alone and the others drawn in bulk.
+        expected = assert_bulk_poisson_equals_per_rate(rates, MICROS_PER_HOUR, 3)
+    # Some rates were replayed alone and the others drawn in bulk. Over one
+    # hour, a rate's first chunk falls short when its times fill it.
     assert 0 < len(replayed) < 16
+    assert replayed == [rate for rate, want in zip(rates, expected)
+                        if rate > 0 and len(want) >= short_chunks(rate)]
 
 
 def test_bulk_poisson_memory_follows_the_draws_not_the_longest_rate():
@@ -340,6 +349,31 @@ def test_strictly_increasing_nudges_each_time_past_the_one_before(times):
         if expected[i] <= expected[i - 1]:
             expected[i] = expected[i - 1] + 1
     assert app_module._strictly_increasing(np.array(times, dtype=np.int64)).tolist() == expected
+
+
+# One producer's times: drawn from a narrow range, so repeats are common,
+# and ascending, as a Poisson draw gives them, or in any order.
+PRODUCER_TIMES = st.lists(st.integers(0, 12), max_size=8)
+
+
+@given(st.lists(PRODUCER_TIMES.map(sorted) | PRODUCER_TIMES, max_size=8))
+def test_nudging_the_colliding_producers_equals_nudging_each(per_producer):
+    counts = np.array([len(times) for times in per_producer], dtype=np.int64)
+    times = np.array([t for producer in per_producer for t in producer], dtype=np.int64)
+    nudge = app_module._strictly_increasing
+    expected = [nudge(np.array(producer, dtype=np.int64)).tolist() for producer in per_producer]
+    nudged = []
+
+    def recorded(producer_times):
+        nudged.append(producer_times.tolist())
+        return nudge(producer_times)
+
+    with patch.object(app_module, "_strictly_increasing", recorded):
+        app_module._nudge_collisions(counts, times)
+    assert times.tolist() == [t for producer in expected for t in producer]
+    # Only the producers whose own times fail to strictly increase are nudged.
+    assert nudged == [producer for producer in per_producer
+                      if any(b <= a for a, b in zip(producer, producer[1:]))]
 
 
 def test_run_is_seed_deterministic():
@@ -465,8 +499,12 @@ def test_incomplete_fanouts_reported_as_horizon_delay(monkeypatch):
     # same microsecond.
     minute = 60_000_000
     poisson = app_module._poisson_arrivals_us
-    monkeypatch.setattr(app_module, "_poisson_arrivals_us",
-                        lambda *args: [times // minute * minute for times in poisson(*args)])
+
+    def floored(*args):
+        counts, times = poisson(*args)
+        return counts, times // minute * minute
+
+    monkeypatch.setattr(app_module, "_poisson_arrivals_us", floored)
     network = make_network({0: (0, 1), 1: (0,), 2: (0,)}, 3)
     profile = WorkloadProfile(producer_rate=np.array([30.0, 30.0, 30.0]),
                               consumer_rate=np.array([0.001, 0.001, 0.001]))
@@ -622,6 +660,20 @@ def test_response_log_across_chunks_equals_json_dumps(tmp_path):
     assert len(lines) == len(expected) == n
     assert [i for i, (got, want) in enumerate(zip(lines, expected)) if got != want] == []
     assert rows(load_response_log(path)) == rows(responses)
+
+
+@pytest.mark.parametrize("chunk", [1024, 2])
+def test_response_log_writes_only_the_responses_appended(tmp_path, chunk):
+    """A log allocated for more responses than it received: its unfilled
+    slots are not responses, in one chunk or across several."""
+    log = ResponseLog(5)
+    for i in range(3):
+        log.append(7 + i, 20 + i, ((1, 10),))
+    path = tmp_path / "responses.jsonl"
+    with patch.object(app_module, "RESPONSE_LOG_CHUNK", chunk):
+        save_response_log(path, log)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert len(lines) == 3 and lines == json_lines(log)
 
 
 DAY_US = 86_400_000_000

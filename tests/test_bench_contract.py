@@ -11,11 +11,16 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from feedsim import netgen
+from feedsim.app import FanoutSettings, run_experiment
 from feedsim.cli import main
+from feedsim.sim import DistributionSpec, EventLoop, RngStreams
+from feedsim.store import ReplicatedStore
 from test_cli import tiny_config, write_config
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -87,3 +92,46 @@ def test_repro_matches_the_benchmark_reference(tmp_path, name):
     sample = run.Sample(wall_s=0.0, cpu_s=0.0, peak_rss_mb=0.0, exit_code=code,
                         verdicts=run.read_verdicts(out), digests=run.digest_dir(out))
     assert bench.problems(sample) == []
+
+
+@pytest.mark.parametrize("fanout", [
+    FanoutSettings(service=DistributionSpec("exponential", 4000.0), concurrency_cap=1),
+    FanoutSettings(mode="synchronous"),
+], ids=["scheduled", "synchronous"])
+def test_the_run_calls_every_method_the_tracer_wraps(tmp_path, monkeypatch, fanout):
+    """tracer.py wraps these methods on their classes before the run starts
+    and counts what passes through them, so a call that went round one (a
+    method bound before the wrapping, or a handler not registered through
+    set_handler) would drop out of its counts."""
+    calls, arrivals = Counter(), []
+
+    def wrap(owner, name, count=None):
+        method = getattr(owner, name)
+
+        def counted(*args):
+            calls[name] += 1
+            result = method(*args)
+            if count is not None:
+                count(*args)
+            return result
+
+        monkeypatch.setattr(owner, name, counted)
+
+    wrap(EventLoop, "schedule")
+    wrap(ReplicatedStore, "conditional_write")
+    wrap(ReplicatedStore, "read_with_source")
+    wrap(EventLoop, "add_arrivals", lambda loop, _: arrivals.append((loop, loop.scheduled_count)))
+    set_handler = EventLoop.set_handler
+    monkeypatch.setattr(EventLoop, "set_handler", lambda loop, kind, handler: set_handler(
+        loop, kind, lambda payload: (calls.update(["handler"]), handler(payload))))
+    cfg = tiny_config(tmp_path, fanout=fanout)
+    rng = RngStreams(cfg.seed)
+    network = netgen.build_network(cfg.n_producers, cfg.n_consumers, cfg.zipf, rng)
+    artifacts = run_experiment(network, netgen.build_profile(network, cfg.zipf, rng), cfg)
+    [(loop, n_arrivals)] = arrivals
+    assert calls["schedule"] == loop.scheduled_count - n_arrivals > 0
+    assert calls["conditional_write"] == artifacts.updates_committed + artifacts.cas_failures
+    assert calls["read_with_source"] == len(artifacts.responses)
+    assert calls["handler"] == loop.processed_count == artifacts.events_processed
+    if fanout.mode == "scheduled":
+        assert artifacts.cas_failures > 0

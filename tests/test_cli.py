@@ -262,19 +262,32 @@ def test_main_leaves_the_collector_as_it_found_it(tmp_path, monkeypatch):
 
 
 def test_module_entry_freezes_the_heap_and_raises_the_threshold(tmp_path):
-    """`python -m feedsim.cli` runs main() through entry(), which sets the policy."""
+    """`python -m feedsim.cli` runs main() through entry(), which sets the policy
+    and ends the process at os._exit with main()'s code, its output flushed.
+
+    The child script wraps os._exit to read the policy, since no code after
+    entry() runs, and writes it past sys.stdout's buffer, which entry() must
+    have flushed."""
     cfg_path = write_config(tmp_path, tiny_config(tmp_path / "out"))
-    code = ("import gc, runpy\n"
-            "try:\n"
-            "    runpy.run_module('feedsim.cli', run_name='__main__')\n"
-            "finally:\n"
-            "    print(gc.get_threshold()[0], gc.get_freeze_count() > 0)\n")
+    code = ("import gc, os, runpy\n"
+            "def observed_exit(code):\n"
+            "    policy = f'{gc.get_threshold()[0]} {gc.get_freeze_count() > 0} {code}\\n'\n"
+            "    os.write(1, policy.encode())\n"
+            "    exit_now(code)\n"
+            "exit_now, os._exit = os._exit, observed_exit\n"
+            "runpy.run_module('feedsim.cli', run_name='__main__')\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    # Piped stdout is block-buffered unless the caller asked otherwise.
+    env.pop("PYTHONUNBUFFERED", None)
     done = subprocess.run([sys.executable, "-c", code, "repro", "--config", str(cfg_path)],
                           env=env, capture_output=True, text=True, timeout=120)
-    assert (tmp_path / "out" / "repro_summary.txt").exists(), done.stderr
-    assert done.stdout.splitlines()[-1] == f"{cli.GC_GEN0_THRESHOLD} True"
+    summary = tmp_path / "out" / "repro_summary.txt"
+    assert summary.exists(), done.stderr
+    *printed, policy = done.stdout.splitlines()
+    assert policy == f"{cli.GC_GEN0_THRESHOLD} True {done.returncode}"
+    # The piped stdout was flushed before the exit: it ends with the summary.
+    assert printed[-1] == summary.read_text(encoding="utf-8").splitlines()[-1]
 
 
 def test_full_pipeline_stage_by_stage(tmp_path, capsys):

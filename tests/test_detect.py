@@ -293,6 +293,23 @@ def test_gap_is_max_over_missing():
     assert result.conflicting_count == 2
 
 
+def test_detect_all_reads_only_the_responses_a_log_holds():
+    """A log allocated for more responses than it received: its unfilled
+    slots are not responses."""
+    network = make_network({0: (0,)}, 1)
+    served = [(0, 20, ((0, 10),)), (0, 30, ())]
+    log = ResponseLog(4)
+    for response in served:
+        log.append(*response)
+
+    def detected(responses):
+        return detect_all(responses, TweetIndex([(0, 10)], network), n_timeline=4,
+                          analysis_window_fraction=0.5).to_dict()
+
+    assert detected(log) == detected(response_log(served))
+    assert detected(log)["analyzed_responses"] == 1
+
+
 def test_detect_all_window_selects_latter_fraction():
     tweets, network, responses, _ = two_user_scenario()
     result = detect_all(responses, TweetIndex(tweets, network), n_timeline=4,

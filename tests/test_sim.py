@@ -4,6 +4,8 @@ from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from feedsim.sim import (
     EPOCH,
@@ -136,7 +138,7 @@ def test_trace_identical_across_reruns():
 
         loop.set_handler(EventKind.FANOUT_STEP, handler(EventKind.FANOUT_STEP))
         loop.set_handler(EventKind.TWEET_ARRIVAL, handler(EventKind.TWEET_ARRIVAL))
-        loop.add_arrivals([(EventKind.TWEET_ARRIVAL, [("arrival", range(0, 200, 7))])])
+        loop.add_arrivals([(EventKind.TWEET_ARRIVAL, ["arrival"], [29], range(0, 200, 7))])
         loop.run_until(500)
         return trace, seqs
 
@@ -148,8 +150,8 @@ def test_trace_identical_across_reruns():
 
 def test_add_arrivals_fire_in_time_then_seq_order():
     loop, fired = collecting_loop()
-    loop.add_arrivals([(EventKind.TWEET_ARRIVAL, [("a", [5, 1]), ("b", [1, 3])]),
-                       (EventKind.TIMELINE_QUERY, [("q", [3, 0])])])
+    loop.add_arrivals([(EventKind.TWEET_ARRIVAL, ["a", "b"], [2, 2], [5, 1, 1, 3]),
+                       (EventKind.TIMELINE_QUERY, ["q"], [2], [3, 0])])
     assert loop.scheduled_count == loop.pending_count == 6
     assert at(loop, 3, EventKind.FANOUT_STEP, "step") == 6
     assert loop.run_until(3) == 6
@@ -159,23 +161,57 @@ def test_add_arrivals_fire_in_time_then_seq_order():
     assert fired[-1] == (5, "a")
 
 
+# Each owner's arrival times, from a narrow range so that arrivals tie.
+OWNER_TIMES = st.lists(st.lists(st.integers(0, 9), max_size=4), max_size=5)
+
+
+@given(OWNER_TIMES, OWNER_TIMES)
+def test_flat_arrivals_fire_in_the_order_the_reference_schedules_them(tweets, queries):
+    """A block's owner j fires at its counts[j] times, taken from the flat
+    times after the owners before it, and ties go to the arrival given
+    first, as scheduling each arrival in turn does."""
+    def fired_by(loop):
+        fired = []
+        for kind in EventKind:
+            loop.set_handler(kind, lambda payload, kind=kind: fired.append((loop.now(), kind,
+                                                                             payload)))
+        loop.add_arrivals([(kind, [f"{kind.value} {j}" for j in range(len(owners))],
+                            [len(times) for times in owners],
+                            [t for times in owners for t in times])
+                           for kind, owners in ((EventKind.TWEET_ARRIVAL, tweets),
+                                                (EventKind.TIMELINE_QUERY, queries))])
+        loop.run_until(10)
+        return fired
+
+    assert fired_by(EventLoop()) == fired_by(ReferenceLoop())
+
+
+def test_add_arrivals_needs_a_count_per_payload_and_a_time_per_count():
+    for block in ((EventKind.TWEET_ARRIVAL, ["a", "b"], [1], [4]),
+                  (EventKind.TWEET_ARRIVAL, ["a"], [2], [4])):
+        loop, _ = collecting_loop()
+        with pytest.raises(ValueError, match="one count per payload"):
+            loop.add_arrivals([block])
+        assert loop.scheduled_count == 0
+
+
 def test_add_arrivals_after_another_event_raises():
     loop, _ = collecting_loop()
     at(loop, 2)
     with pytest.raises(ValueError):
-        loop.add_arrivals([(EventKind.TIMELINE_QUERY, [("q", [6])])])
+        loop.add_arrivals([(EventKind.TIMELINE_QUERY, ["q"], [1], [6])])
     assert loop.scheduled_count == 1
     # Every arrival goes in one call: a second call raises.
     loop, _ = collecting_loop()
-    loop.add_arrivals([(EventKind.TWEET_ARRIVAL, [("a", [4])])])
+    loop.add_arrivals([(EventKind.TWEET_ARRIVAL, ["a"], [1], [4])])
     with pytest.raises(ValueError):
-        loop.add_arrivals([(EventKind.TIMELINE_QUERY, [("q", [6])])])
+        loop.add_arrivals([(EventKind.TIMELINE_QUERY, ["q"], [1], [6])])
     at(loop, 2)
     with pytest.raises(ValueError):
-        loop.add_arrivals([(EventKind.TIMELINE_QUERY, [("q", [6])])])
+        loop.add_arrivals([(EventKind.TIMELINE_QUERY, ["q"], [1], [6])])
     loop.run_until(10)
     with pytest.raises(ValueError):
-        loop.add_arrivals([(EventKind.TIMELINE_QUERY, [("q", [12])])])
+        loop.add_arrivals([(EventKind.TIMELINE_QUERY, ["q"], [1], [12])])
     assert loop.scheduled_count == loop.processed_count == 2
 
 
@@ -184,11 +220,11 @@ def test_add_arrivals_from_the_first_arrivals_handler_raises():
 
     def handle(payload):
         with pytest.raises(ValueError):
-            loop.add_arrivals([(EventKind.TIMELINE_QUERY, [("q", [9])])])
+            loop.add_arrivals([(EventKind.TIMELINE_QUERY, ["q"], [1], [9])])
         refused.append(payload)
 
     loop.set_handler(EventKind.TWEET_ARRIVAL, handle)
-    loop.add_arrivals([(EventKind.TWEET_ARRIVAL, [("a", [4])])])
+    loop.add_arrivals([(EventKind.TWEET_ARRIVAL, ["a"], [1], [4])])
     assert loop.run_until(10) == 1
     assert refused == ["a"] and loop.scheduled_count == 1
 
@@ -197,9 +233,9 @@ def test_add_arrivals_in_the_past_raises_and_queues_nothing():
     loop, _ = collecting_loop()
     loop.run_until(10)
     with pytest.raises(ValueError):
-        loop.add_arrivals([(EventKind.TWEET_ARRIVAL, [("a", [12, 9])])])
+        loop.add_arrivals([(EventKind.TWEET_ARRIVAL, ["a"], [2], [12, 9])])
     assert loop.scheduled_count == loop.pending_count == 0
-    loop.add_arrivals([(EventKind.TWEET_ARRIVAL, [("a", [12])])])
+    loop.add_arrivals([(EventKind.TWEET_ARRIVAL, ["a"], [1], [12])])
     assert loop.run_until(12) == 1
 
 
@@ -212,8 +248,7 @@ def test_arrival_whose_handler_raised_does_not_fire_again():
             raise RuntimeError("handler failed")
 
     loop.set_handler(EventKind.TWEET_ARRIVAL, handle)
-    loop.add_arrivals([(EventKind.TWEET_ARRIVAL,
-                        [("a", np.array([1])), ("b", np.array([2]))])])
+    loop.add_arrivals([(EventKind.TWEET_ARRIVAL, ["a", "b"], np.array([1, 1]), np.array([1, 2]))])
     with pytest.raises(RuntimeError):
         loop.run_until(5)
     loop.run_until(5)
@@ -226,8 +261,8 @@ def drive(loop, seed):
     Times and delays come from narrow ranges and include zero delays, so
     arrivals and in-flight events often tie on fire_at. One payload object,
     a list and so unhashable, is given under both arrival kinds, and a block
-    with no pairs sits between them, so an arrival's kind and payload must
-    follow its (kind, payload) pair, not the payload's value. Returns every
+    with no payloads sits between them, so an arrival's kind and payload must
+    follow its block and its place there, not the payload's value. Returns every
     (now, kind, payload) fired, each step's run_until count and pending
     count, and the seqs schedule returned.
     """
@@ -250,13 +285,14 @@ def drive(loop, seed):
     shared = ["shared"]
 
     def block(kind):
-        pairs = [((kind.value, payload), rng.integers(0, 60, size=int(rng.integers(0, 8))).tolist())
-                 for payload in range(int(rng.integers(0, 12)))]
-        pairs.insert(int(rng.integers(0, len(pairs) + 1)),
-                     (shared, rng.integers(0, 60, size=int(rng.integers(1, 4))).tolist()))
-        return kind, pairs
+        payloads = [(kind.value, payload) for payload in range(int(rng.integers(0, 12)))]
+        counts = rng.integers(0, 8, size=len(payloads)).tolist()
+        at = int(rng.integers(0, len(payloads) + 1))
+        payloads.insert(at, shared)
+        counts.insert(at, int(rng.integers(1, 4)))
+        return kind, payloads, counts, rng.integers(0, 60, size=sum(counts))
 
-    loop.add_arrivals([block(EventKind.TWEET_ARRIVAL), (EventKind.PROPAGATION_ARRIVAL, []),
+    loop.add_arrivals([block(EventKind.TWEET_ARRIVAL), (EventKind.PROPAGATION_ARRIVAL, [], [], []),
                        block(EventKind.TIMELINE_QUERY)])
     for t_end in sorted(rng.integers(0, 120, size=4).tolist()) + [10_000]:
         steps.append((loop.run_until(t_end), loop.pending_count))
@@ -276,11 +312,11 @@ def test_event_loop_matches_single_heap_reference():
 
 def test_arrival_schedule_holds_12_bytes_per_arrival():
     """An arrival costs the loop its int64 time and a C-int index of its
-    (kind, payload) pair; the kinds and payloads are held once per pair. A
-    kind and a payload pointer per arrival would add 16 B."""
+    owner; the kinds and payloads are held once per owner. A kind and a
+    payload pointer per arrival would add 16 B."""
     rng = np.random.default_rng(0)
-    blocks = [(kind, [(payload, np.sort(rng.integers(0, 10**9, size=500)))
-                      for payload in range(20)])
+    blocks = [(kind, range(20), [500] * 20,
+               np.sort(rng.integers(0, 10**9, size=(20, 500)), axis=1).ravel())
               for kind in (EventKind.TWEET_ARRIVAL, EventKind.TIMELINE_QUERY)]
     n, owners = 2 * 20 * 500, 2 * 20
     gc.collect()
@@ -293,7 +329,7 @@ def test_arrival_schedule_holds_12_bytes_per_arrival():
         freed = held - tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    # Two lists of one pointer per pair, with their growth headroom, and the
+    # Two lists of one pointer per owner, with their growth headroom, and the
     # loop object's own fields.
     per_owner = 2 * 8 * 1.25 * owners + 2048
     assert freed - per_owner <= 12 * n, (freed, n)
